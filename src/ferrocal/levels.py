@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, DomainError, RangeError
 from .model import switched_fraction_cdf, threshold_quantile, ThresholdDistribution
 
@@ -70,9 +69,38 @@ def _sorted_samples(curve_or_arrays):
     return v[order], y[order]
 
 
+def _monotone_keep_mask(values, margin, accept_equal):
+    """Greedy scan keeping values that rise by at least ``margin``.
+
+    A value is kept when value - last_kept > margin, or == margin if
+    ``accept_equal``. The first value is always kept.
+    """
+    n = len(values)
+    keep = np.zeros(n, dtype=bool)
+    if n == 0:
+        return keep
+    keep[0] = True
+    if margin == 0.0:
+        # last kept value == running max of everything seen, so the scan
+        # vectorizes as a prefix-max comparison
+        runmax = np.maximum.accumulate(values)
+        if accept_equal:
+            keep[1:] = values[1:] >= runmax[:-1]
+        else:
+            keep[1:] = values[1:] > runmax[:-1]
+        return keep
+    last = values[0]
+    for i in range(1, n):
+        d = values[i] - last
+        if d > margin or (accept_equal and d == margin):
+            keep[i] = True
+            last = values[i]
+    return keep
+
+
 def _filter(curve_or_arrays, margin, accept_equal):
     v, y = _sorted_samples(curve_or_arrays)
-    keep = _kernels.monotone_keep_mask(np.ascontiguousarray(y), float(margin), bool(accept_equal))
+    keep = _monotone_keep_mask(y, float(margin), bool(accept_equal))
     kept_v = v[keep]
     kept_y = y[keep]
     return LevelSet(v_p=kept_v, values=kept_y,
@@ -141,7 +169,7 @@ def count_dac_levels(fit, cal, margin):
         raise ConfigError("margin must be >= 0")
     codes = dac_code_voltages(cal)
     values = fit.displacement(codes)
-    keep = _kernels.monotone_keep_mask(np.ascontiguousarray(values), float(margin), margin > 0)
+    keep = _monotone_keep_mask(values, float(margin), margin > 0)
     return int(np.count_nonzero(keep))
 
 

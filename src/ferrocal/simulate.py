@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, DomainError
 from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics
 from .rngutil import spawn_rng
@@ -42,7 +41,12 @@ class TriangularPulse:
 
 @dataclass(frozen=True)
 class WriteProtocol:
-    """Reset-then-write pulse sequence applied before every read."""
+    """Reset-then-write pulse sequence applied before every read.
+
+    ``reset_count`` and ``write_count`` must be >= 1 but do not change the
+    simulated state: with deterministic thresholds a repeated identical
+    pulse flips nothing new.
+    """
 
     reset_pulse: TriangularPulse
     write_pulse: TriangularPulse
@@ -195,6 +199,18 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     assembled curve at the write pulse width; the input ensemble is left
     unchanged. ``seed`` defaults to the ensemble seed and only affects read
     noise.
+
+    The pulse train is not replayed. Thresholds are deterministic, so
+    repeating an identical pulse changes nothing and the pulse counts do not
+    matter. The state of rate-independent hysterons depends only on the
+    running extrema of the input (the wiping-out property; Mayergoyz,
+    *Mathematical Models of Hysteresis*, 1991), and on a strictly increasing
+    grid the running maximum of the writes is the current V_p. Let R be the
+    units the reset reaches. After the grid point V_p, a unit is poled in the
+    write direction iff its write threshold is <= V_p, or it started so and
+    lies outside R. Each point's fraction is therefore an exact integer
+    count from two sorted threshold arrays, in O((n + G) log n) for n units
+    and G grid points.
     """
     grid = np.asarray(vp_grid, dtype=float)
     if grid.ndim != 1 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
@@ -204,23 +220,23 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     if observable_kind == "polarization_change" and p_r is None:
         raise ConfigError("polarization sweeps require p_r")
 
-    vth_reset = thresholds_at(ensemble, proto.reset_pulse.width)
-    vth_write = thresholds_at(ensemble, proto.write_pulse.width)
-
-    # the kernel tracks the bit "aligned with the write direction"; for the
-    # standard protocol (negative reset, positive write) that is the down flag
+    # count the units poled in the write direction; for the standard
+    # protocol (negative reset, positive write) that is the down flag
     write_is_down = proto.write_pulse.peak > 0
     bit = ensemble.down if write_is_down else ~ensemble.down
-    bit = bit.astype(np.uint8)
-    frac = _kernels.protocol_sweep(
-        np.ascontiguousarray(vth_reset),
-        np.ascontiguousarray(vth_write),
-        bit,
-        abs(proto.reset_pulse.peak),
-        int(proto.reset_count),
-        int(proto.write_count),
-        np.ascontiguousarray(grid),
-    )
+    reached = thresholds_at(ensemble, proto.reset_pulse.width) <= abs(proto.reset_pulse.peak)
+    vth_write = thresholds_at(ensemble, proto.write_pulse.width)
+    held = np.count_nonzero(bit & ~reached)  # poled from the start, never reset
+    # write thresholds of the units a write of V_p must still flip, sorted in
+    # place so no second full-size copy of the thresholds is made
+    reset_each_point = vth_write[reached]
+    reset_each_point.sort()
+    not_yet_written = vth_write[~(reached | bit)]
+    not_yet_written.sort()
+    del vth_write
+    count = (held + np.searchsorted(reset_each_point, grid, side="right")
+             + np.searchsorted(not_yet_written, grid, side="right"))
+    frac = count / ensemble.n
     s_down = frac if write_is_down else 1.0 - frac
 
     if observable_kind == "displacement":

@@ -7,8 +7,11 @@ polarization change). Within each pulse-width group V_p must increase
 strictly; violations are reported with their 1-based line number.
 
 Sweep and report values are written with Python's shortest round-trip float
-representation, so emit -> parse reproduces every value bit-exactly. Plot
-data files use fixed scientific notation with 11 significant digits.
+representation, so emit -> parse reproduces every stored value bit-exactly.
+Pulse widths are stored in microseconds, and the s -> us -> s hop can move
+t_p by one ulp. Parsers reject non-numeric and non-finite cells with the
+line number. Plot data files use fixed scientific notation with 11
+significant digits.
 """
 
 import csv
@@ -38,6 +41,17 @@ def _tp_label(t_p):
     return f"{t_p * 1e6:g}us"
 
 
+def _finite_floats(cells, row, line_no):
+    """CSV cells of ``row`` as finite floats; ParseError with the line otherwise."""
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        raise ParseError(f"non-numeric row {row!r}", line=line_no) from None
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"non-finite value in row {row!r}", line=line_no)
+    return values
+
+
 def parse_sweep_csv(path):
     """Read a sweep file into one SwitchCurve per pulse width, sorted by t_p."""
     path = Path(path)
@@ -60,15 +74,19 @@ def parse_sweep_csv(path):
 
         groups = {}
         last_v = {}
+        isfinite = math.isfinite
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
                 raise ParseError(f"expected 3 columns, got {len(row)}", line=line_no)
             try:
-                tp_us, v_p, value = (float(c) for c in row)
+                tp_us, v_p, value = map(float, row)
             except ValueError:
                 raise ParseError(f"non-numeric row {row!r}", line=line_no) from None
+            # inline rather than _finite_floats: this loop runs once per sample
+            if not (isfinite(tp_us) and isfinite(v_p) and isfinite(value)):
+                raise ParseError(f"non-finite value in row {row!r}", line=line_no)
             if tp_us <= 0:
                 raise ParseError("t_p_us must be positive", line=line_no)
             if v_p <= 0:
@@ -145,11 +163,9 @@ def parse_fit_report(path):
                 continue
             if len(row) != len(_FIT_REPORT_HEADER):
                 raise ParseError(f"expected {len(_FIT_REPORT_HEADER)} columns", line=line_no)
-            try:
-                tp_us, y0, a, mu, w, v50, rms = (float(row[i]) for i in (0, 1, 2, 3, 4, 5, 7))
-                vc = None if row[6] == "" else float(row[6])
-            except ValueError:
-                raise ParseError(f"non-numeric row {row!r}", line=line_no) from None
+            tp_us, y0, a, mu, w, v50, rms = _finite_floats(
+                [row[i] for i in (0, 1, 2, 3, 4, 5, 7)], row, line_no)
+            vc = None if row[6] == "" else _finite_floats(row[6:7], row, line_no)[0]
             fit = LorentzianFit(y0=y0, a=a, mu=mu, w=w, v50=v50, rms_residual=rms,
                                 t_p=tp_us * 1e-6)
             out.append((fit, vc))

@@ -72,3 +72,29 @@ def naive_monotone_scan(values, margin=0.0, accept_equal=True):
             keep.append(i)
             last = y
     return keep
+
+
+def naive_protocol_sweep(vth_reset, vth_write, down, reset_peak, write_peak,
+                         reset_count, write_count, grid):
+    """Independent reference for the protocol sweep: replays every pulse.
+
+    ``down`` is the initial per-unit state and is not modified. At each grid
+    amplitude v, ``reset_count`` reset pulses flip every unit with
+    vth_reset <= |reset_peak| to the reset polarity, then ``write_count``
+    write pulses of amplitude v flip every unit with vth_write <= v to the
+    write polarity (the sign of ``write_peak``). Returns the number of
+    down-poled units after each grid point.
+    """
+    state = [bool(d) for d in down]
+    counts = []
+    for v in grid:
+        for _ in range(reset_count):
+            for i, vth in enumerate(vth_reset):
+                if vth <= abs(reset_peak):
+                    state[i] = reset_peak > 0
+        for _ in range(write_count):
+            for i, vth in enumerate(vth_write):
+                if vth <= v:
+                    state[i] = write_peak > 0
+        counts.append(sum(state))
+    return counts

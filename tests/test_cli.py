@@ -169,6 +169,20 @@ class TestExitCodes:
         empty.write_text("")
         assert main(["--out-dir", str(tmp_path), "fit", "--input", str(empty)]) == 3
 
+    @pytest.mark.parametrize("command", ["fit", "levels"])
+    def test_nan_in_sweep_is_parse_error(self, tmp_path, command):
+        sweep = tmp_path / "sweep.csv"
+        emit_sweep_csv(sweep, [synthetic_curve(row) for row in TABLE_ROWS[-2:]])
+        lines = sweep.read_text().splitlines()
+        lines[500] = lines[500].rsplit(",", 1)[0] + ",nan"
+        sweep.write_text("\n".join(lines) + "\n")
+        proc = subprocess.run([sys.executable, "-m", "ferrocal", "--out-dir", str(tmp_path),
+                               command, "--input", str(sweep)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "line 501: non-finite value" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 

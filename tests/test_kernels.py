@@ -1,94 +1,180 @@
-import importlib
+"""Oracle tests for the two hot paths: the closed-form protocol sweep in
+``run_protocol_sweep`` and the greedy monotone scan behind the level filters.
+
+Both are compared bit for bit with plain loops from ``anchors``.
+"""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ferrocal._kernels import _pure
+from ferrocal import (DeviceCalibration, HysteronEnsemble, MerzKinetics, TriangularPulse,
+                      WriteProtocol, polarization_change_of_fraction, run_protocol_sweep,
+                      thresholds_at)
+from ferrocal.levels import _monotone_keep_mask
 
-from anchors import naive_monotone_scan
+from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF, naive_monotone_scan,
+                     naive_protocol_sweep)
 
-try:
-    from ferrocal._kernels import _native
-except ImportError:
-    _native = None
+KIN = MerzKinetics.from_mu_star(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR, 17e-9)
+# delta = 0 + 1 * S_down, so curve values are the down fraction itself
+UNIT_CAL = DeviceCalibration(delta_min=0.0, delta_max=1.0, v_ac=0.25, t_film=17e-9)
+P_R = 20.0
+WIDTHS = (10e-6, 100e-6, 500e-6)
 
-needs_native = pytest.mark.skipif(_native is None, reason="compiled kernels unavailable")
+
+def ensemble_with_thresholds(vth, width, down):
+    """Ensemble whose thresholds at ``width`` are ``vth`` (to rounding)."""
+    denom = math.log(width / KIN.tau_inf) ** (1.0 / KIN.alpha)
+    x = np.log10(np.asarray(vth, dtype=float) * denom)
+    return HysteronEnsemble(x, KIN, np.asarray(down, dtype=bool), rng_seed=0)
 
 
-def random_protocol_case(seed, n=20_000, grid_points=300):
+def oracle_values(ensemble, proto, grid, kind="displacement"):
+    """Curve values the plain pulse-by-pulse loop predicts."""
+    counts = np.array(naive_protocol_sweep(
+        thresholds_at(ensemble, proto.reset_pulse.width).tolist(),
+        thresholds_at(ensemble, proto.write_pulse.width).tolist(),
+        ensemble.down.tolist(), proto.reset_pulse.peak, proto.write_pulse.peak,
+        proto.reset_count, proto.write_count, list(grid)))
+    n = ensemble.n
+    # the sweep counts units poled in the write direction, so a negative
+    # write gives S_down as 1 - (up count) / n
+    s_down = counts / n if proto.write_pulse.peak > 0 else 1.0 - (n - counts) / n
+    if kind == "displacement":
+        return s_down
+    return polarization_change_of_fraction(P_R, s_down)
+
+
+def assert_matches_oracle(ensemble, proto, grid, kind="displacement"):
+    before = ensemble.down.copy()
+    curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL, observable_kind=kind, p_r=P_R)
+    assert np.array_equal(ensemble.down, before)
+    assert np.array_equal(curve.values, oracle_values(ensemble, proto, grid, kind))
+
+
+def random_case(seed, quantized=False, down_share=0.0, write_is_down=True):
+    """Random ensemble, protocol and grid; the reset reaches a random share
+    of the units and the grid hits some write thresholds exactly."""
     rng = np.random.default_rng(seed)
-    vth_r = rng.uniform(2, 9, n)
-    vth_w = rng.uniform(2, 9, n)
-    down = (rng.uniform(size=n) < 0.3).astype(np.uint8)
-    grid = np.sort(rng.uniform(0.5, 9.0, grid_points))
-    return vth_r, vth_w, down, grid
+    x = ORACLE_MU_STAR + 0.04 * rng.standard_cauchy(300)
+    np.clip(x, ORACLE_MU_STAR - 0.4, ORACLE_MU_STAR + 0.4, out=x)
+    if quantized:
+        x = np.round(x, 2)  # many tied thresholds
+    down = rng.uniform(size=x.size) < down_share
+    ensemble = HysteronEnsemble(x, KIN, down, rng_seed=seed)
+    reset_width, write_width = rng.choice(WIDTHS, 2)
+    vth_reset = thresholds_at(ensemble, reset_width)
+    vth_write = thresholds_at(ensemble, write_width)
+    reset_amp = float(np.quantile(vth_reset, rng.uniform(0.1, 0.9)))
+    sign = 1.0 if write_is_down else -1.0
+    proto = WriteProtocol(TriangularPulse(-sign * reset_amp, reset_width),
+                          TriangularPulse(sign * 5.0, write_width),
+                          reset_count=int(rng.integers(1, 4)),
+                          write_count=int(rng.integers(1, 4)))
+    grid = np.unique(np.concatenate([
+        rng.uniform(0.8 * vth_write.min(), 1.2 * vth_write.max(), 40),
+        rng.choice(vth_write, 10)]))
+    return ensemble, proto, grid
 
 
-class TestBackendParity:
-    @needs_native
-    @pytest.mark.parametrize("counts", [(2, 2), (1, 1), (0, 2), (2, 0), (0, 0), (3, 5)])
-    def test_protocol_sweep_bit_identical(self, counts):
-        rc, wc = counts
-        vth_r, vth_w, down, grid = random_protocol_case(11)
-        d_nat, d_pure = down.copy(), down.copy()
-        f_nat = _native.protocol_sweep(vth_r, vth_w, d_nat, 9.0, rc, wc, grid)
-        f_pure = _pure.protocol_sweep(vth_r, vth_w, d_pure, 9.0, rc, wc, grid)
-        assert np.array_equal(f_nat, f_pure)
-        assert np.array_equal(d_nat, d_pure)
+class TestProtocolSweepOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_ensembles(self, seed):
+        assert_matches_oracle(*random_case(seed))
 
-    @needs_native
-    @pytest.mark.parametrize("margin,accept_equal", [(0.0, True), (0.0, False),
-                                                     (0.25, True), (1.5, True)])
-    def test_monotone_mask_bit_identical(self, margin, accept_equal):
-        rng = np.random.default_rng(5)
-        values = np.round(rng.normal(0, 1, 50_000).cumsum(), 1)  # ties on purpose
-        m_nat = _native.monotone_keep_mask(values, margin, accept_equal)
-        m_pure = _pure.monotone_keep_mask(values, margin, accept_equal)
-        assert np.array_equal(m_nat, m_pure)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tied_thresholds(self, seed):
+        ensemble, proto, grid = random_case(100 + seed, quantized=True, down_share=0.3)
+        assert np.unique(ensemble.log_threshold_at_ref).size < ensemble.n // 2
+        assert_matches_oracle(ensemble, proto, grid)
+
+    def test_reset_reaches_only_some_units(self):
+        ensemble, proto, grid = random_case(7, down_share=1.0)
+        reached = thresholds_at(ensemble, proto.reset_pulse.width) <= abs(proto.reset_pulse.peak)
+        assert 0 < np.count_nonzero(reached) < ensemble.n
+        assert_matches_oracle(ensemble, proto, grid)
+
+    @pytest.mark.parametrize("down_share", [0.3, 1.0])
+    def test_nonzero_initial_state(self, down_share):
+        assert_matches_oracle(*random_case(8, down_share=down_share))
+
+    @pytest.mark.parametrize("down_share", [0.0, 0.5, 1.0])
+    def test_negative_write(self, down_share):
+        assert_matches_oracle(*random_case(9, down_share=down_share, write_is_down=False))
+
+    @pytest.mark.parametrize("write_is_down", [True, False])
+    def test_polarization_change_kind(self, write_is_down):
+        ensemble, proto, grid = random_case(10, down_share=0.4, write_is_down=write_is_down)
+        assert_matches_oracle(ensemble, proto, grid, kind="polarization_change")
+
+    def test_ensemble_not_mutated(self):
+        ensemble, proto, grid = random_case(11, down_share=0.5)
+        x = ensemble.log_threshold_at_ref.copy()
+        down = ensemble.down.copy()
+        run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
+        assert np.array_equal(ensemble.log_threshold_at_ref, x)
+        assert np.array_equal(ensemble.down, down)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.lists(st.sampled_from([0.95, 1.0, 1.03, 1.05, 1.07, 1.1, 1.2]),
+                      min_size=1, max_size=25),
+           down_bits=st.integers(0, 2**25 - 1),
+           widths=st.tuples(st.sampled_from(WIDTHS), st.sampled_from(WIDTHS)),
+           reset_amp=st.floats(1.0, 12.0),
+           counts=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           write_is_down=st.booleans(),
+           grid=st.lists(st.floats(0.5, 12.0), min_size=4, max_size=12, unique=True))
+    def test_property_matches_oracle(self, x, down_bits, widths, reset_amp, counts,
+                                     write_is_down, grid):
+        down = [bool(down_bits >> i & 1) for i in range(len(x))]
+        ensemble = HysteronEnsemble(np.array(x), KIN, np.array(down), rng_seed=0)
+        sign = 1.0 if write_is_down else -1.0
+        proto = WriteProtocol(TriangularPulse(-sign * reset_amp, widths[0]),
+                              TriangularPulse(sign * 5.0, widths[1]),
+                              reset_count=counts[0], write_count=counts[1])
+        assert_matches_oracle(ensemble, proto, np.sort(grid))
 
 
 class TestPureKernel:
+    """Hand-worked protocol cases and the monotone scan against the naive scan."""
+
     def test_vectorized_zero_margin_matches_naive_scan(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             values = np.round(rng.normal(0, 1, int(rng.integers(1, 200))), 1)
-            mask = _pure.monotone_keep_mask(values, 0.0, True)
+            mask = _monotone_keep_mask(values, 0.0, True)
             assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, 0.0, True)
-            strict = _pure.monotone_keep_mask(values, 0.0, False)
+            strict = _monotone_keep_mask(values, 0.0, False)
             assert list(np.flatnonzero(strict)) == naive_monotone_scan(values, 0.0, False)
 
     def test_margin_scan_matches_naive_scan(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
             values = rng.normal(0, 1, 150).cumsum()
-            mask = _pure.monotone_keep_mask(values, 0.4, True)
+            mask = _monotone_keep_mask(values, 0.4, True)
             assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, 0.4, True)
+            ties = np.round(values, 1)  # increments exactly equal to the margin
+            for accept_equal in (True, False):
+                mask = _monotone_keep_mask(ties, 0.2, accept_equal)
+                assert list(np.flatnonzero(mask)) == naive_monotone_scan(ties, 0.2, accept_equal)
 
     def test_state_carries_between_grid_points_without_reset(self):
-        # reset_count=0 means written hysterons accumulate monotonically
-        vth_r = np.array([5.0, 6.0, 7.0])
-        vth_w = np.array([1.0, 2.0, 3.0])
-        down = np.zeros(3, dtype=np.uint8)
-        frac = _pure.protocol_sweep(vth_r, vth_w, down, 9.0, 0, 1,
-                                    np.array([1.0, 2.0, 1.0]))
-        assert list(frac) == [1 / 3, 2 / 3, 2 / 3]
+        # the reset reaches no unit: written units accumulate, and the unit
+        # that starts down above every write amplitude stays down throughout
+        ensemble = ensemble_with_thresholds([1.0, 2.0, 3.0, 12.0], 500e-6,
+                                            [False, False, False, True])
+        proto = WriteProtocol(TriangularPulse(-0.5, 500e-6), TriangularPulse(5.0, 500e-6))
+        curve = run_protocol_sweep(ensemble, proto, [1.5, 2.5, 3.5, 4.5], UNIT_CAL)
+        assert list(curve.values) == [2 / 4, 3 / 4, 1.0, 1.0]
 
     def test_reset_clears_reachable_only(self):
-        vth_r = np.array([3.0, 12.0])
-        vth_w = np.array([1.0, 1.0])
-        down = np.zeros(2, dtype=np.uint8)
-        frac = _pure.protocol_sweep(vth_r, vth_w, down, 9.0, 1, 1, np.array([2.0]))
-        assert list(frac) == [1.0]  # both written; reset happens before write
-        frac2 = _pure.protocol_sweep(vth_r, vth_w, down, 9.0, 1, 0, np.array([2.0]))
-        assert list(frac2) == [0.5]  # only the vth_r=3 unit resets
-
-
-class TestBackendSelection:
-    def test_env_override_forces_pure(self, monkeypatch):
-        import ferrocal._kernels as kernels
-
-        monkeypatch.setenv("FERROCAL_PURE", "1")
-        reloaded = importlib.reload(kernels)
-        assert reloaded.BACKEND == "pure"
-        monkeypatch.delenv("FERROCAL_PURE")
-        importlib.reload(kernels)
+        # both units start down; the reset reaches only the 3 V unit, which
+        # comes back once the write amplitude clears its threshold
+        ensemble = ensemble_with_thresholds([3.0, 12.0], 500e-6, [True, True])
+        proto = WriteProtocol(TriangularPulse(-9.0, 500e-6), TriangularPulse(5.0, 500e-6))
+        curve = run_protocol_sweep(ensemble, proto, [1.0, 2.0, 3.5, 4.0], UNIT_CAL)
+        assert list(curve.values) == [0.5, 0.5, 1.0, 1.0]

@@ -77,6 +77,16 @@ class TestSweepCsvParsing:
         with pytest.raises(ParseError):
             parse_sweep_csv(p)
 
+    @pytest.mark.parametrize("column", range(3))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", " NaN"])
+    def test_non_finite_value_reports_line(self, tmp_path, column, bad):
+        row = ["500", "2.0", "0"]
+        row[column] = bad
+        p = self.write(tmp_path, "t_p_us,V_p_V,delta_nm\n500,1.0,-5\n" + ",".join(row) + "\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_sweep_csv(p)
+        assert err.value.line == 3
+
     def test_empty_and_header_only_files(self, tmp_path):
         with pytest.raises(ParseError):
             parse_sweep_csv(self.write(tmp_path, ""))
@@ -116,6 +126,20 @@ class TestFitReport:
         path = tmp_path / "report.csv"
         emit_fit_report(path, self.fits()[:1], vc_mech=[None])
         assert parse_fit_report(path)[0][1] is None
+
+    @pytest.mark.parametrize("column", range(8))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, column, bad):
+        path = tmp_path / "report.csv"
+        emit_fit_report(path, self.fits()[:2], vc_mech=[row[6] for row in TABLE_ROWS[:2]])
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = bad
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_fit_report(path)
+        assert err.value.line == 3
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
