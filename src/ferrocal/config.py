@@ -7,6 +7,7 @@ output-directory default for the CLI.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,10 +88,22 @@ class RunConfig:
         )
 
 
+def _float(section, key, raw):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {raw.strip()!r} is not a finite number")
+    return value
+
+
 def _get(parser, section, key, cast, default):
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key)
+    if cast is float:
+        return _float(section, key, raw)
     try:
         if cast is bool:
             if raw.strip().lower() in ("true", "1", "yes", "on"):
@@ -103,8 +116,12 @@ def _get(parser, section, key, cast, default):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
 
-def _floats(raw):
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+def _floats(parser, section, key, default):
+    """Comma-separated finite floats; ``default`` if the key is absent or empty."""
+    raw = parser.get(section, key, fallback="")
+    if not raw:
+        return default
+    return tuple(_float(section, key, tok) for tok in raw.split(",") if tok.strip())
 
 
 def load_config(path):
@@ -147,12 +164,12 @@ def load_config(path):
         mu_star=_get(parser, "ensemble", "mu_star", float, defaults.ensemble_mu_star),
         t_film=kin_t_film,
     )
-    tp_us = parser.get("sweep", "t_p_us") if parser.has_option("sweep", "t_p_us") else None
+    tp_us = _floats(parser, "sweep", "t_p_us", None)
     sweep = SweepPlan(
         v_start=_get(parser, "sweep", "v_start_v", float, defaults.sweep.v_start),
         v_stop=_get(parser, "sweep", "v_stop_v", float, defaults.sweep.v_stop),
         v_step=_get(parser, "sweep", "v_step_v", float, defaults.sweep.v_step),
-        t_p=tuple(t * 1e-6 for t in _floats(tp_us)) if tp_us else defaults.sweep.t_p,
+        t_p=defaults.sweep.t_p if tp_us is None else tuple(t * 1e-6 for t in tp_us),
         observable_kind=_get(parser, "sweep", "observable", str, defaults.sweep.observable_kind),
         p_r=_get(parser, "sweep", "p_r_uc_cm2", float, defaults.sweep.p_r),
     )
@@ -160,7 +177,6 @@ def load_config(path):
         raise ConfigError(f"[sweep] observable: unknown kind {sweep.observable_kind!r}")
 
     merz_tau = _get(parser, "merz", "tau_inf_s", float, defaults.merz_tau_inf)
-    targets_raw = parser.get("levels", "targets") if parser.has_option("levels", "targets") else None
 
     cfg = RunConfig(
         seed=_get(parser, "run", "seed", int, defaults.seed),
@@ -182,7 +198,7 @@ def load_config(path):
             _get(parser, "merz", "search_hi", float, defaults.merz_search[1]),
         ),
         levels_margin=_get(parser, "levels", "margin_nm", float, defaults.levels_margin),
-        levels_targets=_floats(targets_raw) if targets_raw else defaults.levels_targets,
+        levels_targets=_floats(parser, "levels", "targets", defaults.levels_targets),
     )
     if cfg.ensemble_n < 1 or cfg.ensemble_w <= 0:
         raise ConfigError("[ensemble] requires n >= 1 and w > 0")

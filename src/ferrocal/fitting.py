@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (AmbiguousMarkerError, ConfigError, DomainError, FitError,
                      MarkerAbsentError, RankError)
@@ -180,6 +179,10 @@ def fit_lorentzian_cdf(curve, init=None, lock=None):
     if w_i <= 0:
         raise ConfigError("initial w must be positive")
 
+    # imported here, not at module level: scipy.optimize takes longer to
+    # import than the rest of ferrocal, and only the fits need it
+    from scipy.optimize import least_squares
+
     resid, jac = _residual_and_jac(x, y, lock)
     p0 = [mu_i, math.log(w_i)] if lock is not None else [y0_i, a_i, mu_i, math.log(w_i)]
     res = least_squares(resid, p0, jac=jac, method="trf",
@@ -254,6 +257,8 @@ def fit_family(curves, share_offsets=False):
             cols[sl, 2 + m + j] = -a * lor * u
             row += x.size
         return cols
+
+    from scipy.optimize import least_squares
 
     p0 = np.concatenate([
         [np.mean([f.y0 for f in seeds]), np.mean([f.a for f in seeds])],

@@ -56,6 +56,22 @@ def _split_points(points):
     return tp, mu
 
 
+def _ols(x, mu):
+    """Least-squares line mu = intercept + slope * x.
+
+    Returns (slope, intercept, residual sum of squares, total sum of squares).
+    """
+    dx = x - x.mean()
+    dy = mu - mu.mean()
+    sxx = float(dx @ dx)
+    if sxx == 0.0:
+        raise ConfigError("degenerate regression: all X values identical")
+    slope = float(dx @ dy) / sxx
+    intercept = float(mu.mean() - slope * x.mean())
+    ss_res = float(np.sum((mu - (intercept + slope * x)) ** 2))
+    return slope, intercept, ss_res, float(dy @ dy)
+
+
 def regress_mu_fixed_tau(points, tau_inf):
     """Ordinary least squares of mu on X at a fixed attempt time.
 
@@ -72,15 +88,7 @@ def regress_mu_fixed_tau(points, tau_inf):
         raise DomainError("all t_p must exceed tau_inf")
 
     x = np.log10(np.log(tp / tau_inf))
-    dx = x - x.mean()
-    dy = mu - mu.mean()
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise ConfigError("degenerate regression: all X values identical")
-    slope = float(dx @ dy) / sxx
-    intercept = float(mu.mean() - slope * x.mean())
-    ss_res = float(np.sum((mu - (intercept + slope * x)) ** 2))
-    ss_tot = float(dy @ dy)
+    slope, intercept, ss_res, ss_tot = _ols(x, mu)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
     degenerate = abs(slope) < _DEGENERATE_SLOPE
@@ -89,13 +97,8 @@ def regress_mu_fixed_tau(points, tau_inf):
                           slope=slope, r_squared=r2, x_values=x, degenerate=degenerate)
 
 
-def _rss_at(points, log10_tau):
-    tp, mu = _split_points(points)
-    x = np.log10(np.log(tp / 10.0**log10_tau))
-    dx = x - x.mean()
-    slope = float(dx @ (mu - mu.mean())) / float(dx @ dx)
-    intercept = mu.mean() - slope * x.mean()
-    return float(np.sum((mu - (intercept + slope * x)) ** 2))
+def _rss_at(tp, mu, log10_tau):
+    return _ols(np.log10(np.log(tp / 10.0**log10_tau)), mu)[2]
 
 
 def fit_merz_nested(points, tau_search=(-16.0, -10.0)):
@@ -107,7 +110,7 @@ def fit_merz_nested(points, tau_search=(-16.0, -10.0)):
     of pulse widths the (alpha, tau_inf) pair trades off strongly; expect
     tau_inf to be constrained to roughly an order of magnitude.
     """
-    tp, _ = _split_points(points)
+    tp, mu = _split_points(points)
     if tp.size < 3:
         raise ConfigError("nested fit requires >= 3 (t_p, mu) points")
     lo, hi = float(tau_search[0]), float(tau_search[1])
@@ -120,23 +123,23 @@ def fit_merz_nested(points, tau_search=(-16.0, -10.0)):
     if not feasible.any():
         raise DomainError("no tau_inf in the search interval is below every t_p")
     grid = grid[feasible]
-    rss = np.array([_rss_at(points, g) for g in grid])
+    rss = np.array([_rss_at(tp, mu, g) for g in grid])
     k = int(np.argmin(rss))
 
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, grid.size - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = _rss_at(points, c), _rss_at(points, d)
+    fc, fd = _rss_at(tp, mu, c), _rss_at(tp, mu, d)
     while b - a > 1e-3:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = _rss_at(points, c)
+            fc = _rss_at(tp, mu, c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = _rss_at(points, d)
+            fd = _rss_at(tp, mu, d)
     best = 0.5 * (a + b)
     return regress_mu_fixed_tau(points, 10.0**best)
 

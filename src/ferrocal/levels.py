@@ -11,6 +11,13 @@ DAC-limited level counts evaluate the noiseless fitted model on every DAC
 code voltage and run the margin scan over the result; programming inverts
 the transfer function at a target normalized weight and snaps to the nearest
 code.
+
+When margin > 0 and the values never decrease (checked on the input; DAC
+code values pass, noisy sweeps do not), the margin scan jumps from one kept
+value to the next by binary search instead of looping over every sample, so
+a DAC count costs O(K log n) for K kept levels rather than a Python loop over
+all 2**bits codes. It keeps exactly what the loop keeps; the argument is in
+``_monotone_keep_mask``.
 """
 
 from dataclasses import dataclass
@@ -74,6 +81,18 @@ def _monotone_keep_mask(values, margin, accept_equal):
 
     A value is kept when value - last_kept > margin, or == margin if
     ``accept_equal``. The first value is always kept.
+
+    For margin > 0 on input that never decreases (DAC code values, noiseless
+    sweeps), the scan jumps from one kept value to the next instead of
+    visiting every sample; other input takes the plain loop. The jump is
+    exact: IEEE subtraction rounds monotonically, so along a non-decreasing
+    array the computed value - last_kept never decreases and the scan's
+    comparison reads false...false, true...true. ``searchsorted`` proposes
+    the first index past last_kept + margin, and a fix-up step moves it to
+    the first index where the scan's own comparison holds, one run of equal
+    values at a time. Each kept level costs O(log n): far less than the loop
+    when few samples are kept (a few hundred of 2**18 DAC codes), a few
+    times more per sample when nearly all are.
     """
     n = len(values)
     keep = np.zeros(n, dtype=bool)
@@ -89,6 +108,12 @@ def _monotone_keep_mask(values, margin, accept_equal):
         else:
             keep[1:] = values[1:] > runmax[:-1]
         return keep
+    if np.all(values[1:] >= values[:-1]):
+        i = _next_kept(values, 0, margin, accept_equal)
+        while i < n:
+            keep[i] = True
+            i = _next_kept(values, i, margin, accept_equal)
+        return keep
     last = values[0]
     for i in range(1, n):
         d = values[i] - last
@@ -96,6 +121,30 @@ def _monotone_keep_mask(values, margin, accept_equal):
             keep[i] = True
             last = values[i]
     return keep
+
+
+def _next_kept(values, i, margin, accept_equal):
+    """First index after ``i`` that the margin scan keeps when values[i] is
+    the last kept value, or len(values) if none; ``values`` must not
+    decrease and ``margin`` must be positive."""
+    last = values[i]
+
+    def clears(k):
+        d = values[k] - last
+        return d > margin or (accept_equal and d == margin)
+
+    n = len(values)
+    k = i + 1
+    if k == n or clears(k):
+        return k
+    k = max(int(values.searchsorted(last + margin, side="left")), k)
+    # the proposal is off by at most a few rounding steps; move it a run of
+    # equal values at a time so that plateaus cost one search each
+    while k > i + 1 and clears(k - 1):
+        k = int(values.searchsorted(values[k - 1], side="left"))
+    while k < n and not clears(k):
+        k = int(values.searchsorted(values[k], side="right"))
+    return k
 
 
 def _filter(curve_or_arrays, margin, accept_equal):

@@ -158,7 +158,7 @@ class NlsSpec:
             raise ConfigError("NlsSpec requires at least 32 quadrature nodes")
 
 
-def _as_float_or_array(x_in, out):
+def _as_float_or_array(out):
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
 
@@ -175,7 +175,7 @@ def tau_of_field(kinetics, e_field):
     # honest limit of the law
     with np.errstate(over="ignore"):
         tau = kinetics.tau_inf * np.exp((kinetics.e_a / e) ** kinetics.alpha)
-    return _as_float_or_array(e_field, tau)
+    return _as_float_or_array(tau)
 
 
 def threshold_voltage(kinetics, t_p):
@@ -189,7 +189,7 @@ def threshold_voltage(kinetics, t_p):
     if np.any(t <= kinetics.tau_inf):
         raise DomainError("threshold_voltage requires t_p > tau_inf")
     v = kinetics.e_a * kinetics.t_film / np.log(t / kinetics.tau_inf) ** (1.0 / kinetics.alpha)
-    return _as_float_or_array(t_p, v)
+    return _as_float_or_array(v)
 
 
 def switched_fraction_cdf(dist, v_p):
@@ -201,7 +201,7 @@ def switched_fraction_cdf(dist, v_p):
     if np.any(v <= 0):
         raise DomainError("switched_fraction_cdf requires V_p > 0")
     s = 0.5 + np.arctan((np.log10(v) - dist.mu) / dist.w) / np.pi
-    return _as_float_or_array(v_p, s)
+    return _as_float_or_array(s)
 
 
 def threshold_quantile(dist, s):
@@ -213,7 +213,7 @@ def threshold_quantile(dist, s):
     if np.any(ss <= 0) or np.any(ss >= 1):
         raise DomainError("threshold_quantile requires 0 < s < 1")
     v = 10.0 ** (dist.mu + dist.w * np.tan(np.pi * (ss - 0.5)))
-    return _as_float_or_array(s, v)
+    return _as_float_or_array(v)
 
 
 def threshold_pdf(dist, x):
@@ -223,7 +223,7 @@ def threshold_pdf(dist, x):
     """
     xx = np.asarray(x, dtype=float)
     f = dist.w / (np.pi * ((xx - dist.mu) ** 2 + dist.w**2))
-    return _as_float_or_array(x, f)
+    return _as_float_or_array(f)
 
 
 def displacement_of_fraction(y0, a, s):
@@ -231,7 +231,7 @@ def displacement_of_fraction(y0, a, s):
     ss = np.asarray(s, dtype=float)
     if np.any(ss < 0) or np.any(ss > 1):
         raise DomainError("displacement_of_fraction requires 0 <= S <= 1")
-    return _as_float_or_array(s, y0 + a * ss)
+    return _as_float_or_array(y0 + a * ss)
 
 
 def lorentzian_displacement(y0, a, mu, w, v_p):

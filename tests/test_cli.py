@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -107,6 +108,14 @@ class TestMerzCommand:
         assert abs(math.log10(float(values["tau_inf_s"])) - math.log10(14e-15)) <= 1.0
 
 
+    def test_repeated_pulse_width_is_usage_error(self, tmp_path, capsys):
+        # one pulse width gives one X, so no line can be fitted through it
+        fit = LorentzianFit.from_params(*TABLE_ROWS[0][1:5], 0.0, TABLE_ROWS[0][0])
+        report = emit_fit_report(tmp_path / "fit_report.csv", [fit] * 3)
+        assert main(["--out-dir", str(tmp_path), "merz", "--fits", str(report)]) == 2
+        assert "all X values identical" in capsys.readouterr().err
+
+
 class TestCollapseCommand:
     def test_rms_reported(self, tmp_path, capsys):
         curves = [synthetic_curve(row) for row in TABLE_ROWS]
@@ -201,6 +210,21 @@ class TestExitCodes:
         assert main(["--out-dir", str(tmp_path), "simulate",
                      "--config", str(cfg), "--out", "x.csv"]) == 2
 
+    @pytest.mark.parametrize("section, line, message", [
+        ("device", "read_noise_sigma_nm = nan", "[device] read_noise_sigma_nm: 'nan' is not a finite"),
+        ("sweep", "t_p_us = 10,nan", "[sweep] t_p_us: 'nan' is not a finite"),
+        ("levels", "targets = 0.5,-inf", "[levels] targets: '-inf' is not a finite"),
+        ("levels", "targets = 0.5,half", "[levels] targets: cannot parse 'half'"),
+    ], ids=["nan", "nan-in-list", "inf-in-list", "unparsable-in-list"])
+    def test_non_finite_config_float_is_usage_error(self, tmp_path, capsys, section, line,
+                                                    message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        assert main(["--out-dir", str(tmp_path), "simulate",
+                     "--config", str(cfg), "--out", "x.csv"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_module_entry_point(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -218,3 +242,45 @@ class TestOutDir:
         monkeypatch.setenv("FERROCAL_OUT_DIR", str(dest))
         assert main(["merz", "--fits", str(report), "--tau-inf", "14e-15"]) == 0
         assert (dest / "merz_summary.txt").exists()
+
+
+# runs each command as ``python -m ferrocal`` would, one after another in a
+# single interpreter, and prints the scipy modules loaded after each
+SCIPY_PROBE = """\
+import json, runpy, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import ferrocal
+print(json.dumps(["import", scipy_modules()]))
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["ferrocal"] + argv
+    try:
+        runpy.run_module("ferrocal", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+    print(json.dumps([argv[2], scipy_modules()]))
+"""
+
+
+class TestImportCost:
+    def test_only_fit_loads_scipy(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CONFIG_SMALL.replace("n = 50000", "n = 2000"))
+        report = str(write_table_report(tmp_path / "table_report.csv"))
+        sweep = str(tmp_path / "sweep.csv")
+        commands = [["--out-dir", str(tmp_path)] + argv for argv in (
+            ["simulate", "--config", str(cfg), "--out", sweep],
+            ["levels", "--input", sweep, "--margin", "0.09"],
+            ["merz", "--fits", report],
+            ["collapse", "--input", sweep, "--fits", report],
+            ["program", "--fits", report, "--targets", "0.25,0.5"],
+            ["fit", "--input", sweep],
+        )]
+        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = dict(json.loads(line) for line in proc.stdout.splitlines()
+                      if line.startswith("["))
+        for step in ("import", "simulate", "levels", "merz", "collapse", "program"):
+            assert loaded[step] == [], step
+        assert "scipy.optimize" in loaded["fit"]  # the probe does see a scipy import

@@ -1,5 +1,6 @@
 """Oracle tests for the two hot paths: the closed-form protocol sweep in
-``run_protocol_sweep`` and the greedy monotone scan behind the level filters.
+``run_protocol_sweep`` and the greedy monotone scan behind the level filters,
+including its jump search over non-decreasing input.
 
 Both are compared bit for bit with plain loops from ``anchors``.
 """
@@ -8,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ferrocal import (DeviceCalibration, HysteronEnsemble, MerzKinetics, TriangularPulse,
@@ -137,6 +138,67 @@ class TestProtocolSweepOracle:
                               TriangularPulse(sign * 5.0, widths[1]),
                               reset_count=counts[0], write_count=counts[1])
         assert_matches_oracle(ensemble, proto, np.sort(grid))
+
+
+FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def nondecreasing_draws(draw):
+    """Sorted floats; the margin is often the exact gap between two of them."""
+    values = sorted(draw(st.lists(FINITE, min_size=1, max_size=40)))
+    i, j = sorted(draw(st.tuples(st.integers(0, len(values) - 1),
+                                 st.integers(0, len(values) - 1))))
+    gap = values[j] - values[i]
+    return values, gap if gap > 0 else draw(st.floats(1e-6, 100.0))
+
+
+@st.composite
+def plateau_draws(draw):
+    """Quantized values with runs of ties; dyadic steps make many increments
+    equal the margin exactly."""
+    steps = draw(st.lists(st.integers(0, 3), max_size=60))
+    values = 0.25 * (draw(st.integers(-400, 400)) + np.cumsum([0] + steps))
+    return values.tolist(), 0.25 * draw(st.integers(1, 3))
+
+
+@st.composite
+def ulp_draws(draw):
+    """Values a few ulps apart with a margin of a few ulps, where
+    last + margin rounds and the searchsorted proposal can be off."""
+    values = [draw(FINITE)]
+    for step in draw(st.lists(st.integers(0, 3), max_size=40)):
+        v = values[-1]
+        for _ in range(step):
+            v = float(np.nextafter(v, np.inf))
+        values.append(v)
+    margin = float(np.spacing(values[0])) * draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+    return values, margin
+
+
+@st.composite
+def one_descent_draws(draw):
+    """A non-decreasing draw with one value pushed below its predecessor,
+    which sends the scan down the plain loop."""
+    values, margin = draw(st.one_of(nondecreasing_draws(), plateau_draws()))
+    assume(len(values) >= 2)
+    k = draw(st.integers(1, len(values) - 1))
+    values[k] = values[k - 1] - draw(st.floats(1e-3, 10.0))
+    return values, margin
+
+
+class TestMarginScanJumpSearch:
+    """The jump search for non-decreasing input against the plain loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=st.one_of(nondecreasing_draws(), plateau_draws(), ulp_draws(),
+                          one_descent_draws()))
+    def test_property_matches_naive_scan(self, case):
+        values, margin = case
+        values = np.asarray(values, dtype=float)
+        for accept_equal in (True, False):
+            mask = _monotone_keep_mask(values, margin, accept_equal)
+            assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, margin, accept_equal)
 
 
 class TestPureKernel:

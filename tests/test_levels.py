@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +175,13 @@ class TestCountDacLevels:
         k_089 = count_dac_levels(FIT_500US, CAL_18BIT, 0.089)
         assert k_089 == enumerate_levels(0.089) == ORACLE_DAC_K_MARGIN_0P089
         assert k_089 > 256
+
+    def test_22bit_counts_match_frozen_enumeration(self):
+        # a plain sequential scan over all 2^22 code values gives the same
+        # counts as over 2^18
+        cal = replace(CAL_18BIT, dac_bits=22)
+        assert count_dac_levels(FIT_500US, cal, 0.09) == ORACLE_DAC_K_MARGIN_0P09
+        assert count_dac_levels(FIT_500US, cal, 0.089) == ORACLE_DAC_K_MARGIN_0P089
 
 
 class TestProgramming:
