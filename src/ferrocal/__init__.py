@@ -13,8 +13,8 @@ from .errors import (AmbiguousMarkerError, ConfigError, DomainError, FerrocalErr
 from .fitting import (AffineMap, CurveMarkers, LorentzianFit, affine_map_fit,
                       curve_markers, fit_family, fit_lorentzian_cdf,
                       half_saturation_crossing, zero_crossing)
-from .kinetics import (CollapsePoint, MerzRegression, collapse_rms, collapse_transform,
-                       fit_merz_nested, master_curve, regress_mu_fixed_tau)
+from .kinetics import (MerzRegression, collapse_rms, collapse_transform, fit_merz_nested,
+                       master_curve, regress_mu_fixed_tau)
 from .levels import (LevelSet, Staircase, achieved_weight, count_dac_levels,
                      dac_code_voltages, dac_nearest_code, dac_voltage,
                      program_voltage_for_weight, s0_filter, s0_filter_with_margin,

@@ -13,12 +13,15 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, FerrocalError, ParseError
 from .fitting import curve_markers, fit_family, fit_lorentzian_cdf
-from .kinetics import collapse_rms, collapse_transform, fit_merz_nested, regress_mu_fixed_tau
+from .kinetics import (S_BAR_BAND, collapse_rms, collapse_transform, fit_merz_nested,
+                       regress_mu_fixed_tau)
 from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weight,
-                     s0_filter, s0_filter_with_margin, staircase_of)
+                     s0_filter, s0_filter_with_margin)
 from .model import DeviceCalibration
 from .simulate import run_protocol_sweep, sample_ensemble
 from .sweepio import (emit_fit_report, emit_merz_report, emit_plotdata,
@@ -73,8 +76,7 @@ def cmd_merz(args):
     if args.tau_inf is not None:
         regression = regress_mu_fixed_tau(points, args.tau_inf)
     else:
-        lo, hi = args.search if args.search is not None else (-16.0, -10.0)
-        regression = fit_merz_nested(points, tau_search=(lo, hi))
+        regression = fit_merz_nested(points, tau_search=args.search)
     paths = emit_merz_report(out, regression, points)
     emit_plotdata("merz-line", (regression, points), out)
     print(f"wrote {paths[0]} and {paths[1]}")
@@ -91,14 +93,17 @@ def cmd_collapse(args):
     out = _out_dir(args)
     curves = parse_sweep_csv(args.input)
     fits = parse_fit_report(args.fits)
-    points = []
-    for curve in curves:
-        points.extend(collapse_transform(curve, _match_fit(fits, curve.t_p)))
+    points = np.concatenate([collapse_transform(curve, _match_fit(fits, curve.t_p))
+                             for curve in curves])
     rms = collapse_rms(points)
+    lo, hi = S_BAR_BAND
+    s_bar = points[:, 1]
+    out_of_band = int(np.count_nonzero(~((lo <= s_bar) & (s_bar <= hi))))
     emit_plotdata("collapse", points, out)
     with open(out / "collapse_summary.txt", "w", newline="\n") as fh:
         fh.write(f"points = {len(points)}\n")
         fh.write(f"rms = {rms!r}\n")
+        fh.write(f"out_of_band = {out_of_band}\n")
     print(f"collapse rms over {len(points)} points: {rms:.6g}")
     return EXIT_OK
 
@@ -116,7 +121,6 @@ def cmd_levels(args):
             for v, y, k in zip(levelset.v_p, levelset.values, levelset.level_index):
                 fh.write(f"{v!r},{y!r},{int(k)}\n")
         emit_plotdata("staircase", levelset, out / f"staircase_{label}")
-        staircase_of(levelset)  # validates non-emptiness
         print(f"t_p = {label}: kept {levelset.count} of {levelset.source_count} samples")
     return EXIT_OK
 
@@ -151,7 +155,7 @@ def cmd_program(args):
         raise ConfigError("--targets must list at least one weight")
     lo, hi = args.dac_range
     # only the DAC fields matter for programming; the rest is placeholder
-    cal = DeviceCalibration(delta_min=0.0, delta_max=1.0, v_ac=1.0, t_film=1e-8,
+    cal = DeviceCalibration(delta_min=0.0, delta_max=1.0,
                             dac_bits=args.dac_bits, dac_range=(lo, hi))
     path = out / "program_table.csv"
     with open(path, "w", newline="\n") as fh:
@@ -164,6 +168,25 @@ def cmd_program(args):
                 fh.write(f"{fit.t_p * 1e6!r},{target!r},{code},{v!r},{got!r}\n")
     print(f"wrote {path} ({len(rows) * len(targets)} rows)")
     return EXIT_OK
+
+
+def _finite_float(text):
+    """argparse type: one finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _finite_pair(text):
+    """argparse type: exactly two comma-separated finite floats."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected two numbers LO,HI, got {text!r}")
+    return tuple(_finite_float(part) for part in parts)
 
 
 def build_parser():
@@ -185,9 +208,9 @@ def build_parser():
     p = sub.add_parser("merz", help="regress fitted medians against the kinetic law")
     p.add_argument("--fits", required=True, help="fit report CSV")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--tau-inf", type=float, default=None, help="fixed attempt time (s)")
-    g.add_argument("--search", type=lambda s: tuple(float(x) for x in s.split(",")),
-                   default=None, metavar="LO,HI",
+    g.add_argument("--tau-inf", type=_finite_float, default=None,
+                   help="fixed attempt time (s)")
+    g.add_argument("--search", type=_finite_pair, default=(-16.0, -10.0), metavar="LO,HI",
                    help="log10-seconds interval to profile tau_inf over (default -16,-10)")
     p.set_defaults(func=cmd_merz)
 
@@ -198,7 +221,7 @@ def build_parser():
 
     p = sub.add_parser("levels", help="extract monotone weight levels from sweeps")
     p.add_argument("--input", required=True, help="sweep CSV")
-    p.add_argument("--margin", type=float, default=None,
+    p.add_argument("--margin", type=_finite_float, default=None,
                    help="noise margin in value units (default: plain filter)")
     p.set_defaults(func=cmd_levels)
 
@@ -211,8 +234,7 @@ def build_parser():
     p.add_argument("--fits", required=True, help="fit report CSV")
     p.add_argument("--targets", required=True, help="comma-separated weights in (0,1)")
     p.add_argument("--dac-bits", type=int, default=18)
-    p.add_argument("--dac-range", type=lambda s: tuple(float(x) for x in s.split(",")),
-                   default=(0.5, 9.0), metavar="LO,HI")
+    p.add_argument("--dac-range", type=_finite_pair, default=(0.5, 9.0), metavar="LO,HI")
     p.set_defaults(func=cmd_program)
     return parser
 

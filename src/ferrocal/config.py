@@ -1,6 +1,6 @@
 """Run configuration: a flat INI file with one section per subsystem.
 
-Every key is scalar and human-editable; lists (pulse widths, targets) are
+Every key is scalar and human-editable; the one list (pulse widths) is
 comma-separated. Unknown sections or keys are rejected so typos fail loudly.
 The only environment variable honored anywhere is FERROCAL_OUT_DIR, an
 output-directory default for the CLI.
@@ -17,16 +17,13 @@ from .simulate import TriangularPulse, WriteProtocol
 
 _KNOWN_KEYS = {
     "run": {"seed"},
-    "device": {"delta_min_nm", "delta_max_nm", "v_ac_v", "t_film_m", "k_geom",
-               "read_noise_sigma_nm", "dac_bits", "dac_vmin_v", "dac_vmax_v"},
+    "device": {"delta_min_nm", "delta_max_nm", "read_noise_sigma_nm", "dac_bits",
+               "dac_vmin_v", "dac_vmax_v"},
     "protocol": {"reset_peak_v", "reset_width_s", "reset_count",
                  "write_peak_v", "write_count"},
     "ensemble": {"n", "mu_star", "w"},
     "kinetics": {"alpha", "tau_inf_s", "t_film_m"},
     "sweep": {"v_start_v", "v_stop_v", "v_step_v", "t_p_us", "observable", "p_r_uc_cm2"},
-    "fit": {"share_offsets"},
-    "merz": {"tau_inf_s", "search_lo", "search_hi"},
-    "levels": {"margin_nm", "targets"},
 }
 
 
@@ -60,7 +57,7 @@ class RunConfig:
 
     seed: int = 42
     device: DeviceCalibration = field(default_factory=lambda: DeviceCalibration(
-        delta_min=-19.1364, delta_max=5.1152, v_ac=0.25, t_film=17e-9))
+        delta_min=-19.1364, delta_max=5.1152))
     kinetics: MerzKinetics = field(default_factory=lambda: MerzKinetics.from_mu_star(
         alpha=3.62, tau_inf=1.4e-14, mu_star=1.0694533407, t_film=17e-9))
     ensemble_n: int = 100_000
@@ -72,11 +69,6 @@ class RunConfig:
     write_peak: float = 5.0
     write_count: int = 2
     sweep: SweepPlan = field(default_factory=SweepPlan)
-    share_offsets: bool = False
-    merz_tau_inf: float | None = 1.4e-14
-    merz_search: tuple = (-16.0, -10.0)
-    levels_margin: float = 0.0
-    levels_targets: tuple = (0.25, 0.5, 0.75)
 
     def protocol_for(self, t_p):
         """Write protocol template for one pulse width."""
@@ -105,22 +97,16 @@ def _get(parser, section, key, cast, default):
     if cast is float:
         return _float(section, key, raw)
     try:
-        if cast is bool:
-            if raw.strip().lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.strip().lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         return cast(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
 
-def _floats(parser, section, key, default):
-    """Comma-separated finite floats; ``default`` if the key is absent or empty."""
+def _floats(parser, section, key):
+    """Comma-separated finite floats; None if the key is absent or empty."""
     raw = parser.get(section, key, fallback="")
     if not raw:
-        return default
+        return None
     return tuple(_float(section, key, tok) for tok in raw.split(",") if tok.strip())
 
 
@@ -146,9 +132,6 @@ def load_config(path):
     device = DeviceCalibration(
         delta_min=_get(parser, "device", "delta_min_nm", float, defaults.device.delta_min),
         delta_max=_get(parser, "device", "delta_max_nm", float, defaults.device.delta_max),
-        v_ac=_get(parser, "device", "v_ac_v", float, defaults.device.v_ac),
-        t_film=_get(parser, "device", "t_film_m", float, defaults.device.t_film),
-        k_geom=_get(parser, "device", "k_geom", float, defaults.device.k_geom),
         read_noise_sigma=_get(parser, "device", "read_noise_sigma_nm", float,
                               defaults.device.read_noise_sigma),
         dac_bits=_get(parser, "device", "dac_bits", int, defaults.device.dac_bits),
@@ -164,7 +147,7 @@ def load_config(path):
         mu_star=_get(parser, "ensemble", "mu_star", float, defaults.ensemble_mu_star),
         t_film=kin_t_film,
     )
-    tp_us = _floats(parser, "sweep", "t_p_us", None)
+    tp_us = _floats(parser, "sweep", "t_p_us")
     sweep = SweepPlan(
         v_start=_get(parser, "sweep", "v_start_v", float, defaults.sweep.v_start),
         v_stop=_get(parser, "sweep", "v_stop_v", float, defaults.sweep.v_stop),
@@ -175,8 +158,6 @@ def load_config(path):
     )
     if sweep.observable_kind not in ("displacement", "polarization_change"):
         raise ConfigError(f"[sweep] observable: unknown kind {sweep.observable_kind!r}")
-
-    merz_tau = _get(parser, "merz", "tau_inf_s", float, defaults.merz_tau_inf)
 
     cfg = RunConfig(
         seed=_get(parser, "run", "seed", int, defaults.seed),
@@ -191,22 +172,9 @@ def load_config(path):
         write_peak=_get(parser, "protocol", "write_peak_v", float, defaults.write_peak),
         write_count=_get(parser, "protocol", "write_count", int, defaults.write_count),
         sweep=sweep,
-        share_offsets=_get(parser, "fit", "share_offsets", bool, defaults.share_offsets),
-        merz_tau_inf=merz_tau,
-        merz_search=(
-            _get(parser, "merz", "search_lo", float, defaults.merz_search[0]),
-            _get(parser, "merz", "search_hi", float, defaults.merz_search[1]),
-        ),
-        levels_margin=_get(parser, "levels", "margin_nm", float, defaults.levels_margin),
-        levels_targets=_floats(parser, "levels", "targets", defaults.levels_targets),
     )
     if cfg.ensemble_n < 1 or cfg.ensemble_w <= 0:
         raise ConfigError("[ensemble] requires n >= 1 and w > 0")
-    if cfg.levels_margin < 0:
-        raise ConfigError("[levels] margin_nm must be >= 0")
-    for t in cfg.levels_targets:
-        if not 0 < t < 1:
-            raise ConfigError("[levels] targets must lie strictly inside (0, 1)")
     # constructing the protocol validates pulse signs and counts
     cfg.protocol_for(cfg.sweep.t_p[0])
     return cfg

@@ -7,11 +7,12 @@ search (coarse grid, then golden-section refinement) over log10(tau_inf).
 
 The collapse maps every sweep onto the reduced coordinates
 z = (log10 V_p - mu)/w, s_bar = (value - y0)/A, where the master curve is
-1/2 + arctan(z)/pi regardless of pulse width.
+1/2 + arctan(z)/pi regardless of pulse width. Collapse points are the rows
+(z, s_bar) of an (n, 2) float array.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .model import MerzKinetics
 _DEGENERATE_SLOPE = 1e-6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# read noise moves s_bar past [0, 1]; a point outside this band is an outlier
+S_BAR_BAND = (-0.2, 1.2)
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,12 @@ def regress_mu_fixed_tau(points, tau_inf):
     """Ordinary least squares of mu on X at a fixed attempt time.
 
     ``points`` is a sequence of (t_p seconds, mu decades) pairs, >= 3 of
-    them with distinct t_p all exceeding tau_inf. A near-zero slope yields a
-    flagged degenerate result (alpha = inf) instead of an exception.
+    them with distinct t_p all exceeding tau_inf, which must be finite and
+    positive. A near-zero slope yields a flagged degenerate result (alpha =
+    inf) instead of an exception.
     """
+    if not 0 < tau_inf < math.inf:
+        raise ConfigError("tau_inf must be finite and > 0")
     tp, mu = _split_points(points)
     if tp.size < 3:
         raise ConfigError("regression requires >= 3 (t_p, mu) points")
@@ -144,20 +151,6 @@ def fit_merz_nested(points, tau_search=(-16.0, -10.0)):
     return regress_mu_fixed_tau(points, 10.0**best)
 
 
-@dataclass(frozen=True)
-class CollapsePoint:
-    """One sample in reduced coordinates: z and normalized displacement s_bar."""
-
-    z: float
-    s_bar: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.z):
-            raise DomainError("collapse point requires finite z")
-        if not (-0.2 <= self.s_bar <= 1.2):
-            raise DomainError("s_bar outside the [-0.2, 1.2] noise allowance")
-
-
 def master_curve(z):
     """Parameter-free master transfer function 1/2 + arctan(z)/pi."""
     return 0.5 + np.arctan(np.asarray(z, dtype=float)) / np.pi
@@ -166,20 +159,26 @@ def master_curve(z):
 def collapse_transform(curve, fit):
     """Map a sweep onto reduced coordinates using its own fit.
 
-    z = (log10 V_p - mu)/w and s_bar = (value - y0)/A per sample. The fit
-    must belong to the curve's pulse width.
+    Returns an (n, 2) array of rows (z, s_bar), z = (log10 V_p - mu)/w and
+    s_bar = (value - y0)/A, one per sample. The fit must belong to the
+    curve's pulse width, and every z must be finite.
     """
     if not math.isclose(curve.t_p, fit.t_p, rel_tol=1e-9):
         raise DomainError(f"fit is for t_p={fit.t_p}, curve has t_p={curve.t_p}")
     z = (np.log10(curve.v_p) - fit.mu) / fit.w
+    if not np.all(np.isfinite(z)):
+        raise DomainError("collapse requires finite z")
     s_bar = (curve.values - fit.y0) / fit.a
-    return [CollapsePoint(z=float(zz), s_bar=float(ss)) for zz, ss in zip(z, s_bar)]
+    return np.column_stack((z, s_bar))
 
 
 def collapse_rms(points):
-    """RMS deviation of collapse points from the master curve."""
-    if len(points) == 0:
+    """RMS deviation from the master curve of (z, s_bar) rows: an (N, 2)
+    array or a sequence of pairs."""
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
         raise ConfigError("collapse_rms requires >= 1 point")
-    z = np.array([p.z for p in points])
-    s = np.array([p.s_bar for p in points])
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ConfigError("collapse points must be (z, s_bar) rows")
+    z, s = points.T.copy()
     return float(np.sqrt(np.mean((s - master_curve(z)) ** 2)))

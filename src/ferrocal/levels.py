@@ -20,6 +20,7 @@ all 2**bits codes. It keeps exactly what the loop keeps; the argument is in
 ``_monotone_keep_mask``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,14 +170,14 @@ def s0_filter(curve):
 
 def s0_filter_with_margin(curve, margin):
     """Noise-aware variant: keep values that clear the last kept one by
-    ``margin``.
+    ``margin``, which must be finite and >= 0.
 
     For margin > 0 an increment exactly equal to the margin is accepted; at
     margin == 0 the rule degenerates to the strict variant (ties rejected,
     unlike s0_filter).
     """
-    if margin < 0:
-        raise ConfigError("margin must be >= 0")
+    if not 0 <= margin < math.inf:
+        raise ConfigError("margin must be finite and >= 0")
     return _filter(curve, margin, margin > 0)
 
 
@@ -212,10 +213,11 @@ def count_dac_levels(fit, cal, margin):
     """Distinct levels resolvable through the DAC under the noiseless model.
 
     Evaluates the fitted transfer function on every DAC code voltage and
-    counts the levels kept by the margin scan.
+    counts the levels kept by the margin scan; ``margin`` must be finite and
+    >= 0.
     """
-    if margin < 0:
-        raise ConfigError("margin must be >= 0")
+    if not 0 <= margin < math.inf:
+        raise ConfigError("margin must be finite and >= 0")
     codes = dac_code_voltages(cal)
     values = fit.displacement(codes)
     keep = _monotone_keep_mask(values, float(margin), margin > 0)

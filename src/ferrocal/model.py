@@ -94,10 +94,6 @@ class DeviceCalibration:
 
     delta_min / delta_max  displacements of the fully reset / fully poled
                            states (nm)
-    v_ac                   small-signal read drive amplitude (V)
-    t_film                 ferroelectric thickness (m)
-    k_geom                 geometric gain, opaque calibration scalar (never
-                           computed from beam mechanics here)
     read_noise_sigma       displacement read noise std (nm)
     dac_bits               DAC resolution controlling V_p
     dac_range              (V_min, V_max) programmable span (V)
@@ -105,9 +101,6 @@ class DeviceCalibration:
 
     delta_min: float
     delta_max: float
-    v_ac: float
-    t_film: float
-    k_geom: float = 1.0
     read_noise_sigma: float = 0.0
     dac_bits: int = 18
     dac_range: tuple = (0.5, 9.0)
@@ -115,8 +108,6 @@ class DeviceCalibration:
     def __post_init__(self):
         if not self.delta_max > self.delta_min:
             raise ConfigError("DeviceCalibration requires delta_max > delta_min")
-        if not (self.v_ac > 0 and self.t_film > 0):
-            raise ConfigError("DeviceCalibration requires v_ac > 0 and t_film > 0")
         if self.read_noise_sigma < 0:
             raise ConfigError("read_noise_sigma must be >= 0")
         if int(self.dac_bits) < 1:

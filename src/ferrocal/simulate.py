@@ -60,7 +60,7 @@ class WriteProtocol:
             raise ConfigError("pulse counts must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HysteronEnsemble:
     """Population of independent switching units.
 
@@ -183,10 +183,6 @@ class SwitchCurve:
     @property
     def n_samples(self):
         return self.v_p.size
-
-    @property
-    def samples(self):
-        return list(zip(self.v_p.tolist(), self.values.tolist()))
 
 
 def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,

@@ -198,7 +198,7 @@ def emit_plotdata(kind, payload, out_dir):
     """Write columnar plot files for one payload kind; returns written paths.
 
     Kinds: fit-overlay (list of (curve, fit); one file per t_p), pdf (list of
-    fits; one file per t_p), collapse (list of CollapsePoint), merz-line
+    fits; one file per t_p), collapse ((N, 2) rows of z, s_bar), merz-line
     ((regression, points)), staircase (LevelSet). An index file listing the
     outputs is written alongside.
     """
@@ -231,8 +231,7 @@ def emit_plotdata(kind, payload, out_dir):
                  ["log10_V", "density_per_decade"],
                  [x, threshold_pdf(dist, x)])
     elif kind == "collapse":
-        z = np.array([p.z for p in payload])
-        s = np.array([p.s_bar for p in payload])
+        z, s = np.asarray(payload, dtype=float).reshape(-1, 2).T.copy()
         emit("collapse.dat", ["z", "s_bar", "master"], [z, s, master_curve(z)])
     elif kind == "merz-line":
         regression, points = payload

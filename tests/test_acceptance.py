@@ -130,7 +130,7 @@ def test_criterion_05_data_collapse(noisy_curve_families):
 def test_criterion_06_monte_carlo_analytic_equivalence():
     w = 0.038244
     kinetics = MerzKinetics.from_mu_star(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR, 17e-9)
-    cal = DeviceCalibration(delta_min=-19.1364, delta_max=5.1152, v_ac=0.25, t_film=17e-9)
+    cal = DeviceCalibration(delta_min=-19.1364, delta_max=5.1152)
     ensemble = sample_ensemble(100_000, ORACLE_MU_STAR, w, kinetics, seed=61_803)
 
     def protocol(t_p):
@@ -216,8 +216,8 @@ def test_criterion_08_coercive_markers():
 
 
 def test_criterion_09_programming_round_trip():
-    cal = DeviceCalibration(delta_min=-19.1364, delta_max=5.1152, v_ac=0.25,
-                            t_film=17e-9, dac_bits=18, dac_range=(0.5, 9.0))
+    cal = DeviceCalibration(delta_min=-19.1364, delta_max=5.1152, dac_bits=18,
+                            dac_range=(0.5, 9.0))
     halfstep = 0.5 * (9.0 - 0.5) / (2**18 - 1)
     targets = [k / 64 for k in range(1, 64)]
 

@@ -128,6 +128,21 @@ class TestCollapseCommand:
         assert "collapse rms" in out
         body = (tmp_path / "collapse.dat").read_text().splitlines()
         assert len(body) == 1 + sum(c.n_samples for c in curves)
+        summary = (tmp_path / "collapse_summary.txt").read_text().splitlines()
+        assert summary[2] == "out_of_band = 0"
+
+    def test_outlier_is_counted_not_fatal(self, tmp_path):
+        sweep = tmp_path / "sweep.csv"
+        emit_sweep_csv(sweep, [synthetic_curve(row) for row in TABLE_ROWS])
+        lines = sweep.read_text().splitlines()
+        lines[500] = lines[500].rsplit(",", 1)[0] + ",40"  # s_bar about 2.4
+        sweep.write_text("\n".join(lines) + "\n")
+        report = write_table_report(tmp_path / "fit_report.csv")
+        assert main(["--out-dir", str(tmp_path), "collapse",
+                     "--input", str(sweep), "--fits", str(report)]) == 0
+        summary = (tmp_path / "collapse_summary.txt").read_text().splitlines()
+        assert summary[0] == f"points = {5 * 1701}"
+        assert summary[2] == "out_of_band = 1"
 
 
 class TestLevelsCommand:
@@ -204,17 +219,32 @@ class TestExitCodes:
         assert main(["--out-dir", str(tmp_path), "simulate",
                      "--config", str(cfg), "--out", "x.csv"]) == 2
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
+    # a typo, then every section and key that no subcommand reads
+    @pytest.mark.parametrize("section, line", [
+        ("ensemble", "nn = 5"),
+        ("device", "v_ac_v = 0.25"),
+        ("device", "t_film_m = 17e-9"),
+        ("device", "k_geom = 1.0"),
+        ("fit", "share_offsets = true"),
+        ("merz", "tau_inf_s = 1.4e-14"),
+        ("merz", "search_lo = -16"),
+        ("merz", "search_hi = -10"),
+        ("levels", "margin_nm = 0.09"),
+        ("levels", "targets = 0.25,0.5,0.75"),
+    ], ids=lambda v: v.split(" =")[0])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, section, line):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[ensemble]\nnn = 5\n")
+        cfg.write_text(f"[{section}]\n{line}\n")
         assert main(["--out-dir", str(tmp_path), "simulate",
                      "--config", str(cfg), "--out", "x.csv"]) == 2
+        assert "unknown" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("section, line, message", [
         ("device", "read_noise_sigma_nm = nan", "[device] read_noise_sigma_nm: 'nan' is not a finite"),
         ("sweep", "t_p_us = 10,nan", "[sweep] t_p_us: 'nan' is not a finite"),
-        ("levels", "targets = 0.5,-inf", "[levels] targets: '-inf' is not a finite"),
-        ("levels", "targets = 0.5,half", "[levels] targets: cannot parse 'half'"),
+        ("sweep", "t_p_us = 10,-inf", "[sweep] t_p_us: '-inf' is not a finite"),
+        ("sweep", "t_p_us = 10,half", "[sweep] t_p_us: cannot parse 'half'"),
     ], ids=["nan", "nan-in-list", "inf-in-list", "unparsable-in-list"])
     def test_non_finite_config_float_is_usage_error(self, tmp_path, capsys, section, line,
                                                     message):
@@ -224,6 +254,28 @@ class TestExitCodes:
                      "--config", str(cfg), "--out", "x.csv"]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["levels", "--input", "SWEEP", "--margin", "nan"], "argument --margin: not a finite"),
+        (["levels", "--input", "SWEEP", "--margin", "inf"], "argument --margin: not a finite"),
+        (["merz", "--fits", "REPORT", "--tau-inf", "nan"], "argument --tau-inf: not a finite"),
+        (["merz", "--fits", "REPORT", "--tau-inf", "0"], "tau_inf must be finite and > 0"),
+        (["merz", "--fits", "REPORT", "--tau-inf", "-1"], "tau_inf must be finite and > 0"),
+        (["merz", "--fits", "REPORT", "--search", "-16"], "argument --search: expected two"),
+        (["program", "--fits", "REPORT", "--targets", "0.5", "--dac-range", "0.5"],
+         "argument --dac-range: expected two"),
+        (["program", "--fits", "REPORT", "--targets", "0.5", "--dac-range", "0.5,inf"],
+         "argument --dac-range: not a finite"),
+    ], ids=["margin-nan", "margin-inf", "tau-nan", "tau-zero", "tau-negative",
+            "search-one-value", "dac-range-one-value", "dac-range-inf"])
+    def test_bad_number_flag_is_usage_error(self, tmp_path, capsys, argv, message):
+        inputs = {"SWEEP": str(emit_sweep_csv(tmp_path / "sweep.csv",
+                                              [synthetic_curve(TABLE_ROWS[-1])])),
+                  "REPORT": str(write_table_report(tmp_path / "fit_report.csv"))}
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out)] + [inputs.get(a, a) for a in argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_module_entry_point(self, tmp_path):
         empty = tmp_path / "empty.csv"

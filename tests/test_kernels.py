@@ -22,7 +22,7 @@ from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF, naive_monotone_s
 
 KIN = MerzKinetics.from_mu_star(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR, 17e-9)
 # delta = 0 + 1 * S_down, so curve values are the down fraction itself
-UNIT_CAL = DeviceCalibration(delta_min=0.0, delta_max=1.0, v_ac=0.25, t_film=17e-9)
+UNIT_CAL = DeviceCalibration(delta_min=0.0, delta_max=1.0)
 P_R = 20.0
 WIDTHS = (10e-6, 100e-6, 500e-6)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ferrocal import (CollapsePoint, ConfigError, DomainError, collapse_rms,
+from ferrocal import (ConfigError, DomainError, SwitchCurve, collapse_rms,
                       collapse_transform, fit_lorentzian_cdf, fit_merz_nested,
                       master_curve, regress_mu_fixed_tau, threshold_voltage)
 
@@ -47,6 +47,11 @@ class TestRegressFixedTau:
             regress_mu_fixed_tau(POINTS, 1.0)  # tau above every t_p
         with pytest.raises(ConfigError):
             regress_mu_fixed_tau([(1e-4, 0.7), (1e-4, 0.71), (2e-4, 0.69)], PUB_TAU_INF)
+
+    @pytest.mark.parametrize("tau_inf", [math.nan, math.inf, 0.0, -1.0])
+    def test_tau_inf_must_be_finite_and_positive(self, tau_inf):
+        with pytest.raises(ConfigError, match="tau_inf must be finite and > 0"):
+            regress_mu_fixed_tau(POINTS, tau_inf)
 
     def test_round_trip_against_threshold_voltage(self):
         reg = regress_mu_fixed_tau(POINTS, PUB_TAU_INF)
@@ -96,8 +101,8 @@ class TestCollapse:
         curve = synthetic_curve(ROW_500US)
         fit = fit_lorentzian_cdf(curve)
         pts = collapse_transform(curve, fit)
-        z = np.array([p.z for p in pts])
-        s = np.array([p.s_bar for p in pts])
+        assert pts.shape == (curve.n_samples, 2)
+        z, s = pts.T
         i0 = int(np.argmin(np.abs(z)))
         assert s[i0] == pytest.approx(0.5, abs=2e-3)  # grid does not hit mu exactly
         i1 = int(np.argmin(np.abs(z - 1)))
@@ -114,8 +119,7 @@ class TestCollapse:
         for row in TABLE_ROWS:
             curve = synthetic_curve(row)
             pts.extend(collapse_transform(curve, fit_lorentzian_cdf(curve)))
-        z = np.array([p.z for p in pts])
-        s = np.array([p.s_bar for p in pts])
+        z, s = np.array(pts).T
         assert np.max(np.abs(s - master_curve(z))) < 1e-9
 
     def test_noiseless_deviation_equals_fit_residual(self):
@@ -125,12 +129,12 @@ class TestCollapse:
         assert abs(rms - fit.rms_residual / fit.a) <= 1e-9
 
     def test_rms_of_exact_master_points(self):
-        pts = [CollapsePoint(z=float(z), s_bar=float(master_curve(z)))
-               for z in np.linspace(-8, 8, 33)]
+        z = np.linspace(-8, 8, 33)
+        pts = np.column_stack((z, master_curve(z)))
         assert collapse_rms(pts) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_point_arithmetic(self):
-        assert collapse_rms([CollapsePoint(z=0.0, s_bar=1.0)]) == pytest.approx(0.5, abs=1e-15)
+        assert collapse_rms([(0.0, 1.0)]) == pytest.approx(0.5, abs=1e-15)
 
     def test_noisy_rms_bounded_by_noise_over_span(self):
         sigma = 0.3
@@ -145,8 +149,14 @@ class TestCollapse:
         with pytest.raises(ConfigError):
             collapse_rms([])
 
-    def test_collapse_point_validation(self):
-        with pytest.raises(DomainError):
-            CollapsePoint(z=math.inf, s_bar=0.5)
-        with pytest.raises(DomainError):
-            CollapsePoint(z=0.0, s_bar=1.5)
+    def test_non_finite_z_rejected(self):
+        curve = synthetic_curve(ROW_500US)
+        fit = fit_lorentzian_cdf(curve)
+        # a zero voltage puts z at -inf
+        at_zero = SwitchCurve(t_p=curve.t_p, v_p=np.r_[0.0, curve.v_p],
+                              values=np.r_[curve.values[0], curve.values])
+        with np.errstate(divide="ignore"), pytest.raises(DomainError, match="finite z"):
+            collapse_transform(at_zero, fit)
+        # s_bar far outside [0, 1] is data, not an error
+        far = SwitchCurve(t_p=curve.t_p, v_p=curve.v_p, values=curve.values + 10 * fit.a)
+        assert np.all(collapse_transform(far, fit)[:, 1] > 10)

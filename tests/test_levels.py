@@ -15,7 +15,7 @@ from anchors import (ORACLE_DAC_K_MARGIN_0P089, ORACLE_DAC_K_MARGIN_0P09, ROW_50
                      naive_monotone_scan)
 
 CAL_18BIT = DeviceCalibration(delta_min=ROW_500US[1], delta_max=ROW_500US[1] + ROW_500US[2],
-                              v_ac=0.25, t_film=17e-9, dac_bits=18, dac_range=(0.5, 9.0))
+                              dac_bits=18, dac_range=(0.5, 9.0))
 FIT_500US = LorentzianFit.from_params(ROW_500US[1], ROW_500US[2], ROW_500US[3],
                                       ROW_500US[4], 0.0, ROW_500US[0])
 
@@ -89,6 +89,11 @@ class TestS0FilterWithMargin:
         with pytest.raises(ConfigError):
             s0_filter_with_margin(curve_of([1.0, 2.0]), -0.1)
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ConfigError):
+            s0_filter_with_margin(curve_of([1.0, 2.0]), margin)
+
 
 class TestScanProperties:
     def test_random_sequences(self):
@@ -135,8 +140,7 @@ class TestStaircase:
 
 class TestDacHelpers:
     def test_code_voltages_span_range_inclusive(self):
-        cal = DeviceCalibration(delta_min=0, delta_max=1, v_ac=1, t_film=1e-8,
-                                dac_bits=4, dac_range=(0.5, 9.0))
+        cal = DeviceCalibration(delta_min=0, delta_max=1, dac_bits=4, dac_range=(0.5, 9.0))
         v = dac_code_voltages(cal)
         assert v.size == 16
         assert v[0] == 0.5 and v[-1] == 9.0
@@ -149,9 +153,13 @@ class TestDacHelpers:
 
 class TestCountDacLevels:
     def test_zero_margin_keeps_every_code(self):
-        cal = DeviceCalibration(delta_min=0, delta_max=1, v_ac=1, t_film=1e-8,
-                                dac_bits=8, dac_range=(0.5, 9.0))
+        cal = DeviceCalibration(delta_min=0, delta_max=1, dac_bits=8, dac_range=(0.5, 9.0))
         assert count_dac_levels(FIT_500US, cal, 0.0) == 256
+
+    @pytest.mark.parametrize("margin", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ConfigError):
+            count_dac_levels(FIT_500US, CAL_18BIT, margin)
 
     def test_margin_of_full_span_leaves_at_most_two(self):
         assert count_dac_levels(FIT_500US, CAL_18BIT, ROW_500US[2]) in (1, 2)

@@ -33,12 +33,10 @@ class TestDeviceCalibration:
     def test_validation(self):
         from ferrocal import DeviceCalibration
 
-        good = dict(delta_min=-19.0, delta_max=5.0, v_ac=0.25, t_film=17e-9)
+        good = dict(delta_min=-19.0, delta_max=5.0)
         DeviceCalibration(**good)
         with pytest.raises(ConfigError):
             DeviceCalibration(**{**good, "delta_max": -20.0})
-        with pytest.raises(ConfigError):
-            DeviceCalibration(**{**good, "v_ac": 0.0})
         with pytest.raises(ConfigError):
             DeviceCalibration(**good, read_noise_sigma=-0.1)
         with pytest.raises(ConfigError):

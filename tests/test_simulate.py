@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_MODEL_ZERO_CROSSING,
 T_FILM = 17e-9
 W = 0.038244
 KIN = MerzKinetics.from_mu_star(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR, T_FILM)
-CAL = DeviceCalibration(delta_min=ROW_500US[1], delta_max=ROW_500US[1] + ROW_500US[2],
-                        v_ac=0.25, t_film=T_FILM)
+CAL = DeviceCalibration(delta_min=ROW_500US[1], delta_max=ROW_500US[1] + ROW_500US[2])
 
 
 def analytic_mu(t_p):
@@ -94,6 +94,10 @@ class TestApplyPulse:
         apply_pulse(ensemble, TriangularPulse(9.0, 500e-6))
         assert np.array_equal(ensemble.down, before)
 
+    def test_ensemble_is_frozen(self, ensemble):
+        with pytest.raises(FrozenInstanceError):
+            ensemble.down = ~ensemble.down
+
     def test_half_switch_at_median_threshold(self):
         e = sample_ensemble(100_000, ORACLE_MU_STAR, W, KIN, seed=11)
         t_p = 500e-6
@@ -126,7 +130,7 @@ class TestReadDisplacement:
 
     def test_reads_are_pure_and_repeatable(self, ensemble):
         noisy_cal = DeviceCalibration(delta_min=CAL.delta_min, delta_max=CAL.delta_max,
-                                      v_ac=0.25, t_film=T_FILM, read_noise_sigma=0.5)
+                                      read_noise_sigma=0.5)
         before = ensemble.down.copy()
         first = read_displacement(ensemble, noisy_cal, seed=3)
         second = read_displacement(ensemble, noisy_cal, seed=3)
@@ -184,7 +188,7 @@ class TestRunProtocolSweep:
 
     def test_noise_is_seed_deterministic(self, ensemble):
         noisy_cal = DeviceCalibration(delta_min=CAL.delta_min, delta_max=CAL.delta_max,
-                                      v_ac=0.25, t_film=T_FILM, read_noise_sigma=0.3)
+                                      read_noise_sigma=0.3)
         grid = np.linspace(1, 9, 100)
         a = run_protocol_sweep(ensemble, std_protocol(100e-6), grid, noisy_cal, seed=5)
         b = run_protocol_sweep(ensemble, std_protocol(100e-6), grid, noisy_cal, seed=5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ferrocal import (CollapsePoint, ConfigError, LorentzianFit, ParseError,
+from ferrocal import (ConfigError, LorentzianFit, ParseError,
                       SwitchCurve, emit_fit_report, emit_plotdata, emit_sweep_csv,
                       parse_fit_report, parse_sweep_csv, s0_filter)
 from ferrocal.kinetics import regress_mu_fixed_tau
@@ -150,13 +150,17 @@ class TestFitReport:
 
 class TestPlotData:
     def test_collapse_line_count(self, tmp_path):
-        pts = [CollapsePoint(z=float(z), s_bar=0.5) for z in np.linspace(-3, 3, 17)]
+        pts = [(float(z), 0.5) for z in np.linspace(-3, 3, 17)]
         written = emit_plotdata("collapse", pts, tmp_path)
         body = (tmp_path / "collapse.dat").read_text().splitlines()
         assert body[0].startswith("#")
         assert len(body) == 1 + 17
         assert (tmp_path / "index_collapse.txt").read_text().splitlines() == ["collapse.dat"]
         assert all(p.exists() for p in written)
+        # an (N, 2) array writes the same bytes as the list of rows
+        emit_plotdata("collapse", np.array(pts), tmp_path / "array")
+        assert (tmp_path / "array" / "collapse.dat").read_bytes() == \
+            (tmp_path / "collapse.dat").read_bytes()
 
     def test_staircase_breakpoint_count(self, tmp_path):
         ls = s0_filter((np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])))
