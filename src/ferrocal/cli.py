@@ -150,23 +150,24 @@ def cmd_simulate(args):
 def cmd_program(args):
     out = _out_dir(args)
     rows = parse_fit_report(args.fits)
-    targets = [float(tok) for tok in args.targets.split(",") if tok.strip()]
-    if not targets:
-        raise ConfigError("--targets must list at least one weight")
     lo, hi = args.dac_range
     # only the DAC fields matter for programming; the rest is placeholder
     cal = DeviceCalibration(delta_min=0.0, delta_max=1.0,
                             dac_bits=args.dac_bits, dac_range=(lo, hi))
+    # every row is computed before the file is opened, so a rejected target
+    # leaves no partial table behind
+    lines = []
+    for fit, _ in rows:
+        for target in args.targets:
+            v = program_voltage_for_weight(fit, target, cal)
+            code = dac_nearest_code(cal, v)
+            got = achieved_weight(fit, v)
+            lines.append(f"{fit.t_p * 1e6!r},{target!r},{code},{v!r},{got!r}\n")
     path = out / "program_table.csv"
     with open(path, "w", newline="\n") as fh:
         fh.write("t_p_us,s_bar_target,dac_code,V_p_V,s_bar_achieved\n")
-        for fit, _ in rows:
-            for target in targets:
-                v = program_voltage_for_weight(fit, target, cal)
-                code = dac_nearest_code(cal, v)
-                got = achieved_weight(fit, v)
-                fh.write(f"{fit.t_p * 1e6!r},{target!r},{code},{v!r},{got!r}\n")
-    print(f"wrote {path} ({len(rows) * len(targets)} rows)")
+        fh.writelines(lines)
+    print(f"wrote {path} ({len(lines)} rows)")
     return EXIT_OK
 
 
@@ -179,6 +180,14 @@ def _finite_float(text):
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
+
+
+def _finite_list(text):
+    """argparse type: one or more comma-separated finite floats."""
+    values = [_finite_float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one number")
+    return values
 
 
 def _finite_pair(text):
@@ -232,7 +241,8 @@ def build_parser():
 
     p = sub.add_parser("program", help="DAC codes for target weights")
     p.add_argument("--fits", required=True, help="fit report CSV")
-    p.add_argument("--targets", required=True, help="comma-separated weights in (0,1)")
+    p.add_argument("--targets", required=True, type=_finite_list,
+                   help="comma-separated weights in (0,1)")
     p.add_argument("--dac-bits", type=int, default=18)
     p.add_argument("--dac-range", type=_finite_pair, default=(0.5, 9.0), metavar="LO,HI")
     p.set_defaults(func=cmd_program)

@@ -5,6 +5,10 @@ arctan((log10 V_p - mu)/w)/pi] per curve or jointly across a pulse-width
 family with shared offsets, plus raw-data marker extraction (zero crossing,
 half-saturation crossing) and affine mapping between observables.
 
+Every fit runs through one numpy engine, ``_varpro``: variable projection
+(Golub & Pereyra 1973) eliminates the linear (y0, A), and Levenberg-Marquardt
+steps along Kaufman's projected Jacobian move the per-curve (mu, log w).
+
 Coercive voltages are always interpolated from the data, never evaluated on
 the fitted symmetric model: measured curves carry a small positive/negative
 asymmetry that the model does not, and conflating the two moves the marker
@@ -20,7 +24,8 @@ from .errors import (AmbiguousMarkerError, ConfigError, DomainError, FitError,
                      MarkerAbsentError, RankError)
 from .model import lorentzian_displacement
 
-# optimizer contract: relative parameter tolerance and iteration budget
+# optimizer contract: relative step (and cost decrease) tolerance, and the
+# budget of model evaluations per fitted curve
 _FIT_TOL = 1e-14
 _MAX_ITER = 500
 
@@ -93,8 +98,8 @@ def _level_crossing_log10v(x, y, level):
 
 
 def _default_init(x, y):
-    """Geometry-based seeds: offsets from the curve ends, (mu, w) from the
-    mid-span and quartile-span crossings."""
+    """Geometry-based (mu, w) seeds from the mid-span and quartile-span
+    crossings of the line through the curve ends."""
     y0 = y[0]
     a = y[-1] - y[0]
     if a == 0:
@@ -105,59 +110,91 @@ def _default_init(x, y):
     w = abs(x75 - x25) / 2.0
     if w <= 0:
         w = max(abs(x[-1] - x[0]) / 10.0, 1e-3)
-    return y0, a, mu, w
+    return mu, w
 
 
-def _residual_and_jac(x, y, lock):
-    inv_pi = 1.0 / math.pi
+def _varpro(xs, ys, mus, ws, lock=None):
+    """Levenberg-Marquardt fit of m curves y_j = y0 + a*S(x_j; mu_j, w_j).
 
-    if lock is None:
+    One (y0, a) is shared by all curves; m = 1 is the single fit. The model
+    is linear in (y0, a), so variable projection (Golub & Pereyra 1973)
+    solves for them at every evaluation: the least-squares solution of
+    [1, S] c = y through the QR factors of [1, S], whose Gram-Schmidt
+    columns are 1/sqrt(N) and s_c/|s_c| with s_c = S - mean(S). The damped
+    Gauss-Newton steps then move only theta = (mu_j, log w_j), along
+    Kaufman's Jacobian (BIT 15:49, 1975): dr/dtheta at fixed (y0, a),
+    projected off span[1, S], which gives the exact gradient. ``lock``
+    fixes (y0, a) and skips the linear solve.
 
-        def resid(p):
-            y0, a, mu, logw = p
-            u = (x - mu) / math.exp(logw)
-            return y0 + a * (0.5 + inv_pi * np.arctan(u)) - y
+    Returns ((y0, a), mus, ws, residuals, converged); converged is False when
+    _MAX_ITER evaluations per curve were spent first.
+    """
+    m = len(xs)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    block = np.repeat(np.arange(m), [xj.size for xj in xs])
+    rows = np.arange(x.size)
+    # residuals from centred data: y - mean(y) is exact wherever the samples
+    # lie within a factor of two of their mean, so an offset costs no digits
+    y_mean = y.mean()
+    y_c = y - y_mean
 
-        def jac(p):
-            _, a, mu, logw = p
-            w = math.exp(logw)
-            u = (x - mu) / w
-            lor = inv_pi / (1.0 + u * u)
-            cols = np.empty((x.size, 4))
-            cols[:, 0] = 1.0
-            cols[:, 1] = 0.5 + inv_pi * np.arctan(u)
-            cols[:, 2] = -a * lor / w
-            cols[:, 3] = -a * lor * u
-            return cols
+    def evaluate(theta):
+        w = np.exp(theta[m:])[block]
+        u = (x - theta[:m][block]) / w
+        s = 0.5 + np.arctan(u) / math.pi
+        if lock is None:
+            s_c = s - s.mean()
+            a = (s_c @ y_c) / (s_c @ s_c)
+            y0 = y_mean - a * s.mean()
+            r = a * s_c - y_c
+        else:
+            y0, a = lock
+            r = y0 + a * s - y
+        dr_du = -a / (math.pi * (1.0 + u * u))
+        jac = np.zeros((x.size, 2 * m))
+        jac[rows, block] = dr_du / w
+        jac[rows, m + block] = dr_du * u
+        if lock is None:
+            jac -= jac.mean(axis=0)
+            jac -= np.outer(s_c, (s_c @ jac) / (s_c @ s_c))
+        return (y0, a), r, jac
 
-    else:
-        y0_l, a_l = lock
+    theta = np.concatenate([mus, np.log(ws)])
+    lin, r, jac = evaluate(theta)
+    cost, damping, converged = r @ r, 1e-3, False
+    for _ in range(_MAX_ITER * m - 1):
+        hess, grad = jac.T @ jac, jac.T @ r
+        step = np.linalg.solve(hess + damping * np.diag(np.diag(hess)), -grad)
+        if np.linalg.norm(step) <= _FIT_TOL * (_FIT_TOL + np.linalg.norm(theta)):
+            converged = True
+            break
+        # a cost decrease the linear model puts below _FIT_TOL of the cost is
+        # lost in rounding, so the cost cannot judge the step: it is taken
+        # untested, and it is the last
+        final = -(2.0 * grad @ step + step @ hess @ step) <= _FIT_TOL * cost
+        trial = evaluate(theta + step)
+        if final or trial[1] @ trial[1] < cost:
+            theta, (lin, r, jac) = theta + step, trial
+            cost, damping = r @ r, damping / 10.0
+        else:
+            damping *= 10.0
+        if final:
+            converged = True
+            break
+    return lin, theta[:m], np.exp(theta[m:]), r, converged
 
-        def resid(p):
-            mu, logw = p
-            u = (x - mu) / math.exp(logw)
-            return y0_l + a_l * (0.5 + inv_pi * np.arctan(u)) - y
 
-        def jac(p):
-            mu, logw = p
-            w = math.exp(logw)
-            u = (x - mu) / w
-            lor = inv_pi / (1.0 + u * u)
-            cols = np.empty((x.size, 2))
-            cols[:, 0] = -a_l * lor / w
-            cols[:, 1] = -a_l * lor * u
-            return cols
-
-    return resid, jac
+def _rms(r):
+    return float(np.sqrt(np.mean(r**2)))
 
 
-def fit_lorentzian_cdf(curve, init=None, lock=None):
+def fit_lorentzian_cdf(curve, lock=None):
     """Least-squares fit of one sweep to the arctangent transfer function.
 
-    ``init`` optionally seeds (y0, a, mu, w); ``lock`` freezes (y0, a) so only
-    (mu, w) are free. w stays positive through a log parameterization.
-    Raises RankError on flat data and FitError (carrying the best parameters
-    reached) if the optimizer fails to converge within the budget.
+    ``lock`` freezes (y0, a) so only (mu, w) are free. w stays positive
+    through a log parameterization. Raises RankError on flat data and
+    FitError (carrying the best parameters reached) if the optimizer fails
+    to converge within the budget.
     """
     if curve.n_samples < 8:
         raise DomainError("fit requires >= 8 samples spanning both tails")
@@ -172,36 +209,14 @@ def fit_lorentzian_cdf(curve, init=None, lock=None):
         if np.ptp(y) < 0.6 * abs(a_l):
             raise DomainError("curve covers < 60% of the locked span; tails missing")
 
-    if init is not None:
-        y0_i, a_i, mu_i, w_i = init
-    else:
-        y0_i, a_i, mu_i, w_i = _default_init(x, y)
-    if w_i <= 0:
-        raise ConfigError("initial w must be positive")
-
-    # imported here, not at module level: scipy.optimize takes longer to
-    # import than the rest of ferrocal, and only the fits need it
-    from scipy.optimize import least_squares
-
-    resid, jac = _residual_and_jac(x, y, lock)
-    p0 = [mu_i, math.log(w_i)] if lock is not None else [y0_i, a_i, mu_i, math.log(w_i)]
-    res = least_squares(resid, p0, jac=jac, method="trf",
-                        xtol=_FIT_TOL, ftol=_FIT_TOL, gtol=_FIT_TOL,
-                        max_nfev=_MAX_ITER)
-
-    if lock is not None:
-        y0_f, a_f = lock
-        mu_f, w_f = res.x[0], math.exp(res.x[1])
-    else:
-        y0_f, a_f, mu_f, w_f = res.x[0], res.x[1], res.x[2], math.exp(res.x[3])
-    rms = float(np.sqrt(np.mean(resid(res.x) ** 2)))
-
+    mu_i, w_i = _default_init(x, y)
+    (y0_f, a_f), (mu_f,), (w_f,), r, converged = _varpro([x], [y], [mu_i], [w_i], lock)
     if a_f < 0:
         # refit with the curve flipped is out of scope; report the failure
         raise FitError("fit converged to a non-increasing transfer function",
                        best_fit=(y0_f, a_f, mu_f, w_f))
-    fit = LorentzianFit.from_params(y0_f, a_f, mu_f, w_f, rms, curve.t_p)
-    if res.status <= 0:
+    fit = LorentzianFit.from_params(y0_f, a_f, mu_f, w_f, _rms(r), curve.t_p)
+    if not converged:
         raise FitError(f"optimizer did not converge within {_MAX_ITER} evaluations",
                        best_fit=fit)
     return fit
@@ -211,8 +226,8 @@ def fit_family(curves, share_offsets=False):
     """Fit a pulse-width family; returns fits ordered by increasing t_p.
 
     With ``share_offsets`` a single joint optimization holds one global
-    (y0, A) across all curves with per-curve (mu, w); otherwise each curve is
-    fit independently.
+    (y0, A) across all curves with per-curve (mu, w), seeded by the
+    independent fits; otherwise each curve is fit independently.
     """
     if len(curves) < 2:
         raise ConfigError("fit_family requires >= 2 curves")
@@ -225,60 +240,13 @@ def fit_family(curves, share_offsets=False):
         return [fit_lorentzian_cdf(c) for c in ordered]
 
     seeds = [fit_lorentzian_cdf(c) for c in ordered]
-    xs = [np.log10(c.v_p) for c in ordered]
-    ys = [c.values for c in ordered]
-    m = len(ordered)
-    inv_pi = 1.0 / math.pi
-
-    def unpack(p):
-        return p[0], p[1], p[2:2 + m], p[2 + m:]
-
-    def resid(p):
-        y0, a, mus, logws = unpack(p)
-        out = []
-        for x, y, mu, logw in zip(xs, ys, mus, logws):
-            u = (x - mu) / math.exp(logw)
-            out.append(y0 + a * (0.5 + inv_pi * np.arctan(u)) - y)
-        return np.concatenate(out)
-
-    def jac(p):
-        _, a, mus, logws = unpack(p)
-        total = sum(x.size for x in xs)
-        cols = np.zeros((total, 2 + 2 * m))
-        row = 0
-        for j, (x, mu, logw) in enumerate(zip(xs, mus, logws)):
-            w = math.exp(logw)
-            u = (x - mu) / w
-            lor = inv_pi / (1.0 + u * u)
-            sl = slice(row, row + x.size)
-            cols[sl, 0] = 1.0
-            cols[sl, 1] = 0.5 + inv_pi * np.arctan(u)
-            cols[sl, 2 + j] = -a * lor / w
-            cols[sl, 2 + m + j] = -a * lor * u
-            row += x.size
-        return cols
-
-    from scipy.optimize import least_squares
-
-    p0 = np.concatenate([
-        [np.mean([f.y0 for f in seeds]), np.mean([f.a for f in seeds])],
-        [f.mu for f in seeds],
-        [math.log(f.w) for f in seeds],
-    ])
-    res = least_squares(resid, p0, jac=jac, method="trf",
-                        xtol=_FIT_TOL, ftol=_FIT_TOL, gtol=_FIT_TOL,
-                        max_nfev=_MAX_ITER * m)
-    y0, a, mus, logws = unpack(res.x)
-
-    fits = []
-    row = 0
-    r = resid(res.x)
-    for c, x, mu, logw in zip(ordered, xs, mus, logws):
-        rj = r[row:row + x.size]
-        row += x.size
-        rms = float(np.sqrt(np.mean(rj**2)))
-        fits.append(LorentzianFit.from_params(y0, a, mu, math.exp(logw), rms, c.t_p))
-    if res.status <= 0:
+    (y0, a), mus, ws, r, converged = _varpro(
+        [np.log10(c.v_p) for c in ordered], [c.values for c in ordered],
+        [f.mu for f in seeds], [f.w for f in seeds])
+    ends = np.cumsum([c.n_samples for c in ordered])
+    fits = [LorentzianFit.from_params(y0, a, mu, w, _rms(rj), c.t_p)
+            for c, mu, w, rj in zip(ordered, mus, ws, np.split(r, ends[:-1]))]
+    if not converged:
         raise FitError("joint fit did not converge", best_fit=fits)
     return fits
 
@@ -318,12 +286,35 @@ def half_saturation_crossing(curve):
     return _single_crossing(curve.v_p, curve.values, level)
 
 
+def _isotonic(y):
+    """Least-squares non-decreasing fit to ``y`` by pool-adjacent-violators
+    (Barlow et al., 1972); equal to ``y`` where ``y`` never decreases."""
+    means, sizes = [], []
+    for mean in y.tolist():
+        size = 1
+        while means and means[-1] > mean:
+            merged = sizes.pop()
+            mean = (means.pop() * merged + mean * size) / (merged + size)
+            size += merged
+        means.append(mean)
+        sizes.append(size)
+    return np.repeat(means, sizes)
+
+
 def curve_markers(curve):
-    """Extract the markers applicable to a curve's observable kind."""
+    """Extract the markers applicable to a curve's observable kind.
+
+    vc_mech is the zero crossing of the isotonic fit of the samples, taken in
+    the direction of the curve's trend (the sign of last - first): read
+    noise makes the raw samples cross zero several times near the coercive
+    voltage, the monotone fit crosses once.
+    """
     vc_mech = vc_elec = None
     try:
         if curve.observable_kind == "displacement":
-            vc_mech = zero_crossing(curve)
+            sign = 1.0 if curve.values[-1] >= curve.values[0] else -1.0
+            trend = sign * _isotonic(sign * curve.values)
+            vc_mech = _single_crossing(curve.v_p, trend, 0.0)
         else:
             vc_elec = half_saturation_crossing(curve)
     except MarkerAbsentError:

@@ -85,6 +85,26 @@ class TestSimulateThenFit:
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "c.csv").read_bytes()
 
 
+class TestNoisyPipeline:
+    @pytest.mark.parametrize("sigma", ["0.05", "0.3"])
+    def test_every_command_succeeds_on_noisy_sweeps(self, tmp_path, sigma):
+        # the default config, with read noise that makes every pulse width's
+        # raw samples cross zero several times
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\nseed = 11\n\n[device]\nread_noise_sigma_nm = {sigma}\n")
+        sweep, report = str(tmp_path / "sweep.csv"), str(tmp_path / "fit_report.csv")
+        for argv in (["simulate", "--config", str(cfg), "--out", sweep],
+                     ["fit", "--input", sweep, "--share-offsets"],
+                     ["fit", "--input", sweep],
+                     ["merz", "--fits", report],
+                     ["collapse", "--input", sweep, "--fits", report],
+                     ["levels", "--input", sweep, "--margin", "0.09"],
+                     ["program", "--fits", report, "--targets", "0.25,0.5,0.75"]):
+            assert main(["--out-dir", str(tmp_path)] + argv) == 0, argv
+        rows = parse_fit_report(report)
+        assert len(rows) == 5 and all(vc is not None for _, vc in rows)
+
+
 class TestMerzCommand:
     def test_fixed_tau_anchor(self, tmp_path, capsys):
         report = write_table_report(tmp_path / "fit_report.csv")
@@ -174,6 +194,17 @@ class TestProgramCommand:
         for line in lines[1:]:
             cells = line.split(",")
             assert abs(float(cells[4]) - float(cells[1])) < 1e-4
+
+    @pytest.mark.parametrize("targets, code", [
+        ("0.5,half", 2), ("nan", 2), ("0.5,-inf", 2), (",", 2), ("1.5", 1), ("0.25,1.5", 1),
+    ], ids=["unparsable", "nan", "inf", "empty", "out-of-range", "valid-then-out-of-range"])
+    def test_rejected_target_writes_no_table(self, tmp_path, capsys, targets, code):
+        report = write_table_report(tmp_path / "fit_report.csv")
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "program", "--fits", str(report),
+                     "--targets", targets]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "program_table.csv").exists()
 
     def test_out_of_range_target_fails_with_runtime_code(self, tmp_path):
         report = write_table_report(tmp_path / "fit_report.csv")
@@ -297,42 +328,49 @@ class TestOutDir:
 
 
 # runs each command as ``python -m ferrocal`` would, one after another in a
-# single interpreter, and prints the scipy modules loaded after each
+# single interpreter, and prints the scipy modules loaded after each; then
+# imports scipy.optimize itself, to show that the probe sees such an import
 SCIPY_PROBE = """\
 import json, runpy, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import ferrocal
-print(json.dumps(["import", scipy_modules()]))
+print(json.dumps(scipy_modules()))
 for argv in json.loads(sys.argv[1]):
     sys.argv = ["ferrocal"] + argv
     try:
         runpy.run_module("ferrocal", run_name="__main__")
     except SystemExit as exc:
         assert exc.code == 0, (argv, exc.code)
-    print(json.dumps([argv[2], scipy_modules()]))
+    print(json.dumps(scipy_modules()))
+import scipy.optimize
+print(json.dumps(scipy_modules()))
 """
 
 
 class TestImportCost:
-    def test_only_fit_loads_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(CONFIG_SMALL.replace("n = 50000", "n = 2000"))
         report = str(write_table_report(tmp_path / "table_report.csv"))
         sweep = str(tmp_path / "sweep.csv")
-        commands = [["--out-dir", str(tmp_path)] + argv for argv in (
-            ["simulate", "--config", str(cfg), "--out", sweep],
-            ["levels", "--input", sweep, "--margin", "0.09"],
-            ["merz", "--fits", report],
-            ["collapse", "--input", sweep, "--fits", report],
-            ["program", "--fits", report, "--targets", "0.25,0.5"],
-            ["fit", "--input", sweep],
-        )]
+        steps = {
+            "simulate": ["simulate", "--config", str(cfg), "--out", sweep],
+            "levels": ["levels", "--input", sweep, "--margin", "0.09"],
+            "merz": ["merz", "--fits", report],
+            "collapse": ["collapse", "--input", sweep, "--fits", report],
+            "program": ["program", "--fits", report, "--targets", "0.25,0.5"],
+            "fit": ["fit", "--input", sweep],
+            "fit --share-offsets": ["fit", "--input", sweep, "--share-offsets"],
+        }
+        commands = [["--out-dir", str(tmp_path)] + argv for argv in steps.values()]
         proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        loaded = dict(json.loads(line) for line in proc.stdout.splitlines()
-                      if line.startswith("["))
-        for step in ("import", "simulate", "levels", "merz", "collapse", "program"):
-            assert loaded[step] == [], step
-        assert "scipy.optimize" in loaded["fit"]  # the probe does see a scipy import
+        loaded = [json.loads(line) for line in proc.stdout.splitlines()
+                  if line.startswith("[")]
+        names = ["import", *steps, "probe"]
+        assert len(loaded) == len(names)
+        for name, modules in zip(names[:-1], loaded):
+            assert modules == [], name
+        assert "scipy.optimize" in loaded[-1]  # the probe does see a scipy import
