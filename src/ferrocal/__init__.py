@@ -26,7 +26,7 @@ from .model import (DeviceCalibration, MerzKinetics, NlsSpec, ThresholdDistribut
 from .simulate import (HysteronEnsemble, SwitchCurve, TriangularPulse, WriteProtocol,
                        apply_pulse, polarization_change_of_fraction, read_displacement,
                        run_protocol_sweep, sample_ensemble, thresholds_at)
-from .sweepio import (emit_fit_report, emit_plotdata, emit_sweep_csv,
+from .sweepio import (emit_fit_report, emit_levels_csv, emit_plotdata, emit_sweep_csv,
                       parse_fit_report, parse_sweep_csv)
 
 __version__ = "0.1.0"

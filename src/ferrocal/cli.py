@@ -24,8 +24,9 @@ from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weig
                      s0_filter, s0_filter_with_margin)
 from .model import DeviceCalibration
 from .simulate import run_protocol_sweep, sample_ensemble
-from .sweepio import (emit_fit_report, emit_merz_report, emit_plotdata,
-                      emit_sweep_csv, parse_fit_report, parse_sweep_csv)
+from .sweepio import (emit_fit_report, emit_levels_csv, emit_merz_report, emit_plotdata,
+                      emit_sweep_csv, fit_report_header, parse_fit_report,
+                      parse_sweep_csv)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -54,16 +55,17 @@ def cmd_fit(args):
         fits = [fit_lorentzian_cdf(curves[0])]
     else:
         fits = fit_family(curves, share_offsets=args.share_offsets)
-    markers = [curve_markers(c) for c in sorted(curves, key=lambda c: c.t_p)]
-    report = emit_fit_report(out / "fit_report.csv", fits,
-                             vc_mech=[m.vc_mech for m in markers])
     ordered = sorted(curves, key=lambda c: c.t_p)
+    kind = ordered[0].observable_kind
+    markers = [curve_markers(c) for c in ordered]
+    vcs = [m.vc_mech if kind == "displacement" else m.vc_elec for m in markers]
+    report = emit_fit_report(out / "fit_report.csv", fits, markers=vcs, observable_kind=kind)
     emit_plotdata("fit-overlay", list(zip(ordered, fits)), out)
     emit_plotdata("pdf", fits, out)
     print(f"wrote {report}")
-    print("t_p_us y0_nm A_nm mu w v50_V vc_mech_V rms_nm")
-    for fit, m in zip(fits, markers):
-        vc = "-" if m.vc_mech is None else f"{m.vc_mech:.6g}"
+    print(" ".join(fit_report_header(kind)))
+    for fit, vc in zip(fits, vcs):
+        vc = "-" if vc is None else f"{vc:.6g}"
         print(f"{fit.t_p * 1e6:g} {fit.y0:.6g} {fit.a:.6g} {fit.mu:.8g} "
               f"{fit.w:.6g} {fit.v50:.6g} {vc} {fit.rms_residual:.4g}")
     return EXIT_OK
@@ -115,11 +117,7 @@ def cmd_levels(args):
         levelset = (s0_filter(curve) if args.margin is None
                     else s0_filter_with_margin(curve, args.margin))
         label = f"{curve.t_p * 1e6:g}us"
-        path = out / f"levels_{label}.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write("V_p_V,value,level_index\n")
-            for v, y, k in zip(levelset.v_p, levelset.values, levelset.level_index):
-                fh.write(f"{v!r},{y!r},{int(k)}\n")
+        emit_levels_csv(out / f"levels_{label}.csv", levelset)
         emit_plotdata("staircase", levelset, out / f"staircase_{label}")
         print(f"t_p = {label}: kept {levelset.count} of {levelset.source_count} samples")
     return EXIT_OK

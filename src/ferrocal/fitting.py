@@ -164,7 +164,11 @@ def _varpro(xs, ys, mus, ws, lock=None):
     cost, damping, converged = r @ r, 1e-3, False
     for _ in range(_MAX_ITER * m - 1):
         hess, grad = jac.T @ jac, jac.T @ r
-        step = np.linalg.solve(hess + damping * np.diag(np.diag(hess)), -grad)
+        try:
+            step = np.linalg.solve(hess + damping * np.diag(np.diag(hess)), -grad)
+        except np.linalg.LinAlgError:
+            raise FitError("singular normal equations: the data do not constrain "
+                           "(mu, w) near the current estimate") from None
         if np.linalg.norm(step) <= _FIT_TOL * (_FIT_TOL + np.linalg.norm(theta)):
             converged = True
             break
@@ -186,6 +190,14 @@ def _varpro(xs, ys, mus, ws, lock=None):
 
 def _rms(r):
     return float(np.sqrt(np.mean(r**2)))
+
+
+def _require_finite(y0, a, mus, ws, r):
+    """FitError when the optimizer left the float range (V50 = 10**mu included)."""
+    with np.errstate(over="ignore"):
+        values = np.concatenate([[y0, a], mus, ws, np.power(10.0, mus), r])
+    if not np.isfinite(values).all():
+        raise FitError("fit diverged: a parameter, V50 or a residual is not finite")
 
 
 def fit_lorentzian_cdf(curve, lock=None):
@@ -211,6 +223,7 @@ def fit_lorentzian_cdf(curve, lock=None):
 
     mu_i, w_i = _default_init(x, y)
     (y0_f, a_f), (mu_f,), (w_f,), r, converged = _varpro([x], [y], [mu_i], [w_i], lock)
+    _require_finite(y0_f, a_f, [mu_f], [w_f], r)
     if a_f < 0:
         # refit with the curve flipped is out of scope; report the failure
         raise FitError("fit converged to a non-increasing transfer function",
@@ -243,6 +256,7 @@ def fit_family(curves, share_offsets=False):
     (y0, a), mus, ws, r, converged = _varpro(
         [np.log10(c.v_p) for c in ordered], [c.values for c in ordered],
         [f.mu for f in seeds], [f.w for f in seeds])
+    _require_finite(y0, a, mus, ws, r)
     ends = np.cumsum([c.n_samples for c in ordered])
     fits = [LorentzianFit.from_params(y0, a, mu, w, _rms(rj), c.t_p)
             for c, mu, w, rj in zip(ordered, mus, ws, np.split(r, ends[:-1]))]
@@ -252,27 +266,26 @@ def fit_family(curves, share_offsets=False):
 
 
 def _single_crossing(v, y, level):
-    """Interpolated voltage where the samples cross ``level`` exactly once."""
+    """Interpolated voltage where the samples cross ``level`` exactly once.
+
+    A run of samples equal to the level counts as one crossing, at the
+    midpoint of its end voltages; so does a strict sign change between
+    neighbours, interpolated linearly.
+    """
     d = y - level
-    events = []
-    i = 0
-    n = d.size
-    while i < n:
-        if d[i] == 0.0:
-            j = i
-            while j + 1 < n and d[j + 1] == 0.0:
-                j += 1
-            events.append(0.5 * (v[i] + v[j]))
-            i = j + 1
-        else:
-            if i + 1 < n and d[i] * d[i + 1] < 0:
-                events.append(v[i] + (-d[i]) * (v[i + 1] - v[i]) / (d[i + 1] - d[i]))
-            i += 1
-    if not events:
+    edges = np.diff((d == 0.0).astype(np.int8), prepend=0, append=0)
+    run_starts = np.flatnonzero(edges == 1)
+    changes = np.flatnonzero(d[:-1] * d[1:] < 0)
+    count = run_starts.size + changes.size
+    if count == 0:
         raise MarkerAbsentError("curve never crosses the marker level")
-    if len(events) > 1:
-        raise AmbiguousMarkerError(f"curve crosses the marker level {len(events)} times")
-    return float(events[0])
+    if count > 1:
+        raise AmbiguousMarkerError(f"curve crosses the marker level {count} times")
+    if run_starts.size:
+        i, j = run_starts[0], np.flatnonzero(edges == -1)[0] - 1
+        return float(0.5 * (v[i] + v[j]))
+    i = changes[0]
+    return float(v[i] + (-d[i]) * (v[i + 1] - v[i]) / (d[i + 1] - d[i]))
 
 
 def zero_crossing(curve):

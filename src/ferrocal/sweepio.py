@@ -1,4 +1,5 @@
-"""File formats: sweep CSVs, fit reports, regression reports, plot data.
+"""File formats: sweep CSVs, fit reports, level tables, regression reports,
+plot data.
 
 One interchange format carries all sweep data: a CSV with header
 ``t_p_us,V_p_V,<value column>`` where the value column name declares the
@@ -6,17 +7,27 @@ observable and its unit (``delta_nm`` for displacement, ``dP_uC_cm2`` for
 polarization change). Within each pulse-width group V_p must increase
 strictly; violations are reported with their 1-based line number.
 
-Sweep and report values are written with Python's shortest round-trip float
-representation, so emit -> parse reproduces every stored value bit-exactly.
-Pulse widths are stored in microseconds, and the s -> us -> s hop can move
-t_p by one ulp. Parsers reject non-numeric and non-finite cells with the
-line number. Plot data files use fixed scientific notation with 11
-significant digits.
+Sweep files are converted a whole column at a time: the data block is read
+by one ``numpy.loadtxt`` call and checked on arrays, and only a file that
+fails those checks is scanned row by row, to name its first bad line. The
+fast path reads a narrower set of numeric literals than Python's ``float``:
+a cell holding ``_`` or non-ASCII digits, or a data block holding one of the
+control characters U+001C..U+001F, is a parse error with its line number.
+
+Sweep, report and level values are written with Python's shortest
+round-trip float representation, so emit -> parse reproduces every stored
+value bit-exactly. Pulse widths are stored in microseconds, and the s -> us
+-> s hop can move t_p by one ulp. Parsers reject non-numeric and non-finite
+cells with the line number. Plot data files use fixed scientific notation
+with 11 significant digits.
 """
 
 import csv
+import io
 import math
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, ParseError
 from .fitting import LorentzianFit
@@ -25,16 +36,28 @@ from .simulate import SwitchCurve
 
 _VALUE_COLUMNS = {"displacement": "delta_nm", "polarization_change": "dP_uC_cm2"}
 _KIND_BY_COLUMN = {v: k for k, v in _VALUE_COLUMNS.items()}
+_UNITS = {"displacement": "nm", "polarization_change": "uC_cm2"}
+_MARKER_COLUMNS = {"displacement": "vc_mech_V", "polarization_change": "vc_elec_V"}
 
-_FIT_REPORT_HEADER = ["t_p_us", "y0_nm", "A_nm", "mu", "w", "v50_V", "vc_mech_V", "rms_nm"]
+# loadtxt skips these around a number, float() does not
+_UNSUPPORTED_CHARS = "\x1c\x1d\x1e\x1f"
+
+
+def fit_report_header(observable_kind="displacement"):
+    """Fit-report columns: offsets and rms carry the observable's unit, and
+    the marker column holds vc_mech (displacement) or vc_elec (polarization)."""
+    unit = _UNITS[observable_kind]
+    return ["t_p_us", f"y0_{unit}", f"A_{unit}", "mu", "w", "v50_V",
+            _MARKER_COLUMNS[observable_kind], f"rms_{unit}"]
 
 
 def _fmt(x):
     return repr(float(x))
 
 
-def _plotfmt(x):
-    return f"{x:.10e}"
+def _reprs(values):
+    """Shortest round-trip text of each element of a 1-D array, in one repr."""
+    return repr(values.tolist())[1:-1].split(", ") if len(values) else []
 
 
 def _tp_label(t_p):
@@ -52,30 +75,51 @@ def _finite_floats(cells, row, line_no):
     return values
 
 
-def parse_sweep_csv(path):
-    """Read a sweep file into one SwitchCurve per pulse width, sorted by t_p."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
+def _load_table(text):
+    """The data block as an (n, 3) array if it passes every check, else None.
+
+    Whitespace-only lines are skipped, as the row scan skips them.
+    """
+    if not text or text.isspace() or any(map(text.__contains__, _UNSUPPORTED_CHARS)):
+        return None
+    try:
+        table = np.loadtxt((line for line in io.StringIO(text, newline="")
+                            if not line.isspace()),
+                           delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != 3 or not np.isfinite(table).all():
+        return None
+    tp, v_p = table[:, 0], table[:, 1]
+    if not ((tp > 0).all() and (v_p > 0).all()):
+        return None
+    order = np.argsort(tp, kind="stable")
+    tp, v_p = tp[order], v_p[order]
+    same_group = tp[1:] == tp[:-1]
+    if (same_group & (v_p[1:] <= v_p[:-1])).any():
+        return None
+    return table[order]
+
+
+def _scan_sweep_rows(path):
+    """Raise the ParseError of the first bad row of a sweep file's data block.
+
+    Rows are read as ``csv`` and ``float`` read them. A cell that ``float``
+    reads but the whole-column path does not (``_``, non-ASCII digits, the
+    control characters in ``_UNSUPPORTED_CHARS``) is an error of its own.
+    A file that passes every row check and still fails the table read (a
+    line holding only a quoted blank cell) gets an error without a line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: missing header", line=1) from None
-        header = [h.strip() for h in header]
-        if len(header) != 3 or header[0] != "t_p_us" or header[1] != "V_p_V":
-            raise ParseError(f"bad header {header!r}; expected t_p_us,V_p_V,<value column>", line=1)
-        kind = _KIND_BY_COLUMN.get(header[2])
-        if kind is None:
-            raise ParseError(
-                f"unknown value column/unit {header[2]!r}; expected one of "
-                f"{sorted(_KIND_BY_COLUMN)}", line=1)
-
-        groups = {}
+        next(reader)
+        seen_rows = False
         last_v = {}
         isfinite = math.isfinite
         for line_no, row in enumerate(reader, start=2):
+            if any(c in cell for cell in row for c in _UNSUPPORTED_CHARS):
+                raise ParseError(f"unsupported control character in row {row!r}",
+                                 line=line_no)
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
@@ -84,7 +128,6 @@ def parse_sweep_csv(path):
                 tp_us, v_p, value = map(float, row)
             except ValueError:
                 raise ParseError(f"non-numeric row {row!r}", line=line_no) from None
-            # inline rather than _finite_floats: this loop runs once per sample
             if not (isfinite(tp_us) and isfinite(v_p) and isfinite(value)):
                 raise ParseError(f"non-finite value in row {row!r}", line=line_no)
             if tp_us <= 0:
@@ -96,17 +139,43 @@ def parse_sweep_csv(path):
                 raise ParseError(
                     f"V_p must increase strictly within the t_p={tp_us:g} us group "
                     f"({v_p!r} after {prev!r})", line=line_no)
+            if not all(cell.strip().isascii() and "_" not in cell for cell in row):
+                raise ParseError(f"unsupported numeric literal in row {row!r}; "
+                                 f"write numbers in ASCII without '_'", line=line_no)
             last_v[tp_us] = v_p
-            groups.setdefault(tp_us, []).append((v_p, value))
-
-    if not groups:
+            seen_rows = True
+    if not seen_rows:
         raise ParseError("file holds a header but no data rows")
-    curves = []
-    for tp_us in sorted(groups):
-        v, y = zip(*groups[tp_us])
-        curves.append(SwitchCurve(t_p=tp_us * 1e-6, v_p=list(v), values=list(y),
-                                  observable_kind=kind))
-    return curves
+    raise ParseError("data rows could not be read as one numeric table")
+
+
+def parse_sweep_csv(path):
+    """Read a sweep file into one SwitchCurve per pulse width, sorted by t_p."""
+    path = Path(path)
+    if not path.exists():
+        raise ParseError(f"no such file: {path}")
+    with open(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise ParseError("empty file: missing header", line=1) from None
+        header = [h.strip() for h in header]
+        if len(header) != 3 or header[0] != "t_p_us" or header[1] != "V_p_V":
+            raise ParseError(f"bad header {header!r}; expected t_p_us,V_p_V,<value column>", line=1)
+        kind = _KIND_BY_COLUMN.get(header[2])
+        if kind is None:
+            raise ParseError(
+                f"unknown value column/unit {header[2]!r}; expected one of "
+                f"{sorted(_KIND_BY_COLUMN)}", line=1)
+        table = _load_table(fh.read())
+    if table is None:
+        _scan_sweep_rows(path)
+    tp_us, v_p, values = table.T.copy()
+    starts = np.flatnonzero(np.diff(tp_us, prepend=0.0))
+    ends = np.append(starts[1:], tp_us.size)
+    return [SwitchCurve(t_p=tp_us[a].item() * 1e-6, v_p=v_p[a:b], values=values[a:b],
+                        observable_kind=kind)
+            for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def emit_sweep_csv(path, curves):
@@ -118,24 +187,37 @@ def emit_sweep_csv(path, curves):
     with open(path, "w", newline="\n") as fh:
         fh.write(f"t_p_us,V_p_V,{column}\n")
         for curve in sorted(curves, key=lambda c: c.t_p):
-            tp_us = curve.t_p * 1e6
-            for v, y in zip(curve.v_p, curve.values):
-                fh.write(f"{_fmt(tp_us)},{_fmt(v)},{_fmt(y)}\n")
+            prefix = f"{_fmt(curve.t_p * 1e6)},"
+            rows = map(",".join, zip(_reprs(curve.v_p), _reprs(curve.values)))
+            fh.write(prefix + ("\n" + prefix).join(rows) + "\n")
     return Path(path)
 
 
-def emit_fit_report(path, fits, vc_mech=None):
+def emit_levels_csv(path, levelset):
+    """Write a level set as ``V_p_V,value,level_index`` rows."""
+    rows = map(",".join, zip(_reprs(levelset.v_p), _reprs(levelset.values),
+                             _reprs(levelset.level_index)))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("V_p_V,value,level_index\n")
+        fh.writelines(row + "\n" for row in rows)
+    return Path(path)
+
+
+def emit_fit_report(path, fits, markers=None, observable_kind="displacement"):
     """Write fits as a table mirroring the published parameter-table columns.
 
-    ``vc_mech`` optionally carries one data-interpolated coercive voltage (or
-    None) per fit, in the same order.
+    ``markers`` optionally carries one data-interpolated coercive voltage (or
+    None) per fit, in the same order: vc_mech for displacement sweeps, vc_elec
+    for polarization-change sweeps. ``observable_kind`` names the header's
+    units and marker column (see ``fit_report_header``).
     """
-    vc_mech = vc_mech if vc_mech is not None else [None] * len(fits)
-    if len(vc_mech) != len(fits):
-        raise ConfigError("need one vc_mech entry (or None) per fit")
-    rows = sorted(zip(fits, vc_mech), key=lambda fv: fv[0].t_p)
+    markers = markers if markers is not None else [None] * len(fits)
+    if len(markers) != len(fits):
+        raise ConfigError("need one marker entry (or None) per fit")
+    header = fit_report_header(observable_kind)
+    rows = sorted(zip(fits, markers), key=lambda fv: fv[0].t_p)
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(_FIT_REPORT_HEADER) + "\n")
+        fh.write(",".join(header) + "\n")
         for fit, vc in rows:
             cells = [_fmt(fit.t_p * 1e6), _fmt(fit.y0), _fmt(fit.a), _fmt(fit.mu),
                      _fmt(fit.w), _fmt(fit.v50), "" if vc is None else _fmt(vc),
@@ -145,7 +227,8 @@ def emit_fit_report(path, fits, vc_mech=None):
 
 
 def parse_fit_report(path):
-    """Read a fit report; returns a list of (LorentzianFit, vc_mech or None)."""
+    """Read a fit report of either observable; returns a list of
+    (LorentzianFit, marker voltage or None)."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
@@ -156,13 +239,13 @@ def parse_fit_report(path):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError("empty fit report", line=1) from None
-        if header != _FIT_REPORT_HEADER:
+        if header not in map(fit_report_header, _UNITS):
             raise ParseError(f"bad fit report header {header!r}", line=1)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(_FIT_REPORT_HEADER):
-                raise ParseError(f"expected {len(_FIT_REPORT_HEADER)} columns", line=line_no)
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} columns", line=line_no)
             tp_us, y0, a, mu, w, v50, rms = _finite_floats(
                 [row[i] for i in (0, 1, 2, 3, 4, 5, 7)], row, line_no)
             vc = None if row[6] == "" else _finite_floats(row[6:7], row, line_no)[0]
@@ -202,18 +285,17 @@ def emit_plotdata(kind, payload, out_dir):
     ((regression, points)), staircase (LevelSet). An index file listing the
     outputs is written alongside.
     """
-    import numpy as np
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     def emit(name, header, columns):
+        table = np.column_stack(columns)
+        row = " ".join(["%.10e"] * table.shape[1]) + "\n"
         p = out_dir / name
         with open(p, "w", newline="\n") as fh:
             fh.write("# " + " ".join(header) + "\n")
-            for row in zip(*columns):
-                fh.write(" ".join(_plotfmt(c) for c in row) + "\n")
+            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
         written.append(p)
 
     if kind == "fit-overlay":

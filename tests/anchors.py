@@ -5,9 +5,14 @@ independent pre-build computations (plain-loop least squares, direct
 enumeration). Tests recompute the oracles where cheap and compare both ways.
 """
 
+import csv
+import math
+from pathlib import Path
+
 import numpy as np
 
-from ferrocal import SwitchCurve, lorentzian_displacement
+from ferrocal import (AmbiguousMarkerError, MarkerAbsentError, ParseError, SwitchCurve,
+                      lorentzian_displacement)
 
 # published per-pulse-width fit parameters:
 # (t_p [s], y0 [nm], A [nm], mu [decades], w [decades], V50 [V], Vc_mech [V])
@@ -98,3 +103,105 @@ def naive_protocol_sweep(vth_reset, vth_write, down, reset_peak, write_peak,
                     state[i] = write_peak > 0
         counts.append(sum(state))
     return counts
+
+
+def naive_single_crossing(v, y, level):
+    """Reference for the marker crossing: walks the samples one at a time."""
+    d = y - level
+    events = []
+    i = 0
+    n = d.size
+    while i < n:
+        if d[i] == 0.0:
+            j = i
+            while j + 1 < n and d[j + 1] == 0.0:
+                j += 1
+            events.append(0.5 * (v[i] + v[j]))
+            i = j + 1
+        else:
+            if i + 1 < n and d[i] * d[i + 1] < 0:
+                events.append(v[i] + (-d[i]) * (v[i + 1] - v[i]) / (d[i + 1] - d[i]))
+            i += 1
+    if not events:
+        raise MarkerAbsentError("curve never crosses the marker level")
+    if len(events) > 1:
+        raise AmbiguousMarkerError(f"curve crosses the marker level {len(events)} times")
+    return float(events[0])
+
+
+_VALUE_COLUMNS = {"displacement": "delta_nm", "polarization_change": "dP_uC_cm2"}
+_KIND_BY_COLUMN = {v: k for k, v in _VALUE_COLUMNS.items()}
+
+
+def naive_parse_sweep_csv(path):
+    """Reference sweep reader: one csv row and one float() per cell at a time."""
+    path = Path(path)
+    if not path.exists():
+        raise ParseError(f"no such file: {path}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file: missing header", line=1) from None
+        header = [h.strip() for h in header]
+        if len(header) != 3 or header[0] != "t_p_us" or header[1] != "V_p_V":
+            raise ParseError(f"bad header {header!r}; expected t_p_us,V_p_V,<value column>", line=1)
+        kind = _KIND_BY_COLUMN.get(header[2])
+        if kind is None:
+            raise ParseError(
+                f"unknown value column/unit {header[2]!r}; expected one of "
+                f"{sorted(_KIND_BY_COLUMN)}", line=1)
+
+        groups = {}
+        last_v = {}
+        isfinite = math.isfinite
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise ParseError(f"expected 3 columns, got {len(row)}", line=line_no)
+            try:
+                tp_us, v_p, value = map(float, row)
+            except ValueError:
+                raise ParseError(f"non-numeric row {row!r}", line=line_no) from None
+            if not (isfinite(tp_us) and isfinite(v_p) and isfinite(value)):
+                raise ParseError(f"non-finite value in row {row!r}", line=line_no)
+            if tp_us <= 0:
+                raise ParseError("t_p_us must be positive", line=line_no)
+            if v_p <= 0:
+                raise ParseError("V_p_V must be positive", line=line_no)
+            prev = last_v.get(tp_us)
+            if prev is not None and v_p <= prev:
+                raise ParseError(
+                    f"V_p must increase strictly within the t_p={tp_us:g} us group "
+                    f"({v_p!r} after {prev!r})", line=line_no)
+            last_v[tp_us] = v_p
+            groups.setdefault(tp_us, []).append((v_p, value))
+
+    if not groups:
+        raise ParseError("file holds a header but no data rows")
+    curves = []
+    for tp_us in sorted(groups):
+        v, y = zip(*groups[tp_us])
+        curves.append(SwitchCurve(t_p=tp_us * 1e-6, v_p=list(v), values=list(y),
+                                  observable_kind=kind))
+    return curves
+
+
+def naive_sweep_csv_text(curves):
+    """Reference sweep CSV text: one formatted row at a time."""
+    lines = [f"t_p_us,V_p_V,{_VALUE_COLUMNS[curves[0].observable_kind]}\n"]
+    for curve in sorted(curves, key=lambda c: c.t_p):
+        tp_us = curve.t_p * 1e6
+        for v, y in zip(curve.v_p, curve.values):
+            lines.append(f"{float(tp_us)!r},{float(v)!r},{float(y)!r}\n")
+    return "".join(lines)
+
+
+def naive_plot_text(header, columns):
+    """Reference plot-data text: one formatted cell at a time."""
+    lines = ["# " + " ".join(header) + "\n"]
+    for row in zip(*columns):
+        lines.append(" ".join(f"{c:.10e}" for c in row) + "\n")
+    return "".join(lines)

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from ferrocal import LorentzianFit, emit_fit_report, emit_sweep_csv, parse_fit_report
+from ferrocal import (LorentzianFit, emit_fit_report, emit_sweep_csv, parse_fit_report,
+                      parse_sweep_csv, s0_filter, s0_filter_with_margin)
 from ferrocal.cli import main
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF, TABLE_ROWS,
@@ -39,7 +40,7 @@ t_p_us = 100, 500
 def write_table_report(path):
     fits = [LorentzianFit.from_params(row[1], row[2], row[3], row[4], 0.0, row[0])
             for row in TABLE_ROWS]
-    emit_fit_report(path, fits, vc_mech=[row[6] for row in TABLE_ROWS])
+    emit_fit_report(path, fits, markers=[row[6] for row in TABLE_ROWS])
     return path
 
 
@@ -103,6 +104,31 @@ class TestNoisyPipeline:
             assert main(["--out-dir", str(tmp_path)] + argv) == 0, argv
         rows = parse_fit_report(report)
         assert len(rows) == 5 and all(vc is not None for _, vc in rows)
+
+
+class TestPolarizationPipeline:
+    def test_simulate_fit_merz_program(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CONFIG_SMALL.replace("n = 50000", "n = 20000")
+                       .replace("t_p_us = 100, 500", "t_p_us = 10, 100, 500")
+                       + "observable = polarization_change\n")
+        sweep, report = str(tmp_path / "sweep.csv"), str(tmp_path / "fit_report.csv")
+        header = "t_p_us,y0_uC_cm2,A_uC_cm2,mu,w,v50_V,vc_elec_V,rms_uC_cm2"
+        for share in ([], ["--share-offsets"]):
+            assert main(["--out-dir", str(tmp_path), "simulate",
+                         "--config", str(cfg), "--out", sweep]) == 0
+            assert main(["--out-dir", str(tmp_path), "fit", "--input", sweep] + share) == 0
+            assert header.replace(",", " ") in capsys.readouterr().out
+            lines = (tmp_path / "fit_report.csv").read_text().splitlines()
+            assert lines[0] == header
+            # the marker column holds the half-saturation crossing of each curve
+            assert all(line.split(",")[6] for line in lines[1:])
+            rows = parse_fit_report(report)
+            assert len(rows) == 3 and all(4.0 < vc < 6.0 for _, vc in rows)
+            for argv in (["merz", "--fits", report],
+                         ["collapse", "--input", sweep, "--fits", report],
+                         ["program", "--fits", report, "--targets", "0.25,0.5,0.75"]):
+                assert main(["--out-dir", str(tmp_path)] + argv) == 0, argv
 
 
 class TestMerzCommand:
@@ -173,6 +199,26 @@ class TestLevelsCommand:
         out = capsys.readouterr().out
         assert "kept 1701 of 1701" in out  # noiseless model rises strictly
         assert (tmp_path / "levels_500us.csv").exists()
+
+    @pytest.mark.parametrize("margin", [None, 0.09])
+    def test_every_cell_reads_back_as_the_level_set(self, tmp_path, margin):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CONFIG_SMALL.replace("n = 50000", "n = 5000")
+                       .replace("read_noise_sigma_nm = 0.0", "read_noise_sigma_nm = 0.05"))
+        sweep = tmp_path / "sweep.csv"
+        assert main(["--out-dir", str(tmp_path), "--seed", "5", "simulate",
+                     "--config", str(cfg), "--out", str(sweep)]) == 0
+        argv = ["--out-dir", str(tmp_path), "levels", "--input", str(sweep)]
+        assert main(argv + ([] if margin is None else ["--margin", str(margin)])) == 0
+        for curve in parse_sweep_csv(sweep):
+            levels = s0_filter(curve) if margin is None else s0_filter_with_margin(curve,
+                                                                                    margin)
+            lines = (tmp_path / f"levels_{curve.t_p * 1e6:g}us.csv").read_text().splitlines()
+            assert lines[0] == "V_p_V,value,level_index"
+            rows = [line.split(",") for line in lines[1:]]
+            assert np.array([float(r[0]) for r in rows]).tobytes() == levels.v_p.tobytes()
+            assert np.array([float(r[1]) for r in rows]).tobytes() == levels.values.tobytes()
+            assert [int(r[2]) for r in rows] == levels.level_index.tolist()
 
     def test_margin_flag(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"

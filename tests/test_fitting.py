@@ -17,7 +17,7 @@ from ferrocal.config import RunConfig
 from ferrocal.simulate import run_protocol_sweep, sample_ensemble
 
 from anchors import (DENSE_GRID, ORACLE_MODEL_ZERO_CROSSING, ROW_500US, TABLE_ROWS,
-                     synthetic_curve)
+                     naive_single_crossing, synthetic_curve)
 
 
 class TestFitLorentzianCdf:
@@ -101,6 +101,18 @@ class TestFitLorentzianCdf:
         assert converged
         assert mu == pytest.approx(fit.mu, rel=1e-9)
         assert w == pytest.approx(fit.w, rel=1e-9)
+
+    @pytest.mark.parametrize("seed, outlier, message", [
+        (21, 0.0, "diverged"), (2717, 0.125, "singular normal equations")])
+    def test_outlier_seeded_divergence_is_a_fit_error(self, seed, outlier, message):
+        # an outlier above mid-span near the low end seeds mu at the outlier;
+        # the fit then runs off to a step (non-finite V50, or no curvature)
+        rng = np.random.default_rng(seed)
+        curve = [synthetic_curve(row, grid=np.linspace(0.5, 9.0, 40), sigma=0.05, rng=rng)
+                 for row in TABLE_ROWS[:2]][1]
+        curve.values[5] = outlier
+        with np.errstate(invalid="ignore"), pytest.raises(FitError, match=message):
+            fit_lorentzian_cdf(curve)
 
     @pytest.mark.parametrize("lock", [None, ROW_500US[1:3]], ids=["free", "locked"])
     def test_exhausted_budget_raises_fit_error_with_best_fit(self, monkeypatch, lock):
@@ -337,6 +349,24 @@ class TestMarkers:
         assert curve_markers(noisy).vc_mech == pytest.approx(ORACLE_MODEL_ZERO_CROSSING,
                                                              abs=6 * 0.05 / 6.09 + 0.005)
         assert curve_markers(clean).vc_mech == zero_crossing(clean)
+
+    # samples drawn from a few levels around zero give runs of exact zeros,
+    # ties and sign changes; tiny magnitudes make d[i] * d[i+1] underflow
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.sampled_from([-2.0, -1.0, 0.0, -0.0, 1.0, 2.0,
+                                                      1e-200, -1e-200]),
+                                     st.floats(-3.0, 3.0)), max_size=12),
+           level=st.sampled_from([0.0, 1.0, -0.5]))
+    def test_single_crossing_matches_the_sample_walk(self, values, level):
+        v = np.cumsum(np.linspace(0.5, 1.5, len(values))) + 0.25
+        y = np.array(values, dtype=float)
+        outcomes = []
+        for crossing in (fitting._single_crossing, naive_single_crossing):
+            try:
+                outcomes.append(np.float64(crossing(v, y, level)).tobytes())
+            except (MarkerAbsentError, AmbiguousMarkerError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_curve_markers_helper(self):
         c = synthetic_curve(ROW_500US)

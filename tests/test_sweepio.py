@@ -1,13 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ferrocal import (ConfigError, LorentzianFit, ParseError,
-                      SwitchCurve, emit_fit_report, emit_plotdata, emit_sweep_csv,
-                      parse_fit_report, parse_sweep_csv, s0_filter)
+from ferrocal import (ConfigError, LevelSet, LorentzianFit, MerzRegression, ParseError,
+                      SwitchCurve, ThresholdDistribution, emit_fit_report, emit_plotdata,
+                      emit_sweep_csv, master_curve, parse_fit_report, parse_sweep_csv,
+                      s0_filter, threshold_pdf)
+from ferrocal.cli import main
 from ferrocal.kinetics import regress_mu_fixed_tau
 from ferrocal.sweepio import emit_merz_report
 
-from anchors import PUB_TAU_INF, TABLE_ROWS, synthetic_curve
+from anchors import (PUB_TAU_INF, TABLE_ROWS, naive_parse_sweep_csv, naive_plot_text,
+                     naive_sweep_csv_text, synthetic_curve)
+
+# finite floats with the edge cases of shortest round-trip formatting drawn
+# often: signed zeros, subnormals, extremes and 17-significant-digit values
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, -1e300,
+                     1.7976931348623157e308, 0.1, 1.0000000000000002, 123456789.12345679,
+                     9007199254740993.0, 1e16, 1e-5]),
+    st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE_FLOATS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 2.2250738585072014e-308, 0.1, 1.0000000000000002,
+                     1e300, 1.7976931348623157e308]),
+    st.floats(min_value=5e-324, allow_infinity=False))
 
 
 class TestSweepCsvRoundTrip:
@@ -106,6 +123,201 @@ class TestSweepCsvParsing:
         assert np.array_equal(curves[0].values, [0.0, 2.0])
 
 
+def outcome(parse, path):
+    """Curves as (t_p, kind, v_p bytes, value bytes), or the ParseError raised."""
+    try:
+        return [(c.t_p, c.observable_kind, c.v_p.tobytes(), c.values.tobytes())
+                for c in parse(path)]
+    except ParseError as exc:
+        return exc
+
+
+# the literals float() reads and the whole-column reader does not
+NARROWED = ("1_0", "\uff15")
+
+# cells of one data row: pulse widths from a few groups (so groups
+# interleave), several spellings of one number, and malformed cells
+TP_CELLS = st.sampled_from(["10", "500", "1e1", " 500 ", '"10"', "+500.0", "0.1"])
+BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", " NaN", "", "abc", "#", "#5", "0", "-1",
+                             "1e400", '""', '"1,5"', "1.5.2", "0x10", *NARROWED])
+
+
+@st.composite
+def sweep_files(draw):
+    """Text of a sweep file: mostly well-formed rows, with blank and
+    whitespace-only lines, CRLF, no final newline, and malformed rows."""
+    bad_rate = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    last_v = {}
+    lines = ["t_p_us,V_p_V," + draw(st.sampled_from(["delta_nm", "dP_uC_cm2"]))]
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["row", "row", "row", "row", "blank", "space"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  \t "])))
+            continue
+        tp = draw(TP_CELLS)
+        key = float(tp.strip().strip('"'))
+        step = draw(st.sampled_from([0.5, 0.005, 1e-9]))
+        if draw(st.floats(0, 1)) < bad_rate:
+            step = draw(st.sampled_from([0.0, -0.5]))  # repeated or decreasing V_p
+        v = last_v.get(key, 0.25) + step
+        last_v[key] = max(v, last_v.get(key, 0.25))
+        value = draw(EDGE_FLOATS)
+        cells = [tp, draw(st.sampled_from([repr(v), f" {v!r}", f'"{v!r}"', f"{v:.17e}"])),
+                 draw(st.sampled_from([repr(value), f"{value!r} ", f'"{value!r}"']))]
+        if draw(st.floats(0, 1)) < bad_rate:
+            cells[draw(st.integers(0, 2))] = draw(BAD_CELLS)
+        if draw(st.floats(0, 1)) < bad_rate:
+            cells = cells[:draw(st.integers(0, 4))] + ["1"] * draw(st.integers(0, 1))
+        lines.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+class TestSweepCsvProperties:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=sweep_files())
+    def test_whole_column_reader_matches_the_row_reader(self, tmp_path, text):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(text.encode())
+        got, ref = outcome(parse_sweep_csv, path), outcome(naive_parse_sweep_csv, path)
+        if any(literal in text for literal in NARROWED):
+            # accepted alike, or rejected with a line number
+            assert got == ref or (isinstance(got, ParseError) and got.line is not None)
+            return
+        if isinstance(ref, ParseError):
+            assert isinstance(got, ParseError), got
+            assert (got.line, str(got)) == (ref.line, str(ref))
+        else:
+            assert got == ref
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(v_p=st.lists(POSITIVE_FLOATS, min_size=1, max_size=30, unique=True),
+           values=st.lists(EDGE_FLOATS, min_size=30, max_size=30),
+           kind=st.sampled_from(["displacement", "polarization_change"]),
+           t_p=POSITIVE_FLOATS)
+    def test_emit_parse_round_trips_v_p_and_values_bit_exactly(self, tmp_path, v_p, values,
+                                                              kind, t_p):
+        v_p = np.sort(v_p)
+        odd = [SwitchCurve(t_p=t_p, v_p=v_p, values=values[:v_p.size], observable_kind=kind)]
+        assert emit_sweep_csv(tmp_path / "odd.csv", odd).read_text() == \
+            naive_sweep_csv_text(odd)
+        # t_p is left out of the round trip: the us -> s hop can move it one ulp
+        curves = [SwitchCurve(t_p=t_p, v_p=v_p, values=values[:v_p.size],
+                              observable_kind=kind) for t_p in (1e-5, 5e-4)]
+        path = emit_sweep_csv(tmp_path / "rt.csv", curves)
+        assert path.read_text() == naive_sweep_csv_text(curves)
+        for orig, back in zip(curves, parse_sweep_csv(path)):
+            assert back.v_p.tobytes() == orig.v_p.tobytes()
+            assert back.values.tobytes() == orig.values.tobytes()
+            assert back.observable_kind == kind
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("500,1_0,1\n", 2, "unsupported numeric literal"),
+        ("500,1.0,1\n500,\uff12,1\n", 3, "unsupported numeric literal"),
+        ("500,1.0,1\n500,\x1c2,1\n", 3, "unsupported control character"),
+        ("500,1.0,1\n\x1f\n", 3, "unsupported control character"),
+    ], ids=["underscore", "full-width-digit", "separator-in-cell", "separator-line"])
+    def test_narrowed_literals_are_errors_with_a_line(self, tmp_path, text, line, message):
+        path = tmp_path / "in.csv"
+        path.write_text("t_p_us,V_p_V,delta_nm\n" + text)
+        with pytest.raises(ParseError, match=message) as err:
+            parse_sweep_csv(path)
+        assert err.value.line == line
+
+    def test_header_only_file_raises_no_warning(self, tmp_path, recwarn):
+        path = tmp_path / "in.csv"
+        for body in ("", "\n", "\r\n  \n\t\n"):
+            path.write_text("t_p_us,V_p_V,delta_nm\n" + body)
+            with pytest.raises(ParseError, match="no data rows"):
+                parse_sweep_csv(path)
+        assert not recwarn.list
+
+
+class TestCliFuzz:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=sweep_files(), command=st.sampled_from(["fit", "levels"]),
+           noise=st.sampled_from([0.0, 0.05, 3.0]), outliers=st.lists(EDGE_FLOATS, max_size=3),
+           seed=st.integers(0, 2**16))
+    def test_fit_and_levels_exit_with_a_documented_code(self, tmp_path, capsys, text,
+                                                        command, noise, outliers, seed):
+        # even seeds read fuzzed rows; odd seeds a two-curve model sweep with
+        # read noise and a few arbitrary finite outliers, so that the fits run
+        # on hostile values
+        path = tmp_path / "fuzz.csv"
+        if seed % 2:
+            rng = np.random.default_rng(seed)
+            curves = [synthetic_curve(row, grid=np.linspace(0.5, 9.0, 40), sigma=noise,
+                                      rng=rng) for row in TABLE_ROWS[:2]]
+            for y in outliers:
+                curves[rng.integers(2)].values[rng.integers(40)] = y
+            emit_sweep_csv(path, curves)
+        else:
+            path.write_bytes(text.encode())
+        code = main(["--out-dir", str(tmp_path / "out"), command, "--input", str(path)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestEmitterEquivalence:
+    """Every writer gives the bytes of the per-row reference formatter."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(v_p=st.lists(POSITIVE_FLOATS, min_size=1, max_size=20, unique=True),
+           values=st.lists(EDGE_FLOATS, min_size=20, max_size=20),
+           params=st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(-2, 2),
+                            st.floats(1e-3, 1.0)))
+    def test_fit_overlay_and_pdf(self, tmp_path, v_p, values, params):
+        curve = SwitchCurve(t_p=1e-4, v_p=np.sort(v_p), values=values[:len(v_p)])
+        y0, a, mu, w = params
+        fit = LorentzianFit.from_params(y0, a, mu, w, 0.0, 1e-4)
+        with np.errstate(all="ignore"):
+            emit_plotdata("fit-overlay", [(curve, fit)], tmp_path)
+            model = fit.displacement(curve.v_p)
+        assert (tmp_path / "fit_overlay_100us.dat").read_text() == naive_plot_text(
+            ["V_p_V", "value", "model"], [curve.v_p, curve.values, model])
+        emit_plotdata("pdf", [fit], tmp_path)
+        x = np.linspace(mu - 10 * w, mu + 10 * w, 1001)
+        assert (tmp_path / "pdf_100us.dat").read_text() == naive_plot_text(
+            ["log10_V", "density_per_decade"],
+            [x, threshold_pdf(ThresholdDistribution(mu, w), x)])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cells=st.lists(EDGE_FLOATS, min_size=0, max_size=40))
+    def test_collapse_merz_line_and_staircase(self, tmp_path, cells):
+        rows = np.array(cells[:len(cells) // 2 * 2], dtype=float).reshape(-1, 2)
+        with np.errstate(all="ignore"):
+            emit_plotdata("collapse", rows, tmp_path)
+            master = master_curve(rows[:, 0])
+        assert (tmp_path / "collapse.dat").read_text() == naive_plot_text(
+            ["z", "s_bar", "master"], [rows[:, 0], rows[:, 1], master])
+
+        x = np.array(cells, dtype=float)
+        points = [(abs(c) or 1e-6, -c) for c in cells]
+        alpha = 3.62
+        reg = MerzRegression(alpha=alpha, tau_inf=1.4e-14, mu_star=1.07, slope=-1 / alpha,
+                             r_squared=0.5, x_values=x)
+        with np.errstate(all="ignore"):
+            emit_plotdata("merz-line", (reg, points), tmp_path)
+            columns = [[p[0] * 1e6 for p in points], x, [p[1] for p in points], reg.mu_fit()]
+        assert (tmp_path / "merz_line.dat").read_text() == naive_plot_text(
+            ["t_p_us", "X", "mu", "mu_fit"], columns)
+
+        ordered = np.sort(x)
+        levels = LevelSet(v_p=ordered, values=ordered, level_index=np.arange(1, x.size + 1),
+                          source_count=x.size)
+        emit_plotdata("staircase", levels, tmp_path)
+        assert (tmp_path / "staircase.dat").read_text() == naive_plot_text(
+            ["V_p_V", "value", "level_index"], [ordered, ordered, levels.level_index])
+
+
 class TestFitReport:
     def fits(self):
         return [LorentzianFit.from_params(row[1], row[2], row[3], row[4], 0.123, row[0])
@@ -113,7 +325,7 @@ class TestFitReport:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "report.csv"
-        emit_fit_report(path, self.fits(), vc_mech=[row[6] for row in TABLE_ROWS])
+        emit_fit_report(path, self.fits(), markers=[row[6] for row in TABLE_ROWS])
         rows = parse_fit_report(path)
         assert len(rows) == 5
         for (fit, vc), row in zip(rows, TABLE_ROWS):
@@ -124,14 +336,14 @@ class TestFitReport:
 
     def test_absent_marker_round_trips_as_none(self, tmp_path):
         path = tmp_path / "report.csv"
-        emit_fit_report(path, self.fits()[:1], vc_mech=[None])
+        emit_fit_report(path, self.fits()[:1], markers=[None])
         assert parse_fit_report(path)[0][1] is None
 
     @pytest.mark.parametrize("column", range(8))
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_reports_line(self, tmp_path, column, bad):
         path = tmp_path / "report.csv"
-        emit_fit_report(path, self.fits()[:2], vc_mech=[row[6] for row in TABLE_ROWS[:2]])
+        emit_fit_report(path, self.fits()[:2], markers=[row[6] for row in TABLE_ROWS[:2]])
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
         cells[column] = bad
