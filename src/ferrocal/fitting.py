@@ -7,7 +7,11 @@ half-saturation crossing) and affine mapping between observables.
 
 Every fit runs through one numpy engine, ``_varpro``: variable projection
 (Golub & Pereyra 1973) eliminates the linear (y0, A), and Levenberg-Marquardt
-steps along Kaufman's projected Jacobian move the per-curve (mu, log w).
+steps along Kaufman's projected Jacobian move the per-curve (mu, log w). The
+engine builds that Jacobian's normal equations from per-curve sums and never
+forms the dense N x 2m matrix. A rank guard on those sums, and a check for a
+non-finite cost, gradient or normal matrix, turn a singular or diverging fit
+into a FitError.
 
 Coercive voltages are always interpolated from the data, never evaluated on
 the fitted symmetric model: measured curves carry a small positive/negative
@@ -113,6 +117,15 @@ def _default_init(x, y):
     return mu, w
 
 
+_SINGULAR = ("singular normal equations: the data do not constrain (mu, w) near the "
+             "current estimate")
+
+# a diagonal of the reduced normal matrix at or below this fraction of the
+# same diagonal of J0'J0 marks a singular problem (see _varpro)
+_RANK_RATIO = 1e-8
+
+
+@np.errstate(all="ignore")
 def _varpro(xs, ys, mus, ws, lock=None):
     """Levenberg-Marquardt fit of m curves y_j = y0 + a*S(x_j; mu_j, w_j).
 
@@ -122,53 +135,94 @@ def _varpro(xs, ys, mus, ws, lock=None):
     [1, S] c = y through the QR factors of [1, S], whose Gram-Schmidt
     columns are 1/sqrt(N) and s_c/|s_c| with s_c = S - mean(S). The damped
     Gauss-Newton steps then move only theta = (mu_j, log w_j), along
-    Kaufman's Jacobian (BIT 15:49, 1975): dr/dtheta at fixed (y0, a),
-    projected off span[1, S], which gives the exact gradient. ``lock``
-    fixes (y0, a) and skips the linear solve.
+    Kaufman's Jacobian (BIT 15:49, 1975): J = P J0, the Jacobian J0 =
+    dr/dtheta at fixed (y0, a) projected by P = I - 11'/N - s_c s_c'/|s_c|^2
+    off span[1, S], which gives the exact gradient. ``lock`` fixes (y0, a),
+    skips the linear solve and leaves J = J0.
+
+    J is never formed. A row of J0 holds two nonzeros, g/w_j and g*u with
+    u = (x - mu_j)/w_j and g = -a/(pi*(1 + u^2)), in the columns of its own
+    curve, and each curve is one contiguous block of rows. So J0'J0 is 2x2
+    block-diagonal, and with c1 = 1'J0 and c2 = s_c'J0
+
+        J'J = J0'J0 - c1 c1'/N - c2 c2'/|s_c|^2
+        J'r = J0'r - c1 mean(r) - c2 (s_c'r)/|s_c|^2,
+
+    where every term is a per-curve sum, taken by one np.add.reduceat over
+    the block starts. The residual r of the linear solve is orthogonal to 1
+    and s_c in exact arithmetic, so the two gradient corrections only remove
+    what rounding leaves in r, as an explicit projection would. Trial steps
+    evaluate residuals only; the normal equations are built at accepted
+    points.
+
+    The corrections subtract where a projection would not, so cancellation
+    can hide a singular problem: a diagonal of J'J not above _RANK_RATIO of
+    the same diagonal of J0'J0 raises FitError, as does a non-finite cost,
+    gradient or normal matrix (the engine runs with numpy's floating-point
+    warnings off and checks these instead).
 
     Returns ((y0, a), mus, ws, residuals, converged); converged is False when
     _MAX_ITER evaluations per curve were spent first.
     """
     m = len(xs)
+    sizes = [xj.size for xj in xs]
     x, y = np.concatenate(xs), np.concatenate(ys)
-    block = np.repeat(np.arange(m), [xj.size for xj in xs])
-    rows = np.arange(x.size)
+    block = np.repeat(np.arange(m), sizes)
+    starts = np.cumsum([0] + sizes[:-1])
     # residuals from centred data: y - mean(y) is exact wherever the samples
     # lie within a factor of two of their mean, so an offset costs no digits
     y_mean = y.mean()
     y_c = y - y_mean
+    ones = np.ones(x.size)
 
-    def evaluate(theta):
+    def residuals(theta):
+        """(y0, a), r and what the normal equations reuse: (w, u, s_c, |s_c|^2)."""
         w = np.exp(theta[m:])[block]
         u = (x - theta[:m][block]) / w
         s = 0.5 + np.arctan(u) / math.pi
-        if lock is None:
-            s_c = s - s.mean()
-            a = (s_c @ y_c) / (s_c @ s_c)
-            y0 = y_mean - a * s.mean()
-            r = a * s_c - y_c
-        else:
+        if lock is not None:
             y0, a = lock
-            r = y0 + a * s - y
-        dr_du = -a / (math.pi * (1.0 + u * u))
-        jac = np.zeros((x.size, 2 * m))
-        jac[rows, block] = dr_du / w
-        jac[rows, m + block] = dr_du * u
-        if lock is None:
-            jac -= jac.mean(axis=0)
-            jac -= np.outer(s_c, (s_c @ jac) / (s_c @ s_c))
-        return (y0, a), r, jac
+            return (y0, a), y0 + a * s - y, (w, u, None, None)
+        s_c = s - s.mean()
+        ss = s_c @ s_c
+        a = (s_c @ y_c) / ss
+        return (y_mean - a * s.mean(), a), a * s_c - y_c, (w, u, s_c, ss)
+
+    def normal_equations(a, r, w, u, s_c, ss):
+        """J'J and J'r from per-curve sums."""
+        g = -a / (math.pi * (1.0 + u * u))
+        cols = np.stack([g / w, g * u])  # the two nonzeros of each row of J0
+        v = np.vstack([cols, r] if s_c is None else [cols, r, ones, s_c])
+        # sums[i, k, j]: the sum over curve j of cols[i] * v[k]
+        sums = np.add.reduceat(cols[:, None] * v, starts, axis=2)
+        gram = (np.diag(np.concatenate([sums[0, 0], sums[1, 1]]))
+                + np.diag(sums[0, 1], m) + np.diag(sums[1, 0], -m))  # J0'J0
+        hess, grad = gram, sums[:, 2].ravel()
+        if s_c is not None:
+            c1, c2 = sums[:, 3].ravel(), sums[:, 4].ravel()
+            hess = gram - np.outer(c1, c1) / r.size - np.outer(c2, c2) / ss
+            grad = grad - c1 * r.mean() - c2 * ((s_c @ r) / ss)
+        if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
+            raise FitError("fit diverged: the gradient or normal matrix is not finite")
+        if not np.all(np.diag(hess) > _RANK_RATIO * np.diag(gram)):
+            raise FitError(_SINGULAR)
+        return hess, grad
+
+    def checked_cost(r):
+        cost = r @ r
+        if not np.isfinite(cost):
+            raise FitError("fit diverged: the cost is not finite")
+        return cost
 
     theta = np.concatenate([mus, np.log(ws)])
-    lin, r, jac = evaluate(theta)
-    cost, damping, converged = r @ r, 1e-3, False
+    lin, r, aux = residuals(theta)
+    cost, damping, converged = checked_cost(r), 1e-3, False
+    hess, grad = normal_equations(lin[1], r, *aux)
     for _ in range(_MAX_ITER * m - 1):
-        hess, grad = jac.T @ jac, jac.T @ r
         try:
             step = np.linalg.solve(hess + damping * np.diag(np.diag(hess)), -grad)
         except np.linalg.LinAlgError:
-            raise FitError("singular normal equations: the data do not constrain "
-                           "(mu, w) near the current estimate") from None
+            raise FitError(_SINGULAR) from None
         if np.linalg.norm(step) <= _FIT_TOL * (_FIT_TOL + np.linalg.norm(theta)):
             converged = True
             break
@@ -176,15 +230,17 @@ def _varpro(xs, ys, mus, ws, lock=None):
         # lost in rounding, so the cost cannot judge the step: it is taken
         # untested, and it is the last
         final = -(2.0 * grad @ step + step @ hess @ step) <= _FIT_TOL * cost
-        trial = evaluate(theta + step)
-        if final or trial[1] @ trial[1] < cost:
-            theta, (lin, r, jac) = theta + step, trial
-            cost, damping = r @ r, damping / 10.0
+        trial_lin, trial_r, trial_aux = residuals(theta + step)
+        trial_cost = checked_cost(trial_r)
+        if final:
+            theta, lin, r, converged = theta + step, trial_lin, trial_r, True
+            break
+        if trial_cost < cost:
+            theta, lin, r, cost = theta + step, trial_lin, trial_r, trial_cost
+            hess, grad = normal_equations(lin[1], r, *trial_aux)
+            damping /= 10.0
         else:
             damping *= 10.0
-        if final:
-            converged = True
-            break
     return lin, theta[:m], np.exp(theta[m:]), r, converged
 
 

@@ -105,7 +105,18 @@ def regress_mu_fixed_tau(points, tau_inf):
 
 
 def _rss_at(tp, mu, log10_tau):
-    return _ols(np.log10(np.log(tp / 10.0**log10_tau)), mu)[2]
+    """Residual sums of squares of the regression of mu on X, one for each
+    log10(tau_inf) in the array ``log10_tau`` (X runs along a new last axis):
+    the residuals of ``_ols``'s line, for the whole profile grid at once."""
+    x = np.log10(np.log(tp / 10.0 ** np.expand_dims(log10_tau, -1)))
+    dx = x - x.mean(axis=-1, keepdims=True)
+    dy = mu - mu.mean()
+    sxx = np.sum(dx * dx, axis=-1)
+    if np.any(sxx == 0.0):
+        raise ConfigError("degenerate regression: all X values identical")
+    slope = np.sum(dx * dy, axis=-1) / sxx
+    intercept = mu.mean() - slope * x.mean(axis=-1)
+    return np.sum((mu - (intercept[..., None] + slope[..., None] * x)) ** 2, axis=-1)
 
 
 def fit_merz_nested(points, tau_search=(-16.0, -10.0)):
@@ -130,7 +141,7 @@ def fit_merz_nested(points, tau_search=(-16.0, -10.0)):
     if not feasible.any():
         raise DomainError("no tau_inf in the search interval is below every t_p")
     grid = grid[feasible]
-    rss = np.array([_rss_at(tp, mu, g) for g in grid])
+    rss = _rss_at(tp, mu, grid)
     k = int(np.argmin(rss))
 
     a = grid[max(k - 1, 0)]

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ferrocal import (AmbiguousMarkerError, MarkerAbsentError, ParseError, SwitchCurve,
-                      lorentzian_displacement)
+from ferrocal import (AmbiguousMarkerError, FitError, MarkerAbsentError, ParseError,
+                      SwitchCurve, lorentzian_displacement)
+from ferrocal.fitting import _FIT_TOL, _MAX_ITER
+from ferrocal.kinetics import _GOLDEN, _ols, _split_points, regress_mu_fixed_tau
 
 # published per-pulse-width fit parameters:
 # (t_p [s], y0 [nm], A [nm], mu [decades], w [decades], V50 [V], Vc_mech [V])
@@ -205,3 +207,115 @@ def naive_plot_text(header, columns):
     for row in zip(*columns):
         lines.append(" ".join(f"{c:.10e}" for c in row) + "\n")
     return "".join(lines)
+
+
+def naive_rss_at(tp, mu, log10_tau):
+    """Reference Merz profile: the regression's residual sum of squares at
+    one log10(tau_inf), through kinetics' own OLS."""
+    return _ols(np.log10(np.log(tp / 10.0**log10_tau)), mu)[2]
+
+
+def naive_fit_merz_nested(points, tau_search=(-16.0, -10.0)):
+    """Reference for kinetics.fit_merz_nested: one scalar profile evaluation
+    per grid point, then the same golden-section refinement."""
+    tp, mu = _split_points(points)
+    lo, hi = float(tau_search[0]), float(tau_search[1])
+    log_tp_min = math.log10(tp.min())
+    grid = np.linspace(lo, hi, 121)
+    grid = grid[grid < log_tp_min]
+    rss = np.array([naive_rss_at(tp, mu, g) for g in grid])
+    k = int(np.argmin(rss))
+
+    a = grid[max(k - 1, 0)]
+    b = grid[min(k + 1, grid.size - 1)]
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = naive_rss_at(tp, mu, c), naive_rss_at(tp, mu, d)
+    while b - a > 1e-3:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = naive_rss_at(tp, mu, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = naive_rss_at(tp, mu, d)
+    best = 0.5 * (a + b)
+    return regress_mu_fixed_tau(points, 10.0**best)
+
+
+# Reference for fitting._varpro: the same iteration, with the dense N x 2m
+# projected Jacobian formed at every evaluation.
+def dense_varpro(xs, ys, mus, ws, lock=None):
+    """Levenberg-Marquardt fit of m curves y_j = y0 + a*S(x_j; mu_j, w_j).
+
+    One (y0, a) is shared by all curves; m = 1 is the single fit. The model
+    is linear in (y0, a), so variable projection (Golub & Pereyra 1973)
+    solves for them at every evaluation: the least-squares solution of
+    [1, S] c = y through the QR factors of [1, S], whose Gram-Schmidt
+    columns are 1/sqrt(N) and s_c/|s_c| with s_c = S - mean(S). The damped
+    Gauss-Newton steps then move only theta = (mu_j, log w_j), along
+    Kaufman's Jacobian (BIT 15:49, 1975): dr/dtheta at fixed (y0, a),
+    projected off span[1, S], which gives the exact gradient. ``lock``
+    fixes (y0, a) and skips the linear solve.
+
+    Returns ((y0, a), mus, ws, residuals, converged); converged is False when
+    _MAX_ITER evaluations per curve were spent first.
+    """
+    m = len(xs)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    block = np.repeat(np.arange(m), [xj.size for xj in xs])
+    rows = np.arange(x.size)
+    # residuals from centred data: y - mean(y) is exact wherever the samples
+    # lie within a factor of two of their mean, so an offset costs no digits
+    y_mean = y.mean()
+    y_c = y - y_mean
+
+    def evaluate(theta):
+        w = np.exp(theta[m:])[block]
+        u = (x - theta[:m][block]) / w
+        s = 0.5 + np.arctan(u) / math.pi
+        if lock is None:
+            s_c = s - s.mean()
+            a = (s_c @ y_c) / (s_c @ s_c)
+            y0 = y_mean - a * s.mean()
+            r = a * s_c - y_c
+        else:
+            y0, a = lock
+            r = y0 + a * s - y
+        dr_du = -a / (math.pi * (1.0 + u * u))
+        jac = np.zeros((x.size, 2 * m))
+        jac[rows, block] = dr_du / w
+        jac[rows, m + block] = dr_du * u
+        if lock is None:
+            jac -= jac.mean(axis=0)
+            jac -= np.outer(s_c, (s_c @ jac) / (s_c @ s_c))
+        return (y0, a), r, jac
+
+    theta = np.concatenate([mus, np.log(ws)])
+    lin, r, jac = evaluate(theta)
+    cost, damping, converged = r @ r, 1e-3, False
+    for _ in range(_MAX_ITER * m - 1):
+        hess, grad = jac.T @ jac, jac.T @ r
+        try:
+            step = np.linalg.solve(hess + damping * np.diag(np.diag(hess)), -grad)
+        except np.linalg.LinAlgError:
+            raise FitError("singular normal equations: the data do not constrain "
+                           "(mu, w) near the current estimate") from None
+        if np.linalg.norm(step) <= _FIT_TOL * (_FIT_TOL + np.linalg.norm(theta)):
+            converged = True
+            break
+        # a cost decrease the linear model puts below _FIT_TOL of the cost is
+        # lost in rounding, so the cost cannot judge the step: it is taken
+        # untested, and it is the last
+        final = -(2.0 * grad @ step + step @ hess @ step) <= _FIT_TOL * cost
+        trial = evaluate(theta + step)
+        if final or trial[1] @ trial[1] < cost:
+            theta, (lin, r, jac) = theta + step, trial
+            cost, damping = r @ r, damping / 10.0
+        else:
+            damping *= 10.0
+        if final:
+            converged = True
+            break
+    return lin, theta[:m], np.exp(theta[m:]), r, converged

@@ -284,6 +284,22 @@ class TestExitCodes:
         assert "line 501: non-finite value" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("value", ["1e308", "-1e200"])
+    def test_hostile_value_is_a_fit_error_without_warnings(self, tmp_path, value):
+        sweep = tmp_path / "sweep.csv"
+        emit_sweep_csv(sweep, [synthetic_curve(row) for row in TABLE_ROWS[-2:]])
+        lines = sweep.read_text().splitlines()
+        lines[800] = lines[800].rsplit(",", 1)[0] + "," + value
+        sweep.write_text("\n".join(lines) + "\n")
+        for extra in ([], ["--share-offsets"]):
+            proc = subprocess.run([sys.executable, "-m", "ferrocal", "--out-dir", str(tmp_path),
+                                   "fit", "--input", str(sweep)] + extra,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 1
+            assert "fit diverged" in proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+            assert "Traceback" not in proc.stderr
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 

@@ -17,7 +17,7 @@ from ferrocal.config import RunConfig
 from ferrocal.simulate import run_protocol_sweep, sample_ensemble
 
 from anchors import (DENSE_GRID, ORACLE_MODEL_ZERO_CROSSING, ROW_500US, TABLE_ROWS,
-                     naive_single_crossing, synthetic_curve)
+                     dense_varpro, naive_single_crossing, synthetic_curve)
 
 
 class TestFitLorentzianCdf:
@@ -273,6 +273,41 @@ class TestAgainstTrf:
                                np.mean([p[0] for p in seeds]), np.mean([p[1] for p in seeds]),
                                [p[2][0] for p in seeds], [p[3][0] for p in seeds])
         self.assert_no_worse(_cost(curves, fit_family(curves, share_offsets=True)), trf_cost)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_rank_guard_has_headroom(self, monkeypatch, kind):
+        # the guard fires when a reduced diagonal falls to _RANK_RATIO of its
+        # unprojected value; these fits pass with the threshold 1e7 times higher
+        monkeypatch.setattr(fitting, "_RANK_RATIO", 0.1)
+        curves = _family(kind)
+        fits = fit_family(curves, share_offsets=True)
+        for curve in curves:
+            fit_lorentzian_cdf(curve, lock=(fits[0].y0, fits[0].a))
+        fit_family(curves)
+
+
+class TestEngineEquivalence:
+    """The block-sum engine against the dense projected Jacobian it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.sampled_from(TABLE_ROWS), min_size=1, max_size=6),
+           sizes=st.lists(st.integers(40, 2000), min_size=6, max_size=6),
+           sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0),
+           locked=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_engine(self, rows, sizes, sigma, locked, seed):
+        rng = np.random.default_rng(seed)
+        curves = [synthetic_curve(row, grid=np.linspace(0.5, 9.0, n), sigma=sigma, rng=rng)
+                  for row, n in zip(rows, sizes)]
+        xs, ys = [np.log10(c.v_p) for c in curves], [c.values for c in curves]
+        mus, ws = zip(*(fitting._default_init(x, y) for x, y in zip(xs, ys)))
+        lock = (np.mean([r[1] for r in rows]), np.mean([r[2] for r in rows])) if locked else None
+        (y0, a), mu, w, r, converged = fitting._varpro(xs, ys, mus, ws, lock)
+        (y0_ref, a_ref), mu_ref, w_ref, r_ref, converged_ref = dense_varpro(xs, ys, mus, ws, lock)
+        assert converged == converged_ref
+        new = np.concatenate([[y0, a], mu, w])
+        ref = np.concatenate([[y0_ref, a_ref], mu_ref, w_ref])
+        assert np.all(np.abs(new - ref) <= 1e-10 * np.abs(ref))
+        assert r @ r <= (r_ref @ r_ref) * (1 + 1e-12) + 1e-22
 
 
 class TestMarkers:

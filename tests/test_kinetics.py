@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ferrocal import kinetics
 from ferrocal import (ConfigError, DomainError, SwitchCurve, collapse_rms,
                       collapse_transform, fit_lorentzian_cdf, fit_merz_nested,
                       master_curve, regress_mu_fixed_tau, threshold_voltage)
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_R2, ORACLE_SLOPE, ORACLE_X,
-                     PUB_ALPHA, PUB_TAU_INF, ROW_500US, TABLE_ROWS, synthetic_curve)
+                     PUB_ALPHA, PUB_TAU_INF, ROW_500US, TABLE_ROWS, naive_fit_merz_nested,
+                     naive_rss_at, synthetic_curve)
 
 POINTS = [(row[0], row[3]) for row in TABLE_ROWS]
 
@@ -90,6 +94,36 @@ class TestFitMerzNested:
         reg2 = fit_merz_nested(scaled, tau_search=(-16.0 + shift, -10.0 + shift))
         assert reg2.alpha == pytest.approx(reg.alpha, abs=2e-3)
         assert math.log10(reg2.tau_inf) - math.log10(reg.tau_inf) == pytest.approx(shift, abs=5e-3)
+
+    def test_published_points_match_the_scalar_profile_bit_for_bit(self):
+        fast, ref = fit_merz_nested(POINTS), naive_fit_merz_nested(POINTS)
+        for field in ("alpha", "tau_inf", "mu_star", "slope", "r_squared", "degenerate"):
+            assert getattr(fast, field) == getattr(ref, field)
+        assert np.array_equal(fast.x_values, ref.x_values)
+
+    # families of 3-8 pulse widths near a Merz law, with Gaussian scatter of
+    # up to 0.02 decades: interior and boundary profile minima both occur.
+    # The profile's tolerance is relative to the total sum of squares, which
+    # bounds every profile value.
+    @settings(max_examples=150, deadline=None)
+    @given(log_tp=st.lists(st.floats(-7.0, -2.0), min_size=3, max_size=8,
+                           unique_by=lambda v: round(v, 3)),
+           alpha=st.floats(2.0, 6.0), log_tau=st.floats(-16.0, -11.0),
+           mu_star=st.floats(0.8, 1.4), scatter=st.floats(0.0, 0.02),
+           seed=st.integers(0, 2**32 - 1))
+    def test_profile_matches_the_scalar_profile(self, log_tp, alpha, log_tau, mu_star,
+                                                scatter, seed):
+        tp = 10.0 ** np.array(log_tp)
+        mu = (mu_star - np.log10(np.log(tp / 10.0**log_tau)) / alpha
+              + scatter * np.random.default_rng(seed).standard_normal(tp.size))
+        grid = np.linspace(-16.0, -10.0, 121)  # every point lies below every t_p
+        ss_tot = float(np.sum((mu - mu.mean()) ** 2))
+        profile = kinetics._rss_at(tp, mu, grid)
+        reference = np.array([naive_rss_at(tp, mu, g) for g in grid])
+        assert np.all(np.abs(profile - reference) <= 1e-12 * ss_tot)
+        points = list(zip(tp, mu))
+        fast, ref = fit_merz_nested(points), naive_fit_merz_nested(points)
+        assert abs(math.log10(fast.tau_inf) - math.log10(ref.tau_inf)) <= 1e-3
 
     def test_empty_feasible_interval(self):
         with pytest.raises(DomainError):
