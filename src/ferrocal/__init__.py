@@ -15,10 +15,9 @@ from .fitting import (AffineMap, CurveMarkers, LorentzianFit, affine_map_fit,
                       half_saturation_crossing, zero_crossing)
 from .kinetics import (MerzRegression, collapse_rms, collapse_transform, fit_merz_nested,
                        master_curve, regress_mu_fixed_tau)
-from .levels import (LevelSet, Staircase, achieved_weight, count_dac_levels,
-                     dac_code_voltages, dac_nearest_code, dac_voltage,
-                     program_voltage_for_weight, s0_filter, s0_filter_with_margin,
-                     staircase_of)
+from .levels import (LevelSet, achieved_weight, count_dac_levels, dac_code_voltages,
+                     dac_nearest_code, dac_voltage, program_voltage_for_weight,
+                     s0_filter, s0_filter_with_margin)
 from .model import (DeviceCalibration, MerzKinetics, NlsSpec, ThresholdDistribution,
                     displacement_of_fraction, lorentzian_displacement,
                     nls_switched_fraction, switched_fraction_cdf, tau_of_field,

@@ -82,8 +82,7 @@ def cmd_merz(args):
     paths = emit_merz_report(out, regression, points)
     emit_plotdata("merz-line", (regression, points), out)
     print(f"wrote {paths[0]} and {paths[1]}")
-    alpha = "inf" if regression.degenerate else f"{regression.alpha:.6g}"
-    print(f"alpha = {alpha}  slope = {regression.slope:.6g}  "
+    print(f"alpha = {regression.alpha:.6g}  slope = {regression.slope:.6g}  "
           f"mu_star = {regression.mu_star:.8g}  tau_inf_s = {regression.tau_inf:.6g}  "
           f"r_squared = {regression.r_squared:.8g}")
     if regression.degenerate:
@@ -169,6 +168,14 @@ def cmd_program(args):
     return EXIT_OK
 
 
+def _seed(text):
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _finite_float(text):
     """argparse type: one finite float."""
     try:
@@ -200,8 +207,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ferrocal",
         description="Calibration, fitting, and simulation for ferroelectric-MEMS synaptic weights")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the configured random seed")
+    parser.add_argument("--seed", type=_seed, default=None,
+                        help="override the configured random seed (>= 0)")
     parser.add_argument("--out-dir", default=None,
                         help="output directory (default: $FERROCAL_OUT_DIR or '.')")
     sub = parser.add_subparsers(dest="command", required=True)

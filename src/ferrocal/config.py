@@ -115,7 +115,8 @@ def load_config(path):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
-    parser = configparser.ConfigParser()
+    # values are read as written: '%' is a character, not an interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -173,6 +174,8 @@ def load_config(path):
         write_count=_get(parser, "protocol", "write_count", int, defaults.write_count),
         sweep=sweep,
     )
+    if cfg.seed < 0:
+        raise ConfigError(f"[run] seed must be >= 0, got {cfg.seed}")
     if cfg.ensemble_n < 1 or cfg.ensemble_w <= 0:
         raise ConfigError("[ensemble] requires n >= 1 and w > 0")
     # constructing the protocol validates pulse signs and counts

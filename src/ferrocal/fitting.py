@@ -3,7 +3,8 @@
 Implements nonlinear least squares of delta(V_p) = y0 + A*[1/2 +
 arctan((log10 V_p - mu)/w)/pi] per curve or jointly across a pulse-width
 family with shared offsets, plus raw-data marker extraction (zero crossing,
-half-saturation crossing) and affine mapping between observables.
+half-saturation crossing) and affine mapping between observables. A fit
+stores (y0, A, mu, w); V50 = 10**mu is derived from mu, never stored.
 
 Every fit runs through one numpy engine, ``_varpro``: variable projection
 (Golub & Pereyra 1973) eliminates the linear (y0, A), and Levenberg-Marquardt
@@ -38,14 +39,13 @@ _MAX_ITER = 500
 class LorentzianFit:
     """Fitted transfer-function parameters for one pulse width.
 
-    y0 (nm), a (nm), mu (decades), w (decades); v50 = 10**mu (V).
+    y0 (nm), a (nm), mu (decades), w (decades); v50 = 10**mu (V) is derived.
     """
 
     y0: float
     a: float
     mu: float
     w: float
-    v50: float
     rms_residual: float
     t_p: float
 
@@ -54,13 +54,16 @@ class LorentzianFit:
             raise ConfigError("LorentzianFit requires w > 0")
         if not self.a > 0:
             raise ConfigError("LorentzianFit requires a > 0")
-        if abs(self.v50 - 10.0**self.mu) > 1e-12 * self.v50:
-            raise ConfigError("LorentzianFit requires v50 == 10**mu")
+
+    @property
+    def v50(self):
+        """Half-switching voltage 10**mu (V)."""
+        return 10.0**self.mu
 
     @classmethod
     def from_params(cls, y0, a, mu, w, rms_residual, t_p):
         return cls(y0=float(y0), a=float(a), mu=float(mu), w=float(w),
-                   v50=10.0 ** float(mu), rms_residual=float(rms_residual), t_p=float(t_p))
+                   rms_residual=float(rms_residual), t_p=float(t_p))
 
     def displacement(self, v_p):
         """Evaluate the fitted model at V_p."""
@@ -126,7 +129,7 @@ _RANK_RATIO = 1e-8
 
 
 @np.errstate(all="ignore")
-def _varpro(xs, ys, mus, ws, lock=None):
+def _varpro(xs, ys, mus, ws):
     """Levenberg-Marquardt fit of m curves y_j = y0 + a*S(x_j; mu_j, w_j).
 
     One (y0, a) is shared by all curves; m = 1 is the single fit. The model
@@ -137,8 +140,7 @@ def _varpro(xs, ys, mus, ws, lock=None):
     Gauss-Newton steps then move only theta = (mu_j, log w_j), along
     Kaufman's Jacobian (BIT 15:49, 1975): J = P J0, the Jacobian J0 =
     dr/dtheta at fixed (y0, a) projected by P = I - 11'/N - s_c s_c'/|s_c|^2
-    off span[1, S], which gives the exact gradient. ``lock`` fixes (y0, a),
-    skips the linear solve and leaves J = J0.
+    off span[1, S], which gives the exact gradient.
 
     J is never formed. A row of J0 holds two nonzeros, g/w_j and g*u with
     u = (x - mu_j)/w_j and g = -a/(pi*(1 + u^2)), in the columns of its own
@@ -180,9 +182,6 @@ def _varpro(xs, ys, mus, ws, lock=None):
         w = np.exp(theta[m:])[block]
         u = (x - theta[:m][block]) / w
         s = 0.5 + np.arctan(u) / math.pi
-        if lock is not None:
-            y0, a = lock
-            return (y0, a), y0 + a * s - y, (w, u, None, None)
         s_c = s - s.mean()
         ss = s_c @ s_c
         a = (s_c @ y_c) / ss
@@ -192,16 +191,14 @@ def _varpro(xs, ys, mus, ws, lock=None):
         """J'J and J'r from per-curve sums."""
         g = -a / (math.pi * (1.0 + u * u))
         cols = np.stack([g / w, g * u])  # the two nonzeros of each row of J0
-        v = np.vstack([cols, r] if s_c is None else [cols, r, ones, s_c])
+        v = np.vstack([cols, r, ones, s_c])
         # sums[i, k, j]: the sum over curve j of cols[i] * v[k]
         sums = np.add.reduceat(cols[:, None] * v, starts, axis=2)
         gram = (np.diag(np.concatenate([sums[0, 0], sums[1, 1]]))
                 + np.diag(sums[0, 1], m) + np.diag(sums[1, 0], -m))  # J0'J0
-        hess, grad = gram, sums[:, 2].ravel()
-        if s_c is not None:
-            c1, c2 = sums[:, 3].ravel(), sums[:, 4].ravel()
-            hess = gram - np.outer(c1, c1) / r.size - np.outer(c2, c2) / ss
-            grad = grad - c1 * r.mean() - c2 * ((s_c @ r) / ss)
+        c1, c2 = sums[:, 3].ravel(), sums[:, 4].ravel()
+        hess = gram - np.outer(c1, c1) / r.size - np.outer(c2, c2) / ss
+        grad = sums[:, 2].ravel() - c1 * r.mean() - c2 * ((s_c @ r) / ss)
         if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
             raise FitError("fit diverged: the gradient or normal matrix is not finite")
         if not np.all(np.diag(hess) > _RANK_RATIO * np.diag(gram)):
@@ -256,13 +253,12 @@ def _require_finite(y0, a, mus, ws, r):
         raise FitError("fit diverged: a parameter, V50 or a residual is not finite")
 
 
-def fit_lorentzian_cdf(curve, lock=None):
+def fit_lorentzian_cdf(curve):
     """Least-squares fit of one sweep to the arctangent transfer function.
 
-    ``lock`` freezes (y0, a) so only (mu, w) are free. w stays positive
-    through a log parameterization. Raises RankError on flat data and
-    FitError (carrying the best parameters reached) if the optimizer fails
-    to converge within the budget.
+    w stays positive through a log parameterization. Raises RankError on
+    flat data and FitError (carrying the best parameters reached) if the
+    optimizer fails to converge within the budget.
     """
     if curve.n_samples < 8:
         raise DomainError("fit requires >= 8 samples spanning both tails")
@@ -270,15 +266,9 @@ def fit_lorentzian_cdf(curve, lock=None):
     y = curve.values
     if np.ptp(y) == 0:
         raise RankError("flat curve cannot constrain the transfer function")
-    if lock is not None:
-        y0_l, a_l = lock
-        if a_l == 0:
-            raise RankError("locked span A = 0 is degenerate")
-        if np.ptp(y) < 0.6 * abs(a_l):
-            raise DomainError("curve covers < 60% of the locked span; tails missing")
 
     mu_i, w_i = _default_init(x, y)
-    (y0_f, a_f), (mu_f,), (w_f,), r, converged = _varpro([x], [y], [mu_i], [w_i], lock)
+    (y0_f, a_f), (mu_f,), (w_f,), r, converged = _varpro([x], [y], [mu_i], [w_i])
     _require_finite(y0_f, a_f, [mu_f], [w_f], r)
     if a_f < 0:
         # refit with the curve flipped is out of scope; report the failure

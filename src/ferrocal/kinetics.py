@@ -1,9 +1,10 @@
 """Kinetic-law extraction and the universal data collapse.
 
 The fitted medians mu(t_p) are regressed against X(t_p) =
-log10[ln(t_p/tau_inf)]; the slope is -1/alpha and the intercept mu_* =
-log10(E_a * t_film). tau_inf can be held fixed or profiled out by a 1-D
-search (coarse grid, then golden-section refinement) over log10(tau_inf).
+log10[ln(t_p/tau_inf)]; the slope is -1/alpha (alpha is derived from it) and
+the intercept mu_* = log10(E_a * t_film). tau_inf can be held fixed or
+profiled out by a 1-D search (coarse grid, then golden-section refinement)
+over log10(tau_inf).
 
 The collapse maps every sweep onto the reduced coordinates
 z = (log10 V_p - mu)/w, s_bar = (value - y0)/A, where the master curve is
@@ -33,17 +34,19 @@ S_BAR_BAND = (-0.2, 1.2)
 class MerzRegression:
     """Result of regressing medians against X = log10[ln(t_p/tau_inf)]."""
 
-    alpha: float
     tau_inf: float
     mu_star: float
     slope: float
     r_squared: float
     x_values: np.ndarray
-    degenerate: bool = False
 
-    def __post_init__(self):
-        if not self.degenerate and abs(self.slope + 1.0 / self.alpha) > 1e-12 * abs(self.slope):
-            raise ConfigError("MerzRegression requires slope == -1/alpha")
+    @property
+    def degenerate(self):
+        return abs(self.slope) < _DEGENERATE_SLOPE
+
+    @property
+    def alpha(self):
+        return math.inf if self.degenerate else -1.0 / self.slope
 
     def kinetics(self, t_film):
         """Materialize the regression as a kinetic law for a given thickness."""
@@ -97,11 +100,8 @@ def regress_mu_fixed_tau(points, tau_inf):
     x = np.log10(np.log(tp / tau_inf))
     slope, intercept, ss_res, ss_tot = _ols(x, mu)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-
-    degenerate = abs(slope) < _DEGENERATE_SLOPE
-    alpha = math.inf if degenerate else -1.0 / slope
-    return MerzRegression(alpha=alpha, tau_inf=float(tau_inf), mu_star=intercept,
-                          slope=slope, r_squared=r2, x_values=x, degenerate=degenerate)
+    return MerzRegression(tau_inf=float(tau_inf), mu_star=intercept, slope=slope,
+                          r_squared=r2, x_values=x)
 
 
 def _rss_at(tp, mu, log10_tau):
@@ -136,10 +136,12 @@ def fit_merz_nested(points, tau_search=(-16.0, -10.0)):
         raise ConfigError("tau_search interval must satisfy hi > lo")
 
     log_tp_min = math.log10(tp.min())
+    # keep t_p / tau_inf in the float range
+    lowest = max(math.log10(tp.max()) - 308.0, -307.0)
     grid = np.linspace(lo, hi, 121)
-    feasible = grid < log_tp_min
+    feasible = (grid < log_tp_min) & (grid > lowest)
     if not feasible.any():
-        raise DomainError("no tau_inf in the search interval is below every t_p")
+        raise DomainError("no tau_inf in the search interval puts every t_p/tau_inf in (1, 1e308)")
     grid = grid[feasible]
     rss = _rss_at(tp, mu, grid)
     k = int(np.argmin(rss))
@@ -172,24 +174,29 @@ def collapse_transform(curve, fit):
 
     Returns an (n, 2) array of rows (z, s_bar), z = (log10 V_p - mu)/w and
     s_bar = (value - y0)/A, one per sample. The fit must belong to the
-    curve's pulse width, and every z must be finite.
+    curve's pulse width, and every z and s_bar must be finite.
     """
     if not math.isclose(curve.t_p, fit.t_p, rel_tol=1e-9):
         raise DomainError(f"fit is for t_p={fit.t_p}, curve has t_p={curve.t_p}")
-    z = (np.log10(curve.v_p) - fit.mu) / fit.w
-    if not np.all(np.isfinite(z)):
-        raise DomainError("collapse requires finite z")
-    s_bar = (curve.values - fit.y0) / fit.a
-    return np.column_stack((z, s_bar))
+    with np.errstate(over="ignore"):
+        points = np.column_stack(((np.log10(curve.v_p) - fit.mu) / fit.w,
+                                  (curve.values - fit.y0) / fit.a))
+    if not np.all(np.isfinite(points)):
+        raise DomainError("collapse requires finite z and s_bar")
+    return points
 
 
 def collapse_rms(points):
     """RMS deviation from the master curve of (z, s_bar) rows: an (N, 2)
-    array or a sequence of pairs."""
+    array or a sequence of pairs. DomainError when it overflows."""
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         raise ConfigError("collapse_rms requires >= 1 point")
     if points.ndim != 2 or points.shape[1] != 2:
         raise ConfigError("collapse points must be (z, s_bar) rows")
     z, s = points.T.copy()
-    return float(np.sqrt(np.mean((s - master_curve(z)) ** 2)))
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean((s - master_curve(z)) ** 2)))
+    if not math.isfinite(rms):
+        raise DomainError("collapse rms is not finite: s_bar lies too far from [0, 1]")
+    return rms

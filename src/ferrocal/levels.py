@@ -2,10 +2,9 @@
 
 The level extractor is a greedy monotone scan: sort by voltage, keep the
 first sample, then keep every later sample whose value does not fall below
-the last kept one. Kept points get contiguous integer indices and define a
-right-continuous staircase L(V_p) = number of kept points with voltage <=
-V_p. A noise-margin variant requires each kept value to clear the last one
-by at least a given increment.
+the last kept one. Kept points carry the level indices 1..K in voltage
+order, derived from their position. A noise-margin variant requires each
+kept value to clear the last one by at least a given increment.
 
 DAC-limited level counts evaluate the noiseless fitted model on every DAC
 code voltage and run the margin scan over the result; programming inverts
@@ -31,36 +30,26 @@ from .model import switched_fraction_cdf, threshold_quantile, ThresholdDistribut
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Kept subsequence of a sweep with 1-based level indices."""
+    """Kept subsequence of a sweep; its 1-based level indices are derived."""
 
     v_p: np.ndarray
     values: np.ndarray
-    level_index: np.ndarray
     source_count: int
 
     def __post_init__(self):
         if np.any(np.diff(self.values) < 0):
             raise ConfigError("LevelSet values must be non-decreasing")
-        k = self.level_index
-        if k.size != self.v_p.size or (k.size and (k[0] != 1 or np.any(np.diff(k) != 1))):
-            raise ConfigError("level indices must run 1..K")
-        if k.size > self.source_count:
+        if self.count > self.source_count:
             raise ConfigError("cannot keep more levels than source samples")
 
     @property
     def count(self):
-        return int(self.level_index.size)
+        return int(self.v_p.size)
 
-
-@dataclass(frozen=True)
-class Staircase:
-    """L(V_p) = number of kept points with voltage <= V_p."""
-
-    breakpoints: np.ndarray
-
-    def __call__(self, v_p):
-        counts = np.searchsorted(self.breakpoints, np.asarray(v_p, dtype=float), side="right")
-        return int(counts) if counts.ndim == 0 else counts
+    @property
+    def level_index(self):
+        """Level indices 1..K, one per kept sample."""
+        return np.arange(1, self.count + 1)
 
 
 def _sorted_samples(curve_or_arrays):
@@ -153,9 +142,7 @@ def _filter(curve_or_arrays, margin, accept_equal):
     keep = _monotone_keep_mask(y, float(margin), bool(accept_equal))
     kept_v = v[keep]
     kept_y = y[keep]
-    return LevelSet(v_p=kept_v, values=kept_y,
-                    level_index=np.arange(1, kept_v.size + 1),
-                    source_count=int(v.size))
+    return LevelSet(v_p=kept_v, values=kept_y, source_count=int(v.size))
 
 
 def s0_filter(curve):
@@ -179,13 +166,6 @@ def s0_filter_with_margin(curve, margin):
     if not 0 <= margin < math.inf:
         raise ConfigError("margin must be finite and >= 0")
     return _filter(curve, margin, margin > 0)
-
-
-def staircase_of(levels):
-    """Staircase function of a level set."""
-    if levels.count == 0:
-        raise ConfigError("staircase requires a non-empty LevelSet")
-    return Staircase(breakpoints=levels.v_p)
 
 
 def dac_code_voltages(cal):

@@ -11,7 +11,8 @@ The model has three layers:
   ``delta = y0 + A * S``.
 
 A general nucleation-limited switching integral over a distribution of
-logarithmic switching times is also provided; in the narrow-distribution
+logarithmic switching times is also provided, as a fixed 512-node trapezoid
+over location +/- TRUNCATION_HALF_WIDTHS scales; in the narrow-distribution
 limit it reduces to the classical stretched-exponential switching law.
 
 All distribution parameters exposed here are in decades (log10); the
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-
-LN10 = math.log(10.0)
 
 # Cauchy tails are heavy enough to produce unphysical (negative or
 # kilovolt-scale) thresholds; sampling and quadrature are confined to
@@ -62,6 +61,8 @@ class MerzKinetics:
     @classmethod
     def from_mu_star(cls, alpha, tau_inf, mu_star, t_film):
         """Build kinetics from the regression intercept mu_star = log10(E_a * t_film)."""
+        if not (t_film > 0 and mu_star < 308):
+            raise ConfigError("MerzKinetics requires t_film > 0 and mu_star < 308")
         return cls(alpha=alpha, tau_inf=tau_inf, e_a=10.0**mu_star / t_film, t_film=t_film)
 
 
@@ -128,25 +129,17 @@ class NlsSpec:
     exponent         effective dimensionality n of the switching law
     location, scale  Cauchy parameters of the switching-time distribution on
                      the ln(tau) axis
-    band_half_widths integration band half-width in multiples of scale
-    nodes            trapezoid node count (>= 32)
     """
 
     exponent: float
     location: float
     scale: float
-    band_half_widths: float = TRUNCATION_HALF_WIDTHS
-    nodes: int = 512
 
     def __post_init__(self):
         if not self.exponent > 0:
             raise ConfigError("NlsSpec requires exponent > 0")
         if not self.scale > 0:
             raise ConfigError("NlsSpec requires scale > 0")
-        if not self.band_half_widths > 0:
-            raise ConfigError("NlsSpec requires band_half_widths > 0")
-        if int(self.nodes) < 32:
-            raise ConfigError("NlsSpec requires at least 32 quadrature nodes")
 
 
 def _as_float_or_array(out):
@@ -191,7 +184,9 @@ def switched_fraction_cdf(dist, v_p):
     v = np.asarray(v_p, dtype=float)
     if np.any(v <= 0):
         raise DomainError("switched_fraction_cdf requires V_p > 0")
-    s = 0.5 + np.arctan((np.log10(v) - dist.mu) / dist.w) / np.pi
+    # a vanishing width overflows the ratio to +/-inf: the step's limit
+    with np.errstate(over="ignore"):
+        s = 0.5 + np.arctan((np.log10(v) - dist.mu) / dist.w) / np.pi
     return _as_float_or_array(s)
 
 
@@ -203,7 +198,9 @@ def threshold_quantile(dist, s):
     ss = np.asarray(s, dtype=float)
     if np.any(ss <= 0) or np.any(ss >= 1):
         raise DomainError("threshold_quantile requires 0 < s < 1")
-    v = 10.0 ** (dist.mu + dist.w * np.tan(np.pi * (ss - 0.5)))
+    # beyond the float range the voltage overflows to inf, its honest limit
+    with np.errstate(over="ignore"):
+        v = 10.0 ** (dist.mu + dist.w * np.tan(np.pi * (ss - 0.5)))
     return _as_float_or_array(v)
 
 
@@ -234,8 +231,8 @@ def nls_switched_fraction(spec, t):
     """Switched fraction after a pulse of duration t (s) under the NLS integral.
 
     Integrates [1 - exp(-(t/tau)^n)] against the Cauchy distribution of
-    ln(tau), truncated to location +/- band_half_widths * scale and
-    renormalized to unit mass over the band (fixed-node trapezoid).
+    ln(tau), truncated to location +/- TRUNCATION_HALF_WIDTHS * scale and
+    renormalized to unit mass over the band (512-node trapezoid).
     Result is clamped to [0, 1] and is nondecreasing in t.
 
     In the scale -> 0 limit this reduces to 1 - exp(-(t/tau0)^n) with
@@ -246,8 +243,8 @@ def nls_switched_fraction(spec, t):
         raise DomainError("nls_switched_fraction requires t >= 0")
     if t == 0.0:
         return 0.0
-    half = spec.band_half_widths * spec.scale
-    u = np.linspace(spec.location - half, spec.location + half, int(spec.nodes))
+    half = TRUNCATION_HALF_WIDTHS * spec.scale
+    u = np.linspace(spec.location - half, spec.location + half, 512)
     dens = spec.scale / (np.pi * ((u - spec.location) ** 2 + spec.scale**2))
     with np.errstate(over="ignore", under="ignore"):
         switched = -np.expm1(-((t * np.exp(-u)) ** spec.exponent))

@@ -228,7 +228,8 @@ def emit_fit_report(path, fits, markers=None, observable_kind="displacement"):
 
 def parse_fit_report(path):
     """Read a fit report of either observable; returns a list of
-    (LorentzianFit, marker voltage or None)."""
+    (LorentzianFit, marker voltage or None). A row needs finite cells,
+    t_p, A and w > 0, and v50_V == 10**mu > 0, or it is a ParseError."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
@@ -249,9 +250,15 @@ def parse_fit_report(path):
             tp_us, y0, a, mu, w, v50, rms = _finite_floats(
                 [row[i] for i in (0, 1, 2, 3, 4, 5, 7)], row, line_no)
             vc = None if row[6] == "" else _finite_floats(row[6:7], row, line_no)[0]
-            fit = LorentzianFit(y0=y0, a=a, mu=mu, w=w, v50=v50, rms_residual=rms,
-                                t_p=tp_us * 1e-6)
-            out.append((fit, vc))
+            t_p = tp_us * 1e-6
+            if not (t_p > 0 and a > 0 and w > 0):
+                raise ParseError("t_p_us, A and w must be positive", line=line_no)
+            with np.errstate(over="ignore"):
+                ten_to_mu = float(np.power(10.0, mu))
+            if not (v50 > 0 and abs(v50 - ten_to_mu) <= 1e-12 * v50):
+                raise ParseError(f"v50_V = {v50!r} is not 10**mu > 0 for mu = {mu!r}",
+                                 line=line_no)
+            out.append((LorentzianFit(y0=y0, a=a, mu=mu, w=w, rms_residual=rms, t_p=t_p), vc))
     if not out:
         raise ParseError("fit report holds a header but no rows")
     return out
@@ -263,7 +270,7 @@ def emit_merz_report(out_dir, regression, points):
     summary = out_dir / "merz_summary.txt"
     table = out_dir / "merz_points.csv"
     with open(summary, "w", newline="\n") as fh:
-        fh.write(f"alpha = {_fmt(regression.alpha) if math.isfinite(regression.alpha) else 'inf'}\n")
+        fh.write(f"alpha = {_fmt(regression.alpha)}\n")
         fh.write(f"tau_inf_s = {_fmt(regression.tau_inf)}\n")
         fh.write(f"mu_star = {_fmt(regression.mu_star)}\n")
         fh.write(f"slope = {_fmt(regression.slope)}\n")

@@ -246,7 +246,7 @@ def naive_fit_merz_nested(points, tau_search=(-16.0, -10.0)):
 
 # Reference for fitting._varpro: the same iteration, with the dense N x 2m
 # projected Jacobian formed at every evaluation.
-def dense_varpro(xs, ys, mus, ws, lock=None):
+def dense_varpro(xs, ys, mus, ws):
     """Levenberg-Marquardt fit of m curves y_j = y0 + a*S(x_j; mu_j, w_j).
 
     One (y0, a) is shared by all curves; m = 1 is the single fit. The model
@@ -256,8 +256,7 @@ def dense_varpro(xs, ys, mus, ws, lock=None):
     columns are 1/sqrt(N) and s_c/|s_c| with s_c = S - mean(S). The damped
     Gauss-Newton steps then move only theta = (mu_j, log w_j), along
     Kaufman's Jacobian (BIT 15:49, 1975): dr/dtheta at fixed (y0, a),
-    projected off span[1, S], which gives the exact gradient. ``lock``
-    fixes (y0, a) and skips the linear solve.
+    projected off span[1, S], which gives the exact gradient.
 
     Returns ((y0, a), mus, ws, residuals, converged); converged is False when
     _MAX_ITER evaluations per curve were spent first.
@@ -275,21 +274,16 @@ def dense_varpro(xs, ys, mus, ws, lock=None):
         w = np.exp(theta[m:])[block]
         u = (x - theta[:m][block]) / w
         s = 0.5 + np.arctan(u) / math.pi
-        if lock is None:
-            s_c = s - s.mean()
-            a = (s_c @ y_c) / (s_c @ s_c)
-            y0 = y_mean - a * s.mean()
-            r = a * s_c - y_c
-        else:
-            y0, a = lock
-            r = y0 + a * s - y
+        s_c = s - s.mean()
+        a = (s_c @ y_c) / (s_c @ s_c)
+        y0 = y_mean - a * s.mean()
+        r = a * s_c - y_c
         dr_du = -a / (math.pi * (1.0 + u * u))
         jac = np.zeros((x.size, 2 * m))
         jac[rows, block] = dr_du / w
         jac[rows, m + block] = dr_du * u
-        if lock is None:
-            jac -= jac.mean(axis=0)
-            jac -= np.outer(s_c, (s_c @ jac) / (s_c @ s_c))
+        jac -= jac.mean(axis=0)
+        jac -= np.outer(s_c, (s_c @ jac) / (s_c @ s_c))
         return (y0, a), r, jac
 
     theta = np.concatenate([mus, np.log(ws)])

@@ -5,10 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ferrocal import (LorentzianFit, emit_fit_report, emit_sweep_csv, parse_fit_report,
-                      parse_sweep_csv, s0_filter, s0_filter_with_margin)
+from ferrocal import (ConfigError, LorentzianFit, emit_fit_report, emit_sweep_csv,
+                      parse_fit_report, parse_sweep_csv, s0_filter, s0_filter_with_margin)
 from ferrocal.cli import main
+from ferrocal.config import _KNOWN_KEYS, load_config
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF, TABLE_ROWS,
                      synthetic_curve)
@@ -300,6 +303,54 @@ class TestExitCodes:
             assert "RuntimeWarning" not in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    # one cell of the third data row (line 4) of the published-table report
+    @pytest.mark.parametrize("column, cell, message", [
+        (0, "-10", "t_p_us, A and w must be positive"),
+        (0, "0", "t_p_us, A and w must be positive"),
+        (2, "0", "t_p_us, A and w must be positive"),
+        (2, "-1.5", "t_p_us, A and w must be positive"),
+        (4, "0", "t_p_us, A and w must be positive"),
+        (4, "-0.04", "t_p_us, A and w must be positive"),
+        (5, "6.0", "v50_V = 6.0 is not 10**mu"),
+    ], ids=["t_p-negative", "t_p-zero", "A-zero", "A-negative", "w-zero", "w-negative",
+            "v50-not-10**mu"])
+    @pytest.mark.parametrize("command", ["merz", "program", "collapse"])
+    def test_bad_fit_report_row_is_parse_error_with_its_line(self, tmp_path, capsys, command,
+                                                              column, cell, message):
+        report = write_table_report(tmp_path / "fit_report.csv")
+        lines = report.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = cell
+        lines[3] = ",".join(cells)
+        report.write_text("\n".join(lines) + "\n")
+        sweep = emit_sweep_csv(tmp_path / "sweep.csv", [
+            synthetic_curve(row, grid=np.linspace(0.5, 9.0, 40)) for row in TABLE_ROWS])
+        argv = {"merz": ["merz", "--fits", str(report)],
+                "program": ["program", "--fits", str(report), "--targets", "0.5"],
+                "collapse": ["collapse", "--input", str(sweep), "--fits", str(report)]}
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out)] + argv[command]) == 3
+        err = capsys.readouterr().err
+        assert f"line 4: {message}" in err
+        assert "Traceback" not in err
+        assert not (out / "program_table.csv").exists()
+
+    def test_negative_config_seed_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[run]\nseed = -1\n")
+        assert main(["--out-dir", str(tmp_path), "simulate",
+                     "--config", str(cfg), "--out", "x.csv"]) == 2
+        assert "[run] seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CONFIG_SMALL)
+        assert main(["--out-dir", str(tmp_path), "--seed", "-5", "simulate",
+                     "--config", str(cfg), "--out", "x.csv"]) == 2
+        assert "argument --seed: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 
@@ -378,6 +429,28 @@ class TestExitCodes:
                               capture_output=True, text=True)
         assert proc.returncode == 3
         assert "parse error" in proc.stderr
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(sorted((section, key) for section, keys in _KNOWN_KEYS.items()
+                                      for key in keys)),
+           value=st.one_of(
+               st.sampled_from(["", "0", "-1", "-0", "1e308", "-1e308", "5e-324", "nan",
+                                "inf", "1e3", "0x10", "1_000", "5%", "%(seed)s", "10,",
+                                ",", "10, nan", "displacement", "polarization_change"]),
+               st.floats().map(repr), st.integers().map(str),
+               st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)))
+    def test_load_config_loads_or_raises_config_error(self, tmp_path, key, value):
+        # load only: [ensemble] n and the [sweep] grid size arrays in simulate
+        section, name = key
+        path = tmp_path / "fuzz.ini"
+        path.write_text(f"[{section}]\n{name} = {value}\n", encoding="utf-8")
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
 
 
 class TestOutDir:

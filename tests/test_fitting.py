@@ -52,21 +52,6 @@ class TestFitLorentzianCdf:
         with pytest.raises(DomainError):
             fit_lorentzian_cdf(c)
 
-    def test_locked_offsets(self):
-        t_p, y0, a, mu, w = ROW_500US[:5]
-        fit = fit_lorentzian_cdf(synthetic_curve(ROW_500US), lock=(y0, a))
-        assert fit.y0 == y0 and fit.a == a
-        assert fit.mu == pytest.approx(mu, rel=1e-9)
-        assert fit.w == pytest.approx(w, rel=1e-9)
-
-    def test_locked_offsets_demand_tail_coverage(self):
-        t_p, y0, a, mu, w = ROW_500US[:5]
-        narrow = np.linspace(4.7, 5.1, 30)  # transition center only
-        c = SwitchCurve(t_p=t_p, v_p=narrow,
-                        values=lorentzian_displacement(y0, a, mu, w, narrow))
-        with pytest.raises(DomainError):
-            fit_lorentzian_cdf(c, lock=(y0, a))
-
     def test_decreasing_curve_raises_fit_error_with_best_params(self):
         c = synthetic_curve(ROW_500US)
         flipped = SwitchCurve(t_p=c.t_p, v_p=c.v_p, values=-c.values)
@@ -114,12 +99,11 @@ class TestFitLorentzianCdf:
         with np.errstate(invalid="ignore"), pytest.raises(FitError, match=message):
             fit_lorentzian_cdf(curve)
 
-    @pytest.mark.parametrize("lock", [None, ROW_500US[1:3]], ids=["free", "locked"])
-    def test_exhausted_budget_raises_fit_error_with_best_fit(self, monkeypatch, lock):
+    def test_exhausted_budget_raises_fit_error_with_best_fit(self, monkeypatch):
         curve = synthetic_curve(ROW_500US, sigma=0.3, rng=np.random.default_rng(5))
         monkeypatch.setattr(fitting, "_MAX_ITER", 1)
         with pytest.raises(FitError, match="did not converge") as err:
-            fit_lorentzian_cdf(curve, lock=lock)
+            fit_lorentzian_cdf(curve)
         assert isinstance(err.value.best_fit, LorentzianFit)
 
 
@@ -178,7 +162,7 @@ class TestFitFamily:
             fit_family([c, c])  # duplicate t_p
 
 
-def _trf_fit(xs, ys, y0, a, mus, ws, lock=None):
+def _trf_fit(xs, ys, y0, a, mus, ws):
     """Reference: scipy's trust-region reflective least squares on the full
     (y0, A, mu_j, log w_j) parameterization, with one (y0, A) for all curves
     and the tolerances and budget ferrocal's fits use. Returns the
@@ -186,7 +170,7 @@ def _trf_fit(xs, ys, y0, a, mus, ws, lock=None):
     m = len(xs)
 
     def unpack(p):
-        return (*(lock or p[:2]), p[-2 * m:-m], np.exp(p[-m:]))
+        return (*p[:2], p[-2 * m:-m], np.exp(p[-m:]))
 
     def resid(p):
         y0, a, mus, ws = unpack(p)
@@ -206,9 +190,9 @@ def _trf_fit(xs, ys, y0, a, mus, ws, lock=None):
             cols[rows, 2 + j] = -a * lor / w
             cols[rows, 2 + m + j] = -a * lor * u
             row += x.size
-        return cols if lock is None else cols[:, 2:]
+        return cols
 
-    p0 = np.concatenate([[] if lock else [y0, a], mus, np.log(ws)])
+    p0 = np.concatenate([[y0, a], mus, np.log(ws)])
     res = least_squares(resid, p0, jac=jac, method="trf", xtol=fitting._FIT_TOL,
                         ftol=fitting._FIT_TOL, gtol=fitting._FIT_TOL,
                         max_nfev=fitting._MAX_ITER * m)
@@ -221,10 +205,10 @@ def _cost(curves, fits):
                      for c, f in zip(curves, fits))
 
 
-def _trf_single(curve, lock=None):
+def _trf_single(curve):
     x, y = np.log10(curve.v_p), curve.values
     mu, w = fitting._default_init(x, y)
-    return _trf_fit([x], [y], y[0], y[-1] - y[0], [mu], [w], lock)
+    return _trf_fit([x], [y], y[0], y[-1] - y[0], [mu], [w])
 
 
 def _family(kind):
@@ -257,13 +241,10 @@ class TestAgainstTrf:
         assert cost <= trf_cost * (1 + 1e-9) + 1e-22
 
     @pytest.mark.parametrize("kind", FAMILIES)
-    def test_single_and_locked(self, kind):
+    def test_single(self, kind):
         for curve in _family(kind):
-            (y0, a, _, _), trf_cost = _trf_single(curve)
+            _, trf_cost = _trf_single(curve)
             self.assert_no_worse(_cost([curve], [fit_lorentzian_cdf(curve)]), trf_cost)
-            _, trf_cost = _trf_single(curve, lock=(y0, a))
-            locked = fit_lorentzian_cdf(curve, lock=(y0, a))
-            self.assert_no_worse(_cost([curve], [locked]), trf_cost)
 
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_shared_offsets(self, kind):
@@ -280,9 +261,7 @@ class TestAgainstTrf:
         # unprojected value; these fits pass with the threshold 1e7 times higher
         monkeypatch.setattr(fitting, "_RANK_RATIO", 0.1)
         curves = _family(kind)
-        fits = fit_family(curves, share_offsets=True)
-        for curve in curves:
-            fit_lorentzian_cdf(curve, lock=(fits[0].y0, fits[0].a))
+        fit_family(curves, share_offsets=True)
         fit_family(curves)
 
 
@@ -293,16 +272,15 @@ class TestEngineEquivalence:
     @given(rows=st.lists(st.sampled_from(TABLE_ROWS), min_size=1, max_size=6),
            sizes=st.lists(st.integers(40, 2000), min_size=6, max_size=6),
            sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0),
-           locked=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_the_dense_engine(self, rows, sizes, sigma, locked, seed):
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_engine(self, rows, sizes, sigma, seed):
         rng = np.random.default_rng(seed)
         curves = [synthetic_curve(row, grid=np.linspace(0.5, 9.0, n), sigma=sigma, rng=rng)
                   for row, n in zip(rows, sizes)]
         xs, ys = [np.log10(c.v_p) for c in curves], [c.values for c in curves]
         mus, ws = zip(*(fitting._default_init(x, y) for x, y in zip(xs, ys)))
-        lock = (np.mean([r[1] for r in rows]), np.mean([r[2] for r in rows])) if locked else None
-        (y0, a), mu, w, r, converged = fitting._varpro(xs, ys, mus, ws, lock)
-        (y0_ref, a_ref), mu_ref, w_ref, r_ref, converged_ref = dense_varpro(xs, ys, mus, ws, lock)
+        (y0, a), mu, w, r, converged = fitting._varpro(xs, ys, mus, ws)
+        (y0_ref, a_ref), mu_ref, w_ref, r_ref, converged_ref = dense_varpro(xs, ys, mus, ws)
         assert converged == converged_ref
         new = np.concatenate([[y0, a], mu, w])
         ref = np.concatenate([[y0_ref, a_ref], mu_ref, w_ref])
@@ -460,11 +438,6 @@ class TestAffineMapFit:
 
 
 class TestLorentzianFitType:
-    def test_v50_consistency_enforced(self):
-        with pytest.raises(ConfigError):
-            LorentzianFit(y0=0.0, a=1.0, mu=0.7, w=0.04, v50=6.0,
-                          rms_residual=0.0, t_p=1e-4)
-
     def test_positive_width_and_span_enforced(self):
         with pytest.raises(ConfigError):
             LorentzianFit.from_params(0.0, 1.0, 0.7, -0.04, 0.0, 1e-4)

@@ -128,6 +128,9 @@ class TestFitMerzNested:
     def test_empty_feasible_interval(self):
         with pytest.raises(DomainError):
             fit_merz_nested(POINTS, tau_search=(0.0, 2.0))
+        # below 1e-307 s, t_p / tau_inf leaves the float range
+        with pytest.raises(DomainError, match="1e308"):
+            fit_merz_nested(POINTS, tau_search=(-400.0, -390.0))
 
 
 class TestCollapse:
@@ -182,6 +185,10 @@ class TestCollapse:
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
             collapse_rms([])
+
+    def test_overflowing_rms_rejected(self):
+        with pytest.raises(DomainError, match="not finite"):
+            collapse_rms([(0.0, 1e200)])
 
     def test_non_finite_z_rejected(self):
         curve = synthetic_curve(ROW_500US)

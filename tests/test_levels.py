@@ -8,7 +8,7 @@ from ferrocal import (ConfigError, DeviceCalibration, DomainError, LorentzianFit
                       RangeError, SwitchCurve, achieved_weight, count_dac_levels,
                       dac_code_voltages, dac_nearest_code, dac_voltage,
                       lorentzian_displacement, program_voltage_for_weight, s0_filter,
-                      s0_filter_with_margin, staircase_of, threshold_pdf,
+                      s0_filter_with_margin, threshold_pdf,
                       ThresholdDistribution)
 
 from anchors import (ORACLE_DAC_K_MARGIN_0P089, ORACLE_DAC_K_MARGIN_0P09, ROW_500US,
@@ -119,23 +119,6 @@ class TestScanProperties:
                 prev_ok = pos == 0 or ls.values[pos - 1] <= y[i]
                 next_ok = pos == len(kept_v) or y[i] <= ls.values[pos]
                 assert not (prev_ok and next_ok)
-
-
-class TestStaircase:
-    def test_counting(self):
-        ls = s0_filter(curve_of([0.5, 0.4, 0.6, 0.55, 0.7]))  # kept at V 1, 3, 5
-        stair = staircase_of(ls)
-        assert stair(2.0) == 1
-        assert stair(3.0) == 2
-        assert stair(10.0) == 3
-        assert stair(0.5) == 0
-        assert np.array_equal(stair(ls.v_p), [1, 2, 3])
-
-    def test_nondecreasing_everywhere(self):
-        rng = np.random.default_rng(7)
-        ls = s0_filter(curve_of(rng.normal(0, 1, 50).cumsum()))
-        probe = np.linspace(-5, 60, 500)
-        assert np.all(np.diff(staircase_of(ls)(probe)) >= 0)
 
 
 class TestDacHelpers:

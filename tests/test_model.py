@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from ferrocal import (ConfigError, DomainError, MerzKinetics, NlsSpec,
                       ThresholdDistribution, displacement_of_fraction,
                       nls_switched_fraction, switched_fraction_cdf, tau_of_field,
-                      threshold_pdf, threshold_voltage)
+                      threshold_pdf, threshold_quantile, threshold_voltage)
+from ferrocal.model import TRUNCATION_HALF_WIDTHS
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_TAU_AT_4P867V,
                      PUB_TAU_INF, ROW_500US, TABLE_ROWS)
@@ -23,6 +24,11 @@ class TestMerzKinetics:
             MerzKinetics(alpha=-1, tau_inf=1e-14, e_a=1e8, t_film=17e-9)
         with pytest.raises(ConfigError):
             MerzKinetics(alpha=3.6, tau_inf=0.0, e_a=1e8, t_film=17e-9)
+
+    @pytest.mark.parametrize("mu_star, t_film", [(309.0, T_FILM), (1.069, 0.0)])
+    def test_unrepresentable_activation_field_rejected(self, mu_star, t_film):
+        with pytest.raises(ConfigError):
+            MerzKinetics.from_mu_star(3.62, 14e-15, mu_star, t_film)
 
     def test_mu_star_round_trip(self):
         k = MerzKinetics.from_mu_star(3.62, 14e-15, 1.069, T_FILM)
@@ -120,6 +126,11 @@ class TestSwitchedFractionCdf:
         with pytest.raises(DomainError):
             switched_fraction_cdf(ThresholdDistribution(0.7, 0.04), -1.0)
 
+    def test_extreme_widths_reach_their_limits_without_warnings(self):
+        step = ThresholdDistribution(0.7, 5e-324)
+        assert switched_fraction_cdf(step, [1.0, 10.0]).tolist() == [0.0, 1.0]
+        assert threshold_quantile(ThresholdDistribution(0.7, 1e308), 0.75) == math.inf
+
 
 class TestThresholdPdf:
     def test_peak_value(self):
@@ -189,7 +200,7 @@ class TestNlsSwitchedFraction:
         tau0, scale, n = 1e-3, 0.5, 2.0
         spec = NlsSpec(exponent=n, location=math.log(tau0), scale=scale)
         rng = np.random.default_rng(99)
-        half = spec.band_half_widths * scale
+        half = TRUNCATION_HALF_WIDTHS * scale
         f_lo = 0.5 + math.atan(-half / scale) / math.pi
         f_hi = 0.5 + math.atan(half / scale) / math.pi
         u = f_lo + rng.uniform(size=2_000_000) * (f_hi - f_lo)
@@ -204,8 +215,6 @@ class TestNlsSwitchedFraction:
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_invalid_quadrature_rejected(self):
-        with pytest.raises(ConfigError):
-            NlsSpec(exponent=1.0, location=0.0, scale=0.3, nodes=16)
         with pytest.raises(ConfigError):
             NlsSpec(exponent=1.0, location=0.0, scale=-0.3)
         with pytest.raises(DomainError):

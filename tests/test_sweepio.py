@@ -21,6 +21,12 @@ EDGE_FLOATS = st.one_of(
                      1.7976931348623157e308, 0.1, 1.0000000000000002, 123456789.12345679,
                      9007199254740993.0, 1e16, 1e-5]),
     st.floats(allow_nan=False, allow_infinity=False))
+# fit-report cells: the values each column check turns on, any float, and text
+REPORT_CELLS = st.one_of(
+    st.sampled_from(["", "0", "-0", "-10", "-1e-300", "5e-324", "1e-318", "nan", "-inf",
+                     "1e308", "-1e308", " 1 ", '"2"']),
+    EDGE_FLOATS.map(repr),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
 POSITIVE_FLOATS = st.one_of(
     st.sampled_from([5e-324, 1e-300, 2.2250738585072014e-308, 0.1, 1.0000000000000002,
                      1e300, 1.7976931348623157e308]),
@@ -263,6 +269,30 @@ class TestCliFuzz:
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in capsys.readouterr().err
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=st.integers(1, len(TABLE_ROWS)), column=st.integers(0, 7), cell=REPORT_CELLS,
+           command=st.sampled_from(["merz", "program", "collapse"]))
+    def test_fit_report_cell_exits_with_a_documented_code(self, tmp_path, capsys, line,
+                                                          column, cell, command):
+        # the published-table report with one cell replaced
+        fits = [LorentzianFit.from_params(row[1], row[2], row[3], row[4], 0.0, row[0])
+                for row in TABLE_ROWS]
+        report = emit_fit_report(tmp_path / "fit_report.csv", fits)
+        lines = report.read_text().splitlines()
+        cells = lines[line].split(",")
+        cells[column] = cell
+        lines[line] = ",".join(cells)
+        report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        sweep = emit_sweep_csv(tmp_path / "sweep.csv", [
+            synthetic_curve(row, grid=np.linspace(0.5, 9.0, 40)) for row in TABLE_ROWS])
+        argv = {"merz": ["merz", "--fits", str(report)],
+                "program": ["program", "--fits", str(report), "--targets", "0.25,0.5,0.75"],
+                "collapse": ["collapse", "--input", str(sweep), "--fits", str(report)]}
+        code = main(["--out-dir", str(tmp_path / "out")] + argv[command])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestEmitterEquivalence:
     """Every writer gives the bytes of the per-row reference formatter."""
@@ -302,7 +332,7 @@ class TestEmitterEquivalence:
         x = np.array(cells, dtype=float)
         points = [(abs(c) or 1e-6, -c) for c in cells]
         alpha = 3.62
-        reg = MerzRegression(alpha=alpha, tau_inf=1.4e-14, mu_star=1.07, slope=-1 / alpha,
+        reg = MerzRegression(tau_inf=1.4e-14, mu_star=1.07, slope=-1 / alpha,
                              r_squared=0.5, x_values=x)
         with np.errstate(all="ignore"):
             emit_plotdata("merz-line", (reg, points), tmp_path)
@@ -311,8 +341,7 @@ class TestEmitterEquivalence:
             ["t_p_us", "X", "mu", "mu_fit"], columns)
 
         ordered = np.sort(x)
-        levels = LevelSet(v_p=ordered, values=ordered, level_index=np.arange(1, x.size + 1),
-                          source_count=x.size)
+        levels = LevelSet(v_p=ordered, values=ordered, source_count=x.size)
         emit_plotdata("staircase", levels, tmp_path)
         assert (tmp_path / "staircase.dat").read_text() == naive_plot_text(
             ["V_p_V", "value", "level_index"], [ordered, ordered, levels.level_index])
@@ -350,6 +379,22 @@ class TestFitReport:
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="non-finite") as err:
+            parse_fit_report(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("scale, ok", [(1 + 5e-13, True), (1 + 2e-12, False), (-1, False)])
+    def test_v50_must_equal_ten_to_mu(self, tmp_path, scale, ok):
+        path = tmp_path / "report.csv"
+        emit_fit_report(path, self.fits()[:2])
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[5] = repr(float(cells[5]) * scale)
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        if ok:
+            assert len(parse_fit_report(path)) == 2
+            return
+        with pytest.raises(ParseError, match=r"is not 10\*\*mu") as err:
             parse_fit_report(path)
         assert err.value.line == 3
 
