@@ -22,7 +22,7 @@ from .kinetics import (S_BAR_BAND, collapse_rms, collapse_transform, fit_merz_ne
                        regress_mu_fixed_tau)
 from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weight,
                      s0_filter, s0_filter_with_margin)
-from .model import DeviceCalibration
+from .model import MAX_DAC_BITS, DeviceCalibration
 from .simulate import run_protocol_sweep, sample_ensemble
 from .sweepio import (emit_fit_report, emit_levels_csv, emit_merz_report, emit_plotdata,
                       emit_sweep_csv, fit_report_header, parse_fit_report,
@@ -176,6 +176,14 @@ def _seed(text):
     return value
 
 
+def _dac_bits(text):
+    """argparse type: a DAC width in 1..MAX_DAC_BITS."""
+    value = int(text)
+    if not 1 <= value <= MAX_DAC_BITS:
+        raise argparse.ArgumentTypeError(f"DAC width must lie in 1..{MAX_DAC_BITS}, got {value}")
+    return value
+
+
 def _finite_float(text):
     """argparse type: one finite float."""
     try:
@@ -248,7 +256,7 @@ def build_parser():
     p.add_argument("--fits", required=True, help="fit report CSV")
     p.add_argument("--targets", required=True, type=_finite_list,
                    help="comma-separated weights in (0,1)")
-    p.add_argument("--dac-bits", type=int, default=18)
+    p.add_argument("--dac-bits", type=_dac_bits, default=18)
     p.add_argument("--dac-range", type=_finite_pair, default=(0.5, 9.0), metavar="LO,HI")
     p.set_defaults(func=cmd_program)
     return parser

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, first_non_utf8
 from .model import DeviceCalibration, MerzKinetics
 from .simulate import TriangularPulse, WriteProtocol
 
@@ -118,7 +118,10 @@ def load_config(path):
     # values are read as written: '%' is a character, not an interpolation
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError:
+        line, byte = first_non_utf8(path)
+        raise ConfigError(f"line {line}: byte 0x{byte:02x} is not UTF-8 text") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 

@@ -2,8 +2,11 @@
 
 Every error raised by ferrocal derives from :class:`FerrocalError`, so callers
 (and the CLI) can map failure classes to exit codes without matching on
-message text.
+message text. ``first_non_utf8`` finds the line that the input readers name
+when a file is not UTF-8 text.
 """
+
+from pathlib import Path
 
 
 class FerrocalError(Exception):
@@ -53,3 +56,14 @@ class ParseError(FerrocalError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def first_non_utf8(path):
+    """(line, byte) of the first byte of the file at ``path`` that is not
+    UTF-8, counting lines from 1; None if every byte is."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1, data[exc.start]
+    return None

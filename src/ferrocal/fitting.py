@@ -9,10 +9,19 @@ stores (y0, A, mu, w); V50 = 10**mu is derived from mu, never stored.
 Every fit runs through one numpy engine, ``_varpro``: variable projection
 (Golub & Pereyra 1973) eliminates the linear (y0, A), and Levenberg-Marquardt
 steps along Kaufman's projected Jacobian move the per-curve (mu, log w). The
-engine builds that Jacobian's normal equations from per-curve sums and never
-forms the dense N x 2m matrix. A rank guard on those sums, and a check for a
-non-finite cost, gradient or normal matrix, turn a singular or diverging fit
-into a FitError.
+engine fits groups of curves in lockstep on their concatenated samples: a
+family's independent fits are one call with one group per curve, the
+shared-offset fit one call with one group. It builds the Jacobian's normal
+equations from per-curve sums and never forms the dense N x 2m matrix. A
+rank guard on those sums, and a check for a non-finite cost, gradient or
+normal matrix, turn a singular or diverging fit into a FitError.
+
+Fits are seeded, and the mechanical coercive voltage is read, from the
+isotonic (monotone least-squares) fit of the samples, which a noisy sample
+or an outlier moves by its share of a block mean only. Its crossing of a
+level comes from prefix sums of the samples: its level sets are the
+suffixes that maximize a sum (Barlow et al. 1972), so no pool-adjacent-
+violators loop runs.
 
 Coercive voltages are always interpolated from the data, never evaluated on
 the fitted symmetric model: measured curves carry a small positive/negative
@@ -91,154 +100,360 @@ class AffineMap:
             raise ConfigError("AffineMap requires 0 <= r_squared <= 1")
 
 
-def _level_crossing_log10v(x, y, level):
-    """log10(V) where the (monotone-enough) samples first cross ``level``."""
-    above = y >= level
-    if above.all() or (~above).all():
-        raise RankError("curve does not span the level needed to seed the fit")
-    i = int(np.argmax(above)) if not above[0] else int(np.argmax(~above))
-    i = max(i, 1)
-    y0, y1 = y[i - 1], y[i]
-    if y1 == y0:
-        return x[i]
-    return x[i - 1] + (level - y0) * (x[i] - x[i - 1]) / (y1 - y0)
+def _isotonic_levels(z, level):
+    """Where the least-squares non-decreasing fit to ``z`` meets ``level``.
+
+    Returns (t, u, p): the fit lies below the level on samples :t, on it on
+    t:u and above it from u on; p holds the prefix sums of z - level, p[0] =
+    0. The fit's upper level set {fit >= level} is the suffix z[t:] that
+    maximizes sum(z[t:] - level), and {fit > level} is the shortest such
+    suffix (Barlow et al. 1972), so t and u are the first and the last
+    minimizer of p. Sums that overflow end in a non-finite p[-1].
+    """
+    p = _prefix_sums(z - level)
+    return int(p.argmin()), z.size - int(p[::-1].argmin()), p
 
 
+def _prefix_sums(z):
+    """0 followed by the running sums of z."""
+    p = np.empty(z.size + 1)
+    p[0] = 0.0
+    np.cumsum(z, out=p[1:])
+    return p
+
+
+def _block_mean(block):
+    """Mean taken about the first sample: equal samples average to themselves."""
+    return block[0] + (block - block[0]).sum() / block.size
+
+
+def _fit_beside(z, p, i):
+    """The fit's values at samples i - 1 and i, where a level set starts at
+    i (0 < i < n) and p comes from ``_isotonic_levels``: the largest mean of
+    a block z[s:i] and the smallest mean of a block z[i:e]."""
+    s = int(((p[i] - p[:i]) / np.arange(i, 0, -1)).argmax())
+    e = i + 1 + int(((p[i + 1:] - p[i]) / np.arange(1, p.size - i)).argmin())
+    return _block_mean(z[s:i]), _block_mean(z[i:e])
+
+
+@np.errstate(all="ignore")
 def _default_init(x, y):
-    """Geometry-based (mu, w) seeds from the mid-span and quartile-span
-    crossings of the line through the curve ends."""
-    y0 = y[0]
-    a = y[-1] - y[0]
-    if a == 0:
+    """(mu, w) seeds from the isotonic fit to the curve in the direction of
+    its trend (the sign of last - first): mu where the fit crosses the middle
+    of its span, w half the distance between its quarter-span crossings,
+    each interpolated between the fit's values beside the crossing.
+
+    One outlier moves the first raw sample past a level as far as the
+    outlier lies off the curve; it moves the fit by its share of a block
+    mean. On samples that never decrease along the trend the fit is the
+    samples, and each seed is bit for bit that of the raw samples: the first
+    sample at or past the level, interpolated from its neighbour, as long as
+    the prefix sums resolve each sample's distance from the level.
+    """
+    rising = y[-1] >= y[0]
+    z = y if rising else -y
+    n = z.size
+    p = _prefix_sums(z)
+    if not np.isfinite(p[-1]):
+        raise FitError(_DIVERGED)  # sums that overflow make the cost overflow at any seed
+    # the fit's first and last values: the smallest mean of a block z[:e]
+    # and the largest of a block z[s:]
+    count = np.arange(1, n + 1)
+    first = _block_mean(z[:(p[1:] / count).argmin() + 1])
+    last = _block_mean(z[((p[-1] - p[:-1]) / count[::-1]).argmax():])
+    span = last - first
+    if span == 0:
         raise RankError("flat curve: span seed is zero")
-    mu = _level_crossing_log10v(x, y, y0 + 0.50 * a)
-    x25 = _level_crossing_log10v(x, y, y0 + 0.25 * a)
-    x75 = _level_crossing_log10v(x, y, y0 + 0.75 * a)
+
+    def crossing(level):
+        t, u, p = _isotonic_levels(z, level)
+        # where the raw crossing is: the first y >= the level on a rising
+        # curve, the first y < the level on a falling one
+        i = t if rising else u
+        if not np.isfinite(p[-1]):
+            raise FitError(_DIVERGED)
+        if not 0 < i < n:
+            raise RankError("curve does not span the level needed to seed the fit")
+        lo, hi = _fit_beside(z, p, i)
+        return x[i - 1] + (level - lo) * (x[i] - x[i - 1]) / (hi - lo)
+
+    mu, x25, x75 = (crossing(first + q * span) for q in (0.50, 0.25, 0.75))
     w = abs(x75 - x25) / 2.0
     if w <= 0:
         w = max(abs(x[-1] - x[0]) / 10.0, 1e-3)
     return mu, w
 
 
+_DIVERGED = "fit diverged: the cost is not finite"
 _SINGULAR = ("singular normal equations: the data do not constrain (mu, w) near the "
              "current estimate")
+# what stops a group, by the fault code _varpro keeps per group
+_FAULTS = (None, _DIVERGED,
+           "fit diverged: the gradient or normal matrix is not finite", _SINGULAR)
+_CONVERGED = -1
 
 # a diagonal of the reduced normal matrix at or below this fraction of the
 # same diagonal of J0'J0 marks a singular problem (see _varpro)
 _RANK_RATIO = 1e-8
 
 
+def _spread(values, counts):
+    """One value per block repeated over the block's samples; a single value
+    is left to broadcast."""
+    return values[0] if values.size == 1 else values.repeat(counts)
+
+
+def _rowdots(a, b, parts):
+    """Dot products of the ``parts`` equal slices of each row of a with the
+    same slices of b, each rounded as a @ b, in shape (rows, parts)."""
+    rows = len(a)
+    dots = np.matmul(a.reshape(rows, parts, 1, -1), b.reshape(rows, parts, -1, 1))
+    return dots.reshape(rows, parts)
+
+
+def _rows_all(mask):
+    """For each index along the first axis: whether all of mask there is True."""
+    return np.logical_and.reduce(mask.reshape(len(mask), -1), axis=1)
+
+
+def _diagonal(m):
+    """Writable view of the diagonals of a stack of square matrices."""
+    return m.reshape(len(m), -1)[:, ::m.shape[-1] + 1]
+
+
+def _solve(a, b):
+    """Batched solve of a x = b. Returns x and None, or, when some matrix is
+    singular, x with zero rows there and the mask of those rows."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        x, singular = np.zeros_like(b), np.zeros(len(b), dtype=bool)
+        for g in range(len(b)):
+            try:
+                x[g] = np.linalg.solve(a[g], b[g])
+            except np.linalg.LinAlgError:
+                singular[g] = True
+        return x, singular
+
+
 @np.errstate(all="ignore")
-def _varpro(xs, ys, mus, ws):
-    """Levenberg-Marquardt fit of m curves y_j = y0 + a*S(x_j; mu_j, w_j).
+def _varpro(xs, ys, mus, ws, joint=True):
+    """Levenberg-Marquardt fits of curves y_j = y0 + a*S(x_j; mu_j, w_j).
 
-    One (y0, a) is shared by all curves; m = 1 is the single fit. The model
-    is linear in (y0, a), so variable projection (Golub & Pereyra 1973)
-    solves for them at every evaluation: the least-squares solution of
-    [1, S] c = y through the QR factors of [1, S], whose Gram-Schmidt
-    columns are 1/sqrt(N) and s_c/|s_c| with s_c = S - mean(S). The damped
-    Gauss-Newton steps then move only theta = (mu_j, log w_j), along
-    Kaufman's Jacobian (BIT 15:49, 1975): J = P J0, the Jacobian J0 =
-    dr/dtheta at fixed (y0, a) projected by P = I - 11'/N - s_c s_c'/|s_c|^2
-    off span[1, S], which gives the exact gradient.
+    The curves form groups that share one (y0, a): with ``joint`` all m
+    curves are one group (the shared-offset fit; m = 1 is the single fit),
+    otherwise each curve is a group of its own. The model is linear in
+    (y0, a), so variable projection (Golub & Pereyra 1973) solves for them
+    at every evaluation: the least-squares solution of [1, S] c = y over the
+    group, through the QR factors of [1, S], whose Gram-Schmidt columns are
+    1/sqrt(N) and s_c/|s_c| with s_c = S - mean(S). The damped Gauss-Newton
+    steps then move only theta = (mu_j, log w_j), along Kaufman's Jacobian
+    (BIT 15:49, 1975): J = P J0, the Jacobian J0 = dr/dtheta at fixed
+    (y0, a) projected by P = I - 11'/N - s_c s_c'/|s_c|^2 off span[1, S],
+    which gives the exact gradient.
 
-    J is never formed. A row of J0 holds two nonzeros, g/w_j and g*u with
-    u = (x - mu_j)/w_j and g = -a/(pi*(1 + u^2)), in the columns of its own
-    curve, and each curve is one contiguous block of rows. So J0'J0 is 2x2
-    block-diagonal, and with c1 = 1'J0 and c2 = s_c'J0
+    J is never formed. A row of J0 holds two nonzeros, in the columns of its
+    own curve: -(a/pi) L/w_j and -(a/pi) L u with u = (x - mu_j)/w_j and
+    L = 1/(1 + u^2). Each curve is one contiguous block of rows, so J0'J0 is
+    2x2 block-diagonal, and with c1 = 1'J0 and c2 = s_c'J0 over a group
 
         J'J = J0'J0 - c1 c1'/N - c2 c2'/|s_c|^2
         J'r = J0'r - c1 mean(r) - c2 (s_c'r)/|s_c|^2,
 
-    where every term is a per-curve sum, taken by one np.add.reduceat over
-    the block starts. The residual r of the linear solve is orthogonal to 1
-    and s_c in exact arithmetic, so the two gradient corrections only remove
-    what rounding leaves in r, as an explicit projection would. Trial steps
-    evaluate residuals only; the normal equations are built at accepted
-    points.
+    where every term is a per-curve sum of products of L, Lu, r and s_c,
+    taken by one np.add.reduceat over the curve starts, or a per-group sum.
+    The residual r of the linear solve is orthogonal to 1 and s_c in exact
+    arithmetic, so the two gradient corrections only remove what rounding
+    leaves in r, as an explicit projection would. Trial steps evaluate
+    residuals only; the normal equations are built at accepted points.
+
+    All groups iterate in lockstep on the concatenated samples, each with
+    its own damping, cost, step decision and budget of _MAX_ITER
+    evaluations per curve; the step solves are one batched solve. A group
+    that converges or fails leaves, and the others go on without its
+    samples. Per-group sums (the linear solve's, the cost) are rounded as
+    they would be for the group alone, so each group takes the steps, and
+    reaches the bits, it would reach in a call of its own.
 
     The corrections subtract where a projection would not, so cancellation
     can hide a singular problem: a diagonal of J'J not above _RANK_RATIO of
-    the same diagonal of J0'J0 raises FitError, as does a non-finite cost,
-    gradient or normal matrix (the engine runs with numpy's floating-point
-    warnings off and checks these instead).
+    the same diagonal of J0'J0 stops the group with a FitError, as does a
+    non-finite cost, gradient or normal matrix (the engine runs with numpy's
+    floating-point warnings off and checks these instead).
 
-    Returns ((y0, a), mus, ws, residuals, converged); converged is False when
-    _MAX_ITER evaluations per curve were spent first.
+    Returns ((y0, a), mus, ws, residuals, converged); converged is False
+    when the group spent its budget first. With ``joint`` a failure raises
+    its FitError. Otherwise y0, a and converged hold one entry per curve,
+    and a failed curve's entry in converged is its FitError.
     """
     m = len(xs)
-    sizes = [xj.size for xj in xs]
+    k = m if joint else 1  # curves per group
+    sizes = np.array([xj.size for xj in xs])
+    gsizes = sizes.reshape(-1, k).sum(axis=1)
     x, y = np.concatenate(xs), np.concatenate(ys)
-    block = np.repeat(np.arange(m), sizes)
-    starts = np.cumsum([0] + sizes[:-1])
+
+    # Per-group sums round as a sum over the group alone would: pairwise, and
+    # dot products as BLAS takes them. On groups of one size they come from
+    # the (groups, n) sample block; otherwise one sum per group.
+    def gsum(v):
+        if equal:
+            return v.reshape(len(gsizes), -1).sum(1)
+        return np.array([v[i:j].sum() for i, j in zip(gstarts, gstarts + gsizes)])
+
+    def gdot(u, v):
+        if len(gsizes) == 1:
+            return np.array([u @ v])
+        if equal:
+            return _rowdots(u[None], v[None], len(gsizes))[0]
+        return np.array([u[i:j] @ v[i:j] for i, j in zip(gstarts, gstarts + gsizes)])
+
     # residuals from centred data: y - mean(y) is exact wherever the samples
     # lie within a factor of two of their mean, so an offset costs no digits
-    y_mean = y.mean()
-    y_c = y - y_mean
-    ones = np.ones(x.size)
+    gstarts = np.concatenate(([0], np.cumsum(gsizes)[:-1]))
+    equal = (gsizes == gsizes[0]).all()
+    y_mean = gsum(y) / gsizes
+    y_c = y - _spread(y_mean, gsizes)
 
-    def residuals(theta):
-        """(y0, a), r and what the normal equations reuse: (w, u, s_c, |s_c|^2)."""
-        w = np.exp(theta[m:])[block]
-        u = (x - theta[:m][block]) / w
-        s = 0.5 + np.arctan(u) / math.pi
-        s_c = s - s.mean()
-        ss = s_c @ s_c
-        a = (s_c @ y_c) / ss
-        return (y_mean - a * s.mean(), a), a * s_c - y_c, (w, u, s_c, ss)
+    def evaluate(theta):
+        """y0, a, r, cost and what the normal equations reuse: (w_j, u, s_c, |s_c|^2)."""
+        w = np.exp(theta[:, k:]).ravel()
+        u = x - _spread(theta[:, :k].ravel(), sizes)
+        u /= _spread(w, sizes)
+        s = np.arctan(u)
+        s /= math.pi
+        s += 0.5
+        s_mean = gsum(s) / gsizes
+        s_c = s - _spread(s_mean, gsizes)
+        ss = gdot(s_c, s_c)
+        a = gdot(s_c, y_c) / ss
+        r = _spread(a, gsizes) * s_c
+        r -= y_c
+        return y_mean - a * s_mean, a, r, gdot(r, r), (w, u, s_c, ss)
+
+    # per-sample products summed by normal_equations, written in place: with
+    # L = 1/(1 + u^2), the rows L, Lu, L^2, (Lu)^2, Lr, Lur, L s_c, Lu s_c, L Lu
+    products = np.empty((9, x.size))
+    # J0 = -(a/pi) K, where a row of K holds L/w_j and Lu; these powers of
+    # 1/w_j turn the per-curve sums of the rows above into sums over K
+    powers = np.array([1, 0, 2, 0, 1, 0, 1, 0, 1])[:, None]
+    # where K'K has nonzeros in a group's (mu_l, log w_l) order, flattened:
+    # the diagonal, then (mu_l, log w_l) and (log w_l, mu_l)
+    d = np.arange(2 * k)
+    gram_at = np.concatenate((d * (2 * k + 1), d[:k] * (2 * k + 1) + k,
+                              d[:k] * (2 * k + 1) + 2 * k * k))
 
     def normal_equations(a, r, w, u, s_c, ss):
-        """J'J and J'r from per-curve sums."""
-        g = -a / (math.pi * (1.0 + u * u))
-        cols = np.stack([g / w, g * u])  # the two nonzeros of each row of J0
-        v = np.vstack([cols, r, ones, s_c])
-        # sums[i, k, j]: the sum over curve j of cols[i] * v[k]
-        sums = np.add.reduceat(cols[:, None] * v, starts, axis=2)
-        gram = (np.diag(np.concatenate([sums[0, 0], sums[1, 1]]))
-                + np.diag(sums[0, 1], m) + np.diag(sums[1, 0], -m))  # J0'J0
-        c1, c2 = sums[:, 3].ravel(), sums[:, 4].ravel()
-        hess = gram - np.outer(c1, c1) / r.size - np.outer(c2, c2) / ss
-        grad = sums[:, 2].ravel() - c1 * r.mean() - c2 * ((s_c @ r) / ss)
-        if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
-            raise FitError("fit diverged: the gradient or normal matrix is not finite")
-        if not np.all(np.diag(hess) > _RANK_RATIO * np.diag(gram)):
-            raise FitError(_SINGULAR)
-        return hess, grad
+        """J'J and J'r per group, from per-curve sums, and a fault code."""
+        b = products[:, :r.size]
+        np.multiply(u, u, out=b[0])
+        b[0] += 1.0
+        np.reciprocal(b[0], out=b[0])
+        np.multiply(b[0], u, out=b[1])
+        np.multiply(b[:2], b[:2], out=b[2:4])
+        np.multiply(b[:2], r, out=b[4:6])
+        np.multiply(b[:2], s_c, out=b[6:8])
+        np.multiply(b[0], b[1], out=b[8])
+        sums = np.add.reduceat(b, cstarts, axis=1)
+        sums *= (1.0 / w) ** powers
+        # pairs[G, q]: the sums of rows 2q and 2q + 1 over group G's curves,
+        # as a vector over (mu_l, log w_l): 1'K, diag(K'K), K'r, s_c'K
+        pairs = sums[:8].reshape(4, 2, -1, k).transpose(2, 0, 1, 3).reshape(-1, 4, 2 * k)
+        c1, c2 = pairs[:, 0], pairs[:, 3]
+        hess = np.zeros((len(pairs), 2 * k, 2 * k))  # K'K, then reduced
+        off = sums[8].reshape(-1, k)
+        hess.reshape(len(pairs), -1)[:, gram_at] = np.concatenate((pairs[:, 1], off, off), axis=1)
+        hess -= c1[:, :, None] * c1[:, None, :] / gsizes[:, None, None]
+        hess -= c2[:, :, None] * c2[:, None, :] / ss[:, None, None]
+        grad = pairs[:, 2] - c1 * (gsum(r) / gsizes)[:, None] - c2 * (gdot(s_c, r) / ss)[:, None]
+        # the factor (a/pi)^2 cancels from the rank guard's ratio
+        ranked = _rows_all(_diagonal(hess) > _RANK_RATIO * pairs[:, 1])
+        scale = -a / math.pi
+        hess *= (scale * scale)[:, None, None]
+        grad *= scale[:, None]
+        finite = _rows_all(np.isfinite(hess)) & _rows_all(np.isfinite(grad))
+        return hess, grad, np.where(finite, np.where(ranked, 0, 3), 2)
 
-    def checked_cost(r):
-        cost = r @ r
-        if not np.isfinite(cost):
-            raise FitError("fit diverged: the cost is not finite")
-        return cost
+    groups = len(gsizes)
+    cstarts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    theta = np.concatenate([np.reshape(mus, (groups, k)), np.log(np.reshape(ws, (groups, k)))],
+                           axis=1)
+    y0, a, r, cost, aux = evaluate(theta)
+    hess, grad, state = normal_equations(a, r, *aux)
+    # a group's state: 0 while it iterates, _CONVERGED, or a fault code
+    state = np.where(np.isfinite(cost), state, 1)
+    damping = np.full(groups, 1e-3)
 
-    theta = np.concatenate([mus, np.log(ws)])
-    lin, r, aux = residuals(theta)
-    cost, damping, converged = checked_cost(r), 1e-3, False
-    hess, grad = normal_equations(lin[1], r, *aux)
-    for _ in range(_MAX_ITER * m - 1):
-        try:
-            step = np.linalg.solve(hess + damping * np.diag(np.diag(hess)), -grad)
-        except np.linalg.LinAlgError:
-            raise FitError(_SINGULAR) from None
-        if np.linalg.norm(step) <= _FIT_TOL * (_FIT_TOL + np.linalg.norm(theta)):
-            converged = True
-            break
+    # each group's (y0, a, theta, residuals) and status, kept as it leaves
+    ids, final_state, status = np.arange(groups), [None] * groups, [False] * groups
+    budget = _MAX_ITER * k - 1
+    while True:
+        if budget == 0 or np.count_nonzero(state):
+            leaving = state != 0 if budget else np.ones(len(state), dtype=bool)
+            for i in np.flatnonzero(leaving):
+                status[ids[i]] = (state[i] == _CONVERGED if state[i] <= 0
+                                  else FitError(_FAULTS[state[i]]))
+                final_state[ids[i]] = (y0[i], a[i], theta[i], r[gstarts[i]:gstarts[i] + gsizes[i]])
+            if leaving.all():
+                break
+            stay, at = ~leaving, ~np.repeat(leaving, gsizes)
+            x, y_c, r = x[at], y_c[at], r[at]
+            sizes = sizes[np.repeat(stay, k)]
+            theta, y0, a, cost, damping, hess, grad, y_mean, gsizes, ids, state = (
+                v[stay] for v in (theta, y0, a, cost, damping, hess, grad, y_mean, gsizes,
+                                  ids, state))
+            gstarts = np.concatenate(([0], np.cumsum(gsizes)[:-1]))
+            equal = (gsizes == gsizes[0]).all()
+            cstarts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        budget -= 1
+
+        damped = hess.copy()
+        diag = _diagonal(damped)
+        diag += damping[:, None] * diag
+        step, singular = _solve(damped, -grad)
+        trial = theta + step
+        hess_step = np.matmul(hess, step[:, :, None])[:, :, 0]
+        step_sq, theta_sq, slope, curvature = _rowdots(
+            np.concatenate((step, theta, grad, hess_step), axis=1),
+            np.concatenate((step, theta, step, step), axis=1), 4).T
+        small = np.sqrt(step_sq) <= _FIT_TOL * (_FIT_TOL + np.sqrt(theta_sq))
         # a cost decrease the linear model puts below _FIT_TOL of the cost is
         # lost in rounding, so the cost cannot judge the step: it is taken
         # untested, and it is the last
-        final = -(2.0 * grad @ step + step @ hess @ step) <= _FIT_TOL * cost
-        trial_lin, trial_r, trial_aux = residuals(theta + step)
-        trial_cost = checked_cost(trial_r)
-        if final:
-            theta, lin, r, converged = theta + step, trial_lin, trial_r, True
-            break
-        if trial_cost < cost:
-            theta, lin, r, cost = theta + step, trial_lin, trial_r, trial_cost
-            hess, grad = normal_equations(lin[1], r, *trial_aux)
-            damping /= 10.0
-        else:
-            damping *= 10.0
-    return lin, theta[:m], np.exp(theta[m:]), r, converged
+        final = 2.0 * slope + curvature >= -_FIT_TOL * cost
+        t_y0, t_a, t_r, t_cost, t_aux = evaluate(trial)
+        finite = np.isfinite(t_cost)
+        take = (final | (t_cost < cost)) & finite & ~small
+        state = np.where(small | (take & final), _CONVERGED, ~finite)  # fault 1: the cost
+        if singular is not None:
+            take &= ~singular
+            state[singular] = 3
+        better = take & ~final
+        n_better = np.count_nonzero(better)
+        if n_better:
+            t_hess, t_grad, t_state = normal_equations(t_a, t_r, *t_aux)
+            state = np.where(better, t_state, state)
+        n_take = np.count_nonzero(take)
+        if n_take == len(take):
+            theta, y0, a, r, cost = trial, t_y0, t_a, t_r, t_cost
+        elif n_take:
+            theta = np.where(take[:, None], trial, theta)
+            y0, a, cost = (np.where(take, t, v) for t, v in ((t_y0, y0), (t_a, a), (t_cost, cost)))
+            r = np.where(np.repeat(take, gsizes), t_r, r)
+        if n_better == len(better):
+            hess, grad = t_hess, t_grad
+        elif n_better:
+            hess = np.where(better[:, None, None], t_hess, hess)
+            grad = np.where(better[:, None], t_grad, grad)
+        damping = np.where(better, damping / 10.0, damping * 10.0)
+
+    y0, a, theta, r = zip(*final_state)
+    r = np.concatenate(r)
+    if joint:
+        if isinstance(status[0], FitError):
+            raise status[0]
+        return (y0[0], a[0]), theta[0][:k], np.exp(theta[0][k:]), r, status[0]
+    theta = np.array(theta)
+    return (np.array(y0), np.array(a)), theta[:, 0], np.exp(theta[:, 1]), r, status
 
 
 def _rms(r):
@@ -253,40 +468,75 @@ def _require_finite(y0, a, mus, ws, r):
         raise FitError("fit diverged: a parameter, V50 or a residual is not finite")
 
 
-def fit_lorentzian_cdf(curve):
-    """Least-squares fit of one sweep to the arctangent transfer function.
-
-    w stays positive through a log parameterization. Raises RankError on
-    flat data and FitError (carrying the best parameters reached) if the
-    optimizer fails to converge within the budget.
-    """
-    if curve.n_samples < 8:
-        raise DomainError("fit requires >= 8 samples spanning both tails")
-    x = np.log10(curve.v_p)
-    y = curve.values
-    if np.ptp(y) == 0:
-        raise RankError("flat curve cannot constrain the transfer function")
-
-    mu_i, w_i = _default_init(x, y)
-    (y0_f, a_f), (mu_f,), (w_f,), r, converged = _varpro([x], [y], [mu_i], [w_i])
-    _require_finite(y0_f, a_f, [mu_f], [w_f], r)
-    if a_f < 0:
+def _checked_fit(t_p, y0, a, mu, w, r, converged):
+    """The fit of one curve from the engine's outcome, or the error it makes."""
+    if isinstance(converged, FitError):
+        raise converged
+    _require_finite(y0, a, [mu], [w], r)
+    if a < 0:
         # refit with the curve flipped is out of scope; report the failure
         raise FitError("fit converged to a non-increasing transfer function",
-                       best_fit=(y0_f, a_f, mu_f, w_f))
-    fit = LorentzianFit.from_params(y0_f, a_f, mu_f, w_f, _rms(r), curve.t_p)
+                       best_fit=(y0, a, mu, w))
+    fit = LorentzianFit.from_params(y0, a, mu, w, _rms(r), t_p)
     if not converged:
         raise FitError(f"optimizer did not converge within {_MAX_ITER} evaluations",
                        best_fit=fit)
     return fit
 
 
+def _fit_each(curves):
+    """Fit every curve on its own, all in one engine call. Returns one
+    outcome per curve: its LorentzianFit, or the error its fit raises."""
+    outcomes, batch = [], []
+    for i, curve in enumerate(curves):
+        try:
+            if curve.n_samples < 8:
+                raise DomainError("fit requires >= 8 samples spanning both tails")
+            x, y = np.log10(curve.v_p), curve.values
+            if y.min() == y.max():  # np.ptp(y) == 0 could overflow
+                raise RankError("flat curve cannot constrain the transfer function")
+            batch.append((i, x, y, *_default_init(x, y)))
+            outcomes.append(None)
+        except (DomainError, FitError, RankError) as exc:
+            outcomes.append(exc)
+    if batch:
+        index, xs, ys, mus, ws = zip(*batch)
+        (y0s, amps), mus, ws, r, status = _varpro(xs, ys, mus, ws, joint=False)
+        pieces = np.split(r, np.cumsum([xj.size for xj in xs])[:-1])
+        for i, y0, a, mu, w, ri, converged in zip(index, y0s, amps, mus, ws, pieces, status):
+            try:
+                outcomes[i] = _checked_fit(curves[i].t_p, y0, a, mu, w, ri, converged)
+            except (ConfigError, FitError) as exc:
+                outcomes[i] = exc
+    return outcomes
+
+
+def _raise_first_error(outcomes):
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def fit_lorentzian_cdf(curve):
+    """Least-squares fit of one sweep to the arctangent transfer function.
+
+    w stays positive through a log parameterization. Raises DomainError on
+    fewer than 8 samples, RankError on flat data, and FitError (carrying the
+    best parameters reached) if the optimizer fails to converge within the
+    budget.
+    """
+    return _raise_first_error(_fit_each([curve]))[0]
+
+
 def fit_family(curves, share_offsets=False):
     """Fit a pulse-width family; returns fits ordered by increasing t_p.
 
-    With ``share_offsets`` a single joint optimization holds one global
-    (y0, A) across all curves with per-curve (mu, w), seeded by the
-    independent fits; otherwise each curve is fit independently.
+    The curves are fit independently in one engine call, and a failure
+    raises what ``fit_lorentzian_cdf`` raises for the first failing curve in
+    t_p order. With ``share_offsets`` those fits seed a single joint
+    optimization that holds one global (y0, A) across all curves with
+    per-curve (mu, w).
     """
     if len(curves) < 2:
         raise ConfigError("fit_family requires >= 2 curves")
@@ -295,10 +545,10 @@ def fit_family(curves, share_offsets=False):
     if len(set(tps)) != len(tps):
         raise ConfigError("fit_family requires distinct pulse widths")
 
+    seeds = _raise_first_error(_fit_each(ordered))
     if not share_offsets:
-        return [fit_lorentzian_cdf(c) for c in ordered]
+        return seeds
 
-    seeds = [fit_lorentzian_cdf(c) for c in ordered]
     (y0, a), mus, ws, r, converged = _varpro(
         [np.log10(c.v_p) for c in ordered], [c.values for c in ordered],
         [f.mu for f in seeds], [f.w for f in seeds])
@@ -345,19 +595,26 @@ def half_saturation_crossing(curve):
     return _single_crossing(curve.v_p, curve.values, level)
 
 
-def _isotonic(y):
-    """Least-squares non-decreasing fit to ``y`` by pool-adjacent-violators
-    (Barlow et al., 1972); equal to ``y`` where ``y`` never decreases."""
-    means, sizes = [], []
-    for mean in y.tolist():
-        size = 1
-        while means and means[-1] > mean:
-            merged = sizes.pop()
-            mean = (means.pop() * merged + mean * size) / (merged + size)
-            size += merged
-        means.append(mean)
-        sizes.append(size)
-    return np.repeat(means, sizes)
+@np.errstate(all="ignore")
+def _isotonic_zero_crossing(v, y):
+    """V_p where the least-squares non-decreasing fit to ``y`` crosses zero,
+    counted as ``_single_crossing`` counts the fit's samples: a run of zeros
+    is crossed at its middle, a step across zero is interpolated.
+
+    The step's sides are block means found from prefix sums (see
+    ``_isotonic_levels``), not by the pool-adjacent-violators loop. Where a
+    block mean is zero up to rounding the two can disagree on whether the
+    fit touches zero; both readings are then within rounding of the data.
+    """
+    t, u, p = _isotonic_levels(y, 0.0)
+    if np.isfinite(p[-1]):
+        if t < u:
+            return float(0.5 * (v[t] + v[u - 1]))
+        if 0 < t < y.size:
+            lo, hi = _fit_beside(y, p, t)
+            if lo * hi < 0:  # as in _single_crossing, an underflowing product is no sign change
+                return float(v[t - 1] + (-lo) * (v[t] - v[t - 1]) / (hi - lo))
+    raise MarkerAbsentError("curve never crosses the marker level")
 
 
 def curve_markers(curve):
@@ -371,9 +628,8 @@ def curve_markers(curve):
     vc_mech = vc_elec = None
     try:
         if curve.observable_kind == "displacement":
-            sign = 1.0 if curve.values[-1] >= curve.values[0] else -1.0
-            trend = sign * _isotonic(sign * curve.values)
-            vc_mech = _single_crossing(curve.v_p, trend, 0.0)
+            y = curve.values
+            vc_mech = _isotonic_zero_crossing(curve.v_p, y if y[-1] >= y[0] else -y)
         else:
             vc_elec = half_saturation_crossing(curve)
     except MarkerAbsentError:

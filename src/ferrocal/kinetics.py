@@ -83,9 +83,10 @@ def regress_mu_fixed_tau(points, tau_inf):
     """Ordinary least squares of mu on X at a fixed attempt time.
 
     ``points`` is a sequence of (t_p seconds, mu decades) pairs, >= 3 of
-    them with distinct t_p all exceeding tau_inf, which must be finite and
-    positive. A near-zero slope yields a flagged degenerate result (alpha =
-    inf) instead of an exception.
+    them with distinct t_p, and tau_inf must be finite and positive with
+    every t_p/tau_inf in (1, 1e308): DomainError below, ConfigError above.
+    A near-zero slope yields a flagged degenerate result (alpha = inf)
+    instead of an exception.
     """
     if not 0 < tau_inf < math.inf:
         raise ConfigError("tau_inf must be finite and > 0")
@@ -96,8 +97,13 @@ def regress_mu_fixed_tau(points, tau_inf):
         raise ConfigError("regression requires distinct t_p values")
     if np.any(tp <= tau_inf):
         raise DomainError("all t_p must exceed tau_inf")
+    # the nested profile's rule: every t_p/tau_inf in (1, 1e308), so X is finite
+    with np.errstate(over="ignore"):
+        ratio = tp / tau_inf
+    if not np.all(ratio < 1e308):
+        raise ConfigError(f"tau_inf = {tau_inf!r} s puts t_p/tau_inf at or above 1e308")
 
-    x = np.log10(np.log(tp / tau_inf))
+    x = np.log10(np.log(ratio))
     slope, intercept, ss_res, ss_tot = _ols(x, mu)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return MerzRegression(tau_inf=float(tau_inf), mu_star=intercept, slope=slope,

@@ -37,7 +37,8 @@ class LevelSet:
     source_count: int
 
     def __post_init__(self):
-        if np.any(np.diff(self.values) < 0):
+        # compared, not subtracted: a difference of finite values can overflow
+        if np.any(self.values[1:] < self.values[:-1]):
             raise ConfigError("LevelSet values must be non-decreasing")
         if self.count > self.source_count:
             raise ConfigError("cannot keep more levels than source samples")

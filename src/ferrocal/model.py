@@ -89,6 +89,19 @@ class ThresholdDistribution:
         return 10.0**self.mu
 
 
+# The widest DAC. Code k programs lo + (hi - lo) * k / (2**bits - 1). Up to
+# 53 bits every k and 2**bits - 1 is an exact double, and neighbouring code
+# fractions k / (2**bits - 1) lie more than 2**-53 apart, the widest gap
+# between doubles in [0, 1], so they stay distinct. From 54 bits on they lie
+# 2**-54 apart near 1 and neighbouring codes share a fraction, whatever the
+# range. Within 53 bits the range sets the limit: neighbouring codes are
+# (hi - lo) / (2**bits - 1) volts apart, which must exceed the gap between
+# doubles at the larger of |lo| and |hi|. For the 0.5-9 V default that gap
+# is 2**-49 V, so 52 bits (1.9e-15 V steps) program distinct voltages and
+# 53 bits (9.4e-16 V steps) do not.
+MAX_DAC_BITS = 53
+
+
 @dataclass(frozen=True)
 class DeviceCalibration:
     """Per-device constants for reading and programming.
@@ -111,11 +124,15 @@ class DeviceCalibration:
             raise ConfigError("DeviceCalibration requires delta_max > delta_min")
         if self.read_noise_sigma < 0:
             raise ConfigError("read_noise_sigma must be >= 0")
-        if int(self.dac_bits) < 1:
-            raise ConfigError("dac_bits must be >= 1")
+        if not 1 <= int(self.dac_bits) <= MAX_DAC_BITS:
+            raise ConfigError(f"dac_bits must lie in 1..{MAX_DAC_BITS}")
         lo, hi = self.dac_range
         if not hi > lo:
             raise ConfigError("dac_range must satisfy V_max > V_min")
+        step = (hi - lo) / (2.0 ** int(self.dac_bits) - 1)
+        if not np.spacing(max(abs(lo), abs(hi))) < step < math.inf:
+            raise ConfigError(f"{int(self.dac_bits)} DAC bits over [{lo!r}, {hi!r}] V do not "
+                              "give each code its own voltage")
 
     @property
     def span(self):

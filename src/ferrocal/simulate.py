@@ -173,7 +173,8 @@ class SwitchCurve:
         object.__setattr__(self, "values", y)
         if v.ndim != 1 or y.shape != v.shape or v.size < 1:
             raise ConfigError("SwitchCurve requires matching 1-D v_p and values")
-        if np.any(np.diff(v) <= 0):
+        # compared, not subtracted: a difference of finite values can overflow
+        if np.any(v[1:] <= v[:-1]):
             raise ConfigError("SwitchCurve requires strictly increasing V_p")
         if self.observable_kind not in self._KINDS:
             raise ConfigError(f"unknown observable_kind {self.observable_kind!r}")

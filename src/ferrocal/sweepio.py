@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, first_non_utf8
 from .fitting import LorentzianFit
 from .kinetics import master_curve
 from .simulate import SwitchCurve
@@ -75,6 +75,12 @@ def _finite_floats(cells, row, line_no):
     return values
 
 
+def _not_utf8(path):
+    """The ParseError of a file that is not UTF-8 text, naming the line."""
+    line, byte = first_non_utf8(path)
+    return ParseError(f"byte 0x{byte:02x} is not UTF-8 text", line=line)
+
+
 def _load_table(text):
     """The data block as an (n, 3) array if it passes every check, else None.
 
@@ -110,7 +116,7 @@ def _scan_sweep_rows(path):
     A file that passes every row check and still fails the table read (a
     line holding only a quoted blank cell) gets an error without a line.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         seen_rows = False
@@ -154,20 +160,24 @@ def parse_sweep_csv(path):
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ParseError("empty file: missing header", line=1) from None
-        header = [h.strip() for h in header]
-        if len(header) != 3 or header[0] != "t_p_us" or header[1] != "V_p_V":
-            raise ParseError(f"bad header {header!r}; expected t_p_us,V_p_V,<value column>", line=1)
-        kind = _KIND_BY_COLUMN.get(header[2])
-        if kind is None:
-            raise ParseError(
-                f"unknown value column/unit {header[2]!r}; expected one of "
-                f"{sorted(_KIND_BY_COLUMN)}", line=1)
-        table = _load_table(fh.read())
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise ParseError("empty file: missing header", line=1) from None
+            header = [h.strip() for h in header]
+            if len(header) != 3 or header[0] != "t_p_us" or header[1] != "V_p_V":
+                raise ParseError(f"bad header {header!r}; expected t_p_us,V_p_V,<value column>",
+                                 line=1)
+            kind = _KIND_BY_COLUMN.get(header[2])
+            if kind is None:
+                raise ParseError(
+                    f"unknown value column/unit {header[2]!r}; expected one of "
+                    f"{sorted(_KIND_BY_COLUMN)}", line=1)
+            table = _load_table(fh.read())
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if table is None:
         _scan_sweep_rows(path)
     tp_us, v_p, values = table.T.copy()
@@ -234,31 +244,35 @@ def parse_fit_report(path):
     if not path.exists():
         raise ParseError(f"no such file: {path}")
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError("empty fit report", line=1) from None
-        if header not in map(fit_report_header, _UNITS):
-            raise ParseError(f"bad fit report header {header!r}", line=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} columns", line=line_no)
-            tp_us, y0, a, mu, w, v50, rms = _finite_floats(
-                [row[i] for i in (0, 1, 2, 3, 4, 5, 7)], row, line_no)
-            vc = None if row[6] == "" else _finite_floats(row[6:7], row, line_no)[0]
-            t_p = tp_us * 1e-6
-            if not (t_p > 0 and a > 0 and w > 0):
-                raise ParseError("t_p_us, A and w must be positive", line=line_no)
-            with np.errstate(over="ignore"):
-                ten_to_mu = float(np.power(10.0, mu))
-            if not (v50 > 0 and abs(v50 - ten_to_mu) <= 1e-12 * v50):
-                raise ParseError(f"v50_V = {v50!r} is not 10**mu > 0 for mu = {mu!r}",
-                                 line=line_no)
-            out.append((LorentzianFit(y0=y0, a=a, mu=mu, w=w, rms_residual=rms, t_p=t_p), vc))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise ParseError("empty fit report", line=1) from None
+            if header not in map(fit_report_header, _UNITS):
+                raise ParseError(f"bad fit report header {header!r}", line=1)
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} columns", line=line_no)
+                tp_us, y0, a, mu, w, v50, rms = _finite_floats(
+                    [row[i] for i in (0, 1, 2, 3, 4, 5, 7)], row, line_no)
+                vc = None if row[6] == "" else _finite_floats(row[6:7], row, line_no)[0]
+                t_p = tp_us * 1e-6
+                if not (t_p > 0 and a > 0 and w > 0):
+                    raise ParseError("t_p_us, A and w must be positive", line=line_no)
+                with np.errstate(over="ignore"):
+                    ten_to_mu = float(np.power(10.0, mu))
+                if not (v50 > 0 and abs(v50 - ten_to_mu) <= 1e-12 * v50):
+                    raise ParseError(f"v50_V = {v50!r} is not 10**mu > 0 for mu = {mu!r}",
+                                     line=line_no)
+                fit = LorentzianFit(y0=y0, a=a, mu=mu, w=w, rms_residual=rms, t_p=t_p)
+                out.append((fit, vc))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not out:
         raise ParseError("fit report holds a header but no rows")
     return out

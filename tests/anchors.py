@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from ferrocal import (AmbiguousMarkerError, FitError, MarkerAbsentError, ParseError,
-                      SwitchCurve, lorentzian_displacement)
+                      RankError, SwitchCurve, lorentzian_displacement)
 from ferrocal.fitting import _FIT_TOL, _MAX_ITER
 from ferrocal.kinetics import _GOLDEN, _ols, _split_points, regress_mu_fixed_tau
 
@@ -313,3 +313,47 @@ def dense_varpro(xs, ys, mus, ws):
             converged = True
             break
     return lin, theta[:m], np.exp(theta[m:]), r, converged
+
+
+def pav_isotonic(y):
+    """Reference least-squares non-decreasing fit to ``y`` by the
+    pool-adjacent-violators loop (Barlow et al., 1972); equal to ``y`` where
+    ``y`` never decreases."""
+    means, sizes = [], []
+    for mean in y.tolist():
+        size = 1
+        while means and means[-1] > mean:
+            merged = sizes.pop()
+            mean = (means.pop() * merged + mean * size) / (merged + size)
+            size += merged
+        means.append(mean)
+        sizes.append(size)
+    return np.repeat(means, sizes)
+
+
+def raw_default_init(x, y):
+    """Reference fit seeds from the raw samples: (mu, w) from the first
+    crossings of the mid-span and quarter-span levels of the line through
+    the curve ends, interpolated between the samples beside each crossing."""
+    def crossing(level):
+        above = y >= level
+        if above.all() or (~above).all():
+            raise RankError("curve does not span the level needed to seed the fit")
+        i = int(np.argmax(above)) if not above[0] else int(np.argmax(~above))
+        i = max(i, 1)
+        y0, y1 = y[i - 1], y[i]
+        if y1 == y0:
+            return x[i]
+        return x[i - 1] + (level - y0) * (x[i] - x[i - 1]) / (y1 - y0)
+
+    y0 = y[0]
+    a = y[-1] - y[0]
+    if a == 0:
+        raise RankError("flat curve: span seed is zero")
+    mu = crossing(y0 + 0.50 * a)
+    x25 = crossing(y0 + 0.25 * a)
+    x75 = crossing(y0 + 0.75 * a)
+    w = abs(x75 - x25) / 2.0
+    if w <= 0:
+        w = max(abs(x[-1] - x[0]) / 10.0, 1e-3)
+    return mu, w

@@ -287,6 +287,30 @@ class TestExitCodes:
         assert "line 501: non-finite value" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["fit", "levels", "merz", "program", "collapse",
+                                         "simulate"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, command):
+        sweep = emit_sweep_csv(tmp_path / "sweep.csv",
+                               [synthetic_curve(row) for row in TABLE_ROWS[-2:]])
+        report = write_table_report(tmp_path / "fit_report.csv")
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nseed = 3\n")
+        bad = {"fit": sweep, "levels": sweep, "simulate": config}.get(command, report)
+        lines = bad.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+        argv = {"fit": ["fit", "--input", str(sweep)],
+                "levels": ["levels", "--input", str(sweep)],
+                "merz": ["merz", "--fits", str(report)],
+                "program": ["program", "--fits", str(report), "--targets", "0.5"],
+                "collapse": ["collapse", "--input", str(sweep), "--fits", str(report)],
+                "simulate": ["simulate", "--config", str(config), "--out", "out.csv"]}
+        proc = subprocess.run([sys.executable, "-m", "ferrocal", "--out-dir", str(tmp_path)]
+                              + argv[command], capture_output=True, text=True)
+        assert proc.returncode == (2 if command == "simulate" else 3)
+        assert "line 2: byte 0xff is not UTF-8 text" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("value", ["1e308", "-1e200"])
     def test_hostile_value_is_a_fit_error_without_warnings(self, tmp_path, value):
         sweep = tmp_path / "sweep.csv"
@@ -350,6 +374,27 @@ class TestExitCodes:
                      "--config", str(cfg), "--out", "x.csv"]) == 2
         assert "argument --seed: seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("bits, message", [
+        ("2000", "argument --dac-bits: DAC width must lie in 1..53, got 2000"),
+        ("0", "argument --dac-bits: DAC width must lie in 1..53, got 0"),
+        ("53", "53 DAC bits over [0.5, 9.0] V do not give each code its own voltage")])
+    def test_dac_width_beyond_distinct_code_voltages_is_usage_error(self, tmp_path, capsys,
+                                                                    bits, message):
+        report = write_table_report(tmp_path / "fit_report.csv")
+        assert main(["--out-dir", str(tmp_path), "program", "--fits", str(report),
+                     "--targets", "0.5", "--dac-bits", bits]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "program_table.csv").exists()
+
+    @pytest.mark.parametrize("tau_inf", ["5e-324", "1e-314"])
+    def test_tau_inf_that_overflows_t_p_over_tau_inf_is_usage_error(self, tmp_path, capsys,
+                                                                    tau_inf):
+        report = write_table_report(tmp_path / "fit_report.csv")
+        assert main(["--out-dir", str(tmp_path), "merz", "--fits", str(report),
+                     "--tau-inf", tau_inf]) == 2
+        assert "puts t_p/tau_inf at or above 1e308" in capsys.readouterr().err
+        assert not (tmp_path / "merz_summary.txt").exists()
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 2

@@ -52,6 +52,12 @@ class TestRegressFixedTau:
         with pytest.raises(ConfigError):
             regress_mu_fixed_tau([(1e-4, 0.7), (1e-4, 0.71), (2e-4, 0.69)], PUB_TAU_INF)
 
+    @pytest.mark.parametrize("tau_inf", [5e-324, 1e-314])
+    def test_tau_inf_must_keep_t_p_over_tau_inf_below_1e308(self, tau_inf):
+        # t_p/tau_inf overflows, and X = log10 ln(t_p/tau_inf) with it
+        with pytest.raises(ConfigError, match="at or above 1e308"):
+            regress_mu_fixed_tau(POINTS, tau_inf)
+
     @pytest.mark.parametrize("tau_inf", [math.nan, math.inf, 0.0, -1.0])
     def test_tau_inf_must_be_finite_and_positive(self, tau_inf):
         with pytest.raises(ConfigError, match="tau_inf must be finite and > 0"):

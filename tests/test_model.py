@@ -50,6 +50,25 @@ class TestDeviceCalibration:
         with pytest.raises(ConfigError):
             DeviceCalibration(**good, dac_range=(9.0, 0.5))
 
+    def test_dac_width_gives_each_code_its_own_voltage(self):
+        from ferrocal.levels import dac_voltage
+        from ferrocal.model import MAX_DAC_BITS, DeviceCalibration
+
+        good = dict(delta_min=-19.0, delta_max=5.0, dac_range=(0.5, 9.0))
+        top = DeviceCalibration(**good, dac_bits=52)
+        codes = 2**52 - 1 - np.arange(4096)
+        volts = [dac_voltage(top, int(c)) for c in codes]
+        assert len(set(volts)) == codes.size
+        # at 53 bits, dac_voltage's arithmetic puts neighbouring codes near 9 V
+        # on one voltage
+        wide = 2**53 - 1
+        assert len({0.5 + 8.5 * int(c) / wide for c in wide - np.arange(4096)}) < 4096
+        for bits in (53, MAX_DAC_BITS + 1, 2000, 10**9):
+            with pytest.raises(ConfigError, match="(?i)dac"):
+                DeviceCalibration(**good, dac_bits=bits)
+        with pytest.raises(ConfigError):  # a step of 2**-49 V is below the spacing near 2**10 V
+            DeviceCalibration(**{**good, "dac_range": (1024.0, 1024.0 + 2.0**-40)}, dac_bits=10)
+
 
 class TestTauOfField:
     def test_infinite_field_limit(self):

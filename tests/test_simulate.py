@@ -216,6 +216,13 @@ class TestSwitchCurve:
         with pytest.raises(ConfigError):
             SwitchCurve(t_p=1e-4, v_p=[1.0, 1.0, 2.0], values=[0, 1, 2])
 
+    def test_order_check_on_voltages_whose_difference_overflows(self):
+        # Tier-1 turns numpy's overflow warning into an error
+        curve = SwitchCurve(t_p=1e-4, v_p=[-1.7e308, 1.7e308], values=[0.0, 1.0])
+        assert curve.n_samples == 2
+        with pytest.raises(ConfigError):
+            SwitchCurve(t_p=1e-4, v_p=[1.7e308, -1.7e308], values=[0.0, 1.0])
+
     def test_requires_known_kind(self):
         with pytest.raises(ConfigError):
             SwitchCurve(t_p=1e-4, v_p=[1.0, 2.0], values=[0, 1], observable_kind="charge")

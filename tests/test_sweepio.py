@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ferrocal import (ConfigError, LevelSet, LorentzianFit, MerzRegression, ParseError,
@@ -249,12 +249,13 @@ class TestCliFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=sweep_files(), command=st.sampled_from(["fit", "levels"]),
            noise=st.sampled_from([0.0, 0.05, 3.0]), outliers=st.lists(EDGE_FLOATS, max_size=3),
-           seed=st.integers(0, 2**16))
+           seed=st.integers(0, 2**16), raw=st.binary(max_size=4), at=st.integers(0, 2**16))
     def test_fit_and_levels_exit_with_a_documented_code(self, tmp_path, capsys, text,
-                                                        command, noise, outliers, seed):
+                                                        command, noise, outliers, seed, raw,
+                                                        at):
         # even seeds read fuzzed rows; odd seeds a two-curve model sweep with
         # read noise and a few arbitrary finite outliers, so that the fits run
-        # on hostile values
+        # on hostile values; either file gets a few raw bytes inserted
         path = tmp_path / "fuzz.csv"
         if seed % 2:
             rng = np.random.default_rng(seed)
@@ -265,13 +266,17 @@ class TestCliFuzz:
             emit_sweep_csv(path, curves)
         else:
             path.write_bytes(text.encode())
+        data = path.read_bytes()
+        at %= len(data) + 1
+        path.write_bytes(data[:at] + raw + data[at:])
         code = main(["--out-dir", str(tmp_path / "out"), command, "--input", str(path)])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in capsys.readouterr().err
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(line=st.integers(1, len(TABLE_ROWS)), column=st.integers(0, 7), cell=REPORT_CELLS,
+    @given(line=st.integers(1, len(TABLE_ROWS)), column=st.integers(0, 7),
+           cell=REPORT_CELLS | st.binary(min_size=1, max_size=4),
            command=st.sampled_from(["merz", "program", "collapse"]))
     def test_fit_report_cell_exits_with_a_documented_code(self, tmp_path, capsys, line,
                                                           column, cell, command):
@@ -279,11 +284,11 @@ class TestCliFuzz:
         fits = [LorentzianFit.from_params(row[1], row[2], row[3], row[4], 0.0, row[0])
                 for row in TABLE_ROWS]
         report = emit_fit_report(tmp_path / "fit_report.csv", fits)
-        lines = report.read_text().splitlines()
-        cells = lines[line].split(",")
-        cells[column] = cell
-        lines[line] = ",".join(cells)
-        report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = report.read_bytes().splitlines()
+        cells = lines[line].split(b",")
+        cells[column] = cell if isinstance(cell, bytes) else cell.encode()
+        lines[line] = b",".join(cells)
+        report.write_bytes(b"\n".join(lines) + b"\n")
         sweep = emit_sweep_csv(tmp_path / "sweep.csv", [
             synthetic_curve(row, grid=np.linspace(0.5, 9.0, 40)) for row in TABLE_ROWS])
         argv = {"merz": ["merz", "--fits", str(report)],
@@ -321,6 +326,7 @@ class TestEmitterEquivalence:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cells=st.lists(EDGE_FLOATS, min_size=0, max_size=40))
+    @example(cells=[-1e300, 1.7976931348623157e308])  # the staircase's order check once overflowed
     def test_collapse_merz_line_and_staircase(self, tmp_path, cells):
         rows = np.array(cells[:len(cells) // 2 * 2], dtype=float).reshape(-1, 2)
         with np.errstate(all="ignore"):
