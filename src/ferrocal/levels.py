@@ -7,9 +7,9 @@ order, derived from their position. A noise-margin variant requires each
 kept value to clear the last one by at least a given increment.
 
 DAC-limited level counts evaluate the noiseless fitted model on every DAC
-code voltage and run the margin scan over the result; programming inverts
-the transfer function at a target normalized weight and snaps to the nearest
-code.
+code voltage, in place in the array of code voltages, and run the margin
+scan over the result; programming inverts the transfer function at a target
+normalized weight and snaps to the nearest code.
 
 When margin > 0 and the values never decrease (checked on the input; DAC
 code values pass, noisy sweeps do not), the margin scan jumps from one kept
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
-from .model import switched_fraction_cdf, threshold_quantile, ThresholdDistribution
+from .model import (_transfer, switched_fraction_cdf, threshold_quantile,
+                    ThresholdDistribution)
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,9 @@ def count_dac_levels(fit, cal, margin):
     """
     if not 0 <= margin < math.inf:
         raise ConfigError("margin must be finite and >= 0")
-    codes = dac_code_voltages(cal)
-    values = fit.displacement(codes)
+    # the code voltages are evaluated in place: one array of 2**bits values
+    values = _transfer(dac_code_voltages(cal), ThresholdDistribution(fit.mu, fit.w),
+                       fit.y0, fit.a)
     keep = _monotone_keep_mask(values, float(margin), margin > 0)
     return int(np.count_nonzero(keep))
 

@@ -17,6 +17,13 @@ limit it reduces to the classical stretched-exponential switching law.
 
 All distribution parameters exposed here are in decades (log10); the
 switching-time integral works on the natural-log axis internally.
+
+The transfer function has one implementation, ``_transfer``: it evaluates S
+(and delta) step by step in place on a float64 buffer, in the order the
+closed form is written, so every caller gets the closed form's bits without
+a full-size temporary per step. The public functions hand it a copy of their
+input; ``levels.count_dac_levels`` hands it the code voltages it has just
+built.
 """
 
 import math
@@ -193,18 +200,38 @@ def threshold_voltage(kinetics, t_p):
     return _as_float_or_array(v)
 
 
+def _transfer(v, dist, y0=None, a=None):
+    """Overwrite the float64 array ``v`` (V_p) with S(V_p), or with
+    y0 + A * S(V_p) when ``a`` is given, and return it.
+
+    Rejects any V_p <= 0 first. The steps log10, - mu, / w, arctan, / pi,
+    + 1/2 (then * A, + y0) run in place, in the order of the closed form, so
+    the result is the closed form bit for bit without a temporary per step.
+    """
+    # fmin skips NaN: a NaN V_p passes, as under an elementwise v <= 0
+    if np.fmin.reduce(v, axis=None, initial=math.inf) <= 0:
+        raise DomainError("the transfer function requires V_p > 0")
+    # a vanishing width overflows the ratio to +/-inf: the step's limit
+    with np.errstate(over="ignore"):
+        np.log10(v, out=v)
+        v -= dist.mu
+        v /= dist.w
+        np.arctan(v, out=v)
+        v /= np.pi
+        v += 0.5
+    # S lies in [0, 1] by construction, so the affine map needs no range check
+    if a is not None:
+        v *= a
+        v += y0
+    return v
+
+
 def switched_fraction_cdf(dist, v_p):
     """Switched fraction S(V_p) = 1/2 + arctan((log10 V_p - mu)/w) / pi.
 
     Strictly increasing in V_p with range (0, 1); requires V_p > 0.
     """
-    v = np.asarray(v_p, dtype=float)
-    if np.any(v <= 0):
-        raise DomainError("switched_fraction_cdf requires V_p > 0")
-    # a vanishing width overflows the ratio to +/-inf: the step's limit
-    with np.errstate(over="ignore"):
-        s = 0.5 + np.arctan((np.log10(v) - dist.mu) / dist.w) / np.pi
-    return _as_float_or_array(s)
+    return _as_float_or_array(_transfer(np.array(v_p, dtype=float), dist))
 
 
 def threshold_quantile(dist, s):
@@ -234,14 +261,17 @@ def threshold_pdf(dist, x):
 def displacement_of_fraction(y0, a, s):
     """Displacement of a partially switched state: delta = y0 + A * S (nm)."""
     ss = np.asarray(s, dtype=float)
-    if np.any(ss < 0) or np.any(ss > 1):
+    # fmin and fmax skip NaN: a NaN S passes, as under elementwise comparisons
+    if (np.fmin.reduce(ss, axis=None, initial=math.inf) < 0
+            or np.fmax.reduce(ss, axis=None, initial=-math.inf) > 1):
         raise DomainError("displacement_of_fraction requires 0 <= S <= 1")
     return _as_float_or_array(y0 + a * ss)
 
 
 def lorentzian_displacement(y0, a, mu, w, v_p):
     """Full transfer function delta(V_p) = y0 + A * S(V_p) for given (mu, w)."""
-    return displacement_of_fraction(y0, a, switched_fraction_cdf(ThresholdDistribution(mu, w), v_p))
+    dist = ThresholdDistribution(mu, w)
+    return _as_float_or_array(_transfer(np.array(v_p, dtype=float), dist, y0, a))
 
 
 def nls_switched_fraction(spec, t):

@@ -13,6 +13,11 @@ stays constant.
 
 Reads are non-destructive: displacement is an affine function of the down
 fraction plus optional Gaussian noise, and never mutates the state.
+
+A protocol sweep does not replay the pulses. Its value at each grid point is
+an exact count: the units no write can flip, plus the empirical CDF of the
+write thresholds of all the others, read from one sorted array
+(``run_protocol_sweep``).
 """
 
 import math
@@ -76,6 +81,14 @@ class HysteronEnsemble:
     down: np.ndarray
     rng_seed: int
 
+    def __post_init__(self):
+        # a short or non-boolean state would broadcast into a sweep's count
+        x, down = self.log_threshold_at_ref, self.down
+        if not (np.ndim(x) == 1 and np.shape(down) == np.shape(x)
+                and np.asarray(down).dtype == bool):
+            raise ConfigError("HysteronEnsemble requires 1-D thresholds and one boolean "
+                              "state per unit")
+
     @property
     def n(self):
         return self.log_threshold_at_ref.shape[0]
@@ -108,13 +121,16 @@ def sample_ensemble(n, mu_star_dist, w, kinetics, seed):
     )
 
 
+def _threshold_divisor(kinetics, width):
+    """ln(width / tau_inf)**(1/alpha): what 10**x_i is divided by at ``width``."""
+    if width <= kinetics.tau_inf:
+        raise DomainError("pulse width must exceed tau_inf")
+    return math.log(width / kinetics.tau_inf) ** (1.0 / kinetics.alpha)
+
+
 def thresholds_at(ensemble, width):
     """Per-hysteron switching voltages (V) for a pulse of the given width (s)."""
-    k = ensemble.kinetics
-    if width <= k.tau_inf:
-        raise DomainError("pulse width must exceed tau_inf")
-    denom = math.log(width / k.tau_inf) ** (1.0 / k.alpha)
-    return 10.0**ensemble.log_threshold_at_ref / denom
+    return 10.0**ensemble.log_threshold_at_ref / _threshold_divisor(ensemble.kinetics, width)
 
 
 def apply_pulse(ensemble, pulse):
@@ -173,9 +189,10 @@ class SwitchCurve:
         object.__setattr__(self, "values", y)
         if v.ndim != 1 or y.shape != v.shape or v.size < 1:
             raise ConfigError("SwitchCurve requires matching 1-D v_p and values")
-        # compared, not subtracted: a difference of finite values can overflow
-        if np.any(v[1:] <= v[:-1]):
-            raise ConfigError("SwitchCurve requires strictly increasing V_p")
+        # compared, not subtracted: a NaN fails every comparison, and a
+        # difference of finite values can overflow
+        if not (np.all(v[1:] > v[:-1]) and -math.inf < v[0] and v[-1] < math.inf):
+            raise ConfigError("SwitchCurve requires finite, strictly increasing V_p")
         if self.observable_kind not in self._KINDS:
             raise ConfigError(f"unknown observable_kind {self.observable_kind!r}")
         if not self.t_p > 0:
@@ -190,7 +207,7 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
                        observable_kind="displacement", p_r=None):
     """Run the full reset/write/read protocol over a voltage grid.
 
-    For each V_p in the (strictly increasing, positive) grid: apply
+    For each V_p in the (strictly increasing, positive, finite) grid: apply
     ``proto.reset_count`` reset pulses, ``proto.write_count`` write pulses of
     amplitude V_p at the template's write width, then read once. Returns the
     assembled curve at the write pulse width; the input ensemble is left
@@ -203,15 +220,25 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     running extrema of the input (the wiping-out property; Mayergoyz,
     *Mathematical Models of Hysteresis*, 1991), and on a strictly increasing
     grid the running maximum of the writes is the current V_p. Let R be the
-    units the reset reaches. After the grid point V_p, a unit is poled in the
-    write direction iff its write threshold is <= V_p, or it started so and
-    lies outside R. Each point's fraction is therefore an exact integer
-    count from two sorted threshold arrays, in O((n + G) log n) for n units
-    and G grid points.
+    units the reset reaches. A unit that starts poled in the write direction
+    and lies outside R is held: it stays so at every grid point. Every other
+    unit is unheld, and after the grid point V_p it is poled in the write
+    direction iff its write threshold is <= V_p. So each point's count is the
+    number of held units plus the empirical CDF, at V_p, of the unheld units'
+    write thresholds: one sorted array of them, searched once per grid point.
+    The reset thresholds are computed only when some unit starts poled in
+    the write direction; otherwise every unit is unheld whatever the reset
+    reaches, and only the reset width is checked. The cost is
+    O(n log n + G log n) for n units and G grid points.
     """
+    if observable_kind not in SwitchCurve._KINDS:
+        raise ConfigError(f"unknown observable_kind {observable_kind!r}")
     grid = np.asarray(vp_grid, dtype=float)
-    if grid.ndim != 1 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise DomainError("vp_grid must be 1-D, strictly increasing, and positive")
+    # compared, not subtracted: a NaN fails every comparison, and a difference
+    # of finite values can overflow
+    if grid.ndim != 1 or (grid.size and not (
+            grid[0] > 0 and grid[-1] < math.inf and np.all(grid[1:] > grid[:-1]))):
+        raise DomainError("vp_grid must be 1-D, strictly increasing, positive and finite")
     if grid.size < 4:
         raise ConfigError("vp_grid must hold >= 4 points (SwitchCurve needs >= 4 samples)")
     if observable_kind == "polarization_change" and p_r is None:
@@ -221,19 +248,19 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     # protocol (negative reset, positive write) that is the down flag
     write_is_down = proto.write_pulse.peak > 0
     bit = ensemble.down if write_is_down else ~ensemble.down
-    reached = thresholds_at(ensemble, proto.reset_pulse.width) <= abs(proto.reset_pulse.peak)
-    vth_write = thresholds_at(ensemble, proto.write_pulse.width)
-    held = np.count_nonzero(bit & ~reached)  # poled from the start, never reset
-    # write thresholds of the units a write of V_p must still flip, sorted in
-    # place so no second full-size copy of the thresholds is made
-    reset_each_point = vth_write[reached]
-    reset_each_point.sort()
-    not_yet_written = vth_write[~(reached | bit)]
-    not_yet_written.sort()
-    del vth_write
-    count = (held + np.searchsorted(reset_each_point, grid, side="right")
-             + np.searchsorted(not_yet_written, grid, side="right"))
-    frac = count / ensemble.n
+    reset = proto.reset_pulse
+    unheld = None
+    if bit.any():
+        unheld = thresholds_at(ensemble, reset.width) <= abs(reset.peak)
+        unheld |= ~bit
+    else:
+        _threshold_divisor(ensemble.kinetics, reset.width)  # rejects a width <= tau_inf
+    vth = thresholds_at(ensemble, proto.write_pulse.width)
+    if unheld is not None and not unheld.all():
+        vth = vth[unheld]
+    vth.sort()
+    held = ensemble.n - vth.size
+    frac = (held + np.searchsorted(vth, grid, side="right")) / ensemble.n
     s_down = frac if write_is_down else 1.0 - frac
 
     if observable_kind == "displacement":

@@ -1,6 +1,7 @@
 """Oracle tests for the two hot paths: the closed-form protocol sweep in
 ``run_protocol_sweep`` and the greedy monotone scan behind the level filters,
-including its jump search over non-decreasing input.
+including its jump search over non-decreasing input and the 2**bits DAC
+count built on it.
 
 Both are compared bit for bit with plain loops from ``anchors``.
 """
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ferrocal import (DeviceCalibration, HysteronEnsemble, MerzKinetics, TriangularPulse,
-                      WriteProtocol, polarization_change_of_fraction, run_protocol_sweep,
+from ferrocal import (DeviceCalibration, DomainError, HysteronEnsemble, LorentzianFit,
+                      MerzKinetics, TriangularPulse, WriteProtocol, count_dac_levels,
+                      polarization_change_of_fraction, run_protocol_sweep, simulate,
                       thresholds_at)
 from ferrocal.levels import _monotone_keep_mask
 
@@ -138,6 +140,58 @@ class TestProtocolSweepOracle:
                               TriangularPulse(sign * 5.0, widths[1]),
                               reset_count=counts[0], write_count=counts[1])
         assert_matches_oracle(ensemble, proto, np.sort(grid))
+
+
+class TestThresholdPasses:
+    """A sweep computes the reset thresholds only when some unit starts
+    poled in the write direction; otherwise the reset cannot change it."""
+
+    @pytest.mark.parametrize("down_share, write_is_down, calls",
+                             [(0.0, True, 1), (0.4, True, 2), (1.0, False, 1), (0.0, False, 2)])
+    def test_reset_pass_only_when_a_unit_starts_written(self, monkeypatch, down_share,
+                                                        write_is_down, calls):
+        ensemble, proto, grid = random_case(12, down_share=down_share,
+                                            write_is_down=write_is_down)
+        widths = []
+        real = simulate.thresholds_at
+
+        def counting(ens, width):
+            widths.append(width)
+            return real(ens, width)
+
+        monkeypatch.setattr(simulate, "thresholds_at", counting)
+        curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
+        monkeypatch.undo()
+        assert len(widths) == calls
+        assert widths[-1] == proto.write_pulse.width
+        assert np.array_equal(curve.values, oracle_values(ensemble, proto, grid))
+
+    @pytest.mark.parametrize("factor", [1.0, 0.5])
+    def test_reset_width_checked_without_a_reset_pass(self, factor):
+        ensemble, proto, grid = random_case(13)  # every unit starts up-poled
+        assert not ensemble.down.any()
+        bad = WriteProtocol(TriangularPulse(proto.reset_pulse.peak, factor * KIN.tau_inf),
+                            proto.write_pulse)
+        with pytest.raises(DomainError):
+            run_protocol_sweep(ensemble, bad, grid, UNIT_CAL)
+
+
+class TestDacCountOracle:
+    """count_dac_levels against the greedy scan over the closed form,
+    evaluated on every code voltage."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(bits=st.integers(8, 18), y0=st.floats(-30.0, 0.0), a=st.floats(1.0, 40.0),
+           mu=st.floats(0.3, 1.0), log_w=st.floats(-3.0, -0.5),
+           margin=st.one_of(st.just(0.0), st.just(0.09), st.floats(0.0, 1.0)))
+    def test_matches_greedy_scan(self, bits, y0, a, mu, log_w, margin):
+        w = 10.0**log_w
+        cal = DeviceCalibration(delta_min=y0, delta_max=y0 + a, dac_bits=bits)
+        codes = np.linspace(*cal.dac_range, 2**bits)
+        values = y0 + a * (0.5 + np.arctan((np.log10(codes) - mu) / w) / np.pi)
+        expected = len(naive_monotone_scan(values.tolist(), margin, margin > 0))
+        fit = LorentzianFit(y0=y0, a=a, mu=mu, w=w, rms_residual=0.0, t_p=500e-6)
+        assert count_dac_levels(fit, cal, margin) == expected
 
 
 FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ferrocal import (ConfigError, DomainError, MerzKinetics, NlsSpec,
                       ThresholdDistribution, displacement_of_fraction,
-                      nls_switched_fraction, switched_fraction_cdf, tau_of_field,
-                      threshold_pdf, threshold_quantile, threshold_voltage)
+                      lorentzian_displacement, nls_switched_fraction, switched_fraction_cdf,
+                      tau_of_field, threshold_pdf, threshold_quantile, threshold_voltage)
 from ferrocal.model import TRUNCATION_HALF_WIDTHS
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_TAU_AT_4P867V,
@@ -149,6 +151,53 @@ class TestSwitchedFractionCdf:
         step = ThresholdDistribution(0.7, 5e-324)
         assert switched_fraction_cdf(step, [1.0, 10.0]).tolist() == [0.0, 1.0]
         assert threshold_quantile(ThresholdDistribution(0.7, 1e308), 0.75) == math.inf
+
+
+POSITIVE = st.floats(1e-300, 1e300)
+
+
+@st.composite
+def voltage_inputs(draw):
+    """V_p in every form callers pass: empty, 0-d, float, int, int list, array."""
+    kind = draw(st.sampled_from(["empty", "0-d", "float", "int", "ints", "float64"]))
+    if kind == "empty":
+        return draw(st.sampled_from([[], np.array([])]))
+    if kind == "0-d":
+        return np.array(draw(POSITIVE))
+    if kind == "float":
+        return draw(POSITIVE)
+    if kind == "int":
+        return draw(st.integers(1, 10**6))
+    if kind == "ints":
+        return draw(st.lists(st.integers(1, 10**6), max_size=20))
+    return np.array(draw(st.lists(POSITIVE, min_size=1, max_size=40)))
+
+
+class TestTransferClosedForm:
+    """The in-place evaluation equals the closed form written out, bit for
+    bit, and leaves the caller's array alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(v_p=voltage_inputs(), mu=st.floats(-3.0, 3.0),
+           # the first range makes (log10 V_p - mu) / w overflow to +/-inf
+           w=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-3, 10.0)),
+           y0=st.floats(-1e3, 1e3), a=st.floats(-1e3, 1e3))
+    def test_matches_closed_form(self, v_p, mu, w, y0, a):
+        before = np.array(v_p, dtype=float)
+        v = np.asarray(v_p, dtype=float)
+        with np.errstate(over="ignore"):
+            s = 0.5 + np.arctan((np.log10(v) - mu) / w) / np.pi
+        delta = y0 + a * s
+        got_s = switched_fraction_cdf(ThresholdDistribution(mu, w), v_p)
+        got_delta = lorentzian_displacement(y0, a, mu, w, v_p)
+        for got, ref in ((got_s, s), (got_delta, delta)):
+            ref = np.asarray(ref)
+            if ref.ndim == 0:
+                assert type(got) is float
+            else:
+                assert isinstance(got, np.ndarray) and got.shape == ref.shape
+            assert np.asarray(got).tobytes() == ref.tobytes()
+        assert np.asarray(v_p, dtype=float).tobytes() == before.tobytes()
 
 
 class TestThresholdPdf:

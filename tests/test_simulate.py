@@ -4,8 +4,8 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from ferrocal import (ConfigError, DeviceCalibration, DomainError, MerzKinetics,
-                      SwitchCurve, TriangularPulse, WriteProtocol, affine_map_fit,
+from ferrocal import (ConfigError, DeviceCalibration, DomainError, HysteronEnsemble,
+                      MerzKinetics, SwitchCurve, TriangularPulse, WriteProtocol, affine_map_fit,
                       apply_pulse, read_displacement, run_protocol_sweep,
                       sample_ensemble, switched_fraction_cdf, ThresholdDistribution,
                       thresholds_at, zero_crossing)
@@ -68,6 +68,11 @@ class TestSampleEnsemble:
         e = sample_ensemble(100_000, ORACLE_MU_STAR, W, KIN, seed=7)
         med = np.median(np.log10(thresholds_at(e, 500e-6)))
         assert med == pytest.approx(0.687, abs=2e-3)
+
+    @pytest.mark.parametrize("down", [[True], [0.0, 0.0, 0.0], [[False, False, False]]])
+    def test_state_must_be_one_flag_per_unit(self, down):
+        with pytest.raises(ConfigError):
+            HysteronEnsemble(np.array([1.0, 1.1, 1.2]), KIN, np.array(down), rng_seed=0)
 
     def test_invalid_configuration(self):
         with pytest.raises(ConfigError):
@@ -149,6 +154,19 @@ class TestRunProtocolSweep:
         with pytest.raises(DomainError):
             run_protocol_sweep(ensemble, proto, [-1.0, 1.0, 2.0, 3.0], CAL)
 
+    @pytest.mark.parametrize("grid", [[0.5, 1.0, math.nan, 2.0, 3.0],
+                                      [0.5, 1.0, 2.0, math.inf],
+                                      [0.5, 1.0, math.inf, math.inf]])
+    def test_rejects_non_finite_grids(self, ensemble, grid):
+        # the last grid also made np.diff warn before the sweep's own check
+        with pytest.raises(DomainError):
+            run_protocol_sweep(ensemble, std_protocol(500e-6), grid, CAL)
+
+    def test_rejects_unknown_kind_before_any_work(self, ensemble):
+        with pytest.raises(ConfigError, match="observable_kind"):
+            run_protocol_sweep(ensemble, std_protocol(500e-6), np.linspace(1, 9, 10), CAL,
+                               observable_kind="Displacement")
+
     def test_sigmoid_with_zero_crossing_near_five_volts(self, ensemble):
         grid = 0.5 + 0.005 * np.arange(1701)
         curve = run_protocol_sweep(ensemble, std_protocol(500e-6), grid, CAL)
@@ -222,6 +240,12 @@ class TestSwitchCurve:
         assert curve.n_samples == 2
         with pytest.raises(ConfigError):
             SwitchCurve(t_p=1e-4, v_p=[1.7e308, -1.7e308], values=[0.0, 1.0])
+
+    @pytest.mark.parametrize("v_p", [[1.0, math.nan, 3.0], [math.nan],
+                                     [1.0, 2.0, math.inf], [-math.inf, 1.0, 2.0]])
+    def test_requires_finite_voltage(self, v_p):
+        with pytest.raises(ConfigError):
+            SwitchCurve(t_p=1e-4, v_p=v_p, values=np.zeros(len(v_p)))
 
     def test_requires_known_kind(self):
         with pytest.raises(ConfigError):
