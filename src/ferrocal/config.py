@@ -22,7 +22,7 @@ _KNOWN_KEYS = {
     "protocol": {"reset_peak_v", "reset_width_s", "reset_count",
                  "write_peak_v", "write_count"},
     "ensemble": {"n", "mu_star", "w"},
-    "kinetics": {"alpha", "tau_inf_s", "t_film_m"},
+    "kinetics": {"alpha", "tau_inf_s"},
     "sweep": {"v_start_v", "v_stop_v", "v_step_v", "t_p_us", "observable", "p_r_uc_cm2"},
 }
 
@@ -144,12 +144,11 @@ def load_config(path):
             _get(parser, "device", "dac_vmax_v", float, defaults.device.dac_range[1]),
         ),
     )
-    kin_t_film = _get(parser, "kinetics", "t_film_m", float, defaults.kinetics.t_film)
     kinetics = MerzKinetics.from_mu_star(
         alpha=_get(parser, "kinetics", "alpha", float, defaults.kinetics.alpha),
         tau_inf=_get(parser, "kinetics", "tau_inf_s", float, defaults.kinetics.tau_inf),
         mu_star=_get(parser, "ensemble", "mu_star", float, defaults.ensemble_mu_star),
-        t_film=kin_t_film,
+        t_film=defaults.kinetics.t_film,
     )
     tp_us = _floats(parser, "sweep", "t_p_us")
     sweep = SweepPlan(

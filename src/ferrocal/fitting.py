@@ -11,10 +11,12 @@ Every fit runs through one numpy engine, ``_varpro``: variable projection
 steps along Kaufman's projected Jacobian move the per-curve (mu, log w). The
 engine fits groups of curves in lockstep on their concatenated samples: a
 family's independent fits are one call with one group per curve, the
-shared-offset fit one call with one group. It builds the Jacobian's normal
-equations from per-curve sums and never forms the dense N x 2m matrix. A
-rank guard on those sums, and a check for a non-finite cost, gradient or
-normal matrix, turn a singular or diverging fit into a FitError.
+shared-offset fit one call with one group. A finished group stays in place,
+frozen, and one evaluation after the loop gives (y0, A) and the residuals.
+It builds the Jacobian's normal equations from per-curve sums and never
+forms the dense N x 2m matrix. A rank guard on those sums, and a check for
+a non-finite cost, gradient or normal matrix, turn a singular or diverging
+fit into a FitError.
 
 Fits are seeded, and the mechanical coercive voltage is read, from the
 isotonic (monotone least-squares) fit of the samples, which a noisy sample
@@ -147,12 +149,12 @@ def _default_init(x, y):
     outlier lies off the curve; it moves the fit by its share of a block
     mean. On samples that never decrease along the trend the fit is the
     samples, and each seed is bit for bit that of the raw samples: the first
-    sample at or past the level, interpolated from its neighbour, as long as
-    the prefix sums resolve each sample's distance from the level.
+    sample at or past the level, interpolated from its neighbour.
     """
     rising = y[-1] >= y[0]
     z = y if rising else -y
     n = z.size
+    monotone = (z[1:] >= z[:-1]).all()  # then the fit is z
     p = _prefix_sums(z)
     if not np.isfinite(p[-1]):
         raise FitError(_DIVERGED)  # sums that overflow make the cost overflow at any seed
@@ -170,6 +172,8 @@ def _default_init(x, y):
         # where the raw crossing is: the first y >= the level on a rising
         # curve, the first y < the level on a falling one
         i = t if rising else u
+        if monotone:  # a binary search is exact where rounding ties the sums
+            i = int(z.searchsorted(level, "left" if rising else "right"))
         if not np.isfinite(p[-1]):
             raise FitError(_DIVERGED)
         if not 0 < i < n:
@@ -211,23 +215,19 @@ def _rowdots(a, b, parts):
     return dots.reshape(rows, parts)
 
 
-def _rows_all(mask):
-    """For each index along the first axis: whether all of mask there is True."""
-    return np.logical_and.reduce(mask.reshape(len(mask), -1), axis=1)
-
-
 def _diagonal(m):
     """Writable view of the diagonals of a stack of square matrices."""
     return m.reshape(len(m), -1)[:, ::m.shape[-1] + 1]
 
 
 def _solve(a, b):
-    """Batched solve of a x = b. Returns x and None, or, when some matrix is
-    singular, x with zero rows there and the mask of those rows."""
+    """Batched solve of a x = b. Returns x, with zero rows where a matrix is
+    singular, and the mask of those matrices."""
+    singular = np.zeros(len(b), dtype=bool)
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0], None
+        return np.linalg.solve(a, b[..., None])[..., 0], singular
     except np.linalg.LinAlgError:
-        x, singular = np.zeros_like(b), np.zeros(len(b), dtype=bool)
+        x = np.zeros_like(b)
         for g in range(len(b)):
             try:
                 x[g] = np.linalg.solve(a[g], b[g])
@@ -270,10 +270,12 @@ def _varpro(xs, ys, mus, ws, joint=True):
     All groups iterate in lockstep on the concatenated samples, each with
     its own damping, cost, step decision and budget of _MAX_ITER
     evaluations per curve; the step solves are one batched solve. A group
-    that converges or fails leaves, and the others go on without its
-    samples. Per-group sums (the linear solve's, the cost) are rounded as
-    they would be for the group alone, so each group takes the steps, and
-    reaches the bits, it would reach in a call of its own.
+    that converges or fails stays in place, frozen by its state: its theta,
+    cost, J'J, J'r and damping never change again. Per-group sums (the
+    linear solve's, the cost) are rounded as they would be for the group
+    alone, so each group takes the steps, and reaches the bits, it would
+    reach in a call of its own, and the one evaluation after the loop, which
+    gives (y0, a) and the residuals, repeats its last accepted one.
 
     The corrections subtract where a projection would not, so cancellation
     can hide a singular problem: a diagonal of J'J not above _RANK_RATIO of
@@ -288,8 +290,12 @@ def _varpro(xs, ys, mus, ws, joint=True):
     """
     m = len(xs)
     k = m if joint else 1  # curves per group
+    groups = m // k
     sizes = np.array([xj.size for xj in xs])
-    gsizes = sizes.reshape(-1, k).sum(axis=1)
+    gsizes = sizes.reshape(groups, k).sum(axis=1)
+    cstarts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    gbounds = list(zip(cstarts[::k], cstarts[::k] + gsizes))
+    equal = (gsizes == gsizes[0]).all()
     x, y = np.concatenate(xs), np.concatenate(ys)
 
     # Per-group sums round as a sum over the group alone would: pairwise, and
@@ -297,20 +303,18 @@ def _varpro(xs, ys, mus, ws, joint=True):
     # the (groups, n) sample block; otherwise one sum per group.
     def gsum(v):
         if equal:
-            return v.reshape(len(gsizes), -1).sum(1)
-        return np.array([v[i:j].sum() for i, j in zip(gstarts, gstarts + gsizes)])
+            return v.reshape(groups, -1).sum(1)
+        return np.array([v[i:j].sum() for i, j in gbounds])
 
     def gdot(u, v):
-        if len(gsizes) == 1:
+        if groups == 1:
             return np.array([u @ v])
         if equal:
-            return _rowdots(u[None], v[None], len(gsizes))[0]
-        return np.array([u[i:j] @ v[i:j] for i, j in zip(gstarts, gstarts + gsizes)])
+            return _rowdots(u[None], v[None], groups)[0]
+        return np.array([u[i:j] @ v[i:j] for i, j in gbounds])
 
     # residuals from centred data: y - mean(y) is exact wherever the samples
     # lie within a factor of two of their mean, so an offset costs no digits
-    gstarts = np.concatenate(([0], np.cumsum(gsizes)[:-1]))
-    equal = (gsizes == gsizes[0]).all()
     y_mean = gsum(y) / gsizes
     y_c = y - _spread(y_mean, gsizes)
 
@@ -332,7 +336,7 @@ def _varpro(xs, ys, mus, ws, joint=True):
 
     # per-sample products summed by normal_equations, written in place: with
     # L = 1/(1 + u^2), the rows L, Lu, L^2, (Lu)^2, Lr, Lur, L s_c, Lu s_c, L Lu
-    products = np.empty((9, x.size))
+    b = np.empty((9, x.size))
     # J0 = -(a/pi) K, where a row of K holds L/w_j and Lu; these powers of
     # 1/w_j turn the per-curve sums of the rows above into sums over K
     powers = np.array([1, 0, 2, 0, 1, 0, 1, 0, 1])[:, None]
@@ -344,7 +348,6 @@ def _varpro(xs, ys, mus, ws, joint=True):
 
     def normal_equations(a, r, w, u, s_c, ss):
         """J'J and J'r per group, from per-curve sums, and a fault code."""
-        b = products[:, :r.size]
         np.multiply(u, u, out=b[0])
         b[0] += 1.0
         np.reciprocal(b[0], out=b[0])
@@ -366,47 +369,28 @@ def _varpro(xs, ys, mus, ws, joint=True):
         hess -= c2[:, :, None] * c2[:, None, :] / ss[:, None, None]
         grad = pairs[:, 2] - c1 * (gsum(r) / gsizes)[:, None] - c2 * (gdot(s_c, r) / ss)[:, None]
         # the factor (a/pi)^2 cancels from the rank guard's ratio
-        ranked = _rows_all(_diagonal(hess) > _RANK_RATIO * pairs[:, 1])
+        ranked = (_diagonal(hess) > _RANK_RATIO * pairs[:, 1]).all(1)
         scale = -a / math.pi
         hess *= (scale * scale)[:, None, None]
         grad *= scale[:, None]
-        finite = _rows_all(np.isfinite(hess)) & _rows_all(np.isfinite(grad))
+        finite = np.isfinite(hess).all((1, 2)) & np.isfinite(grad).all(1)
         return hess, grad, np.where(finite, np.where(ranked, 0, 3), 2)
 
-    groups = len(gsizes)
-    cstarts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     theta = np.concatenate([np.reshape(mus, (groups, k)), np.log(np.reshape(ws, (groups, k)))],
                            axis=1)
-    y0, a, r, cost, aux = evaluate(theta)
+    _, a, r, cost, aux = evaluate(theta)
     hess, grad, state = normal_equations(a, r, *aux)
     # a group's state: 0 while it iterates, _CONVERGED, or a fault code
     state = np.where(np.isfinite(cost), state, 1)
     damping = np.full(groups, 1e-3)
+    identity = np.eye(2 * k)
 
-    # each group's (y0, a, theta, residuals) and status, kept as it leaves
-    ids, final_state, status = np.arange(groups), [None] * groups, [False] * groups
     budget = _MAX_ITER * k - 1
-    while True:
-        if budget == 0 or np.count_nonzero(state):
-            leaving = state != 0 if budget else np.ones(len(state), dtype=bool)
-            for i in np.flatnonzero(leaving):
-                status[ids[i]] = (state[i] == _CONVERGED if state[i] <= 0
-                                  else FitError(_FAULTS[state[i]]))
-                final_state[ids[i]] = (y0[i], a[i], theta[i], r[gstarts[i]:gstarts[i] + gsizes[i]])
-            if leaving.all():
-                break
-            stay, at = ~leaving, ~np.repeat(leaving, gsizes)
-            x, y_c, r = x[at], y_c[at], r[at]
-            sizes = sizes[np.repeat(stay, k)]
-            theta, y0, a, cost, damping, hess, grad, y_mean, gsizes, ids, state = (
-                v[stay] for v in (theta, y0, a, cost, damping, hess, grad, y_mean, gsizes,
-                                  ids, state))
-            gstarts = np.concatenate(([0], np.cumsum(gsizes)[:-1]))
-            equal = (gsizes == gsizes[0]).all()
-            cstarts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    while budget and not state.all():
         budget -= 1
-
-        damped = hess.copy()
+        live = state == 0
+        # a frozen group's identity system keeps the batch out of _solve's fallback
+        damped = np.where(live[:, None, None], hess, identity)
         diag = _diagonal(damped)
         diag += damping[:, None] * diag
         step, singular = _solve(damped, -grad)
@@ -420,40 +404,31 @@ def _varpro(xs, ys, mus, ws, joint=True):
         # lost in rounding, so the cost cannot judge the step: it is taken
         # untested, and it is the last
         final = 2.0 * slope + curvature >= -_FIT_TOL * cost
-        t_y0, t_a, t_r, t_cost, t_aux = evaluate(trial)
+        _, t_a, t_r, t_cost, t_aux = evaluate(trial)
         finite = np.isfinite(t_cost)
-        take = (final | (t_cost < cost)) & finite & ~small
-        state = np.where(small | (take & final), _CONVERGED, ~finite)  # fault 1: the cost
-        if singular is not None:
-            take &= ~singular
-            state[singular] = 3
+        take = (final | (t_cost < cost)) & finite & ~small & ~singular & live
+        stopped = np.where(small | (take & final), _CONVERGED, ~finite)  # fault 1: the cost
+        stopped[singular] = 3
         better = take & ~final
-        n_better = np.count_nonzero(better)
-        if n_better:
+        if better.any():
             t_hess, t_grad, t_state = normal_equations(t_a, t_r, *t_aux)
-            state = np.where(better, t_state, state)
-        n_take = np.count_nonzero(take)
-        if n_take == len(take):
-            theta, y0, a, r, cost = trial, t_y0, t_a, t_r, t_cost
-        elif n_take:
-            theta = np.where(take[:, None], trial, theta)
-            y0, a, cost = (np.where(take, t, v) for t, v in ((t_y0, y0), (t_a, a), (t_cost, cost)))
-            r = np.where(np.repeat(take, gsizes), t_r, r)
-        if n_better == len(better):
-            hess, grad = t_hess, t_grad
-        elif n_better:
-            hess = np.where(better[:, None, None], t_hess, hess)
-            grad = np.where(better[:, None], t_grad, grad)
-        damping = np.where(better, damping / 10.0, damping * 10.0)
+            np.copyto(stopped, t_state, where=better)
+            np.copyto(hess, t_hess, where=better[:, None, None])
+            np.copyto(grad, t_grad, where=better[:, None])
+        np.copyto(state, stopped, where=live)
+        np.copyto(theta, trial, where=take[:, None])
+        np.copyto(cost, t_cost, where=take)
+        np.copyto(damping, np.where(better, damping / 10.0, damping * 10.0), where=live)
 
-    y0, a, theta, r = zip(*final_state)
-    r = np.concatenate(r)
+    # every group's last accepted evaluation, repeated to the bit
+    y0, a, r, _, _ = evaluate(theta)
+    status = [s == _CONVERGED if s <= 0 else FitError(_FAULTS[s]) for s in state]
+    mus, ws = theta[:, :k].ravel(), np.exp(theta[:, k:]).ravel()
     if joint:
-        if isinstance(status[0], FitError):
-            raise status[0]
-        return (y0[0], a[0]), theta[0][:k], np.exp(theta[0][k:]), r, status[0]
-    theta = np.array(theta)
-    return (np.array(y0), np.array(a)), theta[:, 0], np.exp(theta[:, 1]), r, status
+        (y0, a), status = (y0[0], a[0]), status[0]
+        if isinstance(status, FitError):
+            raise status
+    return (y0, a), mus, ws, r, status
 
 
 def _rms(r):

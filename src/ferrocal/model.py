@@ -177,7 +177,7 @@ def tau_of_field(kinetics, e_field):
     Strictly decreasing in E; tends to tau_inf as E -> infinity.
     """
     e = np.asarray(e_field, dtype=float)
-    if np.any(e <= 0):
+    if not np.all(e > 0):  # a NaN fails the comparison
         raise DomainError("tau_of_field requires E > 0")
     # far below the activation field the time overflows to inf, which is the
     # honest limit of the law
@@ -194,7 +194,7 @@ def threshold_voltage(kinetics, t_p):
     Strictly decreasing in t_p; requires t_p > tau_inf.
     """
     t = np.asarray(t_p, dtype=float)
-    if np.any(t <= kinetics.tau_inf):
+    if not np.all(t > kinetics.tau_inf):
         raise DomainError("threshold_voltage requires t_p > tau_inf")
     v = kinetics.e_a * kinetics.t_film / np.log(t / kinetics.tau_inf) ** (1.0 / kinetics.alpha)
     return _as_float_or_array(v)
@@ -240,7 +240,7 @@ def threshold_quantile(dist, s):
     V_p = 10**(mu + w * tan(pi*(s - 1/2))) for s strictly inside (0, 1).
     """
     ss = np.asarray(s, dtype=float)
-    if np.any(ss <= 0) or np.any(ss >= 1):
+    if not np.all((ss > 0) & (ss < 1)):
         raise DomainError("threshold_quantile requires 0 < s < 1")
     # beyond the float range the voltage overflows to inf, its honest limit
     with np.errstate(over="ignore"):

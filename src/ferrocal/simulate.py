@@ -107,8 +107,11 @@ def sample_ensemble(n, mu_star_dist, w, kinetics, seed):
     """
     if n < 1:
         raise ConfigError("sample_ensemble requires n >= 1")
-    if not w > 0:
-        raise ConfigError("sample_ensemble requires w > 0")
+    # written as comparisons, which a NaN fails
+    if not -math.inf < mu_star_dist < math.inf:
+        raise ConfigError("sample_ensemble requires a finite mu_star_dist")
+    if not 0 < w < math.inf:
+        raise ConfigError("sample_ensemble requires 0 < w < inf")
     rng = spawn_rng(seed, "ensemble")
     x = mu_star_dist + w * rng.standard_cauchy(int(n))
     half = TRUNCATION_HALF_WIDTHS * w

@@ -1,7 +1,10 @@
+import configparser
 import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from ferrocal import (ConfigError, LorentzianFit, emit_fit_report, emit_sweep_csv,
                       parse_fit_report, parse_sweep_csv, s0_filter, s0_filter_with_margin)
 from ferrocal.cli import main
-from ferrocal.config import _KNOWN_KEYS, load_config
+from ferrocal.config import _KNOWN_KEYS, RunConfig, load_config
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF, TABLE_ROWS,
                      synthetic_curve)
@@ -414,6 +417,7 @@ class TestExitCodes:
         ("device", "v_ac_v = 0.25"),
         ("device", "t_film_m = 17e-9"),
         ("device", "k_geom = 1.0"),
+        ("kinetics", "t_film_m = 17e-9"),
         ("fit", "share_offsets = true"),
         ("merz", "tau_inf_s = 1.4e-14"),
         ("merz", "search_lo = -16"),
@@ -496,6 +500,21 @@ class TestConfigFuzz:
             load_config(path)
         except ConfigError:
             pass
+
+
+class TestReadmeConfig:
+    def test_example_config_loads_as_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block, encoding="utf-8")
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(path, encoding="utf-8")
+        assert {s: set(parser.options(s)) for s in parser.sections()} == _KNOWN_KEYS
+        cfg, defaults = load_config(path), RunConfig()
+        # t_p_us is scaled by 1e-6, which moves 10 us by an ulp
+        assert cfg.sweep.t_p == pytest.approx(defaults.sweep.t_p, rel=1e-12, abs=0.0)
+        assert replace(cfg, sweep=replace(cfg.sweep, t_p=defaults.sweep.t_p)) == defaults
 
 
 class TestOutDir:

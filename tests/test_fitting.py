@@ -116,6 +116,19 @@ class TestFitLorentzianCdf:
         fit = fit_lorentzian_cdf(curve)
         assert abs(fit.mu - TABLE_ROWS[1][3]) <= 6 * _asymptotic_se(curve, fit)[2]
 
+    @pytest.mark.parametrize("values", [
+        [1.3, 1.0, 1.0, 1.0, 1.0, 0.7, 0.1, 0.1],
+        [1.3, 1.3, 1.0, 1.0, 0.7, 0.7, 0.7, 0.1],
+        [1.3, 1.3, 1.3, 1.0, 1.0, 0.7, 0.7, 0.1, 0.1, 0.1, 0.1],
+    ])
+    def test_seeds_where_rounding_ties_the_sums_are_the_raw_seeds(self, values):
+        # a sample lies an ulp or so off a seed level, a distance the prefix
+        # sums of z - level lose, so their minimizers miss the crossing
+        y = np.array(values)
+        x = np.cumsum(np.random.default_rng(0).uniform(0.01, 0.1, y.size))
+        for z in (y, -y[::-1]):
+            assert fitting._default_init(x, z) == raw_default_init(x, z)
+
     def test_exhausted_budget_raises_fit_error_with_best_fit(self, monkeypatch):
         curve = synthetic_curve(ROW_500US, sigma=0.3, rng=np.random.default_rng(5))
         monkeypatch.setattr(fitting, "_MAX_ITER", 1)
@@ -436,6 +449,35 @@ class TestBatchedFits:
             for y in (curve.values, -curve.values):
                 assert np.all(np.diff(y) >= 0) or np.all(np.diff(y) <= 0)
                 assert fitting._default_init(x, y) == raw_default_init(x, y)
+
+
+class TestFaultingGroup:
+    """A curve whose fit faults inside the engine stops there; the curves
+    fit beside it keep iterating and reach the bits they reach alone. The
+    first three seeds fault at the first evaluation, the last two after
+    some steps."""
+
+    @pytest.mark.parametrize("seed, message", [
+        ((5.0, 1e-3), fitting._SINGULAR),
+        ((0.6, 1e-300), "fit diverged: the gradient or normal matrix is not finite"),
+        ((0.6, 1e200), fitting._DIVERGED),
+        ((0.0, 0.01), fitting._SINGULAR),
+        ((0.6, 1e-3), fitting._DIVERGED),
+    ])
+    def test_others_fit_as_alone(self, seed, message):
+        rng = np.random.default_rng(4)
+        curves = [synthetic_curve(row, sigma=0.3, rng=rng) for row in TABLE_ROWS]
+        xs, ys = [np.log10(c.v_p) for c in curves], [c.values for c in curves]
+        seeds = [fitting._default_init(x, y) for x, y in zip(xs, ys)]
+        seeds[2] = seed
+        (y0, a), mu, w, r, converged = fitting._varpro(xs, ys, *zip(*seeds), joint=False)
+        assert isinstance(converged[2], FitError) and str(converged[2]) == message
+        pieces = np.split(r, np.cumsum([x.size for x in xs])[:-1])
+        for j in (0, 1, 3, 4):
+            (y0_1, a_1), (mu_1,), (w_1,), r_1, converged_1 = fitting._varpro(
+                [xs[j]], [ys[j]], [seeds[j][0]], [seeds[j][1]])
+            assert (y0[j], a[j], mu[j], w[j], converged[j]) == (y0_1, a_1, mu_1, w_1, converged_1)
+            assert np.array_equal(pieces[j], r_1)
 
 
 class TestMarkers:

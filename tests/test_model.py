@@ -153,6 +153,33 @@ class TestSwitchedFractionCdf:
         assert threshold_quantile(ThresholdDistribution(0.7, 1e308), 0.75) == math.inf
 
 
+class TestInverseDomains:
+    """The inverse functions reject a NaN argument as they reject one out of
+    range; an empty input has nothing to reject."""
+
+    DIST = ThresholdDistribution(1.0, 0.05)
+
+    @pytest.mark.parametrize("call", [
+        lambda: tau_of_field(FITTED_KINETICS, math.nan),
+        lambda: tau_of_field(FITTED_KINETICS, [1e9, math.nan]),
+        lambda: threshold_voltage(FITTED_KINETICS, math.nan),
+        lambda: threshold_voltage(FITTED_KINETICS, [1e-4, math.nan]),
+        lambda: threshold_quantile(TestInverseDomains.DIST, math.nan),
+        lambda: threshold_quantile(TestInverseDomains.DIST, [0.5, math.nan]),
+    ], ids=["tau", "tau-array", "v50", "v50-array", "quantile", "quantile-array"])
+    def test_nan_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_empty_input_passes(self):
+        assert tau_of_field(FITTED_KINETICS, []).size == 0
+        assert threshold_voltage(FITTED_KINETICS, []).size == 0
+        assert threshold_quantile(self.DIST, []).size == 0
+
+    def test_cdf_passes_nan_through(self):
+        assert math.isnan(switched_fraction_cdf(self.DIST, math.nan))
+
+
 POSITIVE = st.floats(1e-300, 1e300)
 
 

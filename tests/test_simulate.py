@@ -80,6 +80,14 @@ class TestSampleEnsemble:
         with pytest.raises(ConfigError):
             sample_ensemble(10, 1.0, -0.05, KIN, seed=1)
 
+    @pytest.mark.parametrize("mu_star, w", [(math.nan, 0.04), (math.inf, 0.04),
+                                            (-math.inf, 0.04), (1.0, math.inf),
+                                            (1.0, math.nan)])
+    def test_non_finite_location_or_width_rejected(self, mu_star, w):
+        # such thresholds are all NaN or infinite, and a sweep reads one value throughout
+        with pytest.raises(ConfigError):
+            sample_ensemble(1000, mu_star, w, KIN, seed=1)
+
 
 class TestApplyPulse:
     def test_sub_threshold_pulse_is_noop(self, ensemble):
