@@ -43,6 +43,10 @@ class SweepPlan:
             raise ConfigError("sweep requires 0 < v_start < v_stop and v_step > 0")
         if not self.t_p or any(t <= 0 for t in self.t_p):
             raise ConfigError("sweep requires positive pulse widths")
+        # a sweep file keys each curve by t_p * 1e6, so widths sharing a key
+        # would merge into one curve that no reader accepts
+        if len({t * 1e6 for t in self.t_p}) < len(self.t_p):
+            raise ConfigError("sweep requires distinct pulse widths (t_p_us)")
 
     def grid(self):
         import numpy as np
@@ -180,6 +184,15 @@ def load_config(path):
         raise ConfigError(f"[run] seed must be >= 0, got {cfg.seed}")
     if cfg.ensemble_n < 1 or cfg.ensemble_w <= 0:
         raise ConfigError("[ensemble] requires n >= 1 and w > 0")
+    # a sweep divides by ln(width / tau_inf)**(1/alpha), so every width must
+    # exceed tau_inf; checked here, before an ensemble is drawn
+    tau = cfg.kinetics.tau_inf
+    if any(t <= tau for t in cfg.sweep.t_p):
+        raise ConfigError(f"[sweep] t_p_us: every pulse width must exceed "
+                          f"[kinetics] tau_inf_s = {tau!r} s")
+    if cfg.reset_width <= tau:
+        raise ConfigError(f"[protocol] reset_width_s: {cfg.reset_width!r} s must exceed "
+                          f"[kinetics] tau_inf_s = {tau!r} s")
     # constructing the protocol validates pulse signs and counts
     cfg.protocol_for(cfg.sweep.t_p[0])
     return cfg

@@ -16,8 +16,9 @@ fraction plus optional Gaussian noise, and never mutates the state.
 
 A protocol sweep does not replay the pulses. Its value at each grid point is
 an exact count: the units no write can flip, plus the empirical CDF of the
-write thresholds of all the others, read from one sorted array
-(``run_protocol_sweep``).
+write thresholds of all the others. The count is summed over fixed blocks of
+units, each sorted on its own, so a sweep holds no array as long as the
+ensemble (``run_protocol_sweep``).
 """
 
 import math
@@ -28,6 +29,10 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics
 from .rngutil import spawn_rng
+
+# units per counting block of a protocol sweep: the sweep's scratch arrays
+# hold this many units whatever the ensemble size
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,8 @@ class HysteronEnsemble:
     """Population of independent switching units.
 
     log_threshold_at_ref  per-hysteron x_i = log10 of the activation voltage
-                          (decades), clamped into the +/- 10w band
+                          (decades), finite; ``sample_ensemble`` clamps them
+                          into the +/- 10w band, a hand-built ensemble need not
     kinetics              shared (alpha, tau_inf) field-time law
     down                  boolean polarization state, True = down-poled
     rng_seed              seed the ensemble was drawn from
@@ -88,6 +94,12 @@ class HysteronEnsemble:
                 and np.asarray(down).dtype == bool):
             raise ConfigError("HysteronEnsemble requires 1-D thresholds and one boolean "
                               "state per unit")
+        if not x.size:
+            raise ConfigError("HysteronEnsemble requires at least one unit")
+        # min and max, not isfinite: a NaN propagates into both and fails the
+        # comparison, and neither allocates an n-sized mask
+        if not (-math.inf < x.min() and x.max() < math.inf):
+            raise ConfigError("HysteronEnsemble requires finite log-thresholds")
 
     @property
     def n(self):
@@ -134,6 +146,12 @@ def _threshold_divisor(kinetics, width):
 def thresholds_at(ensemble, width):
     """Per-hysteron switching voltages (V) for a pulse of the given width (s)."""
     return 10.0**ensemble.log_threshold_at_ref / _threshold_divisor(ensemble.kinetics, width)
+
+
+def _unheld(p, d_reset, reset_amp, down, write_is_down):
+    """Units of one block that a write can flip: reached by the reset (``p``
+    holds 10**x_i) or not poled in the write direction at the start."""
+    return (p / d_reset <= reset_amp) | (down != write_is_down)
 
 
 def apply_pulse(ensemble, pulse):
@@ -228,11 +246,16 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     unit is unheld, and after the grid point V_p it is poled in the write
     direction iff its write threshold is <= V_p. So each point's count is the
     number of held units plus the empirical CDF, at V_p, of the unheld units'
-    write thresholds: one sorted array of them, searched once per grid point.
-    The reset thresholds are computed only when some unit starts poled in
-    the write direction; otherwise every unit is unheld whatever the reset
-    reaches, and only the reset width is checked. The cost is
-    O(n log n + G log n) for n units and G grid points.
+    write thresholds. The reset thresholds are computed only when some unit
+    starts poled in the write direction; otherwise every unit is unheld
+    whatever the reset reaches. Both widths are checked either way.
+
+    Counts of thresholds <= V_p add over disjoint sets of units, so the
+    count is summed over fixed blocks of B units, each sorted and searched
+    on its own. Every threshold is the same ``10**x_i / d`` that
+    ``thresholds_at`` gives, so the sweep equals the one-array count bit for
+    bit. The cost is O(n log B + (n/B) G log B) time for n units and G grid
+    points, and O(B + G) memory beyond the ensemble.
     """
     if observable_kind not in SwitchCurve._KINDS:
         raise ConfigError(f"unknown observable_kind {observable_kind!r}")
@@ -250,20 +273,30 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     # count the units poled in the write direction; for the standard
     # protocol (negative reset, positive write) that is the down flag
     write_is_down = proto.write_pulse.peak > 0
-    bit = ensemble.down if write_is_down else ~ensemble.down
     reset = proto.reset_pulse
-    unheld = None
-    if bit.any():
-        unheld = thresholds_at(ensemble, reset.width) <= abs(reset.peak)
-        unheld |= ~bit
-    else:
-        _threshold_divisor(ensemble.kinetics, reset.width)  # rejects a width <= tau_inf
-    vth = thresholds_at(ensemble, proto.write_pulse.width)
-    if unheld is not None and not unheld.all():
-        vth = vth[unheld]
-    vth.sort()
-    held = ensemble.n - vth.size
-    frac = (held + np.searchsorted(vth, grid, side="right")) / ensemble.n
+    d_reset = _threshold_divisor(ensemble.kinetics, reset.width)
+    d_write = _threshold_divisor(ensemble.kinetics, proto.write_pulse.width)
+    down, x, n = ensemble.down, ensemble.log_threshold_at_ref, ensemble.n
+    # without a unit poled in the write direction no unit is held, and the
+    # reset cannot change the sweep
+    any_written = down.any() if write_is_down else not down.all()
+    # one block of 10**x_i, in the dtype ``thresholds_at`` computes it in
+    buf = np.empty(min(n, _BLOCK), dtype=np.result_type(10.0, x))
+    counts = np.zeros(grid.size, dtype=np.intp)
+    held = 0
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        p = np.power(10.0, x[a:b], out=buf[:b - a])
+        unheld = None
+        if any_written:
+            unheld = _unheld(p, d_reset, abs(reset.peak), down[a:b], write_is_down)
+        p /= d_write
+        if unheld is not None:
+            p = p[unheld]
+            held += (b - a) - p.size
+        p.sort()
+        counts += np.searchsorted(p, grid, side="right")
+    frac = (held + counts) / n
     s_down = frac if write_is_down else 1.0 - frac
 
     if observable_kind == "displacement":

@@ -448,6 +448,23 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    # each would otherwise draw the ensemble, then fail in the sweep (exit 1)
+    # or write a sweep file that ``fit`` rejects (exit 3)
+    @pytest.mark.parametrize("section, line, message", [
+        ("sweep", "t_p_us = 10,10", "distinct pulse widths (t_p_us)"),
+        ("sweep", "t_p_us = 10,1e-8", "[sweep] t_p_us: every pulse width must exceed"),
+        ("protocol", "reset_width_s = 1.4e-14", "[protocol] reset_width_s: 1.4e-14 s must exceed"),
+    ], ids=["duplicate-t_p_us", "t_p_us-at-tau_inf", "reset_width_s-at-tau_inf"])
+    def test_pulse_width_rejected_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                  section, line, message):
+        monkeypatch.setattr("ferrocal.cli.sample_ensemble", None)  # a call raises TypeError
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        assert main(["--out-dir", str(tmp_path), "simulate",
+                     "--config", str(cfg), "--out", "x.csv"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["levels", "--input", "SWEEP", "--margin", "nan"], "argument --margin: not a finite"),
         (["levels", "--input", "SWEEP", "--margin", "inf"], "argument --margin: not a finite"),

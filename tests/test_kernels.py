@@ -7,6 +7,7 @@ Both are compared bit for bit with plain loops from ``anchors``.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from hypothesis import strategies as st
 
 from ferrocal import (DeviceCalibration, DomainError, HysteronEnsemble, LorentzianFit,
                       MerzKinetics, TriangularPulse, WriteProtocol, count_dac_levels,
-                      polarization_change_of_fraction, run_protocol_sweep, simulate,
-                      thresholds_at)
+                      polarization_change_of_fraction, run_protocol_sweep, sample_ensemble,
+                      simulate, thresholds_at)
 from ferrocal.levels import _monotone_keep_mask
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF, naive_monotone_scan,
-                     naive_protocol_sweep)
+                     naive_protocol_sweep, one_array_protocol_count)
 
 KIN = MerzKinetics.from_mu_star(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR, 17e-9)
 # delta = 0 + 1 * S_down, so curve values are the down fraction itself
@@ -59,11 +60,11 @@ def assert_matches_oracle(ensemble, proto, grid, kind="displacement"):
     assert np.array_equal(curve.values, oracle_values(ensemble, proto, grid, kind))
 
 
-def random_case(seed, quantized=False, down_share=0.0, write_is_down=True):
+def random_case(seed, quantized=False, down_share=0.0, write_is_down=True, n=300):
     """Random ensemble, protocol and grid; the reset reaches a random share
     of the units and the grid hits some write thresholds exactly."""
     rng = np.random.default_rng(seed)
-    x = ORACLE_MU_STAR + 0.04 * rng.standard_cauchy(300)
+    x = ORACLE_MU_STAR + 0.04 * rng.standard_cauchy(n)
     np.clip(x, ORACLE_MU_STAR - 0.4, ORACLE_MU_STAR + 0.4, out=x)
     if quantized:
         x = np.round(x, 2)  # many tied thresholds
@@ -143,26 +144,33 @@ class TestProtocolSweepOracle:
 
 
 class TestThresholdPasses:
-    """A sweep computes the reset thresholds only when some unit starts
-    poled in the write direction; otherwise the reset cannot change it."""
+    """A sweep makes a reset pass over the units, one block at a time, only
+    when some unit starts poled in the write direction; otherwise the reset
+    cannot change it. ``passes`` counts the write pass and any reset pass."""
 
-    @pytest.mark.parametrize("down_share, write_is_down, calls",
+    @pytest.mark.parametrize("down_share, write_is_down, passes",
                              [(0.0, True, 1), (0.4, True, 2), (1.0, False, 1), (0.0, False, 2)])
     def test_reset_pass_only_when_a_unit_starts_written(self, monkeypatch, down_share,
-                                                        write_is_down, calls):
+                                                        write_is_down, passes):
         ensemble, proto, grid = random_case(12, down_share=down_share,
                                             write_is_down=write_is_down)
-        widths = []
-        real = simulate.thresholds_at
+        widths, blocks = [], []
+        real_divisor, real_unheld = simulate._threshold_divisor, simulate._unheld
 
-        def counting(ens, width):
+        def divisor(kinetics, width):
             widths.append(width)
-            return real(ens, width)
+            return real_divisor(kinetics, width)
 
-        monkeypatch.setattr(simulate, "thresholds_at", counting)
+        def unheld(p, *args):
+            blocks.append(p.size)
+            return real_unheld(p, *args)
+
+        monkeypatch.setattr(simulate, "_BLOCK", 64)  # 300 units: 4 full blocks and 44
+        monkeypatch.setattr(simulate, "_threshold_divisor", divisor)
+        monkeypatch.setattr(simulate, "_unheld", unheld)
         curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
         monkeypatch.undo()
-        assert len(widths) == calls
+        assert blocks == [64, 64, 64, 64, 44] * (passes - 1)
         assert widths[-1] == proto.write_pulse.width
         assert np.array_equal(curve.values, oracle_values(ensemble, proto, grid))
 
@@ -174,6 +182,67 @@ class TestThresholdPasses:
                             proto.write_pulse)
         with pytest.raises(DomainError):
             run_protocol_sweep(ensemble, bad, grid, UNIT_CAL)
+
+
+class TestBlockedCount:
+    """The sweep sums its count over blocks of units; the sum must equal the
+    plain pulse loop and the one-array count bit for bit, whatever the block
+    boundaries cut through."""
+
+    @pytest.mark.parametrize("block, n", [(7, 28), (7, 29), (64, 256), (64, 257)])
+    @pytest.mark.parametrize("write_is_down", [True, False])
+    def test_matches_oracle_across_blocks(self, monkeypatch, block, n, write_is_down):
+        ensemble, proto, grid = random_case(20 + n, quantized=True, down_share=0.5,
+                                            write_is_down=write_is_down, n=n)
+        assert np.unique(ensemble.log_threshold_at_ref).size < n  # ties
+        reached = (thresholds_at(ensemble, proto.reset_pulse.width)
+                   <= abs(proto.reset_pulse.peak))
+        written = ensemble.down if write_is_down else ~ensemble.down
+        held = written & ~reached
+        assert np.count_nonzero(np.add.reduceat(held, np.arange(0, n, block))) >= 2
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        assert_matches_oracle(ensemble, proto, grid)
+
+    @pytest.mark.parametrize("write_is_down", [True, False])
+    def test_at_scale_matches_one_sorted_array(self, write_is_down):
+        n = 300_000  # 4 full blocks and a partial one
+        rng = np.random.default_rng(31)
+        base = sample_ensemble(n, ORACLE_MU_STAR, 0.04, KIN, seed=31)
+        ensemble = HysteronEnsemble(base.log_threshold_at_ref, KIN,
+                                    rng.uniform(size=n) < 0.5, rng_seed=31)
+        sign = 1.0 if write_is_down else -1.0
+        vth_reset = thresholds_at(ensemble, 500e-6)
+        vth_write = thresholds_at(ensemble, 10e-6)
+        proto = WriteProtocol(TriangularPulse(-sign * float(np.median(vth_reset)), 500e-6),
+                              TriangularPulse(sign * 5.0, 10e-6))
+        grid = np.unique(np.concatenate([np.arange(0.5, 9.0, 0.005),
+                                         rng.choice(vth_write, 50)]))
+        counts = one_array_protocol_count(vth_reset, vth_write, ensemble.down,
+                                          proto.reset_pulse.peak, proto.write_pulse.peak, grid)
+        assert counts[0] > n // 5  # about a quarter of the units are held
+        frac = counts / n
+        curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
+        assert np.array_equal(curve.values, frac if write_is_down else 1.0 - frac)
+
+    @pytest.mark.parametrize("inverted", [False, True])
+    def test_scratch_memory_does_not_grow_with_n(self, inverted):
+        # one n-sized float array takes 8 MB, about four times the bound;
+        # one block of 2**16 units takes 0.5 MiB
+        n = 1_000_000
+        ensemble = sample_ensemble(n, ORACLE_MU_STAR, 0.04, KIN, seed=5)
+        if inverted:  # every unit starts poled in the write direction
+            proto = WriteProtocol(TriangularPulse(9.0, 500e-6), TriangularPulse(-5.0, 10e-6))
+        else:
+            proto = WriteProtocol(TriangularPulse(-9.0, 500e-6), TriangularPulse(5.0, 10e-6))
+        grid = np.arange(0.5, 9.0, 0.02)
+        tracemalloc.start()
+        try:
+            curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.ptp(curve.values) > 0.5
+        assert peak < 2 * 2**20
 
 
 class TestDacCountOracle:

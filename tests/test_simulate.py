@@ -74,6 +74,14 @@ class TestSampleEnsemble:
         with pytest.raises(ConfigError):
             HysteronEnsemble(np.array([1.0, 1.1, 1.2]), KIN, np.array(down), rng_seed=0)
 
+    @pytest.mark.parametrize("x", [[], [1.0, math.nan, 1.2], [1.0, math.inf], [-math.inf, 1.0],
+                                   [math.nan] * 3],
+                             ids=["empty", "nan", "inf", "-inf", "all-nan"])
+    def test_ensemble_needs_units_with_finite_thresholds(self, x):
+        # an empty ensemble sweeps to 0/0, and a NaN unit never switches
+        with pytest.raises(ConfigError):
+            HysteronEnsemble(np.array(x), KIN, np.zeros(len(x), dtype=bool), rng_seed=0)
+
     def test_invalid_configuration(self):
         with pytest.raises(ConfigError):
             sample_ensemble(0, 1.0, 0.05, KIN, seed=1)
