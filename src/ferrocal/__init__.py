@@ -11,8 +11,7 @@ extraction with DAC-aware programming.
 from .errors import (AmbiguousMarkerError, ConfigError, DomainError, FerrocalError,
                      FitError, MarkerAbsentError, ParseError, RangeError, RankError)
 from .fitting import (AffineMap, CurveMarkers, LorentzianFit, affine_map_fit,
-                      curve_markers, fit_family, fit_lorentzian_cdf,
-                      half_saturation_crossing, zero_crossing)
+                      curve_markers, fit_family, fit_lorentzian_cdf)
 from .kinetics import (MerzRegression, collapse_rms, collapse_transform, fit_merz_nested,
                        master_curve, regress_mu_fixed_tau)
 from .levels import (LevelSet, achieved_weight, count_dac_levels, dac_code_voltages,
@@ -23,8 +22,8 @@ from .model import (DeviceCalibration, MerzKinetics, NlsSpec, ThresholdDistribut
                     nls_switched_fraction, switched_fraction_cdf, tau_of_field,
                     threshold_pdf, threshold_quantile, threshold_voltage)
 from .simulate import (HysteronEnsemble, SwitchCurve, TriangularPulse, WriteProtocol,
-                       apply_pulse, polarization_change_of_fraction, read_displacement,
-                       run_protocol_sweep, sample_ensemble, thresholds_at)
+                       polarization_change_of_fraction, run_protocol_sweep, sample_ensemble,
+                       thresholds_at)
 from .sweepio import (emit_fit_report, emit_levels_csv, emit_plotdata, emit_sweep_csv,
                       parse_fit_report, parse_sweep_csv)
 

@@ -2,9 +2,9 @@
 
 Implements nonlinear least squares of delta(V_p) = y0 + A*[1/2 +
 arctan((log10 V_p - mu)/w)/pi] per curve or jointly across a pulse-width
-family with shared offsets, plus raw-data marker extraction (zero crossing,
-half-saturation crossing) and affine mapping between observables. A fit
-stores (y0, A, mu, w); V50 = 10**mu is derived from mu, never stored.
+family with shared offsets, plus coercive-voltage markers and affine
+mapping between observables. A fit stores (y0, A, mu, w); V50 = 10**mu is
+derived from mu, never stored.
 
 Every fit runs through one numpy engine, ``_varpro``: variable projection
 (Golub & Pereyra 1973) eliminates the linear (y0, A), and Levenberg-Marquardt
@@ -18,9 +18,9 @@ forms the dense N x 2m matrix. A rank guard on those sums, and a check for
 a non-finite cost, gradient or normal matrix, turn a singular or diverging
 fit into a FitError.
 
-Fits are seeded, and the mechanical coercive voltage is read, from the
-isotonic (monotone least-squares) fit of the samples, which a noisy sample
-or an outlier moves by its share of a block mean only. Its crossing of a
+Fits are seeded, and both coercive voltages are read, from the isotonic
+(monotone least-squares) fit of the samples, which a noisy sample or an
+outlier moves by its share of a block mean only. Its crossing of a
 level comes from prefix sums of the samples: its level sets are the
 suffixes that maximize a sum (Barlow et al. 1972), so no pool-adjacent-
 violators loop runs.
@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AmbiguousMarkerError, ConfigError, DomainError, FitError,
-                     MarkerAbsentError, RankError)
+from .errors import ConfigError, DomainError, FitError, MarkerAbsentError, RankError
 from .model import lorentzian_displacement
 
 # optimizer contract: relative step (and cost decrease) tolerance, and the
@@ -83,7 +82,7 @@ class LorentzianFit:
 
 @dataclass(frozen=True)
 class CurveMarkers:
-    """Raw-data markers of one sweep; None where a marker is absent."""
+    """Coercive-voltage markers of one sweep; None where a marker is absent."""
 
     vc_mech: float | None = None
     vc_elec: float | None = None
@@ -536,80 +535,52 @@ def fit_family(curves, share_offsets=False):
     return fits
 
 
-def _single_crossing(v, y, level):
-    """Interpolated voltage where the samples cross ``level`` exactly once.
-
-    A run of samples equal to the level counts as one crossing, at the
-    midpoint of its end voltages; so does a strict sign change between
-    neighbours, interpolated linearly.
-    """
-    d = y - level
-    edges = np.diff((d == 0.0).astype(np.int8), prepend=0, append=0)
-    run_starts = np.flatnonzero(edges == 1)
-    changes = np.flatnonzero(d[:-1] * d[1:] < 0)
-    count = run_starts.size + changes.size
-    if count == 0:
-        raise MarkerAbsentError("curve never crosses the marker level")
-    if count > 1:
-        raise AmbiguousMarkerError(f"curve crosses the marker level {count} times")
-    if run_starts.size:
-        i, j = run_starts[0], np.flatnonzero(edges == -1)[0] - 1
-        return float(0.5 * (v[i] + v[j]))
-    i = changes[0]
-    return float(v[i] + (-d[i]) * (v[i + 1] - v[i]) / (d[i + 1] - d[i]))
-
-
-def zero_crossing(curve):
-    """Mechanical coercive voltage: V_p where the displacement crosses zero."""
-    return _single_crossing(curve.v_p, curve.values, 0.0)
-
-
-def half_saturation_crossing(curve):
-    """Voltage where the curve reaches (min + max)/2 of its values."""
-    level = 0.5 * (curve.values.min() + curve.values.max())
-    return _single_crossing(curve.v_p, curve.values, level)
-
-
 @np.errstate(all="ignore")
-def _isotonic_zero_crossing(v, y):
-    """V_p where the least-squares non-decreasing fit to ``y`` crosses zero,
-    counted as ``_single_crossing`` counts the fit's samples: a run of zeros
-    is crossed at its middle, a step across zero is interpolated.
+def _isotonic_crossing(v, y, level):
+    """V_p where the least-squares fit to ``y`` that is monotone along the
+    curve's trend (the sign of last - first) crosses ``level``: the middle
+    of a run of the fit on the level, or interpolated across a step.
 
-    The step's sides are block means found from prefix sums (see
-    ``_isotonic_levels``), not by the pool-adjacent-violators loop. Where a
-    block mean is zero up to rounding the two can disagree on whether the
-    fit touches zero; both readings are then within rounding of the data.
+    With z = y - level, negated on a falling curve, the step's sides are
+    block means from prefix sums of z (see ``_isotonic_levels``). Where z
+    never decreases the fit is z, and a binary search finds the crossing
+    exactly. Otherwise, where a block mean is zero up to rounding, the sums
+    and the fit can disagree on whether it touches zero; both readings are
+    then within rounding of the data.
     """
-    t, u, p = _isotonic_levels(y, 0.0)
+    z = y - level
+    if y[-1] < y[0]:
+        z = -z
+    t, u, p = _isotonic_levels(z, 0.0)
     if np.isfinite(p[-1]):
+        monotone = (z[1:] >= z[:-1]).all()
+        if monotone:
+            t, u = int(z.searchsorted(0.0, "left")), int(z.searchsorted(0.0, "right"))
         if t < u:
             return float(0.5 * (v[t] + v[u - 1]))
-        if 0 < t < y.size:
-            lo, hi = _fit_beside(y, p, t)
-            if lo * hi < 0:  # as in _single_crossing, an underflowing product is no sign change
+        if 0 < t < z.size:
+            lo, hi = (z[t - 1], z[t]) if monotone else _fit_beside(z, p, t)
+            if lo * hi < 0:  # an underflowing product is no sign change
                 return float(v[t - 1] + (-lo) * (v[t] - v[t - 1]) / (hi - lo))
     raise MarkerAbsentError("curve never crosses the marker level")
 
 
 def curve_markers(curve):
-    """Extract the markers applicable to a curve's observable kind.
-
-    vc_mech is the zero crossing of the isotonic fit of the samples, taken in
-    the direction of the curve's trend (the sign of last - first): read
-    noise makes the raw samples cross zero several times near the coercive
-    voltage, the monotone fit crosses once.
+    """The marker of a curve's observable kind, None if the curve never
+    crosses its level: vc_mech where the isotonic fit of a displacement
+    curve crosses zero, vc_elec where that of a polarization-change curve
+    crosses the half-saturation level (min + max)/2. Read noise makes the
+    raw samples cross a level several times near the coercive voltage; the
+    monotone fit crosses once.
     """
-    vc_mech = vc_elec = None
+    y = curve.values
+    displacement = curve.observable_kind == "displacement"
+    level = 0.0 if displacement else 0.5 * (y.min() + y.max())
     try:
-        if curve.observable_kind == "displacement":
-            y = curve.values
-            vc_mech = _isotonic_zero_crossing(curve.v_p, y if y[-1] >= y[0] else -y)
-        else:
-            vc_elec = half_saturation_crossing(curve)
+        vc = _isotonic_crossing(curve.v_p, y, level)
     except MarkerAbsentError:
-        pass
-    return CurveMarkers(vc_mech=vc_mech, vc_elec=vc_elec)
+        vc = None
+    return CurveMarkers(vc_mech=vc) if displacement else CurveMarkers(vc_elec=vc)
 
 
 def affine_map_fit(source, target):

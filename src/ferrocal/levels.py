@@ -11,12 +11,10 @@ code voltage, in place in the array of code voltages, and run the margin
 scan over the result; programming inverts the transfer function at a target
 normalized weight and snaps to the nearest code.
 
-When margin > 0 and the values never decrease (checked on the input; DAC
-code values pass, noisy sweeps do not), the margin scan jumps from one kept
-value to the next by binary search instead of looping over every sample, so
-a DAC count costs O(K log n) for K kept levels rather than a Python loop over
-all 2**bits codes. It keeps exactly what the loop keeps; the argument is in
-``_monotone_keep_mask``.
+When margin > 0 the margin scan jumps between kept values by binary search
+(over the running maximum where the values decrease, as noisy sweeps do), so
+a DAC count costs O(K log n) for K kept levels rather than a loop over all
+2**bits codes; ``_monotone_keep_mask`` shows it keeps what the loop keeps.
 """
 
 import math
@@ -59,9 +57,10 @@ def _sorted_samples(curve_or_arrays):
         v = curve_or_arrays.v_p
         y = curve_or_arrays.values
     else:
-        v, y = curve_or_arrays
-        v = np.asarray(v, dtype=float)
-        y = np.asarray(y, dtype=float)
+        pair = [np.asarray(a, dtype=float) for a in curve_or_arrays]
+        if len(pair) != 2 or pair[0].ndim != 1 or pair[1].shape != pair[0].shape:
+            raise ConfigError("level extraction requires a pair of equal-length 1-D arrays")
+        v, y = pair
     if v.size == 0:
         raise ConfigError("level extraction requires >= 1 sample")
     order = np.argsort(v, kind="stable")
@@ -74,17 +73,20 @@ def _monotone_keep_mask(values, margin, accept_equal):
     A value is kept when value - last_kept > margin, or == margin if
     ``accept_equal``. The first value is always kept.
 
-    For margin > 0 on input that never decreases (DAC code values, noiseless
-    sweeps), the scan jumps from one kept value to the next instead of
-    visiting every sample; other input takes the plain loop. The jump is
-    exact: IEEE subtraction rounds monotonically, so along a non-decreasing
-    array the computed value - last_kept never decreases and the scan's
-    comparison reads false...false, true...true. ``searchsorted`` proposes
-    the first index past last_kept + margin, and a fix-up step moves it to
-    the first index where the scan's own comparison holds, one run of equal
-    values at a time. Each kept level costs O(log n): far less than the loop
-    when few samples are kept (a few hundred of 2**18 DAC codes), a few
-    times more per sample when nearly all are.
+    For margin > 0 the scan jumps from one kept value to the next instead of
+    visiting every sample. On input that never decreases the jump is exact:
+    IEEE subtraction rounds monotonically, so the computed value - last_kept
+    never decreases and the scan's comparison reads false...false,
+    true...true. ``searchsorted`` proposes the first index past last_kept +
+    margin, and a fix-up step moves it to the first index where the scan's
+    own comparison holds, one run of equal values at a time. Each kept level
+    costs O(log n), far less than a loop over 2**18 DAC codes.
+
+    Input that decreases is searched through its running maximum (NaN
+    skipped). By the same rounding, every sample the scan passes over lies
+    below the next kept value, so a kept value is the running maximum at its
+    index, and the first sample that clears it is the first index where the
+    running maximum does. A NaN first value leaves nothing else kept.
     """
     n = len(values)
     keep = np.zeros(n, dtype=bool)
@@ -100,18 +102,15 @@ def _monotone_keep_mask(values, margin, accept_equal):
         else:
             keep[1:] = values[1:] > runmax[:-1]
         return keep
-    if np.all(values[1:] >= values[:-1]):
-        i = _next_kept(values, 0, margin, accept_equal)
-        while i < n:
-            keep[i] = True
-            i = _next_kept(values, i, margin, accept_equal)
+    if np.isnan(values[0]):
         return keep
-    last = values[0]
-    for i in range(1, n):
-        d = values[i] - last
-        if d > margin or (accept_equal and d == margin):
-            keep[i] = True
-            last = values[i]
+    if not np.all(values[1:] >= values[:-1]):
+        # copied only here: DAC code values never decrease, and there are 2**bits
+        values = np.fmax.accumulate(values)
+    i = _next_kept(values, 0, margin, accept_equal)
+    while i < n:
+        keep[i] = True
+        i = _next_kept(values, i, margin, accept_equal)
     return keep
 
 
@@ -119,10 +118,11 @@ def _next_kept(values, i, margin, accept_equal):
     """First index after ``i`` that the margin scan keeps when values[i] is
     the last kept value, or len(values) if none; ``values`` must not
     decrease and ``margin`` must be positive."""
-    last = values[i]
+    # Python floats round as float64 does, and overflow or inf - inf never warns
+    last = values.item(i)
 
     def clears(k):
-        d = values[k] - last
+        d = values.item(k) - last
         return d > margin or (accept_equal and d == margin)
 
     n = len(values)

@@ -11,8 +11,9 @@ is at or below |V|. The width enters only through the shared kinetic law, so
 the ensemble's median log-threshold shifts with pulse width while its spread
 stays constant.
 
-Reads are non-destructive: displacement is an affine function of the down
-fraction plus optional Gaussian noise, and never mutates the state.
+A read is an affine function of the down fraction: displacement plus
+optional Gaussian noise, or the polarization change. The ensemble is never
+mutated.
 
 A protocol sweep does not replay the pulses. Its value at each grid point is
 an exact count: the units no write can flip, plus the empirical CDF of the
@@ -22,7 +23,7 @@ ensemble (``run_protocol_sweep``).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,9 +106,6 @@ class HysteronEnsemble:
     def n(self):
         return self.log_threshold_at_ref.shape[0]
 
-    def switched_down_fraction(self):
-        return float(np.count_nonzero(self.down)) / self.n
-
 
 def sample_ensemble(n, mu_star_dist, w, kinetics, seed):
     """Draw an ensemble of n hysterons, deterministic given ``seed``.
@@ -152,35 +150,6 @@ def _unheld(p, d_reset, reset_amp, down, write_is_down):
     """Units of one block that a write can flip: reached by the reset (``p``
     holds 10**x_i) or not poled in the write direction at the start."""
     return (p / d_reset <= reset_amp) | (down != write_is_down)
-
-
-def apply_pulse(ensemble, pulse):
-    """Return the ensemble state after one pulse.
-
-    Hysterons whose polarity opposes the pulse and whose threshold at the
-    pulse width is <= |peak| flip; everything else is untouched. The input
-    ensemble is not modified.
-    """
-    vth = thresholds_at(ensemble, pulse.width)
-    reachable = vth <= abs(pulse.peak)
-    down = ensemble.down.copy()
-    if pulse.peak > 0:
-        down[reachable] = True
-    else:
-        down[reachable] = False
-    return replace(ensemble, down=down)
-
-
-def read_displacement(ensemble, cal, seed):
-    """Non-destructive displacement read (nm).
-
-    delta_min + span * S_down plus Gaussian read noise; identical seeds give
-    identical reads, and the ensemble state is never mutated.
-    """
-    delta = cal.delta_min + cal.span * ensemble.switched_down_fraction()
-    if cal.read_noise_sigma > 0:
-        delta += float(spawn_rng(seed, "read").normal(0.0, cal.read_noise_sigma))
-    return delta
 
 
 def polarization_change_of_fraction(p_r, s):

@@ -12,12 +12,11 @@ import pytest
 from ferrocal import (DeviceCalibration, LorentzianFit, MerzKinetics, RangeError,
                       SwitchCurve, ThresholdDistribution, TriangularPulse,
                       WriteProtocol, achieved_weight, collapse_rms,
-                      collapse_transform, emit_fit_report, fit_lorentzian_cdf,
-                      fit_merz_nested, half_saturation_crossing, NlsSpec,
+                      collapse_transform, curve_markers, emit_fit_report,
+                      fit_lorentzian_cdf, fit_merz_nested, NlsSpec,
                       nls_switched_fraction, polarization_change_of_fraction,
                       program_voltage_for_weight, run_protocol_sweep, s0_filter,
-                      sample_ensemble, switched_fraction_cdf, threshold_pdf,
-                      zero_crossing)
+                      sample_ensemble, switched_fraction_cdf, threshold_pdf)
 from ferrocal.cli import main
 
 from anchors import (DENSE_GRID, ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF,
@@ -200,7 +199,7 @@ def test_criterion_08_coercive_markers():
     for row, vc in zip(TABLE_ROWS, published_vc):
         fixture = SwitchCurve(t_p=row[0], v_p=[0.5, vc - 0.25, vc + 0.25, 9.0],
                               values=[-3.0, -1.0, 1.0, 3.0])
-        assert zero_crossing(fixture) == pytest.approx(vc, abs=1e-12)
+        assert curve_markers(fixture).vc_mech == pytest.approx(vc, abs=1e-12)
 
     _, _, _, mu, w = TABLE_ROWS[-1][:5]
     x = np.linspace(mu - 0.25, mu + 0.25, 501)  # log-symmetric around V50
@@ -210,7 +209,7 @@ def test_criterion_08_coercive_markers():
                             values=polarization_change_of_fraction(20.0, s),
                             observable_kind="polarization_change")
     step = float(np.max(np.diff(grid)))
-    v_half = half_saturation_crossing(cdf_curve)
+    v_half = curve_markers(cdf_curve).vc_elec
     assert v_half == pytest.approx(10**mu, abs=step)
     _ok(8, "coercive markers", f"five V_c fixtures exact; half-saturation within {step:.4f} V")
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ferrocal import (ConfigError, LorentzianFit, emit_fit_report, emit_sweep_csv,
-                      parse_fit_report, parse_sweep_csv, s0_filter, s0_filter_with_margin)
+from ferrocal import (ConfigError, LorentzianFit, SwitchCurve, emit_fit_report,
+                      emit_sweep_csv, parse_fit_report, parse_sweep_csv, s0_filter,
+                      s0_filter_with_margin)
 from ferrocal.cli import main
 from ferrocal.config import _KNOWN_KEYS, RunConfig, load_config
 
@@ -110,6 +111,33 @@ class TestNoisyPipeline:
             assert main(["--out-dir", str(tmp_path)] + argv) == 0, argv
         rows = parse_fit_report(report)
         assert len(rows) == 5 and all(vc is not None for _, vc in rows)
+
+    def test_fit_succeeds_on_noisy_polarization_sweeps(self, tmp_path):
+        # the default config as polarization sweeps, plus read noise that
+        # makes the raw samples cross the half-saturation level several times
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[sweep]\nobservable = polarization_change\n")
+        clean, noisy = tmp_path / "clean", tmp_path / "noisy"
+        assert main(["--out-dir", str(clean), "simulate", "--config", str(cfg),
+                     "--out", str(clean / "sweep.csv")]) == 0
+        curves = parse_sweep_csv(clean / "sweep.csv")
+        sigma = 0.3  # uC/cm^2
+        noise = np.random.default_rng(0).normal(0.0, sigma, (len(curves), curves[0].n_samples))
+        noisy.mkdir()
+        emit_sweep_csv(noisy / "sweep.csv", [
+            SwitchCurve(t_p=c.t_p, v_p=c.v_p, values=c.values + e,
+                        observable_kind="polarization_change") for c, e in zip(curves, noise)])
+        for out in (clean, noisy):
+            assert main(["--out-dir", str(out), "fit", "--input", str(out / "sweep.csv")]) == 0
+        rows = zip(parse_fit_report(clean / "fit_report.csv"),
+                   parse_fit_report(noisy / "fit_report.csv"))
+        for (fit, vc), (_, vc_noisy) in rows:
+            # six noise sd, plus the level's shift by the extreme noise, over
+            # the curve's slope at V50, A / (pi w V50 ln 10); plus one 5 mV
+            # grid step
+            slope = fit.a / (math.pi * fit.w * fit.v50 * math.log(10.0))
+            tol = (6 * sigma + np.abs(noise).max()) / slope + 0.005
+            assert vc_noisy == pytest.approx(vc, abs=tol)
 
 
 class TestPolarizationPipeline:
@@ -532,6 +560,15 @@ class TestReadmeConfig:
         # t_p_us is scaled by 1e-6, which moves 10 us by an ulp
         assert cfg.sweep.t_p == pytest.approx(defaults.sweep.t_p, rel=1e-12, abs=0.0)
         assert replace(cfg, sweep=replace(cfg.sweep, t_p=defaults.sweep.t_p)) == defaults
+
+
+class TestReadmeLibrary:
+    def test_python_example_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        v50, vc_mech, levels = capsys.readouterr().out.split()
+        assert 4.0 < float(v50) < 6.0 and 4.0 < float(vc_mech) < 6.0 and int(levels) > 2**7
 
 
 class TestOutDir:

@@ -10,10 +10,9 @@ from ferrocal import fitting
 from ferrocal import (AmbiguousMarkerError, ConfigError, DomainError, FerrocalError, FitError,
                       LorentzianFit,
                       MarkerAbsentError, RankError, SwitchCurve, affine_map_fit,
-                      curve_markers, fit_family, fit_lorentzian_cdf,
-                      half_saturation_crossing, lorentzian_displacement,
+                      curve_markers, fit_family, fit_lorentzian_cdf, lorentzian_displacement,
                       polarization_change_of_fraction, switched_fraction_cdf,
-                      ThresholdDistribution, zero_crossing)
+                      ThresholdDistribution)
 from ferrocal.config import RunConfig
 from ferrocal.simulate import run_protocol_sweep, sample_ensemble
 
@@ -480,42 +479,52 @@ class TestFaultingGroup:
             assert np.array_equal(pieces[j], r_1)
 
 
+def vc_mech(curve):
+    return curve_markers(curve).vc_mech
+
+
+def vc_elec(curve):
+    return curve_markers(curve).vc_elec
+
+
 class TestMarkers:
     def test_midpoint_interpolation(self):
         c = SwitchCurve(t_p=1e-4, v_p=[3.0, 4.0, 6.0, 7.0], values=[-2.0, -1.0, 1.0, 2.0])
-        assert zero_crossing(c) == pytest.approx(5.0, abs=1e-12)
+        assert vc_mech(c) == pytest.approx(5.0, abs=1e-12)
 
     @pytest.mark.parametrize("row", TABLE_ROWS)
     def test_fixture_through_published_coercive_voltage(self, row):
         vc = row[6]
         c = SwitchCurve(t_p=row[0], v_p=[0.5, vc - 0.2, vc + 0.2, 9.0],
                         values=[-2.0, -1.0, 1.0, 2.0])
-        assert zero_crossing(c) == pytest.approx(vc, abs=1e-12)
+        assert vc_mech(c) == pytest.approx(vc, abs=1e-12)
 
     def test_exact_zero_sample(self):
         c = SwitchCurve(t_p=1e-4, v_p=[4.0, 5.0, 6.0], values=[-1.0, 0.0, 1.0])
-        assert zero_crossing(c) == pytest.approx(5.0, abs=1e-12)
+        assert vc_mech(c) == pytest.approx(5.0, abs=1e-12)
 
     def test_marker_absent(self):
         c = SwitchCurve(t_p=1e-4, v_p=[4.0, 5.0, 6.0], values=[1.0, 2.0, 3.0])
-        with pytest.raises(MarkerAbsentError):
-            zero_crossing(c)
+        assert vc_mech(c) is None
 
     def test_marker_ambiguous(self):
+        # the raw samples cross zero three times; their isotonic fit
+        # (-1, 0, 0, 1) lies on zero over the middle two samples, once
         c = SwitchCurve(t_p=1e-4, v_p=[4.0, 5.0, 6.0, 7.0], values=[-1.0, 1.0, -1.0, 1.0])
         with pytest.raises(AmbiguousMarkerError):
-            zero_crossing(c)
+            naive_single_crossing(c.v_p, c.values, 0.0)
+        assert vc_mech(c) == 5.5
 
     def test_half_saturation_linear_ramp(self):
         c = SwitchCurve(t_p=1e-4, v_p=[4.0, 6.0], values=[0.0, 2.0],
                         observable_kind="polarization_change")
-        assert half_saturation_crossing(c) == pytest.approx(5.0, abs=1e-12)
+        assert vc_elec(c) == pytest.approx(5.0, abs=1e-12)
 
     def test_half_saturation_published_value_fixture(self):
         c = SwitchCurve(t_p=500e-6, v_p=[0.5, 5.03, 5.43, 9.0],
                         values=[-20.0, -10.0, 10.0, 20.0],
                         observable_kind="polarization_change")
-        assert half_saturation_crossing(c) == pytest.approx(5.23, abs=1e-12)
+        assert vc_elec(c) == pytest.approx(5.23, abs=1e-12)
 
     def test_half_saturation_of_symmetric_cdf_curve(self):
         _, _, _, mu, w = ROW_500US[:5]
@@ -525,13 +534,13 @@ class TestMarkers:
         c = SwitchCurve(t_p=500e-6, v_p=v, values=polarization_change_of_fraction(20.0, s),
                         observable_kind="polarization_change")
         step = v[int(v.size // 2) + 1] - v[int(v.size // 2)]
-        assert half_saturation_crossing(c) == pytest.approx(10**mu, abs=step)
+        assert vc_elec(c) == pytest.approx(10**mu, abs=step)
 
     def test_model_crossing_differs_from_reported_coercive_voltage(self):
         # the symmetric fitted model crosses zero well above the measured
         # marker; both must be reported, never conflated
         c = synthetic_curve(ROW_500US)
-        model_vc = zero_crossing(c)
+        model_vc = vc_mech(c)
         assert model_vc == pytest.approx(ORACLE_MODEL_ZERO_CROSSING, abs=0.006)
         assert abs(model_vc - ROW_500US[6]) > 0.3
 
@@ -539,7 +548,7 @@ class TestMarkers:
         t_p, _, a, mu, w = ROW_500US[:5]
         vals = lorentzian_displacement(-a / 2, a, mu, w, DENSE_GRID)
         c = SwitchCurve(t_p=t_p, v_p=DENSE_GRID, values=vals)
-        assert zero_crossing(c) == pytest.approx(10**mu, abs=0.005)
+        assert vc_mech(c) == pytest.approx(10**mu, abs=0.005)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_curve_markers_take_the_isotonic_crossing_of_noisy_curves(self, sign):
@@ -548,28 +557,51 @@ class TestMarkers:
                             values=sign * (clean.values + np.random.default_rng(3).normal(
                                 0.0, 0.05, clean.n_samples)))
         with pytest.raises(AmbiguousMarkerError):
-            zero_crossing(noisy)  # the raw marker stays strict
+            naive_single_crossing(noisy.v_p, noisy.values, 0.0)  # the raw samples
         # six noise sd over the model's slope at the crossing (6.09 nm/V),
         # plus one 5 mV grid step
-        assert curve_markers(noisy).vc_mech == pytest.approx(ORACLE_MODEL_ZERO_CROSSING,
-                                                             abs=6 * 0.05 / 6.09 + 0.005)
-        assert curve_markers(clean).vc_mech == zero_crossing(clean)
+        assert vc_mech(noisy) == pytest.approx(ORACLE_MODEL_ZERO_CROSSING,
+                                               abs=6 * 0.05 / 6.09 + 0.005)
+        assert vc_mech(clean) == naive_single_crossing(clean.v_p, clean.values, 0.0)
 
-    # samples drawn from a few levels around zero give runs of exact zeros,
-    # ties and sign changes; tiny magnitudes make d[i] * d[i+1] underflow
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_vc_elec_takes_the_isotonic_crossing_of_noisy_curves(self, sign):
+        _, _, _, mu, w = ROW_500US[:5]
+        v = 10.0**np.linspace(mu - 0.3, mu + 0.3, 601)  # log-symmetric grid around V50
+        s = switched_fraction_cdf(ThresholdDistribution(mu, w), v)
+        # a draw whose raw samples cross the half-saturation level three times
+        # for either sign
+        noise = np.random.default_rng(4).normal(0.0, 0.3, v.size)
+        noisy = SwitchCurve(t_p=500e-6, v_p=v,
+                            values=sign * polarization_change_of_fraction(20.0, s) + noise,
+                            observable_kind="polarization_change")
+        level = 0.5 * (noisy.values.min() + noisy.values.max())
+        with pytest.raises(AmbiguousMarkerError):
+            naive_single_crossing(noisy.v_p, noisy.values, level)  # the raw samples
+        # six noise sd, plus the level's shift by the extreme noise, over the
+        # curve's slope at V50, 2 P_r / (pi w V50 ln 10); plus one grid step
+        slope = 40.0 / (math.pi * w * 10**mu * math.log(10.0))
+        step = float(np.max(np.diff(v)))
+        assert vc_elec(noisy) == pytest.approx(10**mu, abs=(6 * 0.3 + abs(level)) / slope + step)
+
+    # monotone draws from a few levels around zero give runs of exact zeros,
+    # ties and sign changes; tiny magnitudes make d[i] * d[i+1] underflow.
+    # On such samples the isotonic fit is the samples.
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.one_of(st.sampled_from([-2.0, -1.0, 0.0, -0.0, 1.0, 2.0,
                                                       1e-200, -1e-200]),
-                                     st.floats(-3.0, 3.0)), max_size=12),
-           level=st.sampled_from([0.0, 1.0, -0.5]))
-    def test_single_crossing_matches_the_sample_walk(self, values, level):
+                                     st.floats(-3.0, 3.0)), min_size=1, max_size=12),
+           level=st.sampled_from([0.0, 1.0, -0.5]), falling=st.booleans())
+    def test_single_crossing_matches_the_sample_walk(self, values, level, falling):
         v = np.cumsum(np.linspace(0.5, 1.5, len(values))) + 0.25
-        y = np.array(values, dtype=float)
+        y = np.sort(np.array(values, dtype=float))
+        if falling:
+            y = y[::-1].copy()
         outcomes = []
-        for crossing in (fitting._single_crossing, naive_single_crossing):
+        for crossing in (fitting._isotonic_crossing, naive_single_crossing):
             try:
                 outcomes.append(np.float64(crossing(v, y, level)).tobytes())
-            except (MarkerAbsentError, AmbiguousMarkerError) as exc:
+            except MarkerAbsentError as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
 
@@ -581,10 +613,10 @@ class TestMarkers:
     def test_isotonic_crossing_matches_the_pav_fit(self, values):
         v = np.cumsum(np.linspace(0.5, 1.5, len(values))) + 0.25
         y = np.array(values, dtype=float)
-        trend = pav_isotonic(y)
+        trend = pav_isotonic(y if y[-1] >= y[0] else -y)  # fit along the curve's trend
         outcomes = []
-        for crossing in (lambda: fitting._isotonic_zero_crossing(v, y),
-                         lambda: fitting._single_crossing(v, trend, 0.0)):
+        for crossing in (lambda: fitting._isotonic_crossing(v, y, 0.0),
+                         lambda: naive_single_crossing(v, trend, 0.0)):
             try:
                 outcomes.append(crossing())
             except MarkerAbsentError as exc:

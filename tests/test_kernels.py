@@ -302,7 +302,7 @@ def ulp_draws(draw):
 @st.composite
 def one_descent_draws(draw):
     """A non-decreasing draw with one value pushed below its predecessor,
-    which sends the scan down the plain loop."""
+    which sends the scan through the running maximum."""
     values, margin = draw(st.one_of(nondecreasing_draws(), plateau_draws()))
     assume(len(values) >= 2)
     k = draw(st.integers(1, len(values) - 1))
@@ -310,8 +310,26 @@ def one_descent_draws(draw):
     return values, margin
 
 
+SPECIALS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+
+
+@st.composite
+def noisy_walk_draws(draw):
+    """A noisy walk rounded to a coarse step, so that values tie and many
+    increments equal the margin, with NaN, +/-inf and +/-1e308 put in at
+    random places (first place included); it decreases almost everywhere."""
+    quantum = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    steps = draw(st.lists(st.floats(-1.0, 1.5), min_size=1, max_size=60))
+    values = (np.round(np.cumsum(steps) / quantum) * quantum).tolist()
+    for _ in range(draw(st.integers(0, 4))):
+        values.insert(draw(st.integers(0, len(values))), draw(SPECIALS))
+    margin = draw(st.one_of(st.sampled_from([quantum, 2 * quantum]), st.floats(1e-6, 2.0)))
+    return values, margin
+
+
 class TestMarginScanJumpSearch:
-    """The jump search for non-decreasing input against the plain loop."""
+    """The jump search, over the values or their running maximum, against
+    the plain loop."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=st.one_of(nondecreasing_draws(), plateau_draws(), ulp_draws(),
@@ -321,6 +339,15 @@ class TestMarginScanJumpSearch:
         values = np.asarray(values, dtype=float)
         for accept_equal in (True, False):
             mask = _monotone_keep_mask(values, margin, accept_equal)
+            assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, margin, accept_equal)
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=noisy_walk_draws())
+    def test_decreasing_input_matches_naive_scan(self, case):
+        values, margin = case
+        for accept_equal in (True, False):
+            # the loop takes Python floats, whose overflow and inf - inf do not warn
+            mask = _monotone_keep_mask(np.asarray(values, dtype=float), margin, accept_equal)
             assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, margin, accept_equal)
 
 

@@ -50,6 +50,18 @@ class TestS0Filter:
         with pytest.raises(ConfigError):
             s0_filter((np.array([]), np.array([])))
 
+    @pytest.mark.parametrize("pair", [
+        (np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])),   # a sample would be dropped
+        (np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0])),   # IndexError
+        (np.ones((2, 2)), np.ones((2, 2))),                  # 2-D
+        (np.array(1.0), np.array(1.0)),                      # 0-D
+        (np.array([1.0]), np.array([1.0]), np.array([1.0])),  # not a pair
+    ])
+    def test_mismatched_arrays_rejected(self, pair):
+        for scan in (s0_filter, lambda p: s0_filter_with_margin(p, 0.1)):
+            with pytest.raises(ConfigError, match="pair of equal-length 1-D arrays"):
+                scan(pair)
+
     def test_permutation_independence(self):
         rng = np.random.default_rng(6)
         v = np.sort(rng.uniform(0, 9, 200))

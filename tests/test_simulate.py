@@ -1,14 +1,13 @@
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from ferrocal import (ConfigError, DeviceCalibration, DomainError, HysteronEnsemble,
                       MerzKinetics, SwitchCurve, TriangularPulse, WriteProtocol, affine_map_fit,
-                      apply_pulse, read_displacement, run_protocol_sweep,
-                      sample_ensemble, switched_fraction_cdf, ThresholdDistribution,
-                      thresholds_at, zero_crossing)
+                      curve_markers, run_protocol_sweep, sample_ensemble,
+                      switched_fraction_cdf, ThresholdDistribution, thresholds_at)
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_MODEL_ZERO_CROSSING,
                      PUB_TAU_INF, ROW_500US)
@@ -17,6 +16,8 @@ T_FILM = 17e-9
 W = 0.038244
 KIN = MerzKinetics.from_mu_star(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR, T_FILM)
 CAL = DeviceCalibration(delta_min=ROW_500US[1], delta_max=ROW_500US[1] + ROW_500US[2])
+# delta = 0 + 1 * S_down: a sweep's values are the down fraction itself
+UNIT_CAL = DeviceCalibration(delta_min=0.0, delta_max=1.0)
 
 
 def analytic_mu(t_p):
@@ -26,6 +27,12 @@ def analytic_mu(t_p):
 def std_protocol(t_p):
     return WriteProtocol(reset_pulse=TriangularPulse(-9.0, 500e-6),
                          write_pulse=TriangularPulse(5.0, t_p))
+
+
+def first_points(amp):
+    """A grid whose first point is ``amp``: a sweep's first value is the
+    state after one reset and write at that amplitude."""
+    return amp * np.array([1.0, 1.5, 2.0, 2.5])
 
 
 @pytest.fixture(scope="module")
@@ -98,21 +105,26 @@ class TestSampleEnsemble:
 
 
 class TestApplyPulse:
+    """What a reset and a write do to the ensemble, read at a sweep's first point."""
+
     def test_sub_threshold_pulse_is_noop(self, ensemble):
         vth = thresholds_at(ensemble, 500e-6)
-        out = apply_pulse(ensemble, TriangularPulse(0.5 * vth.min(), 500e-6))
-        assert np.array_equal(out.down, ensemble.down)
+        curve = run_protocol_sweep(ensemble, std_protocol(500e-6), first_points(0.5 * vth.min()),
+                                   UNIT_CAL)
+        assert curve.values[0] == 0.0
 
     def test_idempotent(self, ensemble):
-        pulse = TriangularPulse(5.0, 500e-6)
-        once = apply_pulse(ensemble, pulse)
-        twice = apply_pulse(once, pulse)
-        assert np.array_equal(once.down, twice.down)
-        assert 0 < once.switched_down_fraction() < 1
+        # repeats of an identical pulse flip nothing new
+        grid = np.linspace(4.0, 6.0, 41)
+        sweeps = [run_protocol_sweep(ensemble, WriteProtocol(
+            TriangularPulse(-9.0, 500e-6), TriangularPulse(5.0, 500e-6), count, count), grid,
+            UNIT_CAL).values for count in (1, 2, 5)]
+        assert np.array_equal(sweeps[0], sweeps[1]) and np.array_equal(sweeps[0], sweeps[2])
+        assert 0 < sweeps[0][20] < 1  # at 5 V
 
     def test_input_not_mutated(self, ensemble):
         before = ensemble.down.copy()
-        apply_pulse(ensemble, TriangularPulse(9.0, 500e-6))
+        run_protocol_sweep(ensemble, std_protocol(500e-6), np.linspace(1.0, 9.0, 9), UNIT_CAL)
         assert np.array_equal(ensemble.down, before)
 
     def test_ensemble_is_frozen(self, ensemble):
@@ -122,42 +134,56 @@ class TestApplyPulse:
     def test_half_switch_at_median_threshold(self):
         e = sample_ensemble(100_000, ORACLE_MU_STAR, W, KIN, seed=11)
         t_p = 500e-6
-        pulse = TriangularPulse(10 ** analytic_mu(t_p), t_p)
-        frac = apply_pulse(e, pulse).switched_down_fraction()
-        assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / 100_000)
+        curve = run_protocol_sweep(e, std_protocol(t_p), first_points(10 ** analytic_mu(t_p)),
+                                   UNIT_CAL)
+        assert abs(curve.values[0] - 0.5) <= 3 * math.sqrt(0.25 / 100_000)
 
     def test_negative_pulse_flips_back(self, ensemble):
-        poled = apply_pulse(ensemble, TriangularPulse(9.0, 500e-6))
-        reset = apply_pulse(poled, TriangularPulse(-9.0, 500e-6))
-        assert reset.switched_down_fraction() < poled.switched_down_fraction()
+        # a down-poled start: the -9 V reset flips units back up, a reset
+        # below every threshold flips none
+        poled = replace(ensemble, down=np.ones(ensemble.n, dtype=bool))
+        grid = first_points(0.5 * thresholds_at(ensemble, 500e-6).min())
+        reset = run_protocol_sweep(poled, std_protocol(500e-6), grid, UNIT_CAL)
+        weak = WriteProtocol(TriangularPulse(-grid[0], 500e-6), TriangularPulse(5.0, 500e-6))
+        assert reset.values[0] < 1.0
+        assert np.all(run_protocol_sweep(poled, weak, grid, UNIT_CAL).values == 1.0)
 
     def test_reset_completeness(self, ensemble):
         t_pr = 500e-6
-        poled = apply_pulse(ensemble, TriangularPulse(9.0, t_pr))
+        poled = replace(ensemble, down=np.ones(ensemble.n, dtype=bool))
         amp = 10 ** (analytic_mu(t_pr) + 10 * W)
-        reset = apply_pulse(poled, TriangularPulse(-amp, t_pr))
-        assert reset.switched_down_fraction() == 0.0
+        proto = WriteProtocol(TriangularPulse(-amp, t_pr), TriangularPulse(5.0, t_pr))
+        grid = first_points(0.5 * thresholds_at(ensemble, t_pr).min())
+        assert run_protocol_sweep(poled, proto, grid, UNIT_CAL).values[0] == 0.0
 
     def test_width_below_attempt_time_rejected(self, ensemble):
-        with pytest.raises(DomainError):
-            apply_pulse(ensemble, TriangularPulse(5.0, PUB_TAU_INF / 2))
+        short = TriangularPulse(5.0, PUB_TAU_INF / 2)
+        for proto in (WriteProtocol(TriangularPulse(-9.0, 500e-6), short),
+                      WriteProtocol(TriangularPulse(-9.0, PUB_TAU_INF / 2),
+                                    TriangularPulse(5.0, 500e-6))):
+            with pytest.raises(DomainError):
+                run_protocol_sweep(ensemble, proto, np.linspace(1.0, 9.0, 9), UNIT_CAL)
 
 
 class TestReadDisplacement:
     def test_fully_reset_and_fully_poled(self, ensemble):
-        assert read_displacement(ensemble, CAL, seed=0) == CAL.delta_min
-        poled = apply_pulse(ensemble, TriangularPulse(10 ** (ORACLE_MU_STAR + 10 * W), 500e-6))
-        assert read_displacement(poled, CAL, seed=0) == CAL.delta_max
+        vth = thresholds_at(ensemble, 500e-6)
+        grid = np.array([0.5 * vth.min(), vth.min(), vth.max(), 2.0 * vth.max()])
+        curve = run_protocol_sweep(ensemble, std_protocol(500e-6), grid, CAL)
+        assert curve.values[0] == CAL.delta_min
+        assert curve.values[-1] == CAL.delta_max
 
     def test_reads_are_pure_and_repeatable(self, ensemble):
         noisy_cal = DeviceCalibration(delta_min=CAL.delta_min, delta_max=CAL.delta_max,
                                       read_noise_sigma=0.5)
         before = ensemble.down.copy()
-        first = read_displacement(ensemble, noisy_cal, seed=3)
-        second = read_displacement(ensemble, noisy_cal, seed=3)
-        assert first == second
+        grid = np.linspace(1.0, 9.0, 9)
+        first = run_protocol_sweep(ensemble, std_protocol(500e-6), grid, noisy_cal, seed=3)
+        second = run_protocol_sweep(ensemble, std_protocol(500e-6), grid, noisy_cal, seed=3)
+        assert np.array_equal(first.values, second.values)
         assert np.array_equal(ensemble.down, before)
-        assert read_displacement(ensemble, noisy_cal, seed=4) != first
+        other = run_protocol_sweep(ensemble, std_protocol(500e-6), grid, noisy_cal, seed=4)
+        assert not np.any(other.values == first.values)
 
 
 class TestRunProtocolSweep:
@@ -188,7 +214,7 @@ class TestRunProtocolSweep:
         curve = run_protocol_sweep(ensemble, std_protocol(500e-6), grid, CAL)
         assert curve.values[0] == pytest.approx(CAL.delta_min, abs=1e-9)
         assert curve.values[-1] > 0
-        vc = zero_crossing(curve)
+        vc = curve_markers(curve).vc_mech
         # the symmetric model's own crossing; the measured 5.05 V differs
         # through the real device's asymmetry
         assert vc == pytest.approx(ORACLE_MODEL_ZERO_CROSSING, abs=0.05)
