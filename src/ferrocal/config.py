@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, first_non_utf8
-from .model import DeviceCalibration, MerzKinetics
+from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics
 from .simulate import TriangularPulse, WriteProtocol
 
 _KNOWN_KEYS = {
@@ -184,6 +184,11 @@ def load_config(path):
         raise ConfigError(f"[run] seed must be >= 0, got {cfg.seed}")
     if cfg.ensemble_n < 1 or cfg.ensemble_w <= 0:
         raise ConfigError("[ensemble] requires n >= 1 and w > 0")
+    # the sampler clamps thresholds to mu_star +/- 10w, which must be floats
+    mu, half = cfg.ensemble_mu_star, TRUNCATION_HALF_WIDTHS * cfg.ensemble_w
+    if not (mu - half > -math.inf and mu + half < math.inf):
+        raise ConfigError(f"[ensemble] w: {cfg.ensemble_w!r} makes the band "
+                          f"mu_star +/- 10w overflow")
     # a sweep divides by ln(width / tau_inf)**(1/alpha), so every width must
     # exceed tau_inf; checked here, before an ensemble is drawn
     tau = cfg.kinetics.tau_inf

@@ -110,21 +110,37 @@ class HysteronEnsemble:
 def sample_ensemble(n, mu_star_dist, w, kinetics, seed):
     """Draw an ensemble of n hysterons, deterministic given ``seed``.
 
-    Thresholds are Cauchy(mu_star_dist, w) on the log10 axis, clamped to
-    mu_star_dist +/- 10w; clamping (rather than rejection) keeps the
-    within-band threshold CDF exactly Cauchy. The ensemble starts fully
-    up-poled.
+    Thresholds are Cauchy(mu_star_dist, w) on the log10 axis, drawn by the
+    inverse transform mu_star_dist + w * tan(pi * (u - 1/2)) of one uniform
+    u per unit (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+    sec. II.2), and clamped to mu_star_dist +/- 10w; clamping (rather than
+    rejection) keeps the within-band threshold CDF exactly Cauchy. Units are
+    drawn in order, so the first k units of an n-unit draw are the k-unit
+    draw. This sampler replaced a ratio-of-normals draw, so every simulated
+    file changed bytes with it. The band must be finite. The ensemble starts
+    fully up-poled.
+
+    A pulse width only divides every threshold by one scalar, so the
+    simulated w is the same at every width: the model cannot reproduce the
+    published 11.0 % fall of w from 10 to 500 us (0.042982 -> 0.038244).
     """
     if n < 1:
         raise ConfigError("sample_ensemble requires n >= 1")
     # written as comparisons, which a NaN fails
     if not -math.inf < mu_star_dist < math.inf:
         raise ConfigError("sample_ensemble requires a finite mu_star_dist")
-    if not 0 < w < math.inf:
-        raise ConfigError("sample_ensemble requires 0 < w < inf")
-    rng = spawn_rng(seed, "ensemble")
-    x = mu_star_dist + w * rng.standard_cauchy(int(n))
     half = TRUNCATION_HALF_WIDTHS * w
+    if not (0 < w and -math.inf < mu_star_dist - half and mu_star_dist + half < math.inf):
+        raise ConfigError("sample_ensemble requires w > 0 and a finite band "
+                          "mu_star_dist +/- 10w")
+    x = spawn_rng(seed, "ensemble").random(int(n))
+    x -= 0.5
+    x *= math.pi
+    np.tan(x, out=x)
+    # a far-tail draw may overflow to +/-inf; the clamp brings it to the band
+    with np.errstate(over="ignore"):
+        x *= w
+    x += mu_star_dist
     np.clip(x, mu_star_dist - half, mu_star_dist + half, out=x)
     return HysteronEnsemble(
         log_threshold_at_ref=x,
@@ -143,7 +159,10 @@ def _threshold_divisor(kinetics, width):
 
 def thresholds_at(ensemble, width):
     """Per-hysteron switching voltages (V) for a pulse of the given width (s)."""
-    return 10.0**ensemble.log_threshold_at_ref / _threshold_divisor(ensemble.kinetics, width)
+    d = _threshold_divisor(ensemble.kinetics, width)
+    # a threshold past the float range is inf: a unit no pulse switches
+    with np.errstate(over="ignore"):
+        return 10.0**ensemble.log_threshold_at_ref / d
 
 
 def _unheld(p, d_reset, reset_amp, down, write_is_down):
@@ -255,7 +274,9 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     held = 0
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
-        p = np.power(10.0, x[a:b], out=buf[:b - a])
+        # a threshold past the float range is inf: a unit no pulse switches
+        with np.errstate(over="ignore"):
+            p = np.power(10.0, x[a:b], out=buf[:b - a])
         unheld = None
         if any_written:
             unheld = _unheld(p, d_reset, abs(reset.peak), down[a:b], write_is_down)

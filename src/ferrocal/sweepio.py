@@ -194,11 +194,16 @@ def emit_sweep_csv(path, curves):
     if len(kinds) != 1:
         raise ConfigError("all curves in one sweep file must share an observable kind")
     column = _VALUE_COLUMNS[kinds.pop()]
+    # the curves of a family usually share one grid: its text is made once.
+    # Grids are compared by their bits, since -0.0 == 0.0 but prints apart
+    bits = v_text = None
     with open(path, "w", newline="\n") as fh:
         fh.write(f"t_p_us,V_p_V,{column}\n")
         for curve in sorted(curves, key=lambda c: c.t_p):
+            if bits is None or not np.array_equal(curve.v_p.view(np.uint64), bits):
+                bits, v_text = curve.v_p.view(np.uint64), _reprs(curve.v_p)
             prefix = f"{_fmt(curve.t_p * 1e6)},"
-            rows = map(",".join, zip(_reprs(curve.v_p), _reprs(curve.values)))
+            rows = map(",".join, zip(v_text, _reprs(curve.values)))
             fh.write(prefix + ("\n" + prefix).join(rows) + "\n")
     return Path(path)
 

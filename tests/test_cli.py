@@ -493,6 +493,26 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_band_past_the_float_range_rejected_before_sampling(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr("ferrocal.cli.sample_ensemble", None)  # a call raises TypeError
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[ensemble]\nw = 1e308\n")
+        assert main(["--out-dir", str(tmp_path), "simulate",
+                     "--config", str(cfg), "--out", "x.csv"]) == 2
+        assert "[ensemble] w: 1e+308 makes the band" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_wide_ensemble_simulates_without_warnings(self, tmp_path, capsys):
+        # 10**x overflows for units beyond 308 decades: their thresholds are
+        # inf, units that never switch; warnings are errors in this suite
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text("[ensemble]\nn = 2000\nw = 40\n\n[sweep]\nv_step_v = 0.5\n")
+        assert main(["--out-dir", str(tmp_path), "simulate",
+                     "--config", str(cfg), "--out", "x.csv"]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(parse_sweep_csv(tmp_path / "x.csv")) == 5
+
     @pytest.mark.parametrize("argv, message", [
         (["levels", "--input", "SWEEP", "--margin", "nan"], "argument --margin: not a finite"),
         (["levels", "--input", "SWEEP", "--margin", "inf"], "argument --margin: not a finite"),

@@ -3,6 +3,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ferrocal import (ConfigError, DeviceCalibration, DomainError, HysteronEnsemble,
                       MerzKinetics, SwitchCurve, TriangularPulse, WriteProtocol, affine_map_fit,
@@ -97,11 +99,75 @@ class TestSampleEnsemble:
 
     @pytest.mark.parametrize("mu_star, w", [(math.nan, 0.04), (math.inf, 0.04),
                                             (-math.inf, 0.04), (1.0, math.inf),
-                                            (1.0, math.nan)])
+                                            (1.0, math.nan), (1.0, 1e308), (-1e308, 1e307)])
     def test_non_finite_location_or_width_rejected(self, mu_star, w):
-        # such thresholds are all NaN or infinite, and a sweep reads one value throughout
+        # such thresholds are all NaN or infinite, and a sweep reads one value
+        # throughout; the last two put the band mu_star +/- 10w past the floats
         with pytest.raises(ConfigError):
             sample_ensemble(1000, mu_star, w, KIN, seed=1)
+
+    def test_overflowing_draws_clamp_to_the_band_without_warnings(self):
+        # |w * c| overflows for |c| > 18 at w = 1e307; such a unit sits on an
+        # edge, and its threshold 10**x is inf: a unit no pulse switches
+        e = sample_ensemble(1000, 1.0, 1e307, KIN, seed=1)
+        x = e.log_threshold_at_ref
+        assert x.min() == 1.0 - 1e308 and x.max() == 1.0 + 1e308
+        assert np.all(np.isinf(thresholds_at(e, 500e-6)) | (x < 0))
+        curve = run_protocol_sweep(e, std_protocol(500e-6), np.linspace(1.0, 9.0, 9), UNIT_CAL)
+        assert np.array_equal(curve.values, np.full(9, np.mean(x < 0)))
+
+
+class TestSamplerDistribution:
+    """The draw itself against the clamped Cauchy law: Cauchy(0, 1) inside
+    [-10, 10], with an atom of mass 1/2 - arctan(10)/pi on each edge."""
+
+    N = 1_000_000
+    # DKW with Massart's constant holds for any CDF, atoms included:
+    # P(sup |F_n - F| > eps) <= 2 exp(-2 n eps^2) = 1e-9
+    EPS = math.sqrt(math.log(2 / 1e-9) / (2 * N))
+    ATOM = 0.5 - math.atan(10.0) / math.pi
+
+    @staticmethod
+    def clamped_cdf(v, left_limit):
+        """F(v), or F(v-) when ``left_limit``, of Cauchy(0, 1) clamped to +/- 10."""
+        inside = 0.5 + np.arctan(v) / np.pi
+        if left_limit:
+            return np.where(v <= -10.0, 0.0, np.where(v > 10.0, 1.0, inside))
+        return np.where(v < -10.0, 0.0, np.where(v >= 10.0, 1.0, inside))
+
+    @pytest.mark.parametrize("seed", [314_159, 271_828])
+    def test_empirical_cdf_within_dkw_band(self, seed):
+        x = np.sort(sample_ensemble(self.N, 0.0, 1.0, KIN, seed=seed).log_threshold_at_ref)
+        v = np.unique(x)
+        # between neighbouring draws F_n is flat and F monotone, so the
+        # supremum is reached at a draw or just below one
+        at = np.searchsorted(x, v, side="right") / self.N
+        below = np.searchsorted(x, v, side="left") / self.N
+        sup = max(np.max(np.abs(at - self.clamped_cdf(v, False))),
+                  np.max(np.abs(below - self.clamped_cdf(v, True))))
+        assert sup <= self.EPS
+        assert x[0] == -10.0 and x[-1] == 10.0
+        for edge in (-10.0, 10.0):
+            assert abs(np.count_nonzero(x == edge) / self.N - self.ATOM) <= 2 * self.EPS
+
+
+class TestSamplerProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 10_000),
+           mu_star=st.one_of(st.just(0.0), st.tuples(st.sampled_from([-1.0, 1.0]),
+                                                     st.floats(-3.0, 3.0)).map(
+               lambda se: se[0] * 10.0**se[1])),
+           w=st.floats(-6.0, 3.0).map(lambda e: 10.0**e),
+           seed=st.integers(0, 2**63 - 1))
+    def test_finite_in_band_deterministic_and_prefix_stable(self, data, n, mu_star, w, seed):
+        x = sample_ensemble(n, mu_star, w, KIN, seed).log_threshold_at_ref
+        half = 10.0 * w
+        assert np.all(np.isfinite(x))
+        assert x.min() >= mu_star - half and x.max() <= mu_star + half
+        assert np.array_equal(x, sample_ensemble(n, mu_star, w, KIN, seed).log_threshold_at_ref)
+        k = data.draw(st.integers(1, n), label="k")
+        assert np.array_equal(x[:k],
+                              sample_ensemble(k, mu_star, w, KIN, seed).log_threshold_at_ref)
 
 
 class TestApplyPulse:

@@ -45,6 +45,32 @@ class TestSweepCsvRoundTrip:
             assert np.array_equal(orig.values, back.values)
             assert back.observable_kind == orig.observable_kind
 
+    @pytest.mark.parametrize("grid_of", ["shared", "mixed", "signed-zero"])
+    def test_family_writes_the_per_curve_reference_bytes(self, tmp_path, grid_of):
+        # the mixed family changes grid between neighbours, returns to an
+        # earlier grid and moves one point by an ulp; -0.0 == 0.0 but prints
+        # apart (such a file is written, though its V_p <= 0 fails the parser)
+        grid = np.linspace(0.5, 9.0, 341)
+        moved = grid.copy()
+        moved[200] = np.nextafter(moved[200], 10.0)
+        coarse = np.linspace(0.5, 9.0, 18)
+        zero, signed = np.concatenate([[0.0], grid]), np.concatenate([[-0.0], grid])
+        grids = {"shared": [grid] * 5, "mixed": [grid, coarse, grid, moved, grid],
+                 "signed-zero": [zero, signed, zero, zero, signed]}[grid_of]
+        rng = np.random.default_rng(8)
+        # out of order, so the emitter's sort sets which grids are neighbours
+        widths = (2e-4, 1e-5, 5e-4, 2e-5, 1e-4)
+        curves = [SwitchCurve(t_p=t_p, v_p=v, values=rng.normal(0.0, 10.0, v.size))
+                  for t_p, v in zip(widths, grids)]
+        path = emit_sweep_csv(tmp_path / "family.csv", curves)
+        assert path.read_text() == naive_sweep_csv_text(curves)
+        if grid_of == "signed-zero":
+            return
+        parsed = parse_sweep_csv(path)
+        for orig, back in zip(sorted(curves, key=lambda c: c.t_p), parsed):
+            assert back.v_p.tobytes() == orig.v_p.tobytes()
+            assert back.values.tobytes() == orig.values.tobytes()
+
     def test_polarization_unit_round_trip(self, tmp_path):
         c = SwitchCurve(t_p=1e-4, v_p=[1.0, 2.0, 3.0, 4.0], values=[-1.0, 0.0, 1.0, 2.0],
                         observable_kind="polarization_change")
