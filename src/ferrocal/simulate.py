@@ -7,19 +7,15 @@ amplitude V flips every opposing hysteron whose width-dependent threshold
 
     V_th,i(t) = 10**x_i / ln(t/tau_inf)**(1/alpha)
 
-is at or below |V|. The width enters only through the shared kinetic law, so
-the ensemble's median log-threshold shifts with pulse width while its spread
-stays constant.
+is at or below |V|. The width only divides every threshold by one scalar,
+so the median log-threshold shifts with width while the spread stays
+constant, and the units, kept sorted by x_i, are in threshold order at every
+width: a pulse reaches a prefix of them. A protocol sweep therefore counts
+each grid point by one boundary search (``run_protocol_sweep``).
 
 A read is an affine function of the down fraction: displacement plus
 optional Gaussian noise, or the polarization change. The ensemble is never
 mutated.
-
-A protocol sweep does not replay the pulses. Its value at each grid point is
-an exact count: the units no write can flip, plus the empirical CDF of the
-write thresholds of all the others. The count is summed over fixed blocks of
-units, each sorted on its own, so a sweep holds no array as long as the
-ensemble (``run_protocol_sweep``).
 """
 
 import math
@@ -31,8 +27,7 @@ from .errors import ConfigError, DomainError
 from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics
 from .rngutil import spawn_rng
 
-# units per counting block of a protocol sweep: the sweep's scratch arrays
-# hold this many units whatever the ensemble size
+# units per block of the sortedness check: no n-sized mask is made
 _BLOCK = 1 << 16
 
 
@@ -76,10 +71,12 @@ class HysteronEnsemble:
     """Population of independent switching units.
 
     log_threshold_at_ref  per-hysteron x_i = log10 of the activation voltage
-                          (decades), finite; ``sample_ensemble`` clamps them
-                          into the +/- 10w band, a hand-built ensemble need not
+                          (decades), finite and non-decreasing;
+                          ``sample_ensemble`` clamps them into the +/- 10w
+                          band, a hand-built ensemble need not
     kinetics              shared (alpha, tau_inf) field-time law
-    down                  boolean polarization state, True = down-poled
+    down                  boolean polarization state, True = down-poled; a
+                          hand-built ensemble permutes it with its units
     rng_seed              seed the ensemble was drawn from
     """
 
@@ -97,10 +94,12 @@ class HysteronEnsemble:
                               "state per unit")
         if not x.size:
             raise ConfigError("HysteronEnsemble requires at least one unit")
-        # min and max, not isfinite: a NaN propagates into both and fails the
-        # comparison, and neither allocates an n-sized mask
-        if not (-math.inf < x.min() and x.max() < math.inf):
-            raise ConfigError("HysteronEnsemble requires finite log-thresholds")
+        # comparisons, which a NaN fails; sorted, only the ends can be infinite
+        if not (-math.inf < x[0] and x[-1] < math.inf
+                and all((c[1:] >= c[:-1]).all() for c in (
+                    x[a:a + _BLOCK + 1] for a in range(0, x.size - 1, _BLOCK)))):
+            raise ConfigError("HysteronEnsemble requires finite, non-decreasing "
+                              "log-thresholds")
 
     @property
     def n(self):
@@ -114,11 +113,11 @@ def sample_ensemble(n, mu_star_dist, w, kinetics, seed):
     inverse transform mu_star_dist + w * tan(pi * (u - 1/2)) of one uniform
     u per unit (Devroye, *Non-Uniform Random Variate Generation*, 1986,
     sec. II.2), and clamped to mu_star_dist +/- 10w; clamping (rather than
-    rejection) keeps the within-band threshold CDF exactly Cauchy. Units are
-    drawn in order, so the first k units of an n-unit draw are the k-unit
-    draw. This sampler replaced a ratio-of-normals draw, so every simulated
-    file changed bytes with it. The band must be finite. The ensemble starts
-    fully up-poled.
+    rejection) keeps the within-band threshold CDF exactly Cauchy. The draw
+    is then sorted in place, O(n log n) once per ensemble, so a k-unit draw
+    is a sub-multiset of the n-unit draw. This sampler replaced a
+    ratio-of-normals draw, so every simulated file changed bytes with it.
+    The band must be finite. The ensemble starts fully up-poled.
 
     A pulse width only divides every threshold by one scalar, so the
     simulated w is the same at every width: the model cannot reproduce the
@@ -142,6 +141,7 @@ def sample_ensemble(n, mu_star_dist, w, kinetics, seed):
         x *= w
     x += mu_star_dist
     np.clip(x, mu_star_dist - half, mu_star_dist + half, out=x)
+    x.sort()
     return HysteronEnsemble(
         log_threshold_at_ref=x,
         kinetics=kinetics,
@@ -154,7 +154,11 @@ def _threshold_divisor(kinetics, width):
     """ln(width / tau_inf)**(1/alpha): what 10**x_i is divided by at ``width``."""
     if width <= kinetics.tau_inf:
         raise DomainError("pulse width must exceed tau_inf")
-    return math.log(width / kinetics.tau_inf) ** (1.0 / kinetics.alpha)
+    ln = math.log(width / kinetics.tau_inf)
+    # a divisor of 0 or inf would make every threshold inf or 0
+    if not (ln > 0 and -708 < math.log(ln) / kinetics.alpha < 709):
+        raise DomainError("ln(width / tau_inf)**(1/alpha) leaves the float range")
+    return ln ** (1.0 / kinetics.alpha)
 
 
 def thresholds_at(ensemble, width):
@@ -165,10 +169,27 @@ def thresholds_at(ensemble, width):
         return 10.0**ensemble.log_threshold_at_ref / d
 
 
-def _unheld(p, d_reset, reset_amp, down, write_is_down):
-    """Units of one block that a write can flip: reached by the reset (``p``
-    holds 10**x_i) or not poled in the write direction at the start."""
-    return (p / d_reset <= reset_amp) | (down != write_is_down)
+def _reach(x, d, amps):
+    """For each amplitude V in ``amps``, the number k of units with
+    ``10.0**x_i / d <= V``, as ``thresholds_at`` evaluates it.
+
+    Assumes numpy's ``power`` is non-decreasing in its exponent, so that on
+    sorted x these units are a prefix [0, k). A search in log10 space guesses
+    k; the rule is then evaluated beside the guess, which jumps a whole run
+    of tied x per step until k is exact.
+    """
+    k = np.searchsorted(x, np.log10(amps) + math.log10(d), side="right")
+    # a threshold past the float range is inf: a unit no pulse switches
+    with np.errstate(over="ignore"):
+        while True:
+            back = k > 0
+            back[back] = ~(10.0**x[k[back] - 1] / d <= amps[back])
+            ahead = k < x.size
+            ahead[ahead] = 10.0**x[k[ahead]] / d <= amps[ahead]
+            if not (back.any() or ahead.any()):
+                return k
+            k[back] = np.searchsorted(x, x[k[back] - 1], side="left")
+            k[ahead] = np.searchsorted(x, x[k[ahead]], side="right")
 
 
 def polarization_change_of_fraction(p_r, s):
@@ -228,22 +249,14 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     matter. The state of rate-independent hysterons depends only on the
     running extrema of the input (the wiping-out property; Mayergoyz,
     *Mathematical Models of Hysteresis*, 1991), and on a strictly increasing
-    grid the running maximum of the writes is the current V_p. Let R be the
-    units the reset reaches. A unit that starts poled in the write direction
-    and lies outside R is held: it stays so at every grid point. Every other
-    unit is unheld, and after the grid point V_p it is poled in the write
-    direction iff its write threshold is <= V_p. So each point's count is the
-    number of held units plus the empirical CDF, at V_p, of the unheld units'
-    write thresholds. The reset thresholds are computed only when some unit
-    starts poled in the write direction; otherwise every unit is unheld
-    whatever the reset reaches. Both widths are checked either way.
-
-    Counts of thresholds <= V_p add over disjoint sets of units, so the
-    count is summed over fixed blocks of B units, each sorted and searched
-    on its own. Every threshold is the same ``10**x_i / d`` that
-    ``thresholds_at`` gives, so the sweep equals the one-array count bit for
-    bit. The cost is O(n log B + (n/B) G log B) time for n units and G grid
-    points, and O(B + G) memory beyond the ensemble.
+    grid the running maximum of the writes is the current V_p. The reset
+    reaches the sorted units [0, r) and the write at V_p the units [0, k),
+    each found by one boundary search (``_reach``) that equals the one-array
+    count of ``thresholds_at`` bit for bit. The count is k plus the units
+    poled in the write direction at the start among [max(k, r), n). r is
+    searched only when some unit starts so; both widths are checked anyway.
+    For n units and G grid points a width costs O(G log n) time and O(G)
+    scratch, plus one index per down-poled unit past r.
     """
     if observable_kind not in SwitchCurve._KINDS:
         raise ConfigError(f"unknown observable_kind {observable_kind!r}")
@@ -261,32 +274,19 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     # count the units poled in the write direction; for the standard
     # protocol (negative reset, positive write) that is the down flag
     write_is_down = proto.write_pulse.peak > 0
-    reset = proto.reset_pulse
-    d_reset = _threshold_divisor(ensemble.kinetics, reset.width)
-    d_write = _threshold_divisor(ensemble.kinetics, proto.write_pulse.width)
-    down, x, n = ensemble.down, ensemble.log_threshold_at_ref, ensemble.n
+    kin, x, down, n = ensemble.kinetics, ensemble.log_threshold_at_ref, ensemble.down, ensemble.n
+    d_reset = _threshold_divisor(kin, proto.reset_pulse.width)
+    counts = _reach(x, _threshold_divisor(kin, proto.write_pulse.width), grid)
     # without a unit poled in the write direction no unit is held, and the
     # reset cannot change the sweep
-    any_written = down.any() if write_is_down else not down.all()
-    # one block of 10**x_i, in the dtype ``thresholds_at`` computes it in
-    buf = np.empty(min(n, _BLOCK), dtype=np.result_type(10.0, x))
-    counts = np.zeros(grid.size, dtype=np.intp)
-    held = 0
-    for a in range(0, n, _BLOCK):
-        b = min(a + _BLOCK, n)
-        # a threshold past the float range is inf: a unit no pulse switches
-        with np.errstate(over="ignore"):
-            p = np.power(10.0, x[a:b], out=buf[:b - a])
-        unheld = None
-        if any_written:
-            unheld = _unheld(p, d_reset, abs(reset.peak), down[a:b], write_is_down)
-        p /= d_write
-        if unheld is not None:
-            p = p[unheld]
-            held += (b - a) - p.size
-        p.sort()
-        counts += np.searchsorted(p, grid, side="right")
-    frac = (held + counts) / n
+    if down.any() if write_is_down else not down.all():
+        r = _reach(x, d_reset, np.array([abs(proto.reset_pulse.peak)]))[0]
+        # down-poled units at or past r, as offsets from r
+        downs = np.flatnonzero(down[r:])
+        m = np.maximum(counts, r) - r
+        past = downs.size - np.searchsorted(downs, m)
+        counts += past if write_is_down else (n - r - m) - past
+    frac = counts / n
     s_down = frac if write_is_down else 1.0 - frac
 
     if observable_kind == "displacement":

@@ -1,4 +1,4 @@
-"""Oracle tests for the two hot paths: the closed-form protocol sweep in
+"""Oracle tests for the two hot paths: the boundary-search protocol sweep in
 ``run_protocol_sweep`` and the greedy monotone scan behind the level filters,
 including its jump search over non-decreasing input and the 2**bits DAC
 count built on it.
@@ -18,6 +18,7 @@ from ferrocal import (DeviceCalibration, DomainError, HysteronEnsemble, Lorentzi
                       MerzKinetics, TriangularPulse, WriteProtocol, count_dac_levels,
                       polarization_change_of_fraction, run_protocol_sweep, sample_ensemble,
                       simulate, thresholds_at)
+from ferrocal.config import RunConfig
 from ferrocal.levels import _monotone_keep_mask
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF, naive_monotone_scan,
@@ -31,10 +32,12 @@ WIDTHS = (10e-6, 100e-6, 500e-6)
 
 
 def ensemble_with_thresholds(vth, width, down):
-    """Ensemble whose thresholds at ``width`` are ``vth`` (to rounding)."""
+    """Ensemble whose thresholds at ``width`` are ``vth`` (to rounding); the
+    units are sorted and ``down`` is permuted with them."""
     denom = math.log(width / KIN.tau_inf) ** (1.0 / KIN.alpha)
     x = np.log10(np.asarray(vth, dtype=float) * denom)
-    return HysteronEnsemble(x, KIN, np.asarray(down, dtype=bool), rng_seed=0)
+    order = np.argsort(x, kind="stable")
+    return HysteronEnsemble(x[order], KIN, np.asarray(down, dtype=bool)[order], rng_seed=0)
 
 
 def oracle_values(ensemble, proto, grid, kind="displacement"):
@@ -61,13 +64,14 @@ def assert_matches_oracle(ensemble, proto, grid, kind="displacement"):
 
 
 def random_case(seed, quantized=False, down_share=0.0, write_is_down=True, n=300):
-    """Random ensemble, protocol and grid; the reset reaches a random share
-    of the units and the grid hits some write thresholds exactly."""
+    """Random sorted ensemble, protocol and grid; the reset reaches a random
+    share of the units and the grid hits some write thresholds exactly."""
     rng = np.random.default_rng(seed)
     x = ORACLE_MU_STAR + 0.04 * rng.standard_cauchy(n)
     np.clip(x, ORACLE_MU_STAR - 0.4, ORACLE_MU_STAR + 0.4, out=x)
     if quantized:
         x = np.round(x, 2)  # many tied thresholds
+    x.sort()
     down = rng.uniform(size=x.size) < down_share
     ensemble = HysteronEnsemble(x, KIN, down, rng_seed=seed)
     reset_width, write_width = rng.choice(WIDTHS, 2)
@@ -134,6 +138,7 @@ class TestProtocolSweepOracle:
            grid=st.lists(st.floats(0.5, 12.0), min_size=4, max_size=12, unique=True))
     def test_property_matches_oracle(self, x, down_bits, widths, reset_amp, counts,
                                      write_is_down, grid):
+        x = sorted(x)
         down = [bool(down_bits >> i & 1) for i in range(len(x))]
         ensemble = HysteronEnsemble(np.array(x), KIN, np.array(down), rng_seed=0)
         sign = 1.0 if write_is_down else -1.0
@@ -144,9 +149,9 @@ class TestProtocolSweepOracle:
 
 
 class TestThresholdPasses:
-    """A sweep makes a reset pass over the units, one block at a time, only
-    when some unit starts poled in the write direction; otherwise the reset
-    cannot change it. ``passes`` counts the write pass and any reset pass."""
+    """A sweep searches for the reset's reach only when some unit starts
+    poled in the write direction; otherwise the reset cannot change it.
+    ``passes`` counts the write search and any reset search."""
 
     @pytest.mark.parametrize("down_share, write_is_down, passes",
                              [(0.0, True, 1), (0.4, True, 2), (1.0, False, 1), (0.0, False, 2)])
@@ -154,24 +159,24 @@ class TestThresholdPasses:
                                                         write_is_down, passes):
         ensemble, proto, grid = random_case(12, down_share=down_share,
                                             write_is_down=write_is_down)
-        widths, blocks = [], []
-        real_divisor, real_unheld = simulate._threshold_divisor, simulate._unheld
+        widths, searches = [], []
+        real_divisor, real_reach = simulate._threshold_divisor, simulate._reach
 
         def divisor(kinetics, width):
             widths.append(width)
             return real_divisor(kinetics, width)
 
-        def unheld(p, *args):
-            blocks.append(p.size)
-            return real_unheld(p, *args)
+        def reach(x, d, amps):
+            searches.append(amps.tolist())
+            return real_reach(x, d, amps)
 
-        monkeypatch.setattr(simulate, "_BLOCK", 64)  # 300 units: 4 full blocks and 44
         monkeypatch.setattr(simulate, "_threshold_divisor", divisor)
-        monkeypatch.setattr(simulate, "_unheld", unheld)
+        monkeypatch.setattr(simulate, "_reach", reach)
         curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
         monkeypatch.undo()
-        assert blocks == [64, 64, 64, 64, 44] * (passes - 1)
-        assert widths[-1] == proto.write_pulse.width
+        assert widths == [proto.reset_pulse.width, proto.write_pulse.width]
+        assert searches[0] == grid.tolist()
+        assert searches[1:] == [[abs(proto.reset_pulse.peak)]] * (passes - 1)
         assert np.array_equal(curve.values, oracle_values(ensemble, proto, grid))
 
     @pytest.mark.parametrize("factor", [1.0, 0.5])
@@ -184,28 +189,48 @@ class TestThresholdPasses:
             run_protocol_sweep(ensemble, bad, grid, UNIT_CAL)
 
 
+def tied_blocks_case(block, n, write_is_down):
+    """Sorted ensemble of tied blocks: ``block`` units share each
+    log-threshold (the last block may be short). The reset amplitude and
+    most grid points sit exactly on a block's write or reset threshold or
+    one ulp beside it, so every boundary has ties on both sides."""
+    rng = np.random.default_rng(20 + n)
+    levels = np.sort(ORACLE_MU_STAR + 0.04 * rng.standard_cauchy(-(-n // block)))
+    x = np.repeat(np.clip(levels, ORACLE_MU_STAR - 0.4, ORACLE_MU_STAR + 0.4), block)[:n]
+    ensemble = HysteronEnsemble(x, KIN, rng.uniform(size=n) < 0.5, rng_seed=n)
+    vth_reset = thresholds_at(ensemble, 500e-6)
+    vth_write = thresholds_at(ensemble, 10e-6)
+    sign = 1.0 if write_is_down else -1.0
+    proto = WriteProtocol(TriangularPulse(-sign * float(np.median(vth_reset)), 500e-6),
+                          TriangularPulse(sign * 5.0, 10e-6))
+    on = np.unique(vth_write)
+    grid = np.unique(np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, np.inf),
+                                     np.linspace(0.5 * on[0], 2.0 * on[-1], 20)]))
+    return ensemble, proto, grid
+
+
 class TestBlockedCount:
-    """The sweep sums its count over blocks of units; the sum must equal the
-    plain pulse loop and the one-array count bit for bit, whatever the block
-    boundaries cut through."""
+    """The write and reset boundaries fall between or inside blocks of tied
+    units; the boundary search must jump whole blocks and still equal the
+    plain pulse loop and the one-array count bit for bit."""
 
     @pytest.mark.parametrize("block, n", [(7, 28), (7, 29), (64, 256), (64, 257)])
     @pytest.mark.parametrize("write_is_down", [True, False])
-    def test_matches_oracle_across_blocks(self, monkeypatch, block, n, write_is_down):
-        ensemble, proto, grid = random_case(20 + n, quantized=True, down_share=0.5,
-                                            write_is_down=write_is_down, n=n)
-        assert np.unique(ensemble.log_threshold_at_ref).size < n  # ties
+    def test_matches_oracle_across_blocks(self, block, n, write_is_down):
+        ensemble, proto, grid = tied_blocks_case(block, n, write_is_down)
+        x, d = ensemble.log_threshold_at_ref, simulate._threshold_divisor(KIN, 10e-6)
+        truth = np.searchsorted(np.sort(thresholds_at(ensemble, 10e-6)), grid, side="right")
+        guess = np.searchsorted(x, np.log10(grid) + math.log10(d), side="right")
+        assert np.any(guess != truth)  # the log10-space guess misses, and is corrected
         reached = (thresholds_at(ensemble, proto.reset_pulse.width)
                    <= abs(proto.reset_pulse.peak))
-        written = ensemble.down if write_is_down else ~ensemble.down
-        held = written & ~reached
-        assert np.count_nonzero(np.add.reduceat(held, np.arange(0, n, block))) >= 2
-        monkeypatch.setattr(simulate, "_BLOCK", block)
+        r = np.count_nonzero(reached)
+        assert 0 < r < n and x[r - 1] == x[r - 2] and x[r] == x[r + 1]  # ties both sides
         assert_matches_oracle(ensemble, proto, grid)
 
     @pytest.mark.parametrize("write_is_down", [True, False])
     def test_at_scale_matches_one_sorted_array(self, write_is_down):
-        n = 300_000  # 4 full blocks and a partial one
+        n = 300_000
         rng = np.random.default_rng(31)
         base = sample_ensemble(n, ORACLE_MU_STAR, 0.04, KIN, seed=31)
         ensemble = HysteronEnsemble(base.log_threshold_at_ref, KIN,
@@ -226,8 +251,8 @@ class TestBlockedCount:
 
     @pytest.mark.parametrize("inverted", [False, True])
     def test_scratch_memory_does_not_grow_with_n(self, inverted):
-        # one n-sized float array takes 8 MB, about four times the bound;
-        # one block of 2**16 units takes 0.5 MiB
+        # one n-sized float array takes 8 MB and one n-sized mask 1 MB, 128
+        # and 16 times the bound; the grid's own arrays take 3.4 kB each
         n = 1_000_000
         ensemble = sample_ensemble(n, ORACLE_MU_STAR, 0.04, KIN, seed=5)
         if inverted:  # every unit starts poled in the write direction
@@ -242,7 +267,121 @@ class TestBlockedCount:
         finally:
             tracemalloc.stop()
         assert np.ptp(curve.values) > 0.5
-        assert peak < 2 * 2**20
+        assert peak < 64 * 2**10
+
+
+class TestDefaultConfigSweep:
+    """Sweeps of the default configuration's sorted ensembles: an evenly
+    strided subset against the plain pulse loop, and the full ensembles
+    against the one-array count, all bit for bit."""
+
+    CFG = RunConfig()
+
+    @pytest.mark.parametrize("seed", [11, 3])
+    @pytest.mark.parametrize("t_p", [10e-6, 500e-6])
+    def test_strided_subset_matches_plain_loop(self, seed, t_p):
+        cfg = self.CFG
+        x = sample_ensemble(10**5, cfg.ensemble_mu_star, cfg.ensemble_w, cfg.kinetics,
+                            seed).log_threshold_at_ref[::100]
+        sub = HysteronEnsemble(x.copy(), cfg.kinetics, np.zeros(x.size, dtype=bool), seed)
+        # the subset spans the band's interior, not just one clamped edge
+        assert np.unique(x).size > 900
+        assert_matches_oracle(sub, cfg.protocol_for(t_p), cfg.sweep.grid()[::5])
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_full_ensemble_matches_one_array_count(self, n):
+        cfg = self.CFG
+        grid = cfg.sweep.grid()
+        for seed in (11, 3):
+            ensemble = sample_ensemble(n, cfg.ensemble_mu_star, cfg.ensemble_w, cfg.kinetics,
+                                       seed)
+            for t_p in cfg.sweep.t_p:
+                proto = cfg.protocol_for(t_p)
+                counts = one_array_protocol_count(
+                    thresholds_at(ensemble, proto.reset_pulse.width),
+                    thresholds_at(ensemble, t_p), ensemble.down, proto.reset_pulse.peak,
+                    proto.write_pulse.peak, grid)
+                curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
+                assert np.array_equal(curve.values, counts / n)
+
+
+# exponents where 10**x is near 1, 10, 0.1, 1e+-300 and the overflow edge
+CENTERS = st.sampled_from([0.0, 1.0, -1.0, 300.0, -300.0, 308.25])
+
+
+@st.composite
+def sorted_exponents(draw, max_size=60):
+    """Non-decreasing floats from one centre: runs of identical values,
+    nextafter neighbours and jumps of up to a tenth of a decade."""
+    x = [draw(CENTERS) + draw(st.floats(-0.5, 0.5))]
+    for step in draw(st.lists(st.sampled_from(["tie", "ulp", "jump"]), max_size=max_size)):
+        v = x[-1]
+        if step == "ulp":
+            v = float(np.nextafter(v, np.inf))
+        elif step == "jump":
+            v += draw(st.floats(1e-12, 0.1))
+        x.append(v)
+    return np.array(x)
+
+
+@st.composite
+def boundary_cases(draw):
+    """A sorted ensemble (runs of ties, ulp neighbours, or a w = 40 draw whose
+    far units overflow to inf), a random start state, a reset amplitude and
+    grid points placed on write thresholds or one ulp beside them."""
+    if draw(st.booleans()):
+        x = draw(sorted_exponents())
+    else:
+        x = sample_ensemble(draw(st.integers(1, 2000)), ORACLE_MU_STAR, 40.0, KIN,
+                            draw(st.integers(0, 2**32 - 1))).log_threshold_at_ref
+    down = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(size=x.size) < 0.5
+    ensemble = HysteronEnsemble(x, KIN, down, rng_seed=0)
+    widths = draw(st.tuples(st.sampled_from(WIDTHS), st.sampled_from(WIDTHS)))
+    on = np.concatenate([thresholds_at(ensemble, w) for w in widths])
+    on = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, np.inf)])
+    on = np.unique(on[(on > 0) & (on < np.inf)])
+    picks = draw(st.lists(st.integers(0, max(on.size - 1, 0)), min_size=1, max_size=30))
+    grid = np.unique(np.concatenate([on[picks] if on.size else [], [1e-300, 1e-3, 1.0, 1e300]]))
+    reset_amp = float(draw(st.sampled_from(grid.tolist())))
+    sign = 1.0 if draw(st.booleans()) else -1.0
+    proto = WriteProtocol(TriangularPulse(-sign * reset_amp, widths[0]),
+                          TriangularPulse(sign * 5.0, widths[1]))
+    return ensemble, proto, grid
+
+
+class TestBoundarySearch:
+    """The one assumption of the boundary search, that numpy's float64
+    ``power`` is non-decreasing in its exponent (and gives an element the
+    same value in any array), and its handling of ties, ulp neighbours,
+    exact threshold hits and overflow."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=sorted_exponents(max_size=200), data=st.data())
+    def test_power_non_decreasing_over_sorted_exponents(self, x, data):
+        with np.errstate(over="ignore"):
+            p = np.power(10.0, x)
+            idx = data.draw(st.lists(st.integers(0, x.size - 1), min_size=1), label="idx")
+            assert np.array_equal(np.power(10.0, x[idx]), p[idx])
+        assert np.all(p[1:] >= p[:-1])
+
+    def test_power_non_decreasing_across_the_float_range(self):
+        x = np.linspace(-330.0, 310.0, 1_000_001)
+        with np.errstate(over="ignore"):
+            p = np.power(10.0, x)
+        assert np.all(p[1:] >= p[:-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=boundary_cases())
+    def test_count_matches_one_array_count(self, case):
+        ensemble, proto, grid = case
+        write_is_down = proto.write_pulse.peak > 0
+        counts = one_array_protocol_count(
+            thresholds_at(ensemble, proto.reset_pulse.width),
+            thresholds_at(ensemble, proto.write_pulse.width), ensemble.down,
+            proto.reset_pulse.peak, proto.write_pulse.peak, grid)
+        frac = counts / ensemble.n
+        curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
+        assert np.array_equal(curve.values, frac if write_is_down else 1.0 - frac)
 
 
 class TestDacCountOracle:

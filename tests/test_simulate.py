@@ -91,6 +91,16 @@ class TestSampleEnsemble:
         with pytest.raises(ConfigError):
             HysteronEnsemble(np.array(x), KIN, np.zeros(len(x), dtype=bool), rng_seed=0)
 
+    @pytest.mark.parametrize("n, at", [(2, 0), (5, 3), (2**16 + 5, 2**16 - 1), (2**16 + 5, 2**16),
+                                       (2**16 + 5, 2**16 + 3)])
+    def test_ensemble_needs_non_decreasing_thresholds(self, n, at):
+        # one descent, also on either side of a block of the blocked check
+        x = np.linspace(0.5, 1.5, n)
+        HysteronEnsemble(x, KIN, np.zeros(n, dtype=bool), rng_seed=0)
+        x[at], x[at + 1] = x[at + 1], x[at]
+        with pytest.raises(ConfigError, match="non-decreasing"):
+            HysteronEnsemble(x, KIN, np.zeros(n, dtype=bool), rng_seed=0)
+
     def test_invalid_configuration(self):
         with pytest.raises(ConfigError):
             sample_ensemble(0, 1.0, 0.05, KIN, seed=1)
@@ -159,15 +169,19 @@ class TestSamplerProperties:
                lambda se: se[0] * 10.0**se[1])),
            w=st.floats(-6.0, 3.0).map(lambda e: 10.0**e),
            seed=st.integers(0, 2**63 - 1))
-    def test_finite_in_band_deterministic_and_prefix_stable(self, data, n, mu_star, w, seed):
+    def test_finite_in_band_deterministic_sorted_and_nested(self, data, n, mu_star, w, seed):
         x = sample_ensemble(n, mu_star, w, KIN, seed).log_threshold_at_ref
         half = 10.0 * w
         assert np.all(np.isfinite(x))
         assert x.min() >= mu_star - half and x.max() <= mu_star + half
+        assert np.all(x[1:] >= x[:-1])
         assert np.array_equal(x, sample_ensemble(n, mu_star, w, KIN, seed).log_threshold_at_ref)
+        # the k-unit draw is a sub-multiset of the n-unit draw
         k = data.draw(st.integers(1, n), label="k")
-        assert np.array_equal(x[:k],
-                              sample_ensemble(k, mu_star, w, KIN, seed).log_threshold_at_ref)
+        values, counts = np.unique(
+            sample_ensemble(k, mu_star, w, KIN, seed).log_threshold_at_ref, return_counts=True)
+        in_x = np.searchsorted(x, values, side="right") - np.searchsorted(x, values, side="left")
+        assert np.all(in_x >= counts)
 
 
 class TestApplyPulse:
@@ -221,6 +235,14 @@ class TestApplyPulse:
         proto = WriteProtocol(TriangularPulse(-amp, t_pr), TriangularPulse(5.0, t_pr))
         grid = first_points(0.5 * thresholds_at(ensemble, t_pr).min())
         assert run_protocol_sweep(poled, proto, grid, UNIT_CAL).values[0] == 0.0
+
+    @pytest.mark.parametrize("alpha, tau_inf", [(1e-3, PUB_TAU_INF), (5e-3, 9.99e-6)])
+    def test_threshold_divisor_past_the_floats_rejected(self, ensemble, alpha, tau_inf):
+        # ln(t / tau_inf)**(1/alpha) overflows (24**1000) or underflows (0.001**200)
+        kin = MerzKinetics.from_mu_star(alpha, tau_inf, ORACLE_MU_STAR, T_FILM)
+        with pytest.raises(DomainError):
+            run_protocol_sweep(replace(ensemble, kinetics=kin), std_protocol(10e-6),
+                               np.linspace(1.0, 9.0, 9), UNIT_CAL)
 
     def test_width_below_attempt_time_rejected(self, ensemble):
         short = TriangularPulse(5.0, PUB_TAU_INF / 2)
