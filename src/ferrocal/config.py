@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, first_non_utf8
+from .errors import ConfigError, DomainError, first_non_utf8
 from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics
-from .simulate import TriangularPulse, WriteProtocol
+from .simulate import TriangularPulse, WriteProtocol, _threshold_divisor
 
 _KNOWN_KEYS = {
     "run": {"seed"},
@@ -189,8 +189,8 @@ def load_config(path):
     if not (mu - half > -math.inf and mu + half < math.inf):
         raise ConfigError(f"[ensemble] w: {cfg.ensemble_w!r} makes the band "
                           f"mu_star +/- 10w overflow")
-    # a sweep divides by ln(width / tau_inf)**(1/alpha), so every width must
-    # exceed tau_inf; checked here, before an ensemble is drawn
+    # a sweep divides by ln(width / tau_inf)**(1/alpha): every width must
+    # exceed tau_inf and give a float; checked here, before sampling
     tau = cfg.kinetics.tau_inf
     if any(t <= tau for t in cfg.sweep.t_p):
         raise ConfigError(f"[sweep] t_p_us: every pulse width must exceed "
@@ -198,6 +198,13 @@ def load_config(path):
     if cfg.reset_width <= tau:
         raise ConfigError(f"[protocol] reset_width_s: {cfg.reset_width!r} s must exceed "
                           f"[kinetics] tau_inf_s = {tau!r} s")
+    for width in (*cfg.sweep.t_p, cfg.reset_width):
+        try:
+            _threshold_divisor(cfg.kinetics, width)
+        except DomainError:
+            raise ConfigError(f"[kinetics] alpha: {cfg.kinetics.alpha!r} puts ln(width / "
+                              f"tau_inf)**(1/alpha) past the float range at width "
+                              f"{width!r} s") from None
     # constructing the protocol validates pulse signs and counts
     cfg.protocol_for(cfg.sweep.t_p[0])
     return cfg

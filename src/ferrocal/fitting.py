@@ -20,10 +20,8 @@ fit into a FitError.
 
 Fits are seeded, and both coercive voltages are read, from the isotonic
 (monotone least-squares) fit of the samples, which a noisy sample or an
-outlier moves by its share of a block mean only. Its crossing of a
-level comes from prefix sums of the samples: its level sets are the
-suffixes that maximize a sum (Barlow et al. 1972), so no pool-adjacent-
-violators loop runs.
+outlier moves by its share of a block mean only. One routine,
+``_isotonic_level_set``, reads that fit for the seeds and for the markers.
 
 Coercive voltages are always interpolated from the data, never evaluated on
 the fitted symmetric model: measured curves carry a small positive/negative
@@ -101,40 +99,42 @@ class AffineMap:
             raise ConfigError("AffineMap requires 0 <= r_squared <= 1")
 
 
-def _isotonic_levels(z, level):
-    """Where the least-squares non-decreasing fit to ``z`` meets ``level``.
-
-    Returns (t, u, p): the fit lies below the level on samples :t, on it on
-    t:u and above it from u on; p holds the prefix sums of z - level, p[0] =
-    0. The fit's upper level set {fit >= level} is the suffix z[t:] that
-    maximizes sum(z[t:] - level), and {fit > level} is the shortest such
-    suffix (Barlow et al. 1972), so t and u are the first and the last
-    minimizer of p. Sums that overflow end in a non-finite p[-1].
-    """
-    p = _prefix_sums(z - level)
-    return int(p.argmin()), z.size - int(p[::-1].argmin()), p
-
-
-def _prefix_sums(z):
-    """0 followed by the running sums of z."""
-    p = np.empty(z.size + 1)
-    p[0] = 0.0
-    np.cumsum(z, out=p[1:])
-    return p
-
-
 def _block_mean(block):
     """Mean taken about the first sample: equal samples average to themselves."""
     return block[0] + (block - block[0]).sum() / block.size
 
 
-def _fit_beside(z, p, i):
-    """The fit's values at samples i - 1 and i, where a level set starts at
-    i (0 < i < n) and p comes from ``_isotonic_levels``: the largest mean of
-    a block z[s:i] and the smallest mean of a block z[i:e]."""
-    s = int(((p[i] - p[:i]) / np.arange(i, 0, -1)).argmax())
-    e = i + 1 + int(((p[i + 1:] - p[i]) / np.arange(1, p.size - i)).argmin())
-    return _block_mean(z[s:i]), _block_mean(z[i:e])
+def _isotonic_level_set(z, level):
+    """Where the least-squares non-decreasing fit to ``z`` meets ``level``.
+
+    Returns (t, u, left, right), or None when the sums below overflow: the
+    fit lies below the level on samples :t, on it on t:u and above it from
+    u on, and left(i) and right(i) are its values at samples i - 1 and i for
+    a boundary i of its level sets, 0 and len(z) included.
+
+    Where z never decreases the fit is z, read by a binary search, which is
+    exact where rounding would tie the sums. Otherwise {fit >= level} is the
+    suffix z[t:] that maximizes sum(z[t:] - level) and {fit > level} is the
+    shortest such suffix (Barlow et al. 1972): t and u are the first and the
+    last minimizer of the prefix sums p of z - level, p[0] = 0, left(i) is
+    the largest mean of a block z[s:i] and right(i) the smallest of z[i:e].
+    """
+    if (z[1:] >= z[:-1]).all():
+        t, u = int(z.searchsorted(level, "left")), int(z.searchsorted(level, "right"))
+        return t, u, lambda i: z[i - 1], lambda i: z[i]
+
+    p = np.concatenate(([0.0], np.cumsum(z - level)))
+    if not np.isfinite(p[-1]):
+        return None
+
+    def left(i):
+        s = int(((p[i] - p[:i]) / np.arange(i, 0, -1)).argmax())
+        return _block_mean(z[s:i])
+
+    def right(i):
+        e = i + 1 + int(((p[i + 1:] - p[i]) / np.arange(1, p.size - i)).argmin())
+        return _block_mean(z[i:e])
+    return int(p.argmin()), z.size - int(p[::-1].argmin()), left, right
 
 
 @np.errstate(all="ignore")
@@ -142,42 +142,36 @@ def _default_init(x, y):
     """(mu, w) seeds from the isotonic fit to the curve in the direction of
     its trend (the sign of last - first): mu where the fit crosses the middle
     of its span, w half the distance between its quarter-span crossings,
-    each interpolated between the fit's values beside the crossing.
-
-    One outlier moves the first raw sample past a level as far as the
-    outlier lies off the curve; it moves the fit by its share of a block
-    mean. On samples that never decrease along the trend the fit is the
-    samples, and each seed is bit for bit that of the raw samples: the first
-    sample at or past the level, interpolated from its neighbour.
+    each interpolated between the fit's values beside the crossing. One
+    outlier moves the first raw sample past a level as far as it lies off
+    the curve, and the fit by its share of a block mean. On samples that
+    never decrease along the trend the fit is the samples, and each seed is
+    bit for bit that of the raw samples: the first sample at or past the
+    level, interpolated from its neighbour.
     """
     rising = y[-1] >= y[0]
     z = y if rising else -y
-    n = z.size
-    monotone = (z[1:] >= z[:-1]).all()  # then the fit is z
-    p = _prefix_sums(z)
-    if not np.isfinite(p[-1]):
-        raise FitError(_DIVERGED)  # sums that overflow make the cost overflow at any seed
-    # the fit's first and last values: the smallest mean of a block z[:e]
-    # and the largest of a block z[s:]
-    count = np.arange(1, n + 1)
-    first = _block_mean(z[:(p[1:] / count).argmin() + 1])
-    last = _block_mean(z[((p[-1] - p[:-1]) / count[::-1]).argmax():])
+    # sums or a span past the float range make the cost overflow at any seed
+    if not np.isfinite(np.cumsum(z)[-1]):
+        raise FitError(_DIVERGED)
+    _, _, left, right = _isotonic_level_set(z, 0.0)  # the same sums: not None
+    first, last = right(0), left(z.size)
     span = last - first
+    if not np.isfinite(span):
+        raise FitError(_DIVERGED)
     if span == 0:
         raise RankError("flat curve: span seed is zero")
 
     def crossing(level):
-        t, u, p = _isotonic_levels(z, level)
-        # where the raw crossing is: the first y >= the level on a rising
-        # curve, the first y < the level on a falling one
-        i = t if rising else u
-        if monotone:  # a binary search is exact where rounding ties the sums
-            i = int(z.searchsorted(level, "left" if rising else "right"))
-        if not np.isfinite(p[-1]):
+        levels = _isotonic_level_set(z, level)
+        if levels is None:
             raise FitError(_DIVERGED)
-        if not 0 < i < n:
+        t, u, left, right = levels
+        # the raw crossing: the first y >= the level rising, y < it falling
+        i = t if rising else u
+        if not 0 < i < z.size:
             raise RankError("curve does not span the level needed to seed the fit")
-        lo, hi = _fit_beside(z, p, i)
+        lo, hi = left(i), right(i)
         return x[i - 1] + (level - lo) * (x[i] - x[i - 1]) / (hi - lo)
 
     mu, x25, x75 = (crossing(first + q * span) for q in (0.50, 0.25, 0.75))
@@ -539,27 +533,21 @@ def fit_family(curves, share_offsets=False):
 def _isotonic_crossing(v, y, level):
     """V_p where the least-squares fit to ``y`` that is monotone along the
     curve's trend (the sign of last - first) crosses ``level``: the middle
-    of a run of the fit on the level, or interpolated across a step.
-
-    With z = y - level, negated on a falling curve, the step's sides are
-    block means from prefix sums of z (see ``_isotonic_levels``). Where z
-    never decreases the fit is z, and a binary search finds the crossing
-    exactly. Otherwise, where a block mean is zero up to rounding, the sums
+    of a run of the fit on the level, or interpolated across a step. Where
+    the samples decrease and a block mean is zero up to rounding, the sums
     and the fit can disagree on whether it touches zero; both readings are
     then within rounding of the data.
     """
     z = y - level
     if y[-1] < y[0]:
         z = -z
-    t, u, p = _isotonic_levels(z, 0.0)
-    if np.isfinite(p[-1]):
-        monotone = (z[1:] >= z[:-1]).all()
-        if monotone:
-            t, u = int(z.searchsorted(0.0, "left")), int(z.searchsorted(0.0, "right"))
+    levels = _isotonic_level_set(z, 0.0)
+    if levels is not None:
+        t, u, left, right = levels
         if t < u:
             return float(0.5 * (v[t] + v[u - 1]))
         if 0 < t < z.size:
-            lo, hi = (z[t - 1], z[t]) if monotone else _fit_beside(z, p, t)
+            lo, hi = left(t), right(t)
             if lo * hi < 0:  # an underflowing product is no sign change
                 return float(v[t - 1] + (-lo) * (v[t] - v[t - 1]) / (hi - lo))
     raise MarkerAbsentError("curve never crosses the marker level")

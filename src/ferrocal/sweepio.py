@@ -56,8 +56,8 @@ def _fmt(x):
 
 
 def _reprs(values):
-    """Shortest round-trip text of each element of a 1-D array, in one repr."""
-    return repr(values.tolist())[1:-1].split(", ") if len(values) else []
+    """Shortest round-trip text of each element of a 1-D array."""
+    return list(map(repr, values.tolist()))
 
 
 def _tp_label(t_p):

@@ -344,6 +344,14 @@ def pav_isotonic(y):
     return np.repeat(means, sizes)
 
 
+def pav_default_init(x, y):
+    """Reference fit seeds from the PAV fit: the seed rule of
+    ``raw_default_init`` applied to the isotonic fit of the samples in the
+    direction of their trend (the sign of last - first)."""
+    sign = 1.0 if y[-1] >= y[0] else -1.0
+    return raw_default_init(x, sign * pav_isotonic(sign * y))
+
+
 def raw_default_init(x, y):
     """Reference fit seeds from the raw samples: (mu, w) from the first
     crossings of the mid-span and quarter-span levels of the line through

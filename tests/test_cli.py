@@ -482,7 +482,11 @@ class TestExitCodes:
         ("sweep", "t_p_us = 10,10", "distinct pulse widths (t_p_us)"),
         ("sweep", "t_p_us = 10,1e-8", "[sweep] t_p_us: every pulse width must exceed"),
         ("protocol", "reset_width_s = 1.4e-14", "[protocol] reset_width_s: 1.4e-14 s must exceed"),
-    ], ids=["duplicate-t_p_us", "t_p_us-at-tau_inf", "reset_width_s-at-tau_inf"])
+        ("kinetics", "alpha = 0.001", "[kinetics] alpha: 0.001 puts ln(width / tau_inf)"
+                                      "**(1/alpha) past the float range at width 1e-05 s"),
+        ("kinetics", "alpha = 0.005\ntau_inf_s = 9.99e-6", "[kinetics] alpha: 0.005 puts"),
+    ], ids=["duplicate-t_p_us", "t_p_us-at-tau_inf", "reset_width_s-at-tau_inf",
+            "divisor-past-the-floats", "divisor-past-the-floats-near-tau_inf"])
     def test_pulse_width_rejected_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                   section, line, message):
         monkeypatch.setattr("ferrocal.cli.sample_ensemble", None)  # a call raises TypeError
@@ -490,7 +494,8 @@ class TestExitCodes:
         cfg.write_text(f"[{section}]\n{line}\n")
         assert main(["--out-dir", str(tmp_path), "simulate",
                      "--config", str(cfg), "--out", "x.csv"]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_band_past_the_float_range_rejected_before_sampling(self, tmp_path, capsys,

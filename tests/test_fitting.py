@@ -17,8 +17,8 @@ from ferrocal.config import RunConfig
 from ferrocal.simulate import run_protocol_sweep, sample_ensemble
 
 from anchors import (DENSE_GRID, ORACLE_MODEL_ZERO_CROSSING, ROW_500US, TABLE_ROWS,
-                     dense_varpro, naive_single_crossing, pav_isotonic, raw_default_init,
-                     synthetic_curve)
+                     dense_varpro, naive_single_crossing, pav_default_init, pav_isotonic,
+                     raw_default_init, synthetic_curve)
 
 
 def _asymptotic_se(curve, fit):
@@ -635,6 +635,72 @@ class TestMarkers:
         i = np.flatnonzero(trend[:-1] * trend[1:] < 0)[0]
         slope = (trend[i + 1] - trend[i]) / (v[i + 1] - v[i])
         assert abs(new - ref) <= 4 * rounding / slope + 4 * np.spacing(ref)
+
+    # the same value mix on both trends of each draw; the seed rule is that of
+    # the raw samples, applied to the fit
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, -0.0, 0.5, 1.0,
+                                                      2.0, 1e-200, -1e-200]),
+                                     st.floats(-3.0, 3.0)), min_size=1, max_size=12))
+    def test_seeds_match_the_pav_fit(self, values):
+        x = np.cumsum(np.linspace(0.5, 1.5, len(values))) + 0.25
+        for y in (np.array(values, dtype=float), -np.array(values, dtype=float)):
+            outcomes = []
+            for init in (fitting._default_init, pav_default_init):
+                try:
+                    outcomes.append(init(x, y))
+                except RankError as exc:
+                    outcomes.append(str(exc))
+            new, ref = outcomes
+            z = y if y[-1] >= y[0] else -y
+            trend = pav_isotonic(z)
+            levels = trend[0] + np.array([0.50, 0.25, 0.75]) * (trend[-1] - trend[0])
+            # as for the markers, where the fit lies within rounding of a seed
+            # level the two may disagree on where it crosses; where the
+            # samples never decrease both read the samples. Seeds divide
+            # subnormal spans, so the rounding holds the absolute underflow
+            # term of the float model as well as the relative one
+            tiny = np.finfo(float).smallest_subnormal
+            rounding = 4 * y.size * (np.finfo(float).eps * np.abs(y).sum() + tiny)
+            if (np.min(np.abs(trend[:, None] - levels)) <= rounding
+                    and not np.array_equal(trend, z)):
+                continue
+            assert type(new) is type(ref)
+            if isinstance(ref, str):
+                assert new == ref
+                continue
+            tolerances = []
+            for level in levels:
+                i = int(np.argmax(trend >= level))
+                slope = (trend[i] - trend[i - 1]) / (x[i] - x[i - 1])
+                crossing = x[i - 1] + (level - trend[i - 1]) / slope
+                tolerances.append(4 * rounding / slope + 4 * np.spacing(crossing))
+            assert abs(new[0] - ref[0]) <= tolerances[0]
+            assert abs(new[1] - ref[1]) <= (tolerances[1] + tolerances[2]) / 2
+
+    # sums past the float range: the seeds fail as the cost would; a marker
+    # is absent where the fit needs the sums, and samples that never
+    # decrease give it without them
+    OVERFLOWING = [-1e308, -1e308, -1.0, 0.0, 1.0, 2.0, 1e308, 1e308]
+
+    @pytest.mark.parametrize("values", [
+        OVERFLOWING,
+        [-1e308, -1e308, 1.0, -1.0, 0.0, 2.0, 1e308, 1e308],
+        # the sums at a quarter-span level overflow, those of the samples not
+        [-6e307, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 6e307],
+    ])
+    def test_seeds_fail_where_the_sums_overflow(self, values):
+        with pytest.raises(FitError, match="fit diverged: the cost is not finite"):
+            fitting._default_init(np.linspace(0.0, 1.0, len(values)), np.array(values))
+
+    @pytest.mark.parametrize("values, marker", [
+        (OVERFLOWING, 4.0),  # the sample on zero
+        ([-1e308, -1e308, 1.0, -1.0, 0.0, 2.0, 1e308, 1e308], None),
+    ])
+    def test_marker_where_the_sums_overflow(self, values, marker):
+        v = np.arange(1.0, 9.0)
+        curve = SwitchCurve(t_p=500e-6, v_p=v, values=np.array(values))
+        assert curve_markers(curve).vc_mech == marker
 
     def test_curve_markers_helper(self):
         c = synthetic_curve(ROW_500US)
