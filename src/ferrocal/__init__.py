@@ -19,7 +19,7 @@ from .levels import (LevelSet, achieved_weight, count_dac_levels, dac_code_volta
                      s0_filter, s0_filter_with_margin)
 from .model import (DeviceCalibration, MerzKinetics, NlsSpec, ThresholdDistribution,
                     displacement_of_fraction, lorentzian_displacement,
-                    nls_switched_fraction, switched_fraction_cdf, tau_of_field,
+                    nls_switched_fraction, switched_fraction_cdf, tau_of_voltage,
                     threshold_pdf, threshold_quantile, threshold_voltage)
 from .simulate import (HysteronEnsemble, SwitchCurve, TriangularPulse, WriteProtocol,
                        polarization_change_of_fraction, run_protocol_sweep, sample_ensemble,

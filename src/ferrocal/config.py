@@ -62,10 +62,9 @@ class RunConfig:
     seed: int = 42
     device: DeviceCalibration = field(default_factory=lambda: DeviceCalibration(
         delta_min=-19.1364, delta_max=5.1152))
-    kinetics: MerzKinetics = field(default_factory=lambda: MerzKinetics.from_mu_star(
-        alpha=3.62, tau_inf=1.4e-14, mu_star=1.0694533407, t_film=17e-9))
+    kinetics: MerzKinetics = field(default_factory=lambda: MerzKinetics(
+        alpha=3.62, tau_inf=1.4e-14, mu_star=1.0694533407))
     ensemble_n: int = 100_000
-    ensemble_mu_star: float = 1.0694533407
     ensemble_w: float = 0.038244
     reset_peak: float = -9.0
     reset_width: float = 500e-6
@@ -73,6 +72,11 @@ class RunConfig:
     write_peak: float = 5.0
     write_count: int = 2
     sweep: SweepPlan = field(default_factory=SweepPlan)
+
+    @property
+    def ensemble_mu_star(self):
+        """Median of the ensemble's log-thresholds: the kinetic intercept."""
+        return self.kinetics.mu_star
 
     def protocol_for(self, t_p):
         """Write protocol template for one pulse width."""
@@ -148,11 +152,10 @@ def load_config(path):
             _get(parser, "device", "dac_vmax_v", float, defaults.device.dac_range[1]),
         ),
     )
-    kinetics = MerzKinetics.from_mu_star(
+    kinetics = MerzKinetics(
         alpha=_get(parser, "kinetics", "alpha", float, defaults.kinetics.alpha),
         tau_inf=_get(parser, "kinetics", "tau_inf_s", float, defaults.kinetics.tau_inf),
-        mu_star=_get(parser, "ensemble", "mu_star", float, defaults.ensemble_mu_star),
-        t_film=defaults.kinetics.t_film,
+        mu_star=_get(parser, "ensemble", "mu_star", float, defaults.kinetics.mu_star),
     )
     tp_us = _floats(parser, "sweep", "t_p_us")
     sweep = SweepPlan(
@@ -171,7 +174,6 @@ def load_config(path):
         device=device,
         kinetics=kinetics,
         ensemble_n=_get(parser, "ensemble", "n", int, defaults.ensemble_n),
-        ensemble_mu_star=_get(parser, "ensemble", "mu_star", float, defaults.ensemble_mu_star),
         ensemble_w=_get(parser, "ensemble", "w", float, defaults.ensemble_w),
         reset_peak=_get(parser, "protocol", "reset_peak_v", float, defaults.reset_peak),
         reset_width=_get(parser, "protocol", "reset_width_s", float, defaults.reset_width),

@@ -2,9 +2,9 @@
 
 The fitted medians mu(t_p) are regressed against X(t_p) =
 log10[ln(t_p/tau_inf)]; the slope is -1/alpha (alpha is derived from it) and
-the intercept mu_* = log10(E_a * t_film). tau_inf can be held fixed or
-profiled out by a 1-D search (coarse grid, then golden-section refinement)
-over log10(tau_inf).
+the intercept mu_* = log10(E_a * d), d the film thickness. tau_inf can be
+held fixed or profiled out by a 1-D search (coarse grid, then golden-section
+refinement) over log10(tau_inf).
 
 The collapse maps every sweep onto the reduced coordinates
 z = (log10 V_p - mu)/w, s_bar = (value - y0)/A, where the master curve is
@@ -48,9 +48,9 @@ class MerzRegression:
     def alpha(self):
         return math.inf if self.degenerate else -1.0 / self.slope
 
-    def kinetics(self, t_film):
-        """Materialize the regression as a kinetic law for a given thickness."""
-        return MerzKinetics.from_mu_star(self.alpha, self.tau_inf, self.mu_star, t_film)
+    def kinetics(self):
+        """Materialize the regression as a kinetic law."""
+        return MerzKinetics(self.alpha, self.tau_inf, self.mu_star)
 
     def mu_fit(self):
         """Fitted medians at the regression's own X values."""

@@ -2,8 +2,9 @@
 
 The model has three layers:
 
-* a field-time kinetic law ``tau(E) = tau_inf * exp((E_a/E)**alpha)`` and its
-  inversion to a pulse-width-dependent half-switching voltage,
+* a field-time kinetic law ``tau(E) = tau_inf * exp((E_a/E)**alpha)``, held
+  for one film as ``tau(V) = tau_inf * exp((10**mu_star / V)**alpha)``, and
+  its inversion to a pulse-width-dependent half-switching voltage,
 * a Cauchy (Lorentzian) distribution of switching thresholds on the log10
   voltage axis, giving an arctangent transfer function for the switched
   fraction,
@@ -35,42 +36,31 @@ from .errors import ConfigError, DomainError
 
 # Cauchy tails are heavy enough to produce unphysical (negative or
 # kilovolt-scale) thresholds; sampling and quadrature are confined to
-# location +/- TRUNCATION_HALF_WIDTHS * scale (> 96.8% of the mass).
+# location +/- TRUNCATION_HALF_WIDTHS * scale (93.65% of the mass).
 TRUNCATION_HALF_WIDTHS = 10.0
 
 
 @dataclass(frozen=True)
 class MerzKinetics:
-    """Field-time switching kinetics.
+    """Field-time switching kinetics of one film.
 
     alpha    dimensionless field exponent
     tau_inf  attempt time in the infinite-field limit (s)
-    e_a      activation field (V/m)
-    t_film   ferroelectric film thickness (m)
+    mu_star  log10 of the activation voltage E_a * d (decades), d the film
+             thickness: the Merz intercept, which the data identify though
+             not E_a and d apart
     """
 
     alpha: float
     tau_inf: float
-    e_a: float
-    t_film: float
+    mu_star: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.tau_inf > 0 and self.e_a > 0 and self.t_film > 0):
-            raise ConfigError("MerzKinetics requires alpha, tau_inf, e_a, t_film all > 0")
-        if not math.isfinite(self.mu_star):
-            raise ConfigError("MerzKinetics: log10(e_a * t_film) must be finite")
-
-    @property
-    def mu_star(self):
-        """log10 of the activation voltage e_a * t_film, in decades."""
-        return math.log10(self.e_a * self.t_film)
-
-    @classmethod
-    def from_mu_star(cls, alpha, tau_inf, mu_star, t_film):
-        """Build kinetics from the regression intercept mu_star = log10(E_a * t_film)."""
-        if not (t_film > 0 and mu_star < 308):
-            raise ConfigError("MerzKinetics requires t_film > 0 and mu_star < 308")
-        return cls(alpha=alpha, tau_inf=tau_inf, e_a=10.0**mu_star / t_film, t_film=t_film)
+        if not (self.alpha > 0 and self.tau_inf > 0):
+            raise ConfigError("MerzKinetics requires alpha > 0 and tau_inf > 0")
+        # written as comparisons, which a NaN fails; 10**mu_star must be a float
+        if not -math.inf < self.mu_star < 308:
+            raise ConfigError("MerzKinetics requires a finite mu_star < 308")
 
 
 @dataclass(frozen=True)
@@ -171,18 +161,19 @@ def _as_float_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
-def tau_of_field(kinetics, e_field):
-    """Switching time tau(E) = tau_inf * exp((E_a/E)**alpha), E in V/m.
+def tau_of_voltage(kinetics, v):
+    """Switching time tau(V) = tau_inf * exp((10**mu_star / V)**alpha), V in volts.
 
-    Strictly decreasing in E; tends to tau_inf as E -> infinity.
+    The field law tau_inf * exp((E_a/E)**alpha) for a film of thickness d at
+    E = V/d. Strictly decreasing in V; tends to tau_inf as V -> infinity.
     """
-    e = np.asarray(e_field, dtype=float)
-    if not np.all(e > 0):  # a NaN fails the comparison
-        raise DomainError("tau_of_field requires E > 0")
-    # far below the activation field the time overflows to inf, which is the
-    # honest limit of the law
+    v = np.asarray(v, dtype=float)
+    if not np.all(v > 0):  # a NaN fails the comparison
+        raise DomainError("tau_of_voltage requires V > 0")
+    # far below the activation voltage the time overflows to inf, which is
+    # the honest limit of the law
     with np.errstate(over="ignore"):
-        tau = kinetics.tau_inf * np.exp((kinetics.e_a / e) ** kinetics.alpha)
+        tau = kinetics.tau_inf * np.exp((10.0**kinetics.mu_star / v) ** kinetics.alpha)
     return _as_float_or_array(tau)
 
 
@@ -190,13 +181,13 @@ def threshold_voltage(kinetics, t_p):
     """Half-switching voltage for a pulse of width t_p (s).
 
     Inverts the kinetic law at tau = t_p:
-    V50(t_p) = E_a * t_film / ln(t_p / tau_inf)**(1/alpha).
+    V50(t_p) = 10**mu_star / ln(t_p / tau_inf)**(1/alpha).
     Strictly decreasing in t_p; requires t_p > tau_inf.
     """
     t = np.asarray(t_p, dtype=float)
     if not np.all(t > kinetics.tau_inf):
         raise DomainError("threshold_voltage requires t_p > tau_inf")
-    v = kinetics.e_a * kinetics.t_film / np.log(t / kinetics.tau_inf) ** (1.0 / kinetics.alpha)
+    v = 10.0**kinetics.mu_star / np.log(t / kinetics.tau_inf) ** (1.0 / kinetics.alpha)
     return _as_float_or_array(v)
 
 

@@ -115,9 +115,8 @@ def sample_ensemble(n, mu_star_dist, w, kinetics, seed):
     sec. II.2), and clamped to mu_star_dist +/- 10w; clamping (rather than
     rejection) keeps the within-band threshold CDF exactly Cauchy. The draw
     is then sorted in place, O(n log n) once per ensemble, so a k-unit draw
-    is a sub-multiset of the n-unit draw. This sampler replaced a
-    ratio-of-normals draw, so every simulated file changed bytes with it.
-    The band must be finite. The ensemble starts fully up-poled.
+    is a sub-multiset of the n-unit draw. The band must be finite. The
+    ensemble starts fully up-poled.
 
     A pulse width only divides every threshold by one scalar, so the
     simulated w is the same at every width: the model cannot reproduce the

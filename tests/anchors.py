@@ -3,18 +3,30 @@
 The published parameter table and the oracle results frozen from
 independent pre-build computations (plain-loop least squares, direct
 enumeration). Tests recompute the oracles where cheap and compare both ways.
+References the benchmark also checks against (the greedy level scan, the
+closed-form displacement, the attempt time and the frozen DAC level counts)
+come from ``bench/oracles.py``, which does not import ferrocal.
 """
 
 import csv
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from ferrocal import (AmbiguousMarkerError, FitError, MarkerAbsentError, ParseError,
-                      RankError, SwitchCurve, lorentzian_displacement)
+                      RankError, SwitchCurve)
 from ferrocal.fitting import _FIT_TOL, _MAX_ITER
 from ferrocal.kinetics import _GOLDEN, _ols, _split_points, regress_mu_fixed_tau
+
+_BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+sys.path.insert(0, _BENCH)
+try:
+    import oracles
+    from oracles import ORACLE_DAC_K, PUB_TAU_INF, naive_monotone_scan
+finally:
+    sys.path.remove(_BENCH)
 
 # published per-pulse-width fit parameters:
 # (t_p [s], y0 [nm], A [nm], mu [decades], w [decades], V50 [V], Vc_mech [V])
@@ -28,9 +40,8 @@ TABLE_ROWS = [
 
 ROW_500US = TABLE_ROWS[-1]
 
-# published kinetic anchors
+# published kinetic anchor (the attempt time is PUB_TAU_INF, above)
 PUB_ALPHA = 3.62
-PUB_TAU_INF = 14e-15
 
 # hand least-squares over the five (X, mu) pairs at tau_inf = 14 fs,
 # computed with an independent plain-loop OLS before the build
@@ -40,16 +51,11 @@ ORACLE_MU_STAR = 1.0694533407
 ORACLE_R2 = 0.967548342503
 ORACLE_X = [1.3093489261, 1.3238693865, 1.3558226037, 1.3688914236, 1.3855851232]
 
-# direct sequential enumeration of model values on all 2^18 code voltages
-# over 0.5-9 V for the 500 us row (margin rule: increment >= margin)
-ORACLE_DAC_K_MARGIN_0P09 = 254
-ORACLE_DAC_K_MARGIN_0P089 = 257  # first tested margin with K > 256
-
 # zero crossing of the noiseless model built from the 500 us row parameters
 ORACLE_MODEL_ZERO_CROSSING = 5.448564
 
-# tau(E) for E = 4.867 V / t_film with alpha=3.62, tau_inf=14 fs,
-# E_a * t_film = 10^1.069 V
+# tau(V) at V = 4.867 V with alpha=3.62, tau_inf=14 fs, mu_star = 1.069
+# (an activation voltage of 10^1.069 V)
 ORACLE_TAU_AT_4P867V = 4.070600e-4
 
 DENSE_GRID = 0.5 + 0.005 * np.arange(1701)  # 0.5..9 V in 5 mV steps
@@ -57,28 +63,11 @@ DENSE_GRID = 0.5 + 0.005 * np.arange(1701)  # 0.5..9 V in 5 mV steps
 
 def synthetic_curve(row, grid=None, sigma=0.0, rng=None, kind="displacement"):
     """Noiseless (or Gaussian-noised) model curve for one table row."""
-    t_p, y0, a, mu, w = row[:5]
     v = DENSE_GRID if grid is None else np.asarray(grid, dtype=float)
-    vals = lorentzian_displacement(y0, a, mu, w, v)
+    vals = oracles.lorentzian(row[:5], v)
     if sigma > 0:
         vals = vals + rng.normal(0.0, sigma, v.size)
-    return SwitchCurve(t_p=t_p, v_p=v, values=vals, observable_kind=kind)
-
-
-def naive_monotone_scan(values, margin=0.0, accept_equal=True):
-    """Independent reference implementation of the greedy level scan."""
-    keep = []
-    last = None
-    for i, y in enumerate(values):
-        if last is None:
-            keep.append(i)
-            last = y
-            continue
-        d = y - last
-        if d > margin or (accept_equal and d == margin):
-            keep.append(i)
-            last = y
-    return keep
+    return SwitchCurve(t_p=row[0], v_p=v, values=vals, observable_kind=kind)
 
 
 def naive_protocol_sweep(vth_reset, vth_write, down, reset_peak, write_peak,
@@ -108,7 +97,7 @@ def naive_protocol_sweep(vth_reset, vth_write, down, reset_peak, write_peak,
 
 
 def one_array_protocol_count(vth_reset, vth_write, down, reset_peak, write_peak, grid):
-    """Reference for the blocked sweep count: one sorted array of all units.
+    """Reference for the protocol sweep's count: one sorted array of all units.
 
     Counts, after each grid point, the units poled in the write direction:
     the held ones (poled so from the start, out of the reset's reach) plus

@@ -128,7 +128,7 @@ def test_criterion_05_data_collapse(noisy_curve_families):
 
 def test_criterion_06_monte_carlo_analytic_equivalence():
     w = 0.038244
-    kinetics = MerzKinetics.from_mu_star(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR, 17e-9)
+    kinetics = MerzKinetics(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR)
     cal = DeviceCalibration(delta_min=-19.1364, delta_max=5.1152)
     ensemble = sample_ensemble(100_000, ORACLE_MU_STAR, w, kinetics, seed=61_803)
 
@@ -175,7 +175,7 @@ def test_criterion_07_s0_filter_properties():
         n = int(rng.integers(1, 40))
         y = np.round(rng.normal(0, 1, n), 1)
         ls = s0_filter((np.arange(1.0, n + 1.0), y))
-        kept = naive_monotone_scan(y)
+        kept = naive_monotone_scan(y, 0.0, True)
         # oracle equality
         assert np.array_equal(ls.values, y[kept])
         # monotone output

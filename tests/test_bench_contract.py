@@ -6,7 +6,9 @@ public types, and stops at ``workloads.self_test`` if an oracle disagrees
 with ferrocal. A change that renames one of those functions, or breaks the
 calls the self-test makes (``HysteronEnsemble`` fields, ``protocol_for``,
 the ``RunConfig`` protocol fields), would otherwise pass these tests and
-fail only when the benchmark runs.
+fail only when the benchmark runs. One reference pass of each workload, at
+seed 0, goes through the workload's own ``check``, so an attribute a check
+reads, or an output its oracles reject, fails here too.
 """
 
 import importlib
@@ -19,7 +21,8 @@ import pytest
 import ferrocal
 from ferrocal import config, simulate
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +52,19 @@ def test_positional_ensemble_construction():
 def test_workloads_self_test(bench):
     _, workloads = bench
     workloads.self_test()
+
+
+@pytest.mark.parametrize("name", ["simulate_write", "calibrate_noisy", "cli_pipeline"])
+def test_workload_reference_pass_checks(bench, tmp_path, monkeypatch, name):
+    _, workloads = bench
+    # cli_pipeline's children import ferrocal from this checkout, with one
+    # BLAS thread as the benchmark runs them
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    workload = workloads.WORKLOADS[name](0, tmp_path / "work")
+    out_dir = tmp_path / "pass"
+    out_dir.mkdir()
+    ref = workload.run_pass(out_dir)
+    assert ref.failed == 0
+    workload.check(ref)

@@ -587,6 +587,16 @@ class TestReadmeConfig:
         assert replace(cfg, sweep=replace(cfg.sweep, t_p=defaults.sweep.t_p)) == defaults
 
 
+class TestConfigMuStar:
+    def test_kinetics_and_ensemble_share_the_value_read(self, tmp_path):
+        # one value, held once: no round trip through an activation field
+        # (10**0.8046 / 17e-9 read back by log10 gives 0.8045999999999999)
+        path = tmp_path / "mu.ini"
+        path.write_text("[ensemble]\nmu_star = 0.8046\n")
+        cfg = load_config(path)
+        assert cfg.kinetics.mu_star == cfg.ensemble_mu_star == 0.8046
+
+
 class TestReadmeLibrary:
     def test_python_example_runs(self, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -24,7 +24,7 @@ from ferrocal.levels import _monotone_keep_mask
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF, naive_monotone_scan,
                      naive_protocol_sweep, one_array_protocol_count)
 
-KIN = MerzKinetics.from_mu_star(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR, 17e-9)
+KIN = MerzKinetics(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR)
 # delta = 0 + 1 * S_down, so curve values are the down fraction itself
 UNIT_CAL = DeviceCalibration(delta_min=0.0, delta_max=1.0)
 P_R = 20.0

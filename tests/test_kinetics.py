@@ -65,11 +65,16 @@ class TestRegressFixedTau:
 
     def test_round_trip_against_threshold_voltage(self):
         reg = regress_mu_fixed_tau(POINTS, PUB_TAU_INF)
-        kin = reg.kinetics(17e-9)
+        kin = reg.kinetics()
         resid = np.abs(np.array([mu for _, mu in POINTS]) - reg.mu_fit())
         for (t_p, mu), r in zip(POINTS, resid):
             v50 = threshold_voltage(kin, t_p)
             assert abs(math.log10(v50) - mu) <= r + 1e-12
+
+    def test_kinetics_holds_the_regression_bit_for_bit(self):
+        reg = regress_mu_fixed_tau(POINTS, PUB_TAU_INF)
+        kin = reg.kinetics()
+        assert (kin.alpha, kin.tau_inf, kin.mu_star) == (reg.alpha, reg.tau_inf, reg.mu_star)
 
 
 class TestFitMerzNested:

@@ -11,8 +11,7 @@ from ferrocal import (ConfigError, DeviceCalibration, DomainError, LorentzianFit
                       s0_filter_with_margin, threshold_pdf,
                       ThresholdDistribution)
 
-from anchors import (ORACLE_DAC_K_MARGIN_0P089, ORACLE_DAC_K_MARGIN_0P09, ROW_500US,
-                     naive_monotone_scan)
+from anchors import ORACLE_DAC_K, ROW_500US, naive_monotone_scan
 
 CAL_18BIT = DeviceCalibration(delta_min=ROW_500US[1], delta_max=ROW_500US[1] + ROW_500US[2],
                               dac_bits=18, dac_range=(0.5, 9.0))
@@ -115,7 +114,7 @@ class TestScanProperties:
             y = np.round(rng.normal(0, 1, n), 1)  # rounding forces ties
             ls = s0_filter((np.arange(1.0, n + 1), y))
             # independent naive oracle
-            assert np.array_equal(ls.values, y[naive_monotone_scan(y)])
+            assert np.array_equal(ls.values, y[naive_monotone_scan(y, 0.0, True)])
             # monotone output
             assert np.all(np.diff(ls.values) >= 0)
             # idempotence
@@ -172,19 +171,19 @@ class TestCountDacLevels:
             return k
 
         k_09 = count_dac_levels(FIT_500US, CAL_18BIT, 0.09)
-        assert k_09 == enumerate_levels(0.09) == ORACLE_DAC_K_MARGIN_0P09
+        assert k_09 == enumerate_levels(0.09) == ORACLE_DAC_K[0.09]
         # the margin that does clear 256 levels, reported alongside since the
         # plain filter uses none
         k_089 = count_dac_levels(FIT_500US, CAL_18BIT, 0.089)
-        assert k_089 == enumerate_levels(0.089) == ORACLE_DAC_K_MARGIN_0P089
+        assert k_089 == enumerate_levels(0.089) == ORACLE_DAC_K[0.089]
         assert k_089 > 256
 
     def test_22bit_counts_match_frozen_enumeration(self):
         # a plain sequential scan over all 2^22 code values gives the same
         # counts as over 2^18
         cal = replace(CAL_18BIT, dac_bits=22)
-        assert count_dac_levels(FIT_500US, cal, 0.09) == ORACLE_DAC_K_MARGIN_0P09
-        assert count_dac_levels(FIT_500US, cal, 0.089) == ORACLE_DAC_K_MARGIN_0P089
+        for margin, expected in ORACLE_DAC_K.items():
+            assert count_dac_levels(FIT_500US, cal, margin) == expected
 
 
 class TestProgramming:

@@ -9,31 +9,29 @@ from scipy.integrate import quad
 from ferrocal import (ConfigError, DomainError, MerzKinetics, NlsSpec,
                       ThresholdDistribution, displacement_of_fraction,
                       lorentzian_displacement, nls_switched_fraction, switched_fraction_cdf,
-                      tau_of_field, threshold_pdf, threshold_quantile, threshold_voltage)
+                      tau_of_voltage, threshold_pdf, threshold_quantile, threshold_voltage)
 from ferrocal.model import TRUNCATION_HALF_WIDTHS
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_TAU_AT_4P867V,
                      PUB_TAU_INF, ROW_500US, TABLE_ROWS)
 
-T_FILM = 17e-9
-
-FITTED_KINETICS = MerzKinetics.from_mu_star(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR, T_FILM)
+FITTED_KINETICS = MerzKinetics(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR)
 
 
 class TestMerzKinetics:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            MerzKinetics(alpha=-1, tau_inf=1e-14, e_a=1e8, t_film=17e-9)
+            MerzKinetics(alpha=-1, tau_inf=1e-14, mu_star=0.93)
         with pytest.raises(ConfigError):
-            MerzKinetics(alpha=3.6, tau_inf=0.0, e_a=1e8, t_film=17e-9)
+            MerzKinetics(alpha=3.6, tau_inf=0.0, mu_star=0.93)
 
-    @pytest.mark.parametrize("mu_star, t_film", [(309.0, T_FILM), (1.069, 0.0)])
-    def test_unrepresentable_activation_field_rejected(self, mu_star, t_film):
+    @pytest.mark.parametrize("mu_star", [309.0, 308.0, math.inf, -math.inf, math.nan])
+    def test_unrepresentable_activation_field_rejected(self, mu_star):
         with pytest.raises(ConfigError):
-            MerzKinetics.from_mu_star(3.62, 14e-15, mu_star, t_film)
+            MerzKinetics(3.62, 14e-15, mu_star)
 
     def test_mu_star_round_trip(self):
-        k = MerzKinetics.from_mu_star(3.62, 14e-15, 1.069, T_FILM)
+        k = MerzKinetics(3.62, 14e-15, 1.069)
         assert k.mu_star == pytest.approx(1.069, rel=1e-12)
 
 
@@ -73,35 +71,37 @@ class TestDeviceCalibration:
 
 
 class TestTauOfField:
+    """The field-time law tau(E), evaluated for one film by tau_of_voltage."""
+
     def test_infinite_field_limit(self):
         k = FITTED_KINETICS
-        assert tau_of_field(k, 1e12 * k.e_a) == pytest.approx(k.tau_inf, rel=1e-9)
+        assert tau_of_voltage(k, 1e12 * 10**k.mu_star) == pytest.approx(k.tau_inf, rel=1e-9)
 
     def test_activation_field_gives_e_fold(self):
         k = FITTED_KINETICS
-        assert tau_of_field(k, k.e_a) == pytest.approx(k.tau_inf * math.e, rel=1e-12)
+        assert tau_of_voltage(k, 10**k.mu_star) == pytest.approx(k.tau_inf * math.e, rel=1e-12)
 
     def test_strictly_decreasing(self):
         k = FITTED_KINETICS
-        taus = tau_of_field(k, np.logspace(8.5, 10, 40))
+        taus = tau_of_voltage(k, np.logspace(0.7, 2.2, 40))
         assert np.all(np.diff(taus) < 0)
 
     def test_round_trip_through_regression_medians(self):
-        # alpha=3.62, tau_inf=14 fs, E_a*t_film = 10^1.069 V, evaluated at
-        # the 500 us half-switching voltage
-        k = MerzKinetics.from_mu_star(3.62, PUB_TAU_INF, 1.069, T_FILM)
-        tau = tau_of_field(k, 4.867 / T_FILM)
+        # alpha=3.62, tau_inf=14 fs, mu_star = 1.069, evaluated at the 500 us
+        # half-switching voltage
+        k = MerzKinetics(3.62, PUB_TAU_INF, 1.069)
+        tau = tau_of_voltage(k, 4.867)
         assert tau == pytest.approx(ORACLE_TAU_AT_4P867V, rel=1e-6)
         assert max(tau, 500e-6) / min(tau, 500e-6) < 1.3
 
     def test_nonpositive_field_rejected(self):
         with pytest.raises(DomainError):
-            tau_of_field(FITTED_KINETICS, 0.0)
+            tau_of_voltage(FITTED_KINETICS, 0.0)
 
 
 class TestThresholdVoltage:
     def test_huge_alpha_pins_threshold_to_activation_voltage(self):
-        k = MerzKinetics.from_mu_star(1e9, 1e-14, 1.0, T_FILM)
+        k = MerzKinetics(1e9, 1e-14, 1.0)
         for t_p in (1e-6, 1e-3, 1.0):
             assert threshold_voltage(k, t_p) == pytest.approx(10.0, rel=1e-6)
 
@@ -120,8 +120,7 @@ class TestThresholdVoltage:
     def test_mutual_inverse_with_tau_of_field(self):
         k = FITTED_KINETICS
         for t in np.logspace(-6, 0, 50):
-            e = threshold_voltage(k, t) / k.t_film
-            assert tau_of_field(k, e) == pytest.approx(t, rel=1e-9)
+            assert tau_of_voltage(k, threshold_voltage(k, t)) == pytest.approx(t, rel=1e-9)
 
 
 class TestSwitchedFractionCdf:
@@ -160,8 +159,8 @@ class TestInverseDomains:
     DIST = ThresholdDistribution(1.0, 0.05)
 
     @pytest.mark.parametrize("call", [
-        lambda: tau_of_field(FITTED_KINETICS, math.nan),
-        lambda: tau_of_field(FITTED_KINETICS, [1e9, math.nan]),
+        lambda: tau_of_voltage(FITTED_KINETICS, math.nan),
+        lambda: tau_of_voltage(FITTED_KINETICS, [5.0, math.nan]),
         lambda: threshold_voltage(FITTED_KINETICS, math.nan),
         lambda: threshold_voltage(FITTED_KINETICS, [1e-4, math.nan]),
         lambda: threshold_quantile(TestInverseDomains.DIST, math.nan),
@@ -172,7 +171,7 @@ class TestInverseDomains:
             call()
 
     def test_empty_input_passes(self):
-        assert tau_of_field(FITTED_KINETICS, []).size == 0
+        assert tau_of_voltage(FITTED_KINETICS, []).size == 0
         assert threshold_voltage(FITTED_KINETICS, []).size == 0
         assert threshold_quantile(self.DIST, []).size == 0
 

@@ -14,9 +14,8 @@ from ferrocal import (ConfigError, DeviceCalibration, DomainError, HysteronEnsem
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_MODEL_ZERO_CROSSING,
                      PUB_TAU_INF, ROW_500US)
 
-T_FILM = 17e-9
 W = 0.038244
-KIN = MerzKinetics.from_mu_star(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR, T_FILM)
+KIN = MerzKinetics(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR)
 CAL = DeviceCalibration(delta_min=ROW_500US[1], delta_max=ROW_500US[1] + ROW_500US[2])
 # delta = 0 + 1 * S_down: a sweep's values are the down fraction itself
 UNIT_CAL = DeviceCalibration(delta_min=0.0, delta_max=1.0)
@@ -239,7 +238,7 @@ class TestApplyPulse:
     @pytest.mark.parametrize("alpha, tau_inf", [(1e-3, PUB_TAU_INF), (5e-3, 9.99e-6)])
     def test_threshold_divisor_past_the_floats_rejected(self, ensemble, alpha, tau_inf):
         # ln(t / tau_inf)**(1/alpha) overflows (24**1000) or underflows (0.001**200)
-        kin = MerzKinetics.from_mu_star(alpha, tau_inf, ORACLE_MU_STAR, T_FILM)
+        kin = MerzKinetics(alpha, tau_inf, ORACLE_MU_STAR)
         with pytest.raises(DomainError):
             run_protocol_sweep(replace(ensemble, kinetics=kin), std_protocol(10e-6),
                                np.linspace(1.0, 9.0, 9), UNIT_CAL)
