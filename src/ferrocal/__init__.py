@@ -10,20 +10,19 @@ extraction with DAC-aware programming.
 
 from .errors import (AmbiguousMarkerError, ConfigError, DomainError, FerrocalError,
                      FitError, MarkerAbsentError, ParseError, RangeError, RankError)
-from .fitting import (AffineMap, CurveMarkers, LorentzianFit, affine_map_fit,
-                      curve_markers, fit_family, fit_lorentzian_cdf)
+from .fitting import (CurveMarkers, LorentzianFit, curve_markers, fit_family,
+                      fit_lorentzian_cdf)
 from .kinetics import (MerzRegression, collapse_rms, collapse_transform, fit_merz_nested,
                        master_curve, regress_mu_fixed_tau)
 from .levels import (LevelSet, achieved_weight, count_dac_levels, dac_code_voltages,
                      dac_nearest_code, dac_voltage, program_voltage_for_weight,
                      s0_filter, s0_filter_with_margin)
 from .model import (DeviceCalibration, MerzKinetics, NlsSpec, ThresholdDistribution,
-                    displacement_of_fraction, lorentzian_displacement,
-                    nls_switched_fraction, switched_fraction_cdf, tau_of_voltage,
-                    threshold_pdf, threshold_quantile, threshold_voltage)
+                    lorentzian_displacement, nls_switched_fraction, switched_fraction_cdf,
+                    tau_of_voltage, threshold_pdf, threshold_quantile, threshold_voltage)
 from .simulate import (HysteronEnsemble, SwitchCurve, TriangularPulse, WriteProtocol,
                        polarization_change_of_fraction, run_protocol_sweep, sample_ensemble,
-                       thresholds_at)
+                       simulate_sweeps, thresholds_at)
 from .sweepio import (emit_fit_report, emit_levels_csv, emit_plotdata, emit_sweep_csv,
                       parse_fit_report, parse_sweep_csv)
 

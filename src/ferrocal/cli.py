@@ -8,6 +8,7 @@ draw descends from the single run seed.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -23,7 +24,7 @@ from .kinetics import (S_BAR_BAND, collapse_rms, collapse_transform, fit_merz_ne
 from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weight,
                      s0_filter, s0_filter_with_margin)
 from .model import MAX_DAC_BITS, DeviceCalibration
-from .simulate import run_protocol_sweep, sample_ensemble
+from .simulate import simulate_sweeps
 from .sweepio import (emit_fit_report, emit_levels_csv, emit_merz_report, emit_plotdata,
                       emit_sweep_csv, fit_report_header, parse_fit_report,
                       parse_sweep_csv)
@@ -125,22 +126,15 @@ def cmd_levels(args):
 def cmd_simulate(args):
     out = _out_dir(args)
     cfg = load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
-    ensemble = sample_ensemble(cfg.ensemble_n, cfg.ensemble_mu_star, cfg.ensemble_w,
-                               cfg.kinetics, seed)
-    grid = cfg.sweep.grid()
-    curves = []
-    for t_p in cfg.sweep.t_p:
-        proto = cfg.protocol_for(t_p)
-        curves.append(run_protocol_sweep(
-            ensemble, proto, grid, cfg.device, seed=seed,
-            observable_kind=cfg.sweep.observable_kind, p_r=cfg.sweep.p_r))
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    curves = simulate_sweeps(cfg)
     dest = Path(args.out)
     if not dest.is_absolute():
         dest = out / dest
     emit_sweep_csv(dest, curves)
-    print(f"wrote {dest}: {len(curves)} sweep(s), {grid.size} points each, "
-          f"n = {ensemble.n} hysterons, seed = {seed}")
+    print(f"wrote {dest}: {len(curves)} sweep(s), {curves[0].n_samples} points each, "
+          f"n = {cfg.ensemble_n} hysterons, seed = {cfg.seed}")
     return EXIT_OK
 
 
@@ -278,6 +272,9 @@ def main(argv=None):
         return EXIT_USAGE
     except FerrocalError as exc:
         print(f"ferrocal: error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # an array too large for this machine
+        print(f"ferrocal: error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"ferrocal: i/o error: {exc}", file=sys.stderr)

@@ -41,6 +41,11 @@ class SweepPlan:
     def __post_init__(self):
         if not (self.v_stop > self.v_start > 0 and self.v_step > 0):
             raise ConfigError("sweep requires 0 < v_start < v_stop and v_step > 0")
+        # grid() holds round(steps) + 1 points; an infinite steps is never rounded
+        steps = (self.v_stop - self.v_start) / self.v_step
+        if steps < 3 and round(steps) + 1 < 4:
+            raise ConfigError(f"[sweep] v_start_v / v_stop_v / v_step_v give a grid of "
+                              f"{round(steps) + 1} points; a sweep needs >= 4")
         if not self.t_p or any(t <= 0 for t in self.t_p):
             raise ConfigError("sweep requires positive pulse widths")
         # a sweep file keys each curve by t_p * 1e6, so widths sharing a key

@@ -2,9 +2,8 @@
 
 Implements nonlinear least squares of delta(V_p) = y0 + A*[1/2 +
 arctan((log10 V_p - mu)/w)/pi] per curve or jointly across a pulse-width
-family with shared offsets, plus coercive-voltage markers and affine
-mapping between observables. A fit stores (y0, A, mu, w); V50 = 10**mu is
-derived from mu, never stored.
+family with shared offsets, plus coercive-voltage markers. A fit stores
+(y0, A, mu, w); V50 = 10**mu is derived from mu, never stored.
 
 Every fit runs through one numpy engine, ``_varpro``: variable projection
 (Golub & Pereyra 1973) eliminates the linear (y0, A), and Levenberg-Marquardt
@@ -86,25 +85,12 @@ class CurveMarkers:
     vc_elec: float | None = None
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """target = gain * source + offset with coefficient of determination."""
-
-    gain: float
-    offset: float
-    r_squared: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.r_squared <= 1.0):
-            raise ConfigError("AffineMap requires 0 <= r_squared <= 1")
-
-
 def _block_mean(block):
     """Mean taken about the first sample: equal samples average to themselves."""
     return block[0] + (block - block[0]).sum() / block.size
 
 
-def _isotonic_level_set(z, level):
+def _isotonic_level_set(z, level, monotone):
     """Where the least-squares non-decreasing fit to ``z`` meets ``level``.
 
     Returns (t, u, left, right), or None when the sums below overflow: the
@@ -112,14 +98,16 @@ def _isotonic_level_set(z, level):
     u on, and left(i) and right(i) are its values at samples i - 1 and i for
     a boundary i of its level sets, 0 and len(z) included.
 
-    Where z never decreases the fit is z, read by a binary search, which is
-    exact where rounding would tie the sums. Otherwise {fit >= level} is the
-    suffix z[t:] that maximizes sum(z[t:] - level) and {fit > level} is the
-    shortest such suffix (Barlow et al. 1972): t and u are the first and the
-    last minimizer of the prefix sums p of z - level, p[0] = 0, left(i) is
-    the largest mean of a block z[s:i] and right(i) the smallest of z[i:e].
+    ``monotone`` is ``(z[1:] >= z[:-1]).all()``, taken once by a caller that
+    reads several levels. Where z never decreases the fit is z, read by a
+    binary search that takes no sums, exact where rounding would tie them.
+    Otherwise {fit >= level} is the suffix z[t:] that maximizes
+    sum(z[t:] - level) and {fit > level} is the shortest such suffix (Barlow
+    et al. 1972): t and u are the first and the last minimizer of the prefix
+    sums p of z - level, p[0] = 0, left(i) is the largest mean of a block
+    z[s:i] and right(i) the smallest of z[i:e].
     """
-    if (z[1:] >= z[:-1]).all():
+    if monotone:
         t, u = int(z.searchsorted(level, "left")), int(z.searchsorted(level, "right"))
         return t, u, lambda i: z[i - 1], lambda i: z[i]
 
@@ -151,10 +139,12 @@ def _default_init(x, y):
     """
     rising = y[-1] >= y[0]
     z = y if rising else -y
+    monotone = (z[1:] >= z[:-1]).all()
+    levels = _isotonic_level_set(z, 0.0, monotone)
     # sums or a span past the float range make the cost overflow at any seed
-    if not np.isfinite(np.cumsum(z)[-1]):
+    if levels is None or monotone and not np.isfinite(np.cumsum(z)[-1]):
         raise FitError(_DIVERGED)
-    _, _, left, right = _isotonic_level_set(z, 0.0)  # the same sums: not None
+    _, _, left, right = levels
     first, last = right(0), left(z.size)
     span = last - first
     if not np.isfinite(span):
@@ -163,7 +153,7 @@ def _default_init(x, y):
         raise RankError("flat curve: span seed is zero")
 
     def crossing(level):
-        levels = _isotonic_level_set(z, level)
+        levels = _isotonic_level_set(z, level, monotone)
         if levels is None:
             raise FitError(_DIVERGED)
         t, u, left, right = levels
@@ -541,7 +531,7 @@ def _isotonic_crossing(v, y, level):
     z = y - level
     if y[-1] < y[0]:
         z = -z
-    levels = _isotonic_level_set(z, 0.0)
+    levels = _isotonic_level_set(z, 0.0, (z[1:] >= z[:-1]).all())
     if levels is not None:
         t, u, left, right = levels
         if t < u:
@@ -569,41 +559,3 @@ def curve_markers(curve):
     except MarkerAbsentError:
         vc = None
     return CurveMarkers(vc_mech=vc) if displacement else CurveMarkers(vc_elec=vc)
-
-
-def affine_map_fit(source, target):
-    """Ordinary least squares of target values on source values.
-
-    Curves are resampled by linear interpolation onto the coarser grid over
-    the overlap of their voltage spans; no extrapolation is performed.
-    """
-    if np.array_equal(source.v_p, target.v_p):
-        s, t = source.values, target.values
-    else:
-        lo = max(source.v_p[0], target.v_p[0])
-        hi = min(source.v_p[-1], target.v_p[-1])
-        if not hi > lo:
-            raise DomainError("curves share no voltage overlap")
-        coarse, fine = source, target
-        if target.n_samples < source.n_samples:
-            coarse, fine = target, source
-        mask = (coarse.v_p >= lo) & (coarse.v_p <= hi)
-        grid = coarse.v_p[mask]
-        if grid.size < 2:
-            raise DomainError("voltage overlap holds fewer than 2 samples")
-        s = np.interp(grid, source.v_p, source.values)
-        t = np.interp(grid, target.v_p, target.values)
-
-    ds = s - s.mean()
-    sxx = float(ds @ ds)
-    if sxx == 0.0:
-        raise RankError("constant source curve cannot be regressed on")
-    gain = float(ds @ (t - t.mean())) / sxx
-    offset = float(t.mean() - gain * s.mean())
-    ss_res = float(np.sum((t - (gain * s + offset)) ** 2))
-    ss_tot = float(np.sum((t - t.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return AffineMap(gain=gain, offset=offset, r_squared=min(1.0, max(0.0, r2)))

@@ -249,16 +249,6 @@ def threshold_pdf(dist, x):
     return _as_float_or_array(f)
 
 
-def displacement_of_fraction(y0, a, s):
-    """Displacement of a partially switched state: delta = y0 + A * S (nm)."""
-    ss = np.asarray(s, dtype=float)
-    # fmin and fmax skip NaN: a NaN S passes, as under elementwise comparisons
-    if (np.fmin.reduce(ss, axis=None, initial=math.inf) < 0
-            or np.fmax.reduce(ss, axis=None, initial=-math.inf) > 1):
-        raise DomainError("displacement_of_fraction requires 0 <= S <= 1")
-    return _as_float_or_array(y0 + a * ss)
-
-
 def lorentzian_displacement(y0, a, mu, w, v_p):
     """Full transfer function delta(V_p) = y0 + A * S(V_p) for given (mu, w)."""
     dist = ThresholdDistribution(mu, w)

@@ -16,6 +16,9 @@ each grid point by one boundary search (``run_protocol_sweep``).
 A read is an affine function of the down fraction: displacement plus
 optional Gaussian noise, or the polarization change. The ensemble is never
 mutated.
+
+``simulate_sweeps``, the one entry point the CLI uses, draws a run
+configuration's ensemble and sweeps it at each of its pulse widths.
 """
 
 import math
@@ -301,3 +304,15 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
 
     return SwitchCurve(t_p=proto.write_pulse.width, v_p=grid, values=values,
                        observable_kind=observable_kind)
+
+
+def simulate_sweeps(cfg):
+    """One ``SwitchCurve`` per width in ``cfg.sweep.t_p``: the ensemble drawn
+    from ``cfg.seed``, swept over ``cfg.sweep.grid()`` by
+    ``cfg.protocol_for(t_p)``, with read noise keyed by the seed and width."""
+    grid = cfg.sweep.grid()
+    ensemble = sample_ensemble(cfg.ensemble_n, cfg.ensemble_mu_star, cfg.ensemble_w,
+                               cfg.kinetics, cfg.seed)
+    return [run_protocol_sweep(ensemble, cfg.protocol_for(t_p), grid, cfg.device,
+                               observable_kind=cfg.sweep.observable_kind, p_r=cfg.sweep.p_r)
+            for t_p in cfg.sweep.t_p]

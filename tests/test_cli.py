@@ -485,11 +485,14 @@ class TestExitCodes:
         ("kinetics", "alpha = 0.001", "[kinetics] alpha: 0.001 puts ln(width / tau_inf)"
                                       "**(1/alpha) past the float range at width 1e-05 s"),
         ("kinetics", "alpha = 0.005\ntau_inf_s = 9.99e-6", "[kinetics] alpha: 0.005 puts"),
+        ("sweep", "v_step_v = 5", "[sweep] v_start_v / v_stop_v / v_step_v give a grid of "
+                                  "3 points; a sweep needs >= 4"),
     ], ids=["duplicate-t_p_us", "t_p_us-at-tau_inf", "reset_width_s-at-tau_inf",
-            "divisor-past-the-floats", "divisor-past-the-floats-near-tau_inf"])
+            "divisor-past-the-floats", "divisor-past-the-floats-near-tau_inf",
+            "grid-under-4-points"])
     def test_pulse_width_rejected_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                   section, line, message):
-        monkeypatch.setattr("ferrocal.cli.sample_ensemble", None)  # a call raises TypeError
+        monkeypatch.setattr("ferrocal.simulate.sample_ensemble", None)  # a call raises TypeError
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[{section}]\n{line}\n")
         assert main(["--out-dir", str(tmp_path), "simulate",
@@ -500,12 +503,24 @@ class TestExitCodes:
 
     def test_band_past_the_float_range_rejected_before_sampling(self, tmp_path, capsys,
                                                                monkeypatch):
-        monkeypatch.setattr("ferrocal.cli.sample_ensemble", None)  # a call raises TypeError
+        monkeypatch.setattr("ferrocal.simulate.sample_ensemble", None)  # a call raises TypeError
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[ensemble]\nw = 1e308\n")
         assert main(["--out-dir", str(tmp_path), "simulate",
                      "--config", str(cfg), "--out", "x.csv"]) == 2
         assert "[ensemble] w: 1e+308 makes the band" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_ensemble_past_the_address_space_is_runtime_error(self, tmp_path, capsys):
+        # 10^15 float64 thresholds are 7.11 PiB, more than the 128 TiB user
+        # address space of x86-64 Linux: the allocation fails before any
+        # memory is touched
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text("[ensemble]\nn = 1000000000000000\n")
+        assert main(["--out-dir", str(tmp_path), "simulate",
+                     "--config", str(cfg), "--out", "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ferrocal: error: out of memory") and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_wide_ensemble_simulates_without_warnings(self, tmp_path, capsys):

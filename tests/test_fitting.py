@@ -9,7 +9,7 @@ from scipy.optimize import least_squares
 from ferrocal import fitting
 from ferrocal import (AmbiguousMarkerError, ConfigError, DomainError, FerrocalError, FitError,
                       LorentzianFit,
-                      MarkerAbsentError, RankError, SwitchCurve, affine_map_fit,
+                      MarkerAbsentError, RankError, SwitchCurve,
                       curve_markers, fit_family, fit_lorentzian_cdf, lorentzian_displacement,
                       polarization_change_of_fraction, switched_fraction_cdf,
                       ThresholdDistribution)
@@ -708,54 +708,6 @@ class TestMarkers:
         assert m.vc_mech is not None and m.vc_elec is None
         flat = SwitchCurve(t_p=1e-4, v_p=[1.0, 2.0], values=[1.0, 2.0])
         assert curve_markers(flat).vc_mech is None
-
-
-class TestAffineMapFit:
-    def test_exact_affine_relation(self):
-        v = np.linspace(1, 9, 100)
-        src = SwitchCurve(t_p=1e-4, v_p=v, values=np.sin(v))
-        dst = SwitchCurve(t_p=1e-4, v_p=v, values=2 * np.sin(v) + 3)
-        m = affine_map_fit(src, dst)
-        assert m.gain == pytest.approx(2.0, rel=1e-12)
-        assert m.offset == pytest.approx(3.0, rel=1e-12)
-        assert m.r_squared == pytest.approx(1.0, abs=1e-15)
-
-    def test_shared_transfer_function_maps_exactly(self):
-        t_p, y0, a, mu, w = ROW_500US[:5]
-        s = switched_fraction_cdf(ThresholdDistribution(mu, w), DENSE_GRID)
-        delta = SwitchCurve(t_p=t_p, v_p=DENSE_GRID, values=y0 + a * s)
-        dp = SwitchCurve(t_p=t_p, v_p=DENSE_GRID,
-                         values=polarization_change_of_fraction(20.0, s),
-                         observable_kind="polarization_change")
-        assert affine_map_fit(delta, dp).r_squared == pytest.approx(1.0, abs=1e-12)
-
-    def test_noisy_observables_stay_strongly_correlated(self):
-        t_p, y0, a, mu, w = ROW_500US[:5]
-        s = switched_fraction_cdf(ThresholdDistribution(mu, w), DENSE_GRID)
-        for seed in range(20):
-            rng = np.random.default_rng(2000 + seed)
-            delta = SwitchCurve(t_p=t_p, v_p=DENSE_GRID,
-                                values=y0 + a * s + rng.normal(0, 0.4, s.size))
-            dp = SwitchCurve(t_p=t_p, v_p=DENSE_GRID,
-                             values=polarization_change_of_fraction(20.0, s)
-                             + rng.normal(0, 0.5, s.size),
-                             observable_kind="polarization_change")
-            assert affine_map_fit(delta, dp).r_squared > 0.99
-
-    def test_resampling_onto_coarser_grid(self):
-        fine = SwitchCurve(t_p=1e-4, v_p=np.linspace(1, 9, 400),
-                           values=np.linspace(0, 1, 400))
-        coarse = SwitchCurve(t_p=1e-4, v_p=np.linspace(2, 8, 40),
-                             values=5 * np.linspace(2, 8, 40) / 8)
-        m = affine_map_fit(fine, coarse)
-        assert m.r_squared == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_source_rank_error(self):
-        v = np.linspace(1, 9, 50)
-        src = SwitchCurve(t_p=1e-4, v_p=v, values=np.full(50, 1.0))
-        dst = SwitchCurve(t_p=1e-4, v_p=v, values=np.linspace(0, 1, 50))
-        with pytest.raises(RankError):
-            affine_map_fit(src, dst)
 
 
 class TestLorentzianFitType:

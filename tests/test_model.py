@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ferrocal import (ConfigError, DomainError, MerzKinetics, NlsSpec,
-                      ThresholdDistribution, displacement_of_fraction,
-                      lorentzian_displacement, nls_switched_fraction, switched_fraction_cdf,
+                      ThresholdDistribution, lorentzian_displacement,
+                      nls_switched_fraction, switched_fraction_cdf,
                       tau_of_voltage, threshold_pdf, threshold_quantile, threshold_voltage)
 from ferrocal.model import TRUNCATION_HALF_WIDTHS
 
@@ -255,20 +255,6 @@ class TestThresholdPdf:
         h = 1e-5
         num = (switched_fraction_cdf(d, 10 ** (x + h)) - switched_fraction_cdf(d, 10 ** (x - h))) / (2 * h)
         assert np.max(np.abs(num / threshold_pdf(d, x) - 1)) < 1e-6
-
-
-class TestDisplacementOfFraction:
-    def test_endpoints(self):
-        assert displacement_of_fraction(-19.0, 24.0, 0.0) == -19.0
-        assert displacement_of_fraction(-19.0, 24.0, 1.0) == 5.0
-
-    def test_published_midpoint(self):
-        _, y0, a = ROW_500US[:3]
-        assert displacement_of_fraction(y0, a, 0.5) == pytest.approx(-7.0106, abs=1e-10)
-
-    def test_fraction_outside_unit_interval_rejected(self):
-        with pytest.raises(DomainError):
-            displacement_of_fraction(0.0, 1.0, 1.5)
 
 
 class TestNlsSwitchedFraction:

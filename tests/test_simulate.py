@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ferrocal import (ConfigError, DeviceCalibration, DomainError, HysteronEnsemble,
-                      MerzKinetics, SwitchCurve, TriangularPulse, WriteProtocol, affine_map_fit,
-                      curve_markers, run_protocol_sweep, sample_ensemble,
+                      MerzKinetics, SwitchCurve, TriangularPulse, WriteProtocol,
+                      curve_markers, run_protocol_sweep, sample_ensemble, simulate_sweeps,
                       switched_fraction_cdf, ThresholdDistribution, thresholds_at)
+from ferrocal.config import RunConfig
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_MODEL_ZERO_CROSSING,
                      PUB_TAU_INF, ROW_500US)
@@ -349,13 +350,39 @@ class TestRunProtocolSweep:
         delta = run_protocol_sweep(ensemble, proto, grid, CAL)
         dp = run_protocol_sweep(ensemble, proto, grid, CAL,
                                 observable_kind="polarization_change", p_r=20.0)
-        fit = affine_map_fit(delta, dp)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        s_delta = (delta.values - CAL.delta_min) / CAL.span
+        s_dp = dp.values / (2 * 20.0) + 0.5
+        assert s_delta[0] == 0 and s_delta[-1] > 0.9  # the grid spans the transition
+        np.testing.assert_allclose(s_dp, s_delta, rtol=1e-12)
 
     def test_polarization_requires_p_r(self, ensemble):
         with pytest.raises(ConfigError):
             run_protocol_sweep(ensemble, std_protocol(200e-6), np.linspace(1, 9, 10), CAL,
                                observable_kind="polarization_change")
+
+
+class TestSimulateSweeps:
+    @pytest.mark.parametrize("kind", ["displacement", "polarization_change"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [11, 3])
+    def test_equals_the_per_width_loop(self, seed, sigma, kind):
+        # the default config at a small n: each width's curve is the sweep
+        # of one shared ensemble drawn from the run seed
+        base = RunConfig()
+        cfg = replace(base, seed=seed, ensemble_n=2000,
+                      device=replace(base.device, read_noise_sigma=sigma),
+                      sweep=replace(base.sweep, observable_kind=kind))
+        ens = sample_ensemble(cfg.ensemble_n, cfg.ensemble_mu_star, cfg.ensemble_w,
+                              cfg.kinetics, seed)
+        grid = cfg.sweep.grid()
+        want = [run_protocol_sweep(ens, cfg.protocol_for(t_p), grid, cfg.device, seed=seed,
+                                   observable_kind=kind, p_r=cfg.sweep.p_r)
+                for t_p in cfg.sweep.t_p]
+        got = simulate_sweeps(cfg)
+        assert len(got) == len(want) == 5
+        for g, w in zip(got, want):
+            assert (g.t_p, g.observable_kind) == (w.t_p, w.observable_kind)
+            assert np.array_equal(g.v_p, w.v_p) and np.array_equal(g.values, w.values)
 
 
 class TestSwitchCurve:
