@@ -25,8 +25,8 @@ from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weig
                      s0_filter, s0_filter_with_margin)
 from .model import MAX_DAC_BITS, DeviceCalibration
 from .simulate import simulate_sweeps
-from .sweepio import (emit_fit_report, emit_levels_csv, emit_merz_report, emit_plotdata,
-                      emit_sweep_csv, fit_report_header, parse_fit_report,
+from .sweepio import (_tp_label, emit_fit_report, emit_levels_csv, emit_merz_report,
+                      emit_plotdata, emit_sweep_csv, fit_report_header, parse_fit_report,
                       parse_sweep_csv)
 
 EXIT_OK = 0
@@ -116,7 +116,7 @@ def cmd_levels(args):
     for curve in curves:
         levelset = (s0_filter(curve) if args.margin is None
                     else s0_filter_with_margin(curve, args.margin))
-        label = f"{curve.t_p * 1e6:g}us"
+        label = _tp_label(curve.t_p)
         emit_levels_csv(out / f"levels_{label}.csv", levelset)
         emit_plotdata("staircase", levelset, out / f"staircase_{label}")
         print(f"t_p = {label}: kept {levelset.count} of {levelset.source_count} samples")
@@ -141,10 +141,9 @@ def cmd_simulate(args):
 def cmd_program(args):
     out = _out_dir(args)
     rows = parse_fit_report(args.fits)
-    lo, hi = args.dac_range
     # only the DAC fields matter for programming; the rest is placeholder
     cal = DeviceCalibration(delta_min=0.0, delta_max=1.0,
-                            dac_bits=args.dac_bits, dac_range=(lo, hi))
+                            dac_bits=args.dac_bits, dac_range=args.dac_range)
     # every row is computed before the file is opened, so a rejected target
     # leaves no partial table behind
     lines = []

@@ -11,14 +11,15 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DomainError, first_non_utf8
 from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics
 from .simulate import TriangularPulse, WriteProtocol, _threshold_divisor
 
 _KNOWN_KEYS = {
     "run": {"seed"},
-    "device": {"delta_min_nm", "delta_max_nm", "read_noise_sigma_nm", "dac_bits",
-               "dac_vmin_v", "dac_vmax_v"},
+    "device": {"delta_min_nm", "delta_max_nm", "read_noise_sigma_nm"},
     "protocol": {"reset_peak_v", "reset_width_s", "reset_count",
                  "write_peak_v", "write_count"},
     "ensemble": {"n", "mu_star", "w"},
@@ -41,11 +42,16 @@ class SweepPlan:
     def __post_init__(self):
         if not (self.v_stop > self.v_start > 0 and self.v_step > 0):
             raise ConfigError("sweep requires 0 < v_start < v_stop and v_step > 0")
-        # grid() holds round(steps) + 1 points; an infinite steps is never rounded
+        # grid() holds round(steps) + 1 float64s (an infinite steps is never rounded);
+        # numpy refuses an array of more bytes than an intp holds with a ValueError
         steps = (self.v_stop - self.v_start) / self.v_step
-        if steps < 3 and round(steps) + 1 < 4:
+        points = round(steps) + 1 if steps < math.inf else math.inf
+        most = np.iinfo(np.intp).max // 8
+        if not 4 <= points <= most:
             raise ConfigError(f"[sweep] v_start_v / v_stop_v / v_step_v give a grid of "
-                              f"{round(steps) + 1} points; a sweep needs >= 4")
+                              f"{points:.4g} points; a sweep needs >= 4 and <= {most}")
+        if not math.isfinite(2.0 * self.p_r):
+            raise ConfigError(f"[sweep] p_r_uC_cm2: {self.p_r!r} makes 2 * P_r overflow")
         if not self.t_p or any(t <= 0 for t in self.t_p):
             raise ConfigError("sweep requires positive pulse widths")
         # a sweep file keys each curve by t_p * 1e6, so widths sharing a key
@@ -54,8 +60,6 @@ class SweepPlan:
             raise ConfigError("sweep requires distinct pulse widths (t_p_us)")
 
     def grid(self):
-        import numpy as np
-
         n = int(round((self.v_stop - self.v_start) / self.v_step)) + 1
         return self.v_start + self.v_step * np.arange(n)
 
@@ -93,12 +97,12 @@ class RunConfig:
         )
 
 
-def _float(section, key, raw):
+def _cast(section, key, raw, cast=float):
     try:
-        value = float(raw)
+        value = cast(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
-    if not math.isfinite(value):
+    if cast is float and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: {raw.strip()!r} is not a finite number")
     return value
 
@@ -106,13 +110,7 @@ def _float(section, key, raw):
 def _get(parser, section, key, cast, default):
     if not parser.has_option(section, key):
         return default
-    raw = parser.get(section, key)
-    if cast is float:
-        return _float(section, key, raw)
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+    return _cast(section, key, parser.get(section, key), cast)
 
 
 def _floats(parser, section, key):
@@ -120,7 +118,7 @@ def _floats(parser, section, key):
     raw = parser.get(section, key, fallback="")
     if not raw:
         return None
-    return tuple(_float(section, key, tok) for tok in raw.split(",") if tok.strip())
+    return tuple(_cast(section, key, tok) for tok in raw.split(",") if tok.strip())
 
 
 def load_config(path):
@@ -146,17 +144,13 @@ def load_config(path):
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
     defaults = RunConfig()
-    device = DeviceCalibration(
-        delta_min=_get(parser, "device", "delta_min_nm", float, defaults.device.delta_min),
-        delta_max=_get(parser, "device", "delta_max_nm", float, defaults.device.delta_max),
-        read_noise_sigma=_get(parser, "device", "read_noise_sigma_nm", float,
-                              defaults.device.read_noise_sigma),
-        dac_bits=_get(parser, "device", "dac_bits", int, defaults.device.dac_bits),
-        dac_range=(
-            _get(parser, "device", "dac_vmin_v", float, defaults.device.dac_range[0]),
-            _get(parser, "device", "dac_vmax_v", float, defaults.device.dac_range[1]),
-        ),
-    )
+    delta_min = _get(parser, "device", "delta_min_nm", float, defaults.device.delta_min)
+    delta_max = _get(parser, "device", "delta_max_nm", float, defaults.device.delta_max)
+    if not math.isfinite(delta_max - delta_min):
+        raise ConfigError(f"[device] delta_min_nm / delta_max_nm: the span "
+                          f"{delta_max!r} - ({delta_min!r}) overflows")
+    device = DeviceCalibration(delta_min, delta_max, _get(
+        parser, "device", "read_noise_sigma_nm", float, defaults.device.read_noise_sigma))
     kinetics = MerzKinetics(
         alpha=_get(parser, "kinetics", "alpha", float, defaults.kinetics.alpha),
         tau_inf=_get(parser, "kinetics", "tau_inf_s", float, defaults.kinetics.tau_inf),

@@ -171,9 +171,13 @@ def s0_filter_with_margin(curve, margin):
 
 
 def dac_code_voltages(cal):
-    """All 2**bits code voltages, uniformly spaced across dac_range inclusive."""
+    """All 2**bits code voltages, each equal to ``dac_voltage`` of its code."""
     lo, hi = cal.dac_range
-    return np.linspace(lo, hi, 2 ** int(cal.dac_bits))
+    v = np.arange(2 ** int(cal.dac_bits), dtype=float)
+    v *= hi - lo
+    v /= v.size - 1
+    v += lo
+    return v
 
 
 def dac_nearest_code(cal, v_p):
@@ -185,7 +189,7 @@ def dac_nearest_code(cal, v_p):
 
 
 def dac_voltage(cal, code):
-    """Voltage of one DAC code."""
+    """Voltage of one DAC code k: lo + (hi - lo) * k / (2**bits - 1)."""
     lo, hi = cal.dac_range
     ncodes = 2 ** int(cal.dac_bits)
     return lo + (hi - lo) * code / (ncodes - 1)

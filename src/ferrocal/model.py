@@ -117,8 +117,9 @@ class DeviceCalibration:
     dac_range: tuple = (0.5, 9.0)
 
     def __post_init__(self):
-        if not self.delta_max > self.delta_min:
-            raise ConfigError("DeviceCalibration requires delta_max > delta_min")
+        # 0 < span holds exactly when delta_max > delta_min, NaN failing both
+        if not 0 < self.span < math.inf:
+            raise ConfigError("DeviceCalibration requires 0 < delta_max - delta_min < inf")
         if self.read_noise_sigma < 0:
             raise ConfigError("read_noise_sigma must be >= 0")
         if not 1 <= int(self.dac_bits) <= MAX_DAC_BITS:

@@ -29,9 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, first_non_utf8
+from .errors import ConfigError, DomainError, ParseError, first_non_utf8
 from .fitting import LorentzianFit
 from .kinetics import master_curve
+from .model import ThresholdDistribution, threshold_pdf
 from .simulate import SwitchCurve
 
 _VALUE_COLUMNS = {"displacement": "delta_nm", "polarization_change": "dP_uC_cm2"}
@@ -189,11 +190,13 @@ def parse_sweep_csv(path):
 
 
 def emit_sweep_csv(path, curves):
-    """Write curves to one sweep CSV (all curves must share an observable kind)."""
+    """Write curves of one observable kind, all values finite, to one sweep CSV."""
     kinds = {c.observable_kind for c in curves}
     if len(kinds) != 1:
         raise ConfigError("all curves in one sweep file must share an observable kind")
     column = _VALUE_COLUMNS[kinds.pop()]
+    if not all(np.isfinite(curve.values).all() for curve in curves):
+        raise DomainError("a sweep holds a non-finite value, which no sweep file may hold")
     # the curves of a family usually share one grid: its text is made once.
     # Grids are compared by their bits, since -0.0 == 0.0 but prints apart
     bits = v_text = None
@@ -330,8 +333,6 @@ def emit_plotdata(kind, payload, out_dir):
                  ["V_p_V", "value", "model"],
                  [curve.v_p, curve.values, fit.displacement(curve.v_p)])
     elif kind == "pdf":
-        from .model import threshold_pdf, ThresholdDistribution
-
         for fit in payload:
             dist = ThresholdDistribution(fit.mu, fit.w)
             x = np.linspace(fit.mu - 10 * fit.w, fit.mu + 10 * fit.w, 1001)

@@ -452,6 +452,9 @@ class TestExitCodes:
         ("merz", "search_hi = -10"),
         ("levels", "margin_nm = 0.09"),
         ("levels", "targets = 0.25,0.5,0.75"),
+        ("device", "dac_bits = 18"),
+        ("device", "dac_vmin_V = 0.5"),
+        ("device", "dac_vmax_V = 9.0"),
     ], ids=lambda v: v.split(" =")[0])
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, section, line):
         cfg = tmp_path / "bad.ini"
@@ -487,9 +490,20 @@ class TestExitCodes:
         ("kinetics", "alpha = 0.005\ntau_inf_s = 9.99e-6", "[kinetics] alpha: 0.005 puts"),
         ("sweep", "v_step_v = 5", "[sweep] v_start_v / v_stop_v / v_step_v give a grid of "
                                   "3 points; a sweep needs >= 4"),
+        # numpy cannot size these grids: a ValueError or OverflowError, not a MemoryError
+        ("sweep", "v_step_v = 1e-300", "[sweep] v_start_v / v_stop_v / v_step_v give a grid "
+                                       "of 8.5e+300 points; a sweep needs >= 4 and <= "),
+        ("sweep", "v_step_v = 5e-324", "give a grid of inf points; a sweep needs >= 4 and <= "),
+        ("sweep", "v_stop_v = 1e308", "give a grid of inf points; a sweep needs >= 4 and <= "),
+        # each would write a sweep file of NaN or -inf that ``fit`` rejects
+        ("device", "delta_min_nm = -1e308\ndelta_max_nm = 1e308",
+         "[device] delta_min_nm / delta_max_nm: the span 1e+308 - (-1e+308) overflows"),
+        ("sweep", "observable = polarization_change\np_r_uC_cm2 = 1e308",
+         "[sweep] p_r_uC_cm2: 1e+308 makes 2 * P_r overflow"),
     ], ids=["duplicate-t_p_us", "t_p_us-at-tau_inf", "reset_width_s-at-tau_inf",
             "divisor-past-the-floats", "divisor-past-the-floats-near-tau_inf",
-            "grid-under-4-points"])
+            "grid-under-4-points", "grid-past-the-floats", "grid-step-count-inf",
+            "grid-stop-at-1e308", "span-overflow", "polarization-overflow"])
     def test_pulse_width_rejected_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                   section, line, message):
         monkeypatch.setattr("ferrocal.simulate.sample_ensemble", None)  # a call raises TypeError
@@ -521,6 +535,28 @@ class TestExitCodes:
                      "--config", str(cfg), "--out", "x.csv"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ferrocal: error: out of memory") and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_past_the_address_space_is_runtime_error(self, tmp_path, capsys):
+        # 8.5e15 points fit numpy's size type but, at 60.4 PiB, no address
+        # space: the allocation fails before any memory is touched
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text("[sweep]\nv_step_v = 1e-15\n")
+        assert main(["--out-dir", str(tmp_path), "simulate",
+                     "--config", str(cfg), "--out", "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ferrocal: error: out of memory") and "Traceback" not in err
+
+    def test_non_finite_read_is_refused_before_writing(self, tmp_path, capsys):
+        # a normal draw of sigma = 1e308 past 1.8 sigma is inf; fit would
+        # reject the file, so simulate writes none
+        cfg = tmp_path / "noisy.ini"
+        cfg.write_text("[device]\nread_noise_sigma_nm = 1e308\n\n[ensemble]\nn = 2000\n\n"
+                       "[sweep]\nv_step_v = 0.05\n")
+        assert main(["--out-dir", str(tmp_path), "simulate",
+                     "--config", str(cfg), "--out", "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ferrocal: error: a sweep holds a non-finite value")
         assert not (tmp_path / "x.csv").exists()
 
     def test_wide_ensemble_simulates_without_warnings(self, tmp_path, capsys):
@@ -600,6 +636,67 @@ class TestReadmeConfig:
         # t_p_us is scaled by 1e-6, which moves 10 us by an ulp
         assert cfg.sweep.t_p == pytest.approx(defaults.sweep.t_p, rel=1e-12, abs=0.0)
         assert replace(cfg, sweep=replace(cfg.sweep, t_p=defaults.sweep.t_p)) == defaults
+
+
+def simulated_bytes(tmp_path, settings):
+    """The sweep file ``simulate`` writes for {(section, key): value}."""
+    sections = {}
+    for (section, key), value in settings.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items()))
+    assert main(["--out-dir", str(tmp_path), "simulate",
+                 "--config", str(cfg), "--out", "x.csv"]) == 0
+    return (tmp_path / "x.csv").read_bytes()
+
+
+class TestEveryConfigKeyIsRead:
+    """A key that no valid value lets change the sweep file is dead weight."""
+
+    BASE = {("ensemble", "n"): "2000", ("sweep", "v_step_v"): "0.05"}
+    # units start up-poled, so the reset changes the sweep only when it is
+    # the down-poling pulse: a positive reset and a negative write
+    WRITE_UP = {("protocol", "reset_peak_v"): "9.0", ("protocol", "write_peak_v"): "-5.0"}
+    POLARIZATION = {("sweep", "observable"): "polarization_change"}
+    # (context set in both runs, the value that changes the file)
+    CHANGES = {
+        ("run", "seed"): ({}, "7"),
+        ("device", "delta_min_nm"): ({}, "-20"),
+        ("device", "delta_max_nm"): ({}, "6"),
+        ("device", "read_noise_sigma_nm"): ({}, "0.05"),
+        ("protocol", "reset_peak_v"): (WRITE_UP, "6.0"),
+        ("protocol", "reset_width_s"): (WRITE_UP, "10e-6"),
+        ("ensemble", "n"): ({}, "3000"),
+        ("ensemble", "mu_star"): ({}, "1.0"),
+        ("ensemble", "w"): ({}, "0.05"),
+        ("kinetics", "alpha"): ({}, "3.0"),
+        ("kinetics", "tau_inf_s"): ({}, "1e-13"),
+        ("sweep", "v_start_v"): ({}, "0.55"),
+        ("sweep", "v_stop_v"): ({}, "8.0"),
+        ("sweep", "v_step_v"): ({}, "0.1"),
+        ("sweep", "t_p_us"): ({}, "10, 500"),
+        ("sweep", "observable"): ({}, "polarization_change"),
+        ("sweep", "p_r_uc_cm2"): (POLARIZATION, "10.0"),
+    }
+    # keys that no valid value lets change the file, and why
+    NO_OPS = {
+        ("protocol", "reset_count"): "a repeated identical pulse flips nothing new",
+        ("protocol", "write_count"): "a repeated identical pulse flips nothing new",
+        # its magnitude is unread (each write's amplitude is the grid V_p),
+        # and its sign must oppose reset_peak_v's
+        ("protocol", "write_peak_v"): "its value follows from reset_peak_v",
+    }
+    KEYS = {(section, key) for section, keys in _KNOWN_KEYS.items() for key in keys}
+
+    def test_every_key_is_listed_once(self):
+        assert set(self.CHANGES) | set(self.NO_OPS) == self.KEYS
+        assert not set(self.CHANGES) & set(self.NO_OPS)
+
+    @pytest.mark.parametrize("key", sorted(KEYS - set(NO_OPS)), ids="/".join)
+    def test_key_changes_the_sweep_file(self, tmp_path, key):
+        context, value = self.CHANGES[key]
+        base = {**self.BASE, **context}
+        assert simulated_bytes(tmp_path, base) != simulated_bytes(tmp_path, {**base, key: value})
 
 
 class TestConfigMuStar:

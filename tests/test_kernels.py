@@ -395,7 +395,8 @@ class TestDacCountOracle:
     def test_matches_greedy_scan(self, bits, y0, a, mu, log_w, margin):
         w = 10.0**log_w
         cal = DeviceCalibration(delta_min=y0, delta_max=y0 + a, dac_bits=bits)
-        codes = np.linspace(*cal.dac_range, 2**bits)
+        lo, hi = cal.dac_range
+        codes = lo + (hi - lo) * np.arange(2**bits) / (2**bits - 1)  # code k, as documented
         values = y0 + a * (0.5 + np.arctan((np.log10(codes) - mu) / w) / np.pi)
         expected = len(naive_monotone_scan(values.tolist(), margin, margin > 0))
         fit = LorentzianFit(y0=y0, a=a, mu=mu, w=w, rms_residual=0.0, t_p=500e-6)

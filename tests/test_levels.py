@@ -139,6 +139,20 @@ class TestDacHelpers:
         assert v.size == 16
         assert v[0] == 0.5 and v[-1] == 9.0
 
+    @pytest.mark.parametrize("bits", range(1, 25))
+    def test_code_voltages_are_dac_voltage(self, bits):
+        # one formula: the grid holds dac_voltage of every code, bit for bit
+        cal = replace(CAL_18BIT, dac_bits=bits)
+        v = dac_code_voltages(cal)
+        assert v.size == 2**bits
+        block = 1 << 20
+        for start in range(0, v.size, block):
+            k = np.arange(start, min(start + block, v.size))
+            assert np.array_equal(dac_voltage(cal, k), v[k])
+        # the scalar calls that program makes, on up to 4097 codes per width
+        for code in [*range(0, v.size, max(1, v.size >> 12)), v.size - 1]:
+            assert dac_voltage(cal, code) == v[code]
+
     def test_nearest_code_round_trip(self):
         cal = CAL_18BIT
         for code in (0, 1, 77, 2**18 - 1):
@@ -200,8 +214,10 @@ class TestProgramming:
     def test_round_trip_within_quantization_bound(self):
         halfstep = 0.5 * 8.5 / (2**18 - 1)
         dist = ThresholdDistribution(FIT_500US.mu, FIT_500US.w)
+        codes = dac_code_voltages(CAL_18BIT)
         for target in (0.1, 0.3, 0.5, 0.7, 0.9):
             v = program_voltage_for_weight(FIT_500US, target, CAL_18BIT)
+            assert v == codes[dac_nearest_code(CAL_18BIT, v)]
             slope = threshold_pdf(dist, math.log10(v)) / (v * math.log(10))
             assert abs(achieved_weight(FIT_500US, v) - target) <= slope * halfstep * (1 + 1e-6)
 

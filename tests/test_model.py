@@ -43,6 +43,8 @@ class TestDeviceCalibration:
         DeviceCalibration(**good)
         with pytest.raises(ConfigError):
             DeviceCalibration(**{**good, "delta_max": -20.0})
+        with pytest.raises(ConfigError, match="< inf"):  # the span overflows to inf
+            DeviceCalibration(delta_min=-1e308, delta_max=1e308)
         with pytest.raises(ConfigError):
             DeviceCalibration(**good, read_noise_sigma=-0.1)
         with pytest.raises(ConfigError):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ferrocal import (ConfigError, LevelSet, LorentzianFit, MerzRegression, ParseError,
-                      SwitchCurve, ThresholdDistribution, emit_fit_report, emit_plotdata,
-                      emit_sweep_csv, master_curve, parse_fit_report, parse_sweep_csv,
-                      s0_filter, threshold_pdf)
+from ferrocal import (ConfigError, DomainError, LevelSet, LorentzianFit, MerzRegression,
+                      ParseError, SwitchCurve, ThresholdDistribution, emit_fit_report,
+                      emit_plotdata, emit_sweep_csv, master_curve, parse_fit_report,
+                      parse_sweep_csv, s0_filter, threshold_pdf)
 from ferrocal.cli import main
 from ferrocal.kinetics import regress_mu_fixed_tau
 from ferrocal.sweepio import emit_merz_report
@@ -84,6 +84,15 @@ class TestSweepCsvRoundTrip:
                         observable_kind="polarization_change")
         with pytest.raises(ConfigError):
             emit_sweep_csv(tmp_path / "x.csv", [a, b])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_refused_before_the_file_is_opened(self, tmp_path, bad):
+        # parse_sweep_csv would reject the cell, so no such file may be begun
+        a = SwitchCurve(t_p=1e-4, v_p=[1.0, 2.0], values=[0.0, 1.0])
+        b = SwitchCurve(t_p=2e-4, v_p=[1.0, 2.0], values=[0.0, bad])
+        with pytest.raises(DomainError, match="non-finite"):
+            emit_sweep_csv(tmp_path / "x.csv", [a, b])
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSweepCsvParsing:
