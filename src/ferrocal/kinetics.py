@@ -58,8 +58,15 @@ class MerzRegression:
 
 
 def _split_points(points):
+    """The t_p and mu columns of (t_p, mu) pairs; ConfigError naming the
+    first non-finite one."""
     tp = np.asarray([p[0] for p in points], dtype=float)
     mu = np.asarray([p[1] for p in points], dtype=float)
+    finite = np.isfinite(tp) & np.isfinite(mu)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        name, value = ("t_p", tp.item(i)) if not math.isfinite(tp.item(i)) else ("mu", mu.item(i))
+        raise ConfigError(f"Merz point {i + 1} has a non-finite {name}: {value!r}")
     return tp, mu
 
 
@@ -93,7 +100,9 @@ def regress_mu_fixed_tau(points, tau_inf):
     tp, mu = _split_points(points)
     if tp.size < 3:
         raise ConfigError("regression requires >= 3 (t_p, mu) points")
-    if np.unique(tp).size != tp.size:
+    # sorted, not np.unique, which would import numpy.ma
+    ordered = np.sort(tp)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ConfigError("regression requires distinct t_p values")
     if np.any(tp <= tau_inf):
         raise DomainError("all t_p must exceed tau_inf")

@@ -7,17 +7,21 @@ order, derived from their position. A noise-margin variant requires each
 kept value to clear the last one by at least a given increment.
 
 DAC-limited level counts evaluate the noiseless fitted model on every DAC
-code voltage, in place in the array of code voltages, and run the margin
-scan over the result; programming inverts the transfer function at a target
-normalized weight and snaps to the nearest code.
+code voltage and run the margin scan over the result, one fixed-size block
+of codes at a time: the scan carries its state from block to block, so a
+count takes O(2**bits) time in memory that does not grow with the bits.
+Programming inverts the transfer function at a target normalized weight and
+snaps to the nearest code.
 
 When margin > 0 the margin scan jumps between kept values by binary search
 (over the running maximum where the values decrease, as noisy sweeps do), so
-a DAC count costs O(K log n) for K kept levels rather than a loop over all
-2**bits codes; ``_monotone_keep_mask`` shows it keeps what the loop keeps.
+its share of a DAC count costs O(K log n) for K kept levels rather than a
+loop over all 2**bits codes; ``_keep_masks`` shows it keeps what the loop
+keeps.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +29,10 @@ import numpy as np
 from .errors import ConfigError, DomainError, RangeError
 from .model import (_transfer, switched_fraction_cdf, threshold_quantile,
                     ThresholdDistribution)
+
+# DAC codes per block of a level count: its code offsets and values take
+# 256 KiB of float64 each, whatever the bits
+_DAC_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,10 +76,23 @@ def _sorted_samples(curve_or_arrays):
 
 
 def _monotone_keep_mask(values, margin, accept_equal):
-    """Greedy scan keeping values that rise by at least ``margin``.
+    """Greedy scan keeping values that rise by at least ``margin``: the
+    keep mask of ``_keep_masks`` over the whole sequence as one block."""
+    return next(_keep_masks([values], margin, accept_equal))
 
-    A value is kept when value - last_kept > margin, or == margin if
-    ``accept_equal``. The first value is always kept.
+
+def _keep_masks(blocks, margin, accept_equal):
+    """Keep mask of each block of one sequence under the greedy scan.
+
+    ``blocks`` are consecutive pieces of one sequence; the masks
+    are the whole sequence's mask cut the same way. A value is kept when
+    value - last_kept > margin, or == margin if ``accept_equal``. The first
+    value is always kept. From block to block the scan carries the last
+    kept value and the running maximum of every value before the block.
+
+    At margin 0 the last kept value is the running maximum (NaN included,
+    which then keeps nothing more), so the scan vectorizes as a prefix-max
+    comparison.
 
     For margin > 0 the scan jumps from one kept value to the next instead of
     visiting every sample. On input that never decreases the jump is exact:
@@ -88,54 +109,55 @@ def _monotone_keep_mask(values, margin, accept_equal):
     index, and the first sample that clears it is the first index where the
     running maximum does. A NaN first value leaves nothing else kept.
     """
-    n = len(values)
-    keep = np.zeros(n, dtype=bool)
-    if n == 0:
-        return keep
-    keep[0] = True
-    if margin == 0.0:
-        # last kept value == running max of everything seen, so the scan
-        # vectorizes as a prefix-max comparison
-        runmax = np.maximum.accumulate(values)
-        if accept_equal:
-            keep[1:] = values[1:] >= runmax[:-1]
-        else:
-            keep[1:] = values[1:] > runmax[:-1]
-        return keep
-    if np.isnan(values[0]):
-        return keep
-    if not np.all(values[1:] >= values[:-1]):
-        # copied only here: DAC code values never decrease, and there are 2**bits
-        values = np.fmax.accumulate(values)
-    i = _next_kept(values, 0, margin, accept_equal)
-    while i < n:
-        keep[i] = True
-        i = _next_kept(values, i, margin, accept_equal)
-    return keep
+    cmp = np.greater_equal if accept_equal else np.greater
+    last = run = None
+    for block in blocks:
+        keep = np.zeros(len(block), dtype=bool)
+        rest, out = block, keep
+        if run is None and keep.size:
+            keep[0] = True
+            last = run = block.item(0)
+            rest, out = block[1:], keep[1:]
+        if rest.size and margin == 0.0:
+            # last kept value == running max of everything seen
+            runmax = np.maximum.accumulate(rest)
+            np.maximum(runmax, run, out=runmax)
+            out[0] = cmp(rest[0], run)
+            cmp(rest[1:], runmax[:-1], out=out[1:])
+            run = runmax.item(-1)
+        elif rest.size and not math.isnan(last):
+            # a NaN last kept value can only be the first value
+            if not (rest[0] >= run and np.all(rest[1:] >= rest[:-1])):
+                # copied only here: DAC code values never decrease
+                rest = np.fmax.accumulate(rest)
+                np.fmax(rest, run, out=rest)
+            k = _next_kept(rest, last, 0, margin, accept_equal)
+            while k < rest.size:
+                out[k] = True
+                last = rest.item(k)
+                k = _next_kept(rest, last, k + 1, margin, accept_equal)
+            run = rest.item(-1)
+        yield keep
 
 
-def _next_kept(values, i, margin, accept_equal):
-    """First index after ``i`` that the margin scan keeps when values[i] is
-    the last kept value, or len(values) if none; ``values`` must not
-    decrease and ``margin`` must be positive."""
+def _next_kept(values, last, k, margin, accept_equal):
+    """First index from ``k`` on whose value clears ``last``, the last kept
+    value, or len(values) if none. ``values`` must not decrease, none of
+    values[:k] may exceed ``last``, and ``margin`` must be positive."""
+    # d > margin, or d == margin too if accept_equal; a NaN d fails both.
     # Python floats round as float64 does, and overflow or inf - inf never warns
-    last = values.item(i)
-
-    def clears(k):
-        d = values.item(k) - last
-        return d > margin or (accept_equal and d == margin)
-
+    clears = operator.ge if accept_equal else operator.gt
     n = len(values)
-    k = i + 1
-    if k == n or clears(k):
+    start = k
+    if k == n or clears(values.item(k) - last, margin):
         return k
     k = max(int(values.searchsorted(last + margin, side="left")), k)
     # the proposal is off by at most a few rounding steps; move it a run of
     # equal values at a time so that plateaus cost one search each
-    while k > i + 1 and clears(k - 1):
-        k = int(values.searchsorted(values[k - 1], side="left"))
-    while k < n and not clears(k):
-        k = int(values.searchsorted(values[k], side="right"))
+    while k > start and clears(values.item(k - 1) - last, margin):
+        k = int(values.searchsorted(values.item(k - 1), side="left"))
+    while k < n and not clears(values.item(k) - last, margin):
+        k = int(values.searchsorted(values.item(k), side="right"))
     return k
 
 
@@ -170,14 +192,19 @@ def s0_filter_with_margin(curve, margin):
     return _filter(curve, margin, margin > 0)
 
 
+def _code_voltages(codes, cal):
+    """Overwrite the float64 array ``codes`` (DAC codes k) with their
+    voltages lo + (hi - lo) * k / (2**bits - 1), and return it."""
+    lo, hi = cal.dac_range
+    codes *= hi - lo
+    codes /= 2 ** int(cal.dac_bits) - 1
+    codes += lo
+    return codes
+
+
 def dac_code_voltages(cal):
     """All 2**bits code voltages, each equal to ``dac_voltage`` of its code."""
-    lo, hi = cal.dac_range
-    v = np.arange(2 ** int(cal.dac_bits), dtype=float)
-    v *= hi - lo
-    v /= v.size - 1
-    v += lo
-    return v
+    return _code_voltages(np.arange(2 ** int(cal.dac_bits), dtype=float), cal)
 
 
 def dac_nearest_code(cal, v_p):
@@ -195,20 +222,31 @@ def dac_voltage(cal, code):
     return lo + (hi - lo) * code / (ncodes - 1)
 
 
+def _dac_value_blocks(fit, cal):
+    """The noiseless fitted model at every DAC code voltage, in code order,
+    ``_DAC_BLOCK`` codes at a time in one reused buffer."""
+    dist = ThresholdDistribution(fit.mu, fit.w)
+    ncodes = 2 ** int(cal.dac_bits)
+    offsets = np.arange(min(ncodes, _DAC_BLOCK), dtype=float)
+    buf = np.empty_like(offsets)
+    for start in range(0, ncodes, _DAC_BLOCK):
+        v = buf[:ncodes - start]
+        np.add(offsets[:v.size], start, out=v)
+        yield _transfer(_code_voltages(v, cal), dist, fit.y0, fit.a)
+
+
 def count_dac_levels(fit, cal, margin):
     """Distinct levels resolvable through the DAC under the noiseless model.
 
     Evaluates the fitted transfer function on every DAC code voltage and
     counts the levels kept by the margin scan; ``margin`` must be finite and
-    >= 0.
+    >= 0. The codes are evaluated and scanned a block at a time, so the
+    count takes O(2**bits) time in memory that does not grow with the bits.
     """
     if not 0 <= margin < math.inf:
         raise ConfigError("margin must be finite and >= 0")
-    # the code voltages are evaluated in place: one array of 2**bits values
-    values = _transfer(dac_code_voltages(cal), ThresholdDistribution(fit.mu, fit.w),
-                       fit.y0, fit.a)
-    keep = _monotone_keep_mask(values, float(margin), margin > 0)
-    return int(np.count_nonzero(keep))
+    masks = _keep_masks(_dac_value_blocks(fit, cal), float(margin), margin > 0)
+    return sum(int(np.count_nonzero(keep)) for keep in masks)
 
 
 def program_voltage_for_weight(fit, s_bar_target, cal):

@@ -23,8 +23,8 @@ The transfer function has one implementation, ``_transfer``: it evaluates S
 (and delta) step by step in place on a float64 buffer, in the order the
 closed form is written, so every caller gets the closed form's bits without
 a full-size temporary per step. The public functions hand it a copy of their
-input; ``levels.count_dac_levels`` hands it the code voltages it has just
-built.
+input; ``levels.count_dac_levels`` hands it each block of code voltages it
+has just built in its one reused buffer.
 """
 
 import math

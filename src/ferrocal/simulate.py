@@ -269,7 +269,8 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
             grid[0] > 0 and grid[-1] < math.inf and np.all(grid[1:] > grid[:-1]))):
         raise DomainError("vp_grid must be 1-D, strictly increasing, positive and finite")
     if grid.size < 4:
-        raise ConfigError("vp_grid must hold >= 4 points (SwitchCurve needs >= 4 samples)")
+        raise ConfigError("vp_grid must hold >= 4 points, the minimum SweepPlan "
+                          "enforces at config load")
     if observable_kind == "polarization_change" and p_r is None:
         raise ConfigError("polarization sweeps require p_r")
 

@@ -157,7 +157,12 @@ def _scan_sweep_rows(path):
 
 
 def parse_sweep_csv(path):
-    """Read a sweep file into one SwitchCurve per pulse width, sorted by t_p."""
+    """Read a sweep file into one SwitchCurve per pulse width, sorted by t_p.
+
+    The curves' values are views of one array, and a curve whose V_p grid
+    has the bits of the previous width's shares that grid's array, which is
+    read-only: a family swept over one grid holds it once.
+    """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
@@ -181,12 +186,20 @@ def parse_sweep_csv(path):
         raise _not_utf8(path) from None
     if table is None:
         _scan_sweep_rows(path)
-    tp_us, v_p, values = table.T.copy()
-    starts = np.flatnonzero(np.diff(tp_us, prepend=0.0))
-    ends = np.append(starts[1:], tp_us.size)
-    return [SwitchCurve(t_p=tp_us[a].item() * 1e-6, v_p=v_p[a:b], values=values[a:b],
-                        observable_kind=kind)
-            for a, b in zip(starts.tolist(), ends.tolist())]
+    tp_us = table[:, 0]
+    values = table[:, 2].copy()
+    starts = np.flatnonzero(np.diff(tp_us, prepend=0.0)).tolist()
+    curves = []
+    grid = None
+    for a, b in zip(starts, starts[1:] + [tp_us.size]):
+        # V_p > 0 here, so grids of equal values have equal bits
+        v_p = table[a:b, 1]
+        if grid is None or not np.array_equal(v_p, grid):
+            grid = v_p.copy()
+            grid.flags.writeable = False
+        curves.append(SwitchCurve(t_p=tp_us.item(a) * 1e-6, v_p=grid, values=values[a:b],
+                                  observable_kind=kind))
+    return curves
 
 
 def emit_sweep_csv(path, curves):

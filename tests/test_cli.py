@@ -728,23 +728,27 @@ class TestOutDir:
 
 
 # runs each command as ``python -m ferrocal`` would, one after another in a
-# single interpreter, and prints the scipy modules loaded after each; then
-# imports scipy.optimize itself, to show that the probe sees such an import
-SCIPY_PROBE = """\
+# single interpreter, and prints the scipy and numpy.ma modules loaded after
+# each; then imports numpy.ma and scipy.optimize itself, to show that the
+# probe sees such an import
+IMPORT_PROBE = """\
 import json, runpy, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def watched_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
 import ferrocal
-print(json.dumps(scipy_modules()))
+print(json.dumps(watched_modules()))
 for argv in json.loads(sys.argv[1]):
     sys.argv = ["ferrocal"] + argv
     try:
         runpy.run_module("ferrocal", run_name="__main__")
     except SystemExit as exc:
         assert exc.code == 0, (argv, exc.code)
-    print(json.dumps(scipy_modules()))
+    print(json.dumps(watched_modules()))
+import numpy.ma
+print(json.dumps(watched_modules()))
 import scipy.optimize
-print(json.dumps(scipy_modules()))
+print(json.dumps(watched_modules()))
 """
 
 
@@ -764,13 +768,16 @@ class TestImportCost:
             "fit --share-offsets": ["fit", "--input", sweep, "--share-offsets"],
         }
         commands = [["--out-dir", str(tmp_path)] + argv for argv in steps.values()]
-        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         loaded = [json.loads(line) for line in proc.stdout.splitlines()
                   if line.startswith("[")]
-        names = ["import", *steps, "probe"]
+        names = ["import", *steps, "numpy.ma probe", "scipy probe"]
         assert len(loaded) == len(names)
-        for name, modules in zip(names[:-1], loaded):
+        # neither scipy nor numpy.ma (about 1 MB and 15 ms of start-up)
+        for name, modules in zip(names[:-2], loaded):
             assert modules == [], name
-        assert "scipy.optimize" in loaded[-1]  # the probe does see a scipy import
+        # the probe does see each import
+        assert "numpy.ma" in loaded[-2] and not any(m.startswith("scipy") for m in loaded[-2])
+        assert "scipy.optimize" in loaded[-1]

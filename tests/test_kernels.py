@@ -19,10 +19,10 @@ from ferrocal import (DeviceCalibration, DomainError, HysteronEnsemble, Lorentzi
                       polarization_change_of_fraction, run_protocol_sweep, sample_ensemble,
                       simulate, thresholds_at)
 from ferrocal.config import RunConfig
-from ferrocal.levels import _monotone_keep_mask
+from ferrocal.levels import _DAC_BLOCK, _keep_masks, _monotone_keep_mask
 
-from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF, naive_monotone_scan,
-                     naive_protocol_sweep, one_array_protocol_count)
+from anchors import (ORACLE_ALPHA, ORACLE_DAC_K, ORACLE_MU_STAR, PUB_TAU_INF, ROW_500US,
+                     naive_monotone_scan, naive_protocol_sweep, one_array_protocol_count)
 
 KIN = MerzKinetics(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR)
 # delta = 0 + 1 * S_down, so curve values are the down fraction itself
@@ -489,6 +489,72 @@ class TestMarginScanJumpSearch:
             # the loop takes Python floats, whose overflow and inf - inf do not warn
             mask = _monotone_keep_mask(np.asarray(values, dtype=float), margin, accept_equal)
             assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, margin, accept_equal)
+
+
+@st.composite
+def flat_draws(draw):
+    """One value repeated, finite, infinite or NaN."""
+    value = draw(st.sampled_from([0.0, -1.5, 1e308, math.inf, -math.inf, math.nan]))
+    return [value] * draw(st.integers(1, 20)), draw(st.floats(1e-6, 2.0))
+
+
+def blocked_mask(values, margin, accept_equal, size):
+    """The scan's masks over ``values`` cut into blocks of ``size``, joined."""
+    blocks = [values[a:a + size] for a in range(0, values.size, size)]
+    masks = list(_keep_masks(blocks, margin, accept_equal))
+    assert [m.size for m in masks] == [b.size for b in blocks]
+    return np.concatenate(masks)
+
+
+class TestBlockedMarginScan:
+    """The scan carries its state across blocks: cut anywhere, it keeps what
+    the whole-array scan keeps."""
+
+    SIZES = (1, 2, 3, 7, _DAC_BLOCK)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(nondecreasing_draws(), plateau_draws(), ulp_draws(),
+                          one_descent_draws(), noisy_walk_draws(), flat_draws()))
+    def test_blocked_scan_equals_whole_array_scan(self, case):
+        values, margin = case
+        values = np.asarray(values, dtype=float)
+        for m in (margin, 0.0):
+            for accept_equal in (True, False):
+                whole = _monotone_keep_mask(values, m, accept_equal)
+                # at margin 0 the scan compares with the prefix max, not by
+                # the loop's subtraction: the two part on a NaN past the
+                # first value and on a repeated infinity
+                if m > 0 or np.isfinite(values).all():
+                    assert list(np.flatnonzero(whole)) == naive_monotone_scan(
+                        values.tolist(), m, accept_equal)
+                for size in self.SIZES:
+                    assert np.array_equal(blocked_mask(values, m, accept_equal, size), whole)
+
+    @pytest.mark.parametrize("values, margin, size", [
+        (np.arange(10.0), 1.5, 2),  # every kept value after the first opens a block
+        (np.array([0.0, 2.0, 1.0, 4.0, 3.0, 6.0, 5.0, 8.0]), 1.5, 3),  # through the max
+        (np.array([0.0, 1.0, 1.0, 2.0, 2.0, 3.0]), 1.0, 3),  # a tie opens a block
+    ])
+    def test_kept_value_on_a_block_start(self, values, margin, size):
+        for accept_equal in (True, False):
+            keep = blocked_mask(values, margin, accept_equal, size)
+            assert list(np.flatnonzero(keep)) == naive_monotone_scan(
+                values.tolist(), margin, accept_equal)
+        assert blocked_mask(values, margin, True, size)[size]
+
+    def test_dac_count_memory_does_not_grow_with_bits(self):
+        # 2**22 code voltages take 33.6 MB as one float64 array
+        cal = DeviceCalibration(delta_min=ROW_500US[1], delta_max=ROW_500US[1] + ROW_500US[2],
+                                dac_bits=22)
+        fit = LorentzianFit.from_params(*ROW_500US[1:5], 0.0, ROW_500US[0])
+        tracemalloc.start()
+        try:
+            count = count_dac_levels(fit, cal, 0.09)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == ORACLE_DAC_K[0.09]
+        assert peak < 1_000_000
 
 
 class TestPureKernel:

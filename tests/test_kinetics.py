@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,33 @@ class TestRegressFixedTau:
         reg = regress_mu_fixed_tau(POINTS, PUB_TAU_INF)
         kin = reg.kinetics()
         assert (kin.alpha, kin.tau_inf, kin.mu_star) == (reg.alpha, reg.tau_inf, reg.mu_star)
+
+
+@pytest.mark.parametrize("fit", [lambda pts: regress_mu_fixed_tau(pts, PUB_TAU_INF),
+                                 fit_merz_nested], ids=["fixed_tau", "nested"])
+class TestNonFinitePoints:
+    """A non-finite t_p or mu is named, not fitted to alpha = NaN or
+    reported as a tau_inf problem."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column, name", [(0, "t_p"), (1, "mu")])
+    def test_rejected_with_its_point_and_column(self, fit, bad, column, name):
+        points = [list(p) for p in POINTS]
+        points[2][column] = bad
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"Merz point 3 has a non-finite {name}: {bad!r}")):
+            fit(points)
+
+    def test_names_the_first_non_finite_cell(self, fit):
+        points = [list(p) for p in POINTS]
+        points[1][1] = math.nan
+        points[3][0] = math.nan
+        points[4][1] = math.inf
+        with pytest.raises(ConfigError, match="Merz point 2 has a non-finite mu: nan"):
+            fit(points)
+        points[1][0] = math.inf
+        with pytest.raises(ConfigError, match="Merz point 2 has a non-finite t_p: inf"):
+            fit(points)
 
 
 class TestFitMerzNested:

@@ -10,7 +10,7 @@ from ferrocal import (ConfigError, DeviceCalibration, DomainError, HysteronEnsem
                       MerzKinetics, SwitchCurve, TriangularPulse, WriteProtocol,
                       curve_markers, run_protocol_sweep, sample_ensemble, simulate_sweeps,
                       switched_fraction_cdf, ThresholdDistribution, thresholds_at)
-from ferrocal.config import RunConfig
+from ferrocal.config import RunConfig, SweepPlan
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_MODEL_ZERO_CROSSING,
                      PUB_TAU_INF, ROW_500US)
@@ -283,6 +283,15 @@ class TestRunProtocolSweep:
             run_protocol_sweep(ensemble, proto, [1.0, 0.9, 2.0, 3.0], CAL)
         with pytest.raises(DomainError):
             run_protocol_sweep(ensemble, proto, [-1.0, 1.0, 2.0, 3.0], CAL)
+
+    def test_grid_minimum_is_the_sweep_plan_minimum(self, ensemble):
+        # SwitchCurve takes any non-empty grid; the 4-point floor is the
+        # one a [sweep] grid meets at config load
+        SwitchCurve(t_p=500e-6, v_p=[1.0, 1.5, 2.0], values=[0.0, 1.0, 2.0])
+        with pytest.raises(ConfigError, match="needs >= 4"):
+            SweepPlan(v_start=1.0, v_stop=2.0, v_step=0.5)
+        with pytest.raises(ConfigError, match="the minimum SweepPlan enforces at config load"):
+            run_protocol_sweep(ensemble, std_protocol(500e-6), [1.0, 1.5, 2.0], CAL)
 
     @pytest.mark.parametrize("grid", [[0.5, 1.0, math.nan, 2.0, 3.0],
                                       [0.5, 1.0, 2.0, math.inf],

@@ -71,6 +71,44 @@ class TestSweepCsvRoundTrip:
             assert back.v_p.tobytes() == orig.v_p.tobytes()
             assert back.values.tobytes() == orig.values.tobytes()
 
+    def test_parsed_family_holds_one_read_only_grid_and_no_t_p(self, tmp_path):
+        curves = [synthetic_curve(row) for row in TABLE_ROWS]
+        path = emit_sweep_csv(tmp_path / "sweep.csv", curves)
+        parsed = parse_sweep_csv(path)
+        grid = parsed[0].v_p
+        assert all(c.v_p is grid for c in parsed) and not grid.flags.writeable
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        # one grid and one values array: no t_p row, no grid per width
+        owners = {id(owner(a)): owner(a) for c in parsed for a in (c.v_p, c.values)}
+        n = sum(c.n_samples for c in parsed)
+        assert sum(a.nbytes for a in owners.values()) == 8 * (n + grid.size)
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
+    def test_equal_neighbouring_grids_share_one_array_bit_exactly(self, tmp_path):
+        grid = np.linspace(0.5, 9.0, 341)
+        moved = grid.copy()
+        moved[200] = np.nextafter(moved[200], 10.0)
+        coarse = np.linspace(0.5, 9.0, 18)
+        grids = [grid, grid.copy(), coarse, moved, moved.copy(), grid]
+        rng = np.random.default_rng(9)
+        curves = [SwitchCurve(t_p=(i + 1) * 1e-5, v_p=v, values=rng.normal(0.0, 10.0, v.size))
+                  for i, v in enumerate(grids)]
+        parsed = parse_sweep_csv(emit_sweep_csv(tmp_path / "family.csv", curves))
+        for orig, back in zip(curves, parsed):
+            assert back.v_p.tobytes() == orig.v_p.tobytes()
+            assert back.values.tobytes() == orig.values.tobytes()
+            assert not back.v_p.flags.writeable
+        # only a neighbour with the same bits shares: the ulp move and the
+        # return to an earlier grid each get an array of their own
+        shared = [a.v_p is b.v_p for a, b in zip(parsed, parsed[1:])]
+        assert shared == [True, False, False, True, False]
+
     def test_polarization_unit_round_trip(self, tmp_path):
         c = SwitchCurve(t_p=1e-4, v_p=[1.0, 2.0, 3.0, 4.0], values=[-1.0, 0.0, 1.0, 2.0],
                         observable_kind="polarization_change")
