@@ -14,9 +14,9 @@ from .fitting import (CurveMarkers, LorentzianFit, curve_markers, fit_family,
                       fit_lorentzian_cdf)
 from .kinetics import (MerzRegression, collapse_rms, collapse_transform, fit_merz_nested,
                        master_curve, regress_mu_fixed_tau)
-from .levels import (LevelSet, achieved_weight, count_dac_levels, dac_code_voltages,
-                     dac_nearest_code, dac_voltage, program_voltage_for_weight,
-                     s0_filter, s0_filter_with_margin)
+from .levels import (LevelSet, achieved_weight, count_dac_levels, dac_nearest_code,
+                     dac_voltage, program_voltage_for_weight, s0_filter,
+                     s0_filter_with_margin)
 from .model import (DeviceCalibration, MerzKinetics, NlsSpec, ThresholdDistribution,
                     lorentzian_displacement, nls_switched_fraction, switched_fraction_cdf,
                     tau_of_voltage, threshold_pdf, threshold_quantile, threshold_voltage)

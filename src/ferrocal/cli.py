@@ -25,7 +25,7 @@ from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weig
                      s0_filter, s0_filter_with_margin)
 from .model import MAX_DAC_BITS, DeviceCalibration
 from .simulate import simulate_sweeps
-from .sweepio import (_tp_label, emit_fit_report, emit_levels_csv, emit_merz_report,
+from .sweepio import (_tp_labels, emit_fit_report, emit_levels_csv, emit_merz_report,
                       emit_plotdata, emit_sweep_csv, fit_report_header, parse_fit_report,
                       parse_sweep_csv)
 
@@ -81,7 +81,6 @@ def cmd_merz(args):
     else:
         regression = fit_merz_nested(points, tau_search=args.search)
     paths = emit_merz_report(out, regression, points)
-    emit_plotdata("merz-line", (regression, points), out)
     print(f"wrote {paths[0]} and {paths[1]}")
     print(f"alpha = {regression.alpha:.6g}  slope = {regression.slope:.6g}  "
           f"mu_star = {regression.mu_star:.8g}  tau_inf_s = {regression.tau_inf:.6g}  "
@@ -113,12 +112,10 @@ def cmd_collapse(args):
 def cmd_levels(args):
     out = _out_dir(args)
     curves = parse_sweep_csv(args.input)
-    for curve in curves:
+    for curve, label in zip(curves, _tp_labels([c.t_p for c in curves])):
         levelset = (s0_filter(curve) if args.margin is None
                     else s0_filter_with_margin(curve, args.margin))
-        label = _tp_label(curve.t_p)
         emit_levels_csv(out / f"levels_{label}.csv", levelset)
-        emit_plotdata("staircase", levelset, out / f"staircase_{label}")
         print(f"t_p = {label}: kept {levelset.count} of {levelset.source_count} samples")
     return EXIT_OK
 

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, first_non_utf8
-from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics
-from .simulate import TriangularPulse, WriteProtocol, _threshold_divisor
+from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics, threshold_divisor
+from .simulate import TriangularPulse, WriteProtocol
 
 _KNOWN_KEYS = {
     "run": {"seed"},
@@ -201,7 +201,7 @@ def load_config(path):
                           f"[kinetics] tau_inf_s = {tau!r} s")
     for width in (*cfg.sweep.t_p, cfg.reset_width):
         try:
-            _threshold_divisor(cfg.kinetics, width)
+            threshold_divisor(cfg.kinetics, width)
         except DomainError:
             raise ConfigError(f"[kinetics] alpha: {cfg.kinetics.alpha!r} puts ln(width / "
                               f"tau_inf)**(1/alpha) past the float range at width "

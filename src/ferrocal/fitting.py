@@ -61,6 +61,9 @@ class LorentzianFit:
             raise ConfigError("LorentzianFit requires w > 0")
         if not self.a > 0:
             raise ConfigError("LorentzianFit requires a > 0")
+        # the model's values lie between y0 and y0 + a, so they are finite too
+        if not all(map(math.isfinite, (self.y0, self.a, float(self.y0) + float(self.a)))):
+            raise ConfigError("LorentzianFit requires finite y0, a and y0 + a")
 
     @property
     def v50(self):
@@ -421,7 +424,7 @@ def _rms(r):
 def _require_finite(y0, a, mus, ws, r):
     """FitError when the optimizer left the float range (V50 = 10**mu included)."""
     with np.errstate(over="ignore"):
-        values = np.concatenate([[y0, a], mus, ws, np.power(10.0, mus), r])
+        values = np.concatenate([[y0, a, y0 + a], mus, ws, np.power(10.0, mus), r])
     if not np.isfinite(values).all():
         raise FitError("fit diverged: a parameter, V50 or a residual is not finite")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import MerzKinetics
+from .model import log_time_ratio
 
 # slopes smaller than this are reported as degenerate (alpha = inf) rather
 # than dividing by near-zero
@@ -47,10 +47,6 @@ class MerzRegression:
     @property
     def alpha(self):
         return math.inf if self.degenerate else -1.0 / self.slope
-
-    def kinetics(self):
-        """Materialize the regression as a kinetic law."""
-        return MerzKinetics(self.alpha, self.tau_inf, self.mu_star)
 
     def mu_fit(self):
         """Fitted medians at the regression's own X values."""
@@ -104,15 +100,11 @@ def regress_mu_fixed_tau(points, tau_inf):
     ordered = np.sort(tp)
     if np.any(ordered[1:] == ordered[:-1]):
         raise ConfigError("regression requires distinct t_p values")
-    if np.any(tp <= tau_inf):
-        raise DomainError("all t_p must exceed tau_inf")
+    x = np.log10(log_time_ratio(tp, tau_inf))
     # the nested profile's rule: every t_p/tau_inf in (1, 1e308), so X is finite
     with np.errstate(over="ignore"):
-        ratio = tp / tau_inf
-    if not np.all(ratio < 1e308):
-        raise ConfigError(f"tau_inf = {tau_inf!r} s puts t_p/tau_inf at or above 1e308")
-
-    x = np.log10(np.log(ratio))
+        if not np.all(tp / tau_inf < 1e308):
+            raise ConfigError(f"tau_inf = {tau_inf!r} s puts t_p/tau_inf at or above 1e308")
     slope, intercept, ss_res, ss_tot = _ols(x, mu)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return MerzRegression(tau_inf=float(tau_inf), mu_star=intercept, slope=slope,
@@ -123,7 +115,7 @@ def _rss_at(tp, mu, log10_tau):
     """Residual sums of squares of the regression of mu on X, one for each
     log10(tau_inf) in the array ``log10_tau`` (X runs along a new last axis):
     the residuals of ``_ols``'s line, for the whole profile grid at once."""
-    x = np.log10(np.log(tp / 10.0 ** np.expand_dims(log10_tau, -1)))
+    x = np.log10(log_time_ratio(tp, 10.0 ** np.expand_dims(log10_tau, -1)))
     dx = x - x.mean(axis=-1, keepdims=True)
     dy = mu - mu.mean()
     sxx = np.sum(dx * dx, axis=-1)

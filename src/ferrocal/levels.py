@@ -4,12 +4,14 @@ The level extractor is a greedy monotone scan: sort by voltage, keep the
 first sample, then keep every later sample whose value does not fall below
 the last kept one. Kept points carry the level indices 1..K in voltage
 order, derived from their position. A noise-margin variant requires each
-kept value to clear the last one by at least a given increment.
+kept value to clear the last one by at least a given increment. Input must
+be finite.
 
 DAC-limited level counts evaluate the noiseless fitted model on every DAC
 code voltage and run the margin scan over the result, one fixed-size block
 of codes at a time: the scan carries its state from block to block, so a
 count takes O(2**bits) time in memory that does not grow with the bits.
+``count_dac_levels``, the paper's DAC-limited count, is library-only.
 Programming inverts the transfer function at a target normalized weight and
 snaps to the nearest code.
 
@@ -71,6 +73,8 @@ def _sorted_samples(curve_or_arrays):
         v, y = pair
     if v.size == 0:
         raise ConfigError("level extraction requires >= 1 sample")
+    if not (np.isfinite(v).all() and np.isfinite(y).all()):
+        raise ConfigError("level extraction requires finite V_p and values")
     order = np.argsort(v, kind="stable")
     return v[order], y[order]
 
@@ -90,9 +94,8 @@ def _keep_masks(blocks, margin, accept_equal):
     value is always kept. From block to block the scan carries the last
     kept value and the running maximum of every value before the block.
 
-    At margin 0 the last kept value is the running maximum (NaN included,
-    which then keeps nothing more), so the scan vectorizes as a prefix-max
-    comparison.
+    Every value must be finite. At margin 0 the last kept value is the
+    running maximum, so the scan vectorizes as a prefix-max comparison.
 
     For margin > 0 the scan jumps from one kept value to the next instead of
     visiting every sample. On input that never decreases the jump is exact:
@@ -103,11 +106,10 @@ def _keep_masks(blocks, margin, accept_equal):
     own comparison holds, one run of equal values at a time. Each kept level
     costs O(log n), far less than a loop over 2**18 DAC codes.
 
-    Input that decreases is searched through its running maximum (NaN
-    skipped). By the same rounding, every sample the scan passes over lies
-    below the next kept value, so a kept value is the running maximum at its
-    index, and the first sample that clears it is the first index where the
-    running maximum does. A NaN first value leaves nothing else kept.
+    Input that decreases is searched through its running maximum. By the
+    same rounding, every sample the scan passes over lies below the next kept
+    value, so a kept value is the running maximum at its index, and the first
+    sample that clears it is the first index where the running maximum does.
     """
     cmp = np.greater_equal if accept_equal else np.greater
     last = run = None
@@ -125,12 +127,11 @@ def _keep_masks(blocks, margin, accept_equal):
             out[0] = cmp(rest[0], run)
             cmp(rest[1:], runmax[:-1], out=out[1:])
             run = runmax.item(-1)
-        elif rest.size and not math.isnan(last):
-            # a NaN last kept value can only be the first value
+        elif rest.size:
             if not (rest[0] >= run and np.all(rest[1:] >= rest[:-1])):
                 # copied only here: DAC code values never decrease
-                rest = np.fmax.accumulate(rest)
-                np.fmax(rest, run, out=rest)
+                rest = np.maximum.accumulate(rest)
+                np.maximum(rest, run, out=rest)
             k = _next_kept(rest, last, 0, margin, accept_equal)
             while k < rest.size:
                 out[k] = True
@@ -144,8 +145,8 @@ def _next_kept(values, last, k, margin, accept_equal):
     """First index from ``k`` on whose value clears ``last``, the last kept
     value, or len(values) if none. ``values`` must not decrease, none of
     values[:k] may exceed ``last``, and ``margin`` must be positive."""
-    # d > margin, or d == margin too if accept_equal; a NaN d fails both.
-    # Python floats round as float64 does, and overflow or inf - inf never warns
+    # d > margin, or d == margin too if accept_equal. Python floats round
+    # as float64 does, and their overflow never warns
     clears = operator.ge if accept_equal else operator.gt
     n = len(values)
     start = k
@@ -164,9 +165,7 @@ def _next_kept(values, last, k, margin, accept_equal):
 def _filter(curve_or_arrays, margin, accept_equal):
     v, y = _sorted_samples(curve_or_arrays)
     keep = _monotone_keep_mask(y, float(margin), bool(accept_equal))
-    kept_v = v[keep]
-    kept_y = y[keep]
-    return LevelSet(v_p=kept_v, values=kept_y, source_count=int(v.size))
+    return LevelSet(v_p=v[keep], values=y[keep], source_count=int(v.size))
 
 
 def s0_filter(curve):
@@ -200,11 +199,6 @@ def _code_voltages(codes, cal):
     codes /= 2 ** int(cal.dac_bits) - 1
     codes += lo
     return codes
-
-
-def dac_code_voltages(cal):
-    """All 2**bits code voltages, each equal to ``dac_voltage`` of its code."""
-    return _code_voltages(np.arange(2 ** int(cal.dac_bits), dtype=float), cal)
 
 
 def dac_nearest_code(cal, v_p):

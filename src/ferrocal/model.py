@@ -4,7 +4,9 @@ The model has three layers:
 
 * a field-time kinetic law ``tau(E) = tau_inf * exp((E_a/E)**alpha)``, held
   for one film as ``tau(V) = tau_inf * exp((10**mu_star / V)**alpha)``, and
-  its inversion to a pulse-width-dependent half-switching voltage,
+  its inversion to a pulse-width-dependent half-switching voltage; the
+  simulator, ``threshold_voltage`` and the Merz regression all take
+  ln(t_p/tau_inf) from ``log_time_ratio``,
 * a Cauchy (Lorentzian) distribution of switching thresholds on the log10
   voltage axis, giving an arctangent transfer function for the switched
   fraction,
@@ -15,6 +17,7 @@ A general nucleation-limited switching integral over a distribution of
 logarithmic switching times is also provided, as a fixed 512-node trapezoid
 over location +/- TRUNCATION_HALF_WIDTHS scales; in the narrow-distribution
 limit it reduces to the classical stretched-exponential switching law.
+It, ``tau_of_voltage`` and ``threshold_voltage`` are library-only physics.
 
 All distribution parameters exposed here are in decades (log10); the
 switching-time integral works on the natural-log axis internally.
@@ -178,6 +181,30 @@ def tau_of_voltage(kinetics, v):
     return _as_float_or_array(tau)
 
 
+def log_time_ratio(t_p, tau_inf):
+    """ln(t_p / tau_inf) for scalar or array t_p and tau_inf, the one place
+    the Merz law takes it. DomainError unless every t_p > tau_inf; a ratio
+    past the float range gives inf."""
+    t = np.asarray(t_p, dtype=float)
+    if not np.all(t > tau_inf):
+        raise DomainError("t_p must exceed tau_inf")
+    with np.errstate(over="ignore"):
+        return _as_float_or_array(np.log(t / tau_inf))
+
+
+def threshold_divisor(kinetics, t_p):
+    """ln(t_p / tau_inf)**(1/alpha), what 10**mu_star is divided by at width
+    t_p (s). DomainError unless every t_p > tau_inf and every divisor is a
+    positive float: one of 0 or inf would make every threshold inf or 0."""
+    ln = log_time_ratio(t_p, kinetics.tau_inf)
+    # the divisor's natural log; ln == 0 gives -inf
+    with np.errstate(divide="ignore", over="ignore"):
+        exponent = np.log(ln) / kinetics.alpha
+    if not np.all((-708 < exponent) & (exponent < 709)):
+        raise DomainError("ln(width / tau_inf)**(1/alpha) leaves the float range")
+    return ln ** (1.0 / kinetics.alpha)
+
+
 def threshold_voltage(kinetics, t_p):
     """Half-switching voltage for a pulse of width t_p (s).
 
@@ -185,11 +212,7 @@ def threshold_voltage(kinetics, t_p):
     V50(t_p) = 10**mu_star / ln(t_p / tau_inf)**(1/alpha).
     Strictly decreasing in t_p; requires t_p > tau_inf.
     """
-    t = np.asarray(t_p, dtype=float)
-    if not np.all(t > kinetics.tau_inf):
-        raise DomainError("threshold_voltage requires t_p > tau_inf")
-    v = 10.0**kinetics.mu_star / np.log(t / kinetics.tau_inf) ** (1.0 / kinetics.alpha)
-    return _as_float_or_array(v)
+    return 10.0**kinetics.mu_star / threshold_divisor(kinetics, t_p)
 
 
 def _transfer(v, dist, y0=None, a=None):

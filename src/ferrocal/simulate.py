@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics
+from .model import TRUNCATION_HALF_WIDTHS, MerzKinetics, threshold_divisor
 from .rngutil import spawn_rng
 
 # units per block of the sortedness check: no n-sized mask is made
@@ -152,20 +152,9 @@ def sample_ensemble(n, mu_star_dist, w, kinetics, seed):
     )
 
 
-def _threshold_divisor(kinetics, width):
-    """ln(width / tau_inf)**(1/alpha): what 10**x_i is divided by at ``width``."""
-    if width <= kinetics.tau_inf:
-        raise DomainError("pulse width must exceed tau_inf")
-    ln = math.log(width / kinetics.tau_inf)
-    # a divisor of 0 or inf would make every threshold inf or 0
-    if not (ln > 0 and -708 < math.log(ln) / kinetics.alpha < 709):
-        raise DomainError("ln(width / tau_inf)**(1/alpha) leaves the float range")
-    return ln ** (1.0 / kinetics.alpha)
-
-
 def thresholds_at(ensemble, width):
     """Per-hysteron switching voltages (V) for a pulse of the given width (s)."""
-    d = _threshold_divisor(ensemble.kinetics, width)
+    d = threshold_divisor(ensemble.kinetics, width)
     # a threshold past the float range is inf: a unit no pulse switches
     with np.errstate(over="ignore"):
         return 10.0**ensemble.log_threshold_at_ref / d
@@ -278,8 +267,8 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     # protocol (negative reset, positive write) that is the down flag
     write_is_down = proto.write_pulse.peak > 0
     kin, x, down, n = ensemble.kinetics, ensemble.log_threshold_at_ref, ensemble.down, ensemble.n
-    d_reset = _threshold_divisor(kin, proto.reset_pulse.width)
-    counts = _reach(x, _threshold_divisor(kin, proto.write_pulse.width), grid)
+    d_reset = threshold_divisor(kin, proto.reset_pulse.width)
+    counts = _reach(x, threshold_divisor(kin, proto.write_pulse.width), grid)
     # without a unit poled in the write direction no unit is held, and the
     # reset cannot change the sweep
     if down.any() if write_is_down else not down.all():

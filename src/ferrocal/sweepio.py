@@ -61,8 +61,13 @@ def _reprs(values):
     return list(map(repr, values.tolist()))
 
 
-def _tp_label(t_p):
-    return f"{t_p * 1e6:g}us"
+def _tp_labels(t_ps):
+    """File labels of one family's pulse widths (s) in us, to the fewest
+    significant digits from 6 on (10us ... 500us by default) that tell
+    every two widths apart; 17 digits always do."""
+    us = [t * 1e6 for t in t_ps]
+    digits = next(d for d in range(6, 18) if len({f"{u:.{d}g}" for u in us}) == len(set(us)))
+    return [f"{u:.{digits}g}us" for u in us]
 
 
 def _finite_floats(cells, row, line_no):
@@ -259,8 +264,9 @@ def emit_fit_report(path, fits, markers=None, observable_kind="displacement"):
 
 def parse_fit_report(path):
     """Read a fit report of either observable; returns a list of
-    (LorentzianFit, marker voltage or None). A row needs finite cells,
-    t_p, A and w > 0, and v50_V == 10**mu > 0, or it is a ParseError."""
+    (LorentzianFit, marker voltage or None). A row needs finite cells and a
+    finite y0 + A, t_p, A and w > 0, and v50_V == 10**mu > 0, or it is a
+    ParseError."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
@@ -285,6 +291,8 @@ def parse_fit_report(path):
                 t_p = tp_us * 1e-6
                 if not (t_p > 0 and a > 0 and w > 0):
                     raise ParseError("t_p_us, A and w must be positive", line=line_no)
+                if not math.isfinite(y0 + a):
+                    raise ParseError(f"y0 + A = {y0!r} + {a!r} is not finite", line=line_no)
                 with np.errstate(over="ignore"):
                     ten_to_mu = float(np.power(10.0, mu))
                 if not (v50 > 0 and abs(v50 - ten_to_mu) <= 1e-12 * v50):
@@ -323,9 +331,9 @@ def emit_plotdata(kind, payload, out_dir):
     """Write columnar plot files for one payload kind; returns written paths.
 
     Kinds: fit-overlay (list of (curve, fit); one file per t_p), pdf (list of
-    fits; one file per t_p), collapse ((N, 2) rows of z, s_bar), merz-line
-    ((regression, points)), staircase (LevelSet). An index file listing the
-    outputs is written alongside.
+    fits; one file per t_p), collapse ((N, 2) rows of z, s_bar). An index
+    file listing the outputs is written alongside. No kind repeats a table
+    another output holds, such as the Merz points or the kept levels.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -341,29 +349,20 @@ def emit_plotdata(kind, payload, out_dir):
         written.append(p)
 
     if kind == "fit-overlay":
-        for curve, fit in payload:
-            emit(f"fit_overlay_{_tp_label(curve.t_p)}.dat",
+        for (curve, fit), label in zip(payload, _tp_labels([c.t_p for c, _ in payload])):
+            emit(f"fit_overlay_{label}.dat",
                  ["V_p_V", "value", "model"],
                  [curve.v_p, curve.values, fit.displacement(curve.v_p)])
     elif kind == "pdf":
-        for fit in payload:
+        for fit, label in zip(payload, _tp_labels([f.t_p for f in payload])):
             dist = ThresholdDistribution(fit.mu, fit.w)
             x = np.linspace(fit.mu - 10 * fit.w, fit.mu + 10 * fit.w, 1001)
-            emit(f"pdf_{_tp_label(fit.t_p)}.dat",
+            emit(f"pdf_{label}.dat",
                  ["log10_V", "density_per_decade"],
                  [x, threshold_pdf(dist, x)])
     elif kind == "collapse":
         z, s = np.asarray(payload, dtype=float).reshape(-1, 2).T.copy()
         emit("collapse.dat", ["z", "s_bar", "master"], [z, s, master_curve(z)])
-    elif kind == "merz-line":
-        regression, points = payload
-        tp = np.array([p[0] for p in points]) * 1e6
-        mu = np.array([p[1] for p in points])
-        emit("merz_line.dat", ["t_p_us", "X", "mu", "mu_fit"],
-             [tp, regression.x_values, mu, regression.mu_fit()])
-    elif kind == "staircase":
-        emit("staircase.dat", ["V_p_V", "value", "level_index"],
-             [payload.v_p, payload.values, payload.level_index.astype(float)])
     else:
         raise ConfigError(f"unknown plot-data kind {kind!r}")
 

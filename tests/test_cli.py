@@ -1,4 +1,5 @@
 import configparser
+import inspect
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ferrocal
 from ferrocal import (ConfigError, LorentzianFit, SwitchCurve, emit_fit_report,
                       emit_sweep_csv, parse_fit_report, parse_sweep_csv, s0_filter,
                       s0_filter_with_margin)
@@ -176,7 +178,8 @@ class TestMerzCommand:
         assert 3.57 <= float(values["alpha"]) <= 3.67
         assert abs(float(values["slope"]) - (-0.276)) <= 0.001
         assert (tmp_path / "merz_points.csv").exists()
-        assert (tmp_path / "merz_line.dat").exists()
+        # merz_points.csv holds every column the regression line's plot file held
+        assert not (tmp_path / "merz_line.dat").exists()
 
     def test_nested_search(self, tmp_path):
         report = write_table_report(tmp_path / "fit_report.csv")
@@ -253,6 +256,28 @@ class TestLevelsCommand:
             assert np.array([float(r[0]) for r in rows]).tobytes() == levels.v_p.tobytes()
             assert np.array([float(r[1]) for r in rows]).tobytes() == levels.values.tobytes()
             assert [int(r[2]) for r in rows] == levels.level_index.tolist()
+
+    def test_widths_equal_to_six_digits_get_their_own_files(self, tmp_path):
+        # 10 and 10.000001 us both read "10" to 6 significant digits; read
+        # noise keyed by the width tells their curves apart
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CONFIG_SMALL.replace("n = 50000", "n = 5000")
+                       .replace("read_noise_sigma_nm = 0.0", "read_noise_sigma_nm = 0.05")
+                       .replace("v_step_v = 0.01", "v_step_v = 0.02")
+                       .replace("t_p_us = 100, 500", "t_p_us = 10,10.000001,500"))
+        sweep = str(tmp_path / "sweep.csv")
+        out = ["--out-dir", str(tmp_path)]
+        assert main(out + ["simulate", "--config", str(cfg), "--out", sweep]) == 0
+        assert main(out + ["levels", "--input", sweep]) == 0
+        assert main(out + ["fit", "--input", sweep]) == 0
+        labels = ["10us", "10.000001us", "500us"]
+        for curve, label in zip(parse_sweep_csv(sweep), labels):
+            rows = (tmp_path / f"levels_{label}.csv").read_text().splitlines()[1:]
+            assert [float(r.split(",")[1]) for r in rows] == s0_filter(curve).values.tolist()
+            overlay = np.loadtxt(tmp_path / f"fit_overlay_{label}.dat")
+            assert np.allclose(overlay[:, 1], curve.values, rtol=1e-10, atol=0.0)
+        assert (tmp_path / "index_pdf.txt").read_text().split() == [
+            f"pdf_{label}.dat" for label in labels]
 
     def test_margin_flag(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
@@ -716,6 +741,81 @@ class TestReadmeLibrary:
         exec(compile(block, "README.md", "exec"), {})
         v50, vc_mech, levels = capsys.readouterr().out.split()
         assert 4.0 < float(v50) < 6.0 and 4.0 < float(vc_mech) < 6.0 and int(levels) > 2**7
+
+
+class TestEveryPublicFunctionIsReached:
+    """Every function ferrocal exports, and every method and property its
+    exported classes define, is either called by some command or named in
+    the README as library-only. A class counts as reached when it is built,
+    which runs its ``__post_init__``."""
+
+    LIBRARY_ONLY = {"count_dac_levels", "nls_switched_fraction", "NlsSpec", "tau_of_voltage",
+                    "threshold_voltage", "thresholds_at"}
+
+    @staticmethod
+    def public_units():
+        """Code object -> name of each counted function, method and property."""
+        def in_source(func):
+            # dataclass-made methods such as __eq__ are compiled from a string
+            return (inspect.isfunction(func)
+                    and Path(func.__code__.co_filename).parent == Path(ferrocal.__file__).parent)
+        units = {}
+        for name in dir(ferrocal):
+            obj = getattr(ferrocal, name)
+            if name.startswith("_"):
+                continue
+            if in_source(obj):
+                units[obj.__code__] = name
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                for attr, member in vars(obj).items():
+                    func = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                    if in_source(func):
+                        units[func.__code__] = (name if attr == "__post_init__"
+                                                else f"{name}.{attr}")
+        return units
+
+    def test_unreached_set_is_the_library_only_set(self, tmp_path, monkeypatch):
+        base = CONFIG_SMALL.replace("n = 50000", "n = 5000").replace(
+            "v_step_v = 0.01", "v_step_v = 0.02").replace("t_p_us = 100, 500",
+                                                          "t_p_us = 10, 100, 500")
+        configs = {"disp": base, "pol": base + "observable = polarization_change\n",
+                   "one": base.replace("t_p_us = 10, 100, 500", "t_p_us = 500")}
+        runs = []
+        for name, text in configs.items():
+            (tmp_path / f"{name}.ini").write_text(text)
+            runs.append(["simulate", "--config", f"{name}.ini", "--out", f"{name}.csv"])
+        runs += [["fit", "--input", "one.csv"],
+                 ["fit", "--input", "disp.csv", "--share-offsets"],
+                 ["fit", "--input", "disp.csv"],
+                 ["merz", "--fits", "fit_report.csv"],
+                 ["merz", "--fits", "fit_report.csv", "--tau-inf", "1.4e-14"],
+                 ["collapse", "--input", "disp.csv", "--fits", "fit_report.csv"],
+                 ["levels", "--input", "disp.csv"],
+                 ["levels", "--input", "disp.csv", "--margin", "0.09"],
+                 ["program", "--fits", "fit_report.csv", "--targets", "0.25,0.5,0.75"]]
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        monkeypatch.chdir(tmp_path)
+        codes = []
+        for argv in runs:
+            sys.setprofile(profile)
+            try:
+                codes.append(main(["--out-dir", "."] + argv))
+            finally:
+                sys.setprofile(None)
+        assert codes == [0] * len(runs)
+        units = self.public_units()
+        assert {name for code, name in units.items() if code not in called} == self.LIBRARY_ONLY
+
+    def test_readme_names_each_library_only_function(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        passage = readme.split("### Library-only functions\n", 1)[1].split("\n#", 1)[0]
+        for name in self.LIBRARY_ONLY:
+            assert f"`{name}`" in passage, name
 
 
 class TestOutDir:

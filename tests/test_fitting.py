@@ -716,3 +716,12 @@ class TestLorentzianFitType:
             LorentzianFit.from_params(0.0, 1.0, 0.7, -0.04, 0.0, 1e-4)
         with pytest.raises(ConfigError):
             LorentzianFit.from_params(0.0, -1.0, 0.7, 0.04, 0.0, 1e-4)
+
+    @pytest.mark.parametrize("y0, a", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf),
+                                       (1e308, 1e308)], ids=["y0-nan", "y0-inf", "a-inf",
+                                                             "y0-plus-a-overflows"])
+    def test_non_finite_offsets_rejected(self, y0, a):
+        # every value of the model, DAC count values included, lies between
+        # y0 and y0 + a
+        with pytest.raises(ConfigError, match="finite y0, a and y0 \\+ a"):
+            LorentzianFit.from_params(y0, a, 0.7, 0.04, 0.0, 1e-4)

@@ -160,7 +160,7 @@ class TestThresholdPasses:
         ensemble, proto, grid = random_case(12, down_share=down_share,
                                             write_is_down=write_is_down)
         widths, searches = [], []
-        real_divisor, real_reach = simulate._threshold_divisor, simulate._reach
+        real_divisor, real_reach = simulate.threshold_divisor, simulate._reach
 
         def divisor(kinetics, width):
             widths.append(width)
@@ -170,7 +170,7 @@ class TestThresholdPasses:
             searches.append(amps.tolist())
             return real_reach(x, d, amps)
 
-        monkeypatch.setattr(simulate, "_threshold_divisor", divisor)
+        monkeypatch.setattr(simulate, "threshold_divisor", divisor)
         monkeypatch.setattr(simulate, "_reach", reach)
         curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
         monkeypatch.undo()
@@ -218,7 +218,7 @@ class TestBlockedCount:
     @pytest.mark.parametrize("write_is_down", [True, False])
     def test_matches_oracle_across_blocks(self, block, n, write_is_down):
         ensemble, proto, grid = tied_blocks_case(block, n, write_is_down)
-        x, d = ensemble.log_threshold_at_ref, simulate._threshold_divisor(KIN, 10e-6)
+        x, d = ensemble.log_threshold_at_ref, simulate.threshold_divisor(KIN, 10e-6)
         truth = np.searchsorted(np.sort(thresholds_at(ensemble, 10e-6)), grid, side="right")
         guess = np.searchsorted(x, np.log10(grid) + math.log10(d), side="right")
         assert np.any(guess != truth)  # the log10-space guess misses, and is corrected
@@ -450,14 +450,14 @@ def one_descent_draws(draw):
     return values, margin
 
 
-SPECIALS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+SPECIALS = st.sampled_from([1e308, -1e308])
 
 
 @st.composite
 def noisy_walk_draws(draw):
     """A noisy walk rounded to a coarse step, so that values tie and many
-    increments equal the margin, with NaN, +/-inf and +/-1e308 put in at
-    random places (first place included); it decreases almost everywhere."""
+    increments equal the margin, with +/-1e308 put in at random places
+    (first place included); it decreases almost everywhere."""
     quantum = draw(st.sampled_from([0.1, 0.25, 0.5]))
     steps = draw(st.lists(st.floats(-1.0, 1.5), min_size=1, max_size=60))
     values = (np.round(np.cumsum(steps) / quantum) * quantum).tolist()
@@ -486,15 +486,15 @@ class TestMarginScanJumpSearch:
     def test_decreasing_input_matches_naive_scan(self, case):
         values, margin = case
         for accept_equal in (True, False):
-            # the loop takes Python floats, whose overflow and inf - inf do not warn
+            # the loop takes Python floats, whose overflow does not warn
             mask = _monotone_keep_mask(np.asarray(values, dtype=float), margin, accept_equal)
             assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, margin, accept_equal)
 
 
 @st.composite
 def flat_draws(draw):
-    """One value repeated, finite, infinite or NaN."""
-    value = draw(st.sampled_from([0.0, -1.5, 1e308, math.inf, -math.inf, math.nan]))
+    """One finite value repeated, +/-1e308 included."""
+    value = draw(st.sampled_from([0.0, -1.5, 1e308, -1e308]))
     return [value] * draw(st.integers(1, 20)), draw(st.floats(1e-6, 2.0))
 
 
@@ -521,12 +521,10 @@ class TestBlockedMarginScan:
         for m in (margin, 0.0):
             for accept_equal in (True, False):
                 whole = _monotone_keep_mask(values, m, accept_equal)
-                # at margin 0 the scan compares with the prefix max, not by
-                # the loop's subtraction: the two part on a NaN past the
-                # first value and on a repeated infinity
-                if m > 0 or np.isfinite(values).all():
-                    assert list(np.flatnonzero(whole)) == naive_monotone_scan(
-                        values.tolist(), m, accept_equal)
+                # at margin 0 the scan compares with the prefix max, which on
+                # finite values keeps what the loop's subtraction keeps
+                assert list(np.flatnonzero(whole)) == naive_monotone_scan(
+                    values.tolist(), m, accept_equal)
                 for size in self.SIZES:
                     assert np.array_equal(blocked_mask(values, m, accept_equal, size), whole)
 

@@ -6,10 +6,11 @@ import pytest
 
 from ferrocal import (ConfigError, DeviceCalibration, DomainError, LorentzianFit,
                       RangeError, SwitchCurve, achieved_weight, count_dac_levels,
-                      dac_code_voltages, dac_nearest_code, dac_voltage,
+                      dac_nearest_code, dac_voltage,
                       lorentzian_displacement, program_voltage_for_weight, s0_filter,
                       s0_filter_with_margin, threshold_pdf,
                       ThresholdDistribution)
+from ferrocal.levels import _code_voltages
 
 from anchors import ORACLE_DAC_K, ROW_500US, naive_monotone_scan
 
@@ -60,6 +61,18 @@ class TestS0Filter:
         for scan in (s0_filter, lambda p: s0_filter_with_margin(p, 0.1)):
             with pytest.raises(ConfigError, match="pair of equal-length 1-D arrays"):
                 scan(pair)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # a curve checks its V_p, not its values; an array pair checks neither
+        samples = [curve_of([1.0, bad, 2.0]),
+                   (np.array([1.0, 2.0, 3.0]), np.array([1.0, bad, 2.0])),
+                   (np.array([1.0, bad, 3.0]), np.array([1.0, 2.0, 3.0]))]
+        for sample in samples:
+            for scan in (s0_filter, lambda p: s0_filter_with_margin(p, 0.0),
+                         lambda p: s0_filter_with_margin(p, 0.1)):
+                with pytest.raises(ConfigError, match="requires finite V_p and values"):
+                    scan(sample)
 
     def test_permutation_independence(self):
         rng = np.random.default_rng(6)
@@ -135,23 +148,23 @@ class TestScanProperties:
 class TestDacHelpers:
     def test_code_voltages_span_range_inclusive(self):
         cal = DeviceCalibration(delta_min=0, delta_max=1, dac_bits=4, dac_range=(0.5, 9.0))
-        v = dac_code_voltages(cal)
-        assert v.size == 16
+        v = dac_voltage(cal, np.arange(16))
         assert v[0] == 0.5 and v[-1] == 9.0
 
     @pytest.mark.parametrize("bits", range(1, 25))
     def test_code_voltages_are_dac_voltage(self, bits):
-        # one formula: the grid holds dac_voltage of every code, bit for bit
+        # one formula: the in-place code voltages of a DAC count are
+        # dac_voltage of every code, bit for bit, checked a block at a time
         cal = replace(CAL_18BIT, dac_bits=bits)
-        v = dac_code_voltages(cal)
-        assert v.size == 2**bits
+        ncodes = 2**bits
         block = 1 << 20
-        for start in range(0, v.size, block):
-            k = np.arange(start, min(start + block, v.size))
-            assert np.array_equal(dac_voltage(cal, k), v[k])
+        for start in range(0, ncodes, block):
+            k = np.arange(start, min(start + block, ncodes))
+            assert np.array_equal(_code_voltages(k.astype(float), cal), dac_voltage(cal, k))
         # the scalar calls that program makes, on up to 4097 codes per width
-        for code in [*range(0, v.size, max(1, v.size >> 12)), v.size - 1]:
-            assert dac_voltage(cal, code) == v[code]
+        codes = [*range(0, ncodes, max(1, ncodes >> 12)), ncodes - 1]
+        v = _code_voltages(np.array(codes, dtype=float), cal)
+        assert [dac_voltage(cal, code) for code in codes] == v.tolist()
 
     def test_nearest_code_round_trip(self):
         cal = CAL_18BIT
@@ -175,8 +188,7 @@ class TestCountDacLevels:
     def test_enumeration_oracle_18bit(self):
         # independent sequential enumeration over all 2^18 codes
         def enumerate_levels(margin):
-            v = dac_code_voltages(CAL_18BIT)
-            y = FIT_500US.displacement(v)
+            y = FIT_500US.displacement(dac_voltage(CAL_18BIT, np.arange(2**18)))
             k, last = 1, y[0]
             for val in y[1:]:
                 if val - last >= margin:
@@ -214,7 +226,7 @@ class TestProgramming:
     def test_round_trip_within_quantization_bound(self):
         halfstep = 0.5 * 8.5 / (2**18 - 1)
         dist = ThresholdDistribution(FIT_500US.mu, FIT_500US.w)
-        codes = dac_code_voltages(CAL_18BIT)
+        codes = dac_voltage(CAL_18BIT, np.arange(2**18))
         for target in (0.1, 0.3, 0.5, 0.7, 0.9):
             v = program_voltage_for_weight(FIT_500US, target, CAL_18BIT)
             assert v == codes[dac_nearest_code(CAL_18BIT, v)]

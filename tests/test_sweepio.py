@@ -3,10 +3,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ferrocal import (ConfigError, DomainError, LevelSet, LorentzianFit, MerzRegression,
-                      ParseError, SwitchCurve, ThresholdDistribution, emit_fit_report,
-                      emit_plotdata, emit_sweep_csv, master_curve, parse_fit_report,
-                      parse_sweep_csv, s0_filter, threshold_pdf)
+from ferrocal import (ConfigError, DomainError, LorentzianFit, ParseError, SwitchCurve,
+                      ThresholdDistribution, emit_fit_report, emit_levels_csv, emit_plotdata,
+                      emit_sweep_csv, master_curve, parse_fit_report, parse_sweep_csv,
+                      s0_filter, threshold_pdf)
 from ferrocal.cli import main
 from ferrocal.kinetics import regress_mu_fixed_tau
 from ferrocal.sweepio import emit_merz_report
@@ -399,31 +399,14 @@ class TestEmitterEquivalence:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cells=st.lists(EDGE_FLOATS, min_size=0, max_size=40))
-    @example(cells=[-1e300, 1.7976931348623157e308])  # the staircase's order check once overflowed
-    def test_collapse_merz_line_and_staircase(self, tmp_path, cells):
+    @example(cells=[-1e300, 1.7976931348623157e308])  # one row at the float range's edges
+    def test_collapse(self, tmp_path, cells):
         rows = np.array(cells[:len(cells) // 2 * 2], dtype=float).reshape(-1, 2)
         with np.errstate(all="ignore"):
             emit_plotdata("collapse", rows, tmp_path)
             master = master_curve(rows[:, 0])
         assert (tmp_path / "collapse.dat").read_text() == naive_plot_text(
             ["z", "s_bar", "master"], [rows[:, 0], rows[:, 1], master])
-
-        x = np.array(cells, dtype=float)
-        points = [(abs(c) or 1e-6, -c) for c in cells]
-        alpha = 3.62
-        reg = MerzRegression(tau_inf=1.4e-14, mu_star=1.07, slope=-1 / alpha,
-                             r_squared=0.5, x_values=x)
-        with np.errstate(all="ignore"):
-            emit_plotdata("merz-line", (reg, points), tmp_path)
-            columns = [[p[0] * 1e6 for p in points], x, [p[1] for p in points], reg.mu_fit()]
-        assert (tmp_path / "merz_line.dat").read_text() == naive_plot_text(
-            ["t_p_us", "X", "mu", "mu_fit"], columns)
-
-        ordered = np.sort(x)
-        levels = LevelSet(v_p=ordered, values=ordered, source_count=x.size)
-        emit_plotdata("staircase", levels, tmp_path)
-        assert (tmp_path / "staircase.dat").read_text() == naive_plot_text(
-            ["V_p_V", "value", "level_index"], [ordered, ordered, levels.level_index])
 
 
 class TestFitReport:
@@ -477,6 +460,19 @@ class TestFitReport:
             parse_fit_report(path)
         assert err.value.line == 3
 
+    def test_overflowing_y0_plus_a_reports_line(self, tmp_path):
+        # each cell is finite, but the model's upper level y0 + A is not
+        path = tmp_path / "report.csv"
+        emit_fit_report(path, self.fits()[:2])
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = cells[2] = "1e308"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"y0 \+ A = 1e\+308 \+ 1e\+308 is not finite") as err:
+            parse_fit_report(path)
+        assert err.value.line == 3
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n1,2,3\n")
@@ -498,12 +494,6 @@ class TestPlotData:
         assert (tmp_path / "array" / "collapse.dat").read_bytes() == \
             (tmp_path / "collapse.dat").read_bytes()
 
-    def test_staircase_breakpoint_count(self, tmp_path):
-        ls = s0_filter((np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])))
-        emit_plotdata("staircase", ls, tmp_path)
-        body = (tmp_path / "staircase.dat").read_text().splitlines()
-        assert len(body) == 1 + ls.count
-
     def test_pdf_peak_position_row_10us(self, tmp_path):
         fit = LorentzianFit.from_params(*TABLE_ROWS[0][1:5], 0.0, TABLE_ROWS[0][0])
         emit_plotdata("pdf", [fit], tmp_path)
@@ -521,6 +511,21 @@ class TestPlotData:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_plotdata("histogram", [], tmp_path)
+
+    @pytest.mark.parametrize("kind", ["merz-line", "staircase"])
+    def test_no_kind_repeats_a_table(self, tmp_path, kind):
+        # merz_points.csv and levels_<t_p>us.csv hold these kinds' columns
+        with pytest.raises(ConfigError):
+            emit_plotdata(kind, [], tmp_path)
+        assert not any(tmp_path.iterdir())
+
+
+class TestLevelsCsv:
+    def test_one_row_per_kept_level(self, tmp_path):
+        ls = s0_filter((np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.1, 0.3, 0.2, 0.4])))
+        emit_levels_csv(tmp_path / "levels.csv", ls)
+        assert (tmp_path / "levels.csv").read_text().splitlines() == [
+            "V_p_V,value,level_index", "1.0,0.1,1", "2.0,0.3,2", "4.0,0.4,3"]
 
 
 class TestMerzReport:
