@@ -65,9 +65,9 @@ def cmd_fit(args):
     emit_plotdata("pdf", fits, out)
     print(f"wrote {report}")
     print(" ".join(fit_report_header(kind)))
-    for fit, vc in zip(fits, vcs):
+    for fit, vc, label in zip(fits, vcs, _tp_labels([f.t_p for f in fits])):
         vc = "-" if vc is None else f"{vc:.6g}"
-        print(f"{fit.t_p * 1e6:g} {fit.y0:.6g} {fit.a:.6g} {fit.mu:.8g} "
+        print(f"{label.removesuffix('us')} {fit.y0:.6g} {fit.a:.6g} {fit.mu:.8g} "
               f"{fit.w:.6g} {fit.v50:.6g} {vc} {fit.rms_residual:.4g}")
     return EXIT_OK
 

@@ -3,8 +3,8 @@
 The fitted medians mu(t_p) are regressed against X(t_p) =
 log10[ln(t_p/tau_inf)]; the slope is -1/alpha (alpha is derived from it) and
 the intercept mu_* = log10(E_a * d), d the film thickness. tau_inf can be
-held fixed or profiled out by a 1-D search (coarse grid, then golden-section
-refinement) over log10(tau_inf).
+held fixed or profiled out by a 1-D grid search over log10(tau_inf): a
+121-point grid, narrowed around its minimum until the step is <= 1e-3.
 
 The collapse maps every sweep onto the reduced coordinates
 z = (log10 V_p - mu)/w, s_bar = (value - y0)/A, where the master curve is
@@ -23,8 +23,6 @@ from .model import log_time_ratio
 # slopes smaller than this are reported as degenerate (alpha = inf) rather
 # than dividing by near-zero
 _DEGENERATE_SLOPE = 1e-6
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # read noise moves s_bar past [0, 1]; a point outside this band is an outlier
 S_BAR_BAND = (-0.2, 1.2)
@@ -66,20 +64,29 @@ def _split_points(points):
     return tp, mu
 
 
-def _ols(x, mu):
-    """Least-squares line mu = intercept + slope * x.
+def _dot(a, b):
+    """Dot products of the rows of ``a`` and ``b`` along the last axis. A
+    stacked ``np.matmul`` rounds each row as the 1-D ``a @ b`` does."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-    Returns (slope, intercept, residual sum of squares, total sum of squares).
+
+def _line(x, mu):
+    """Least-squares lines mu = intercept + slope * x, one for each row of
+    ``x`` (a single row, or a stack of rows along the leading axes).
+
+    Returns (slope, intercept, residual sum of squares), each of the shape
+    of x's leading axes.
     """
-    dx = x - x.mean()
+    x_mean = x.mean(axis=-1, keepdims=True)
+    dx = x - x_mean
     dy = mu - mu.mean()
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
+    sxx = _dot(dx, dx)
+    if np.any(sxx == 0.0):
         raise ConfigError("degenerate regression: all X values identical")
-    slope = float(dx @ dy) / sxx
-    intercept = float(mu.mean() - slope * x.mean())
-    ss_res = float(np.sum((mu - (intercept + slope * x)) ** 2))
-    return slope, intercept, ss_res, float(dy @ dy)
+    slope = _dot(dx, dy) / sxx
+    intercept = mu.mean() - slope * x_mean[..., 0]
+    ss_res = np.sum((mu - (intercept[..., None] + slope[..., None] * x)) ** 2, axis=-1)
+    return slope, intercept, ss_res
 
 
 def regress_mu_fixed_tau(points, tau_inf):
@@ -105,35 +112,23 @@ def regress_mu_fixed_tau(points, tau_inf):
     with np.errstate(over="ignore"):
         if not np.all(tp / tau_inf < 1e308):
             raise ConfigError(f"tau_inf = {tau_inf!r} s puts t_p/tau_inf at or above 1e308")
-    slope, intercept, ss_res, ss_tot = _ols(x, mu)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return MerzRegression(tau_inf=float(tau_inf), mu_star=intercept, slope=slope,
-                          r_squared=r2, x_values=x)
-
-
-def _rss_at(tp, mu, log10_tau):
-    """Residual sums of squares of the regression of mu on X, one for each
-    log10(tau_inf) in the array ``log10_tau`` (X runs along a new last axis):
-    the residuals of ``_ols``'s line, for the whole profile grid at once."""
-    x = np.log10(log_time_ratio(tp, 10.0 ** np.expand_dims(log10_tau, -1)))
-    dx = x - x.mean(axis=-1, keepdims=True)
+    slope, intercept, ss_res = _line(x, mu)
     dy = mu - mu.mean()
-    sxx = np.sum(dx * dx, axis=-1)
-    if np.any(sxx == 0.0):
-        raise ConfigError("degenerate regression: all X values identical")
-    slope = np.sum(dx * dy, axis=-1) / sxx
-    intercept = mu.mean() - slope * x.mean(axis=-1)
-    return np.sum((mu - (intercept[..., None] + slope[..., None] * x)) ** 2, axis=-1)
+    ss_tot = float(dy @ dy)
+    r2 = 1.0 - float(ss_res) / ss_tot if ss_tot > 0 else 1.0
+    return MerzRegression(tau_inf=float(tau_inf), mu_star=float(intercept),
+                          slope=float(slope), r_squared=r2, x_values=x)
 
 
 def fit_merz_nested(points, tau_search=(-16.0, -10.0)):
     """Profile the regression over tau_inf.
 
     Minimizes the inner regression's residual sum of squares over
-    log10(tau_inf) on ``tau_search``: a 121-point coarse grid followed by
-    golden-section refinement to 1e-3 in log10(tau_inf). With only a handful
-    of pulse widths the (alpha, tau_inf) pair trades off strongly; expect
-    tau_inf to be constrained to roughly an order of magnitude.
+    log10(tau_inf) on ``tau_search``: a 121-point grid, then a new 121-point
+    grid between the minimum's two neighbours, until the grid step is at
+    most 1e-3 in log10(tau_inf). With only a handful of pulse widths the
+    (alpha, tau_inf) pair trades off strongly; expect tau_inf to be
+    constrained to roughly an order of magnitude.
     """
     tp, mu = _split_points(points)
     if tp.size < 3:
@@ -150,25 +145,12 @@ def fit_merz_nested(points, tau_search=(-16.0, -10.0)):
     if not feasible.any():
         raise DomainError("no tau_inf in the search interval puts every t_p/tau_inf in (1, 1e308)")
     grid = grid[feasible]
-    rss = _rss_at(tp, mu, grid)
-    k = int(np.argmin(rss))
-
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, grid.size - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = _rss_at(tp, mu, c), _rss_at(tp, mu, d)
-    while b - a > 1e-3:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _rss_at(tp, mu, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _rss_at(tp, mu, d)
-    best = 0.5 * (a + b)
-    return regress_mu_fixed_tau(points, 10.0**best)
+    while True:
+        x = np.log10(log_time_ratio(tp, 10.0 ** grid[:, None]))
+        k = int(np.argmin(_line(x, mu)[2]))
+        if grid.size < 2 or grid[1] - grid[0] <= 1e-3:
+            return regress_mu_fixed_tau(points, 10.0 ** grid[k])
+        grid = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], 121)
 
 
 def master_curve(z):

@@ -18,7 +18,7 @@ import numpy as np
 from ferrocal import (AmbiguousMarkerError, FitError, MarkerAbsentError, ParseError,
                       RankError, SwitchCurve)
 from ferrocal.fitting import _FIT_TOL, _MAX_ITER
-from ferrocal.kinetics import _GOLDEN, _ols, _split_points, regress_mu_fixed_tau
+from ferrocal.kinetics import regress_mu_fixed_tau
 
 _BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 sys.path.insert(0, _BENCH)
@@ -211,39 +211,41 @@ def naive_plot_text(header, columns):
     return "".join(lines)
 
 
+def ols_line(x, mu):
+    """Bit-for-bit reference for the fixed-tau_inf Merz regression: the
+    least-squares line mu = intercept + slope * x of one 1-D x, with 1-D
+    ``@`` dot products. Returns (slope, intercept, residual sum of squares,
+    total sum of squares)."""
+    dx = x - x.mean()
+    dy = mu - mu.mean()
+    slope = float(dx @ dy) / float(dx @ dx)
+    intercept = float(mu.mean() - slope * x.mean())
+    ss_res = float(np.sum((mu - (intercept + slope * x)) ** 2))
+    return slope, intercept, ss_res, float(dy @ dy)
+
+
 def naive_rss_at(tp, mu, log10_tau):
-    """Reference Merz profile: the regression's residual sum of squares at
-    one log10(tau_inf), through kinetics' own OLS."""
-    return _ols(np.log10(np.log(tp / 10.0**log10_tau)), mu)[2]
+    """Reference Merz profile: the residual sum of squares, as plain sums, of
+    the regression of mu on X at one log10(tau_inf)."""
+    x = [oracles.merz_x(t, 10.0**log10_tau) for t in tp]
+    slope, intercept = oracles.ols_slope_intercept(x, mu)
+    return sum((m - (intercept + slope * xi)) ** 2 for xi, m in zip(x, mu))
 
 
 def naive_fit_merz_nested(points, tau_search=(-16.0, -10.0)):
-    """Reference for kinetics.fit_merz_nested: one scalar profile evaluation
-    per grid point, then the same golden-section refinement."""
-    tp, mu = _split_points(points)
-    lo, hi = float(tau_search[0]), float(tau_search[1])
-    log_tp_min = math.log10(tp.min())
-    grid = np.linspace(lo, hi, 121)
-    grid = grid[grid < log_tp_min]
-    rss = np.array([naive_rss_at(tp, mu, g) for g in grid])
-    k = int(np.argmin(rss))
-
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, grid.size - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = naive_rss_at(tp, mu, c), naive_rss_at(tp, mu, d)
-    while b - a > 1e-3:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = naive_rss_at(tp, mu, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = naive_rss_at(tp, mu, d)
-    best = 0.5 * (a + b)
-    return regress_mu_fixed_tau(points, 10.0**best)
+    """Reference for kinetics.fit_merz_nested: the same grid search, one
+    scalar profile evaluation per grid point. A 121-point grid over
+    ``tau_search`` (below every t_p), then a new 121-point grid between the
+    minimum's two neighbours, until the step is at most 1e-3 decades."""
+    tp = [float(t) for t, _ in points]
+    mu = [float(m) for _, m in points]
+    grid = np.linspace(tau_search[0], tau_search[1], 121)
+    grid = grid[grid < math.log10(min(tp))]
+    while True:
+        k = int(np.argmin([naive_rss_at(tp, mu, g) for g in grid]))
+        if grid.size < 2 or grid[1] - grid[0] <= 1e-3:
+            return regress_mu_fixed_tau(points, 10.0 ** grid[k])
+        grid = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], 121)
 
 
 # Reference for fitting._varpro: the same iteration, with the dense N x 2m

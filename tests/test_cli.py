@@ -257,9 +257,10 @@ class TestLevelsCommand:
             assert np.array([float(r[1]) for r in rows]).tobytes() == levels.values.tobytes()
             assert [int(r[2]) for r in rows] == levels.level_index.tolist()
 
-    def test_widths_equal_to_six_digits_get_their_own_files(self, tmp_path):
+    def test_widths_equal_to_six_digits_get_their_own_files(self, tmp_path, capsys):
         # 10 and 10.000001 us both read "10" to 6 significant digits; read
-        # noise keyed by the width tells their curves apart
+        # noise keyed by the width tells their curves apart. fit's stdout
+        # rows start with the same labels, less their "us"
         cfg = tmp_path / "run.ini"
         cfg.write_text(CONFIG_SMALL.replace("n = 50000", "n = 5000")
                        .replace("read_noise_sigma_nm = 0.0", "read_noise_sigma_nm = 0.05")
@@ -269,7 +270,10 @@ class TestLevelsCommand:
         out = ["--out-dir", str(tmp_path)]
         assert main(out + ["simulate", "--config", str(cfg), "--out", sweep]) == 0
         assert main(out + ["levels", "--input", sweep]) == 0
+        capsys.readouterr()
         assert main(out + ["fit", "--input", sweep]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == ["10", "10.000001", "500"]
         labels = ["10us", "10.000001us", "500us"]
         for curve, label in zip(parse_sweep_csv(sweep), labels):
             rows = (tmp_path / f"levels_{label}.csv").read_text().splitlines()[1:]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 from ferrocal import kinetics
 from ferrocal import (ConfigError, DomainError, MerzKinetics, SwitchCurve, collapse_rms,
-                      collapse_transform, fit_lorentzian_cdf, fit_merz_nested,
-                      master_curve, regress_mu_fixed_tau, threshold_voltage)
+                      collapse_transform, fit_family, fit_lorentzian_cdf, fit_merz_nested,
+                      master_curve, regress_mu_fixed_tau, simulate_sweeps, threshold_voltage)
+from ferrocal.config import RunConfig
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_R2, ORACLE_SLOPE, ORACLE_X,
                      PUB_ALPHA, PUB_TAU_INF, ROW_500US, TABLE_ROWS, naive_fit_merz_nested,
-                     naive_rss_at, synthetic_curve)
+                     naive_rss_at, ols_line, synthetic_curve)
 
 POINTS = [(row[0], row[3]) for row in TABLE_ROWS]
 
@@ -63,6 +65,28 @@ class TestRegressFixedTau:
     def test_tau_inf_must_be_finite_and_positive(self, tau_inf):
         with pytest.raises(ConfigError, match="tau_inf must be finite and > 0"):
             regress_mu_fixed_tau(POINTS, tau_inf)
+
+    # guards the claim that kinetics' least-squares routine, whose stacked
+    # np.matmul row dots also serve the nested profile, rounds a single row
+    # exactly as the 1-D ``@`` of the reference does
+    @settings(max_examples=300, deadline=None)
+    @given(log_tp=st.lists(st.floats(-7.0, -2.0), min_size=3, max_size=20,
+                           unique_by=lambda v: round(v, 3)),
+           log_tau=st.floats(-16.0, -9.0), alpha=st.floats(2.0, 6.0),
+           mu_star=st.floats(0.8, 1.4), scatter=st.floats(0.0, 0.1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_the_1d_reference(self, log_tp, log_tau, alpha, mu_star,
+                                               scatter, seed):
+        tp, tau = 10.0 ** np.array(log_tp), 10.0**log_tau
+        x = np.log10(np.log(tp / tau))
+        mu = (mu_star - x / alpha
+              + scatter * np.random.default_rng(seed).standard_normal(tp.size))
+        reg = regress_mu_fixed_tau(list(zip(tp, mu)), tau)
+        slope, intercept, ss_res, ss_tot = ols_line(x, mu)
+        assert reg.slope == slope
+        assert reg.mu_star == intercept
+        assert reg.r_squared == (1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
+        assert reg.x_values.tobytes() == x.tobytes()
 
     def test_round_trip_against_threshold_voltage(self):
         reg = regress_mu_fixed_tau(POINTS, PUB_TAU_INF)
@@ -153,12 +177,40 @@ class TestFitMerzNested:
               + scatter * np.random.default_rng(seed).standard_normal(tp.size))
         grid = np.linspace(-16.0, -10.0, 121)  # every point lies below every t_p
         ss_tot = float(np.sum((mu - mu.mean()) ** 2))
-        profile = kinetics._rss_at(tp, mu, grid)
+        x = np.log10(np.log(tp / 10.0 ** grid[:, None]))
+        profile = kinetics._line(x, mu)[2]
         reference = np.array([naive_rss_at(tp, mu, g) for g in grid])
         assert np.all(np.abs(profile - reference) <= 1e-12 * ss_tot)
         points = list(zip(tp, mu))
         fast, ref = fit_merz_nested(points), naive_fit_merz_nested(points)
         assert abs(math.log10(fast.tau_inf) - math.log10(ref.tau_inf)) <= 1e-3
+
+    # the published points, and the default config's fitted medians at
+    # (seed, read noise sigma in nm)
+    @pytest.mark.parametrize("family", [None, (11, 0.0), (11, 0.05), (3, 0.0), (3, 0.05)],
+                             ids=["published", "seed11-0nm", "seed11-0.05nm", "seed3-0nm",
+                                  "seed3-0.05nm"])
+    def test_tau_inf_lies_near_the_fine_grid_minimum(self, family):
+        # an independent check of the search: the profile on a uniform
+        # 1e-5-decade grid over the default interval, in plain numpy
+        points = POINTS
+        if family is not None:
+            seed, sigma = family
+            cfg = RunConfig()
+            cfg = dataclasses.replace(cfg, seed=seed, device=dataclasses.replace(
+                cfg.device, read_noise_sigma=sigma))
+            points = [(fit.t_p, fit.mu) for fit in fit_family(simulate_sweeps(cfg))]
+        tp, mu = np.array(points).T
+        log_tau = np.linspace(-16.0, -10.0, 600_001)
+        rss = []
+        for block in np.array_split(log_tau, 10):
+            x = np.log10(np.log(tp / 10.0 ** block[:, None]))
+            dx = x - x.mean(axis=1, keepdims=True)
+            dy = mu - mu.mean()
+            slope = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
+            rss.append(((dy - slope[:, None] * dx) ** 2).sum(axis=1))
+        best = log_tau[np.argmin(np.concatenate(rss))]
+        assert abs(math.log10(fit_merz_nested(points).tau_inf) - best) <= 5e-4
 
     def test_empty_feasible_interval(self):
         with pytest.raises(DomainError):
