@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, FerrocalError, ParseError
-from .fitting import curve_markers, fit_family, fit_lorentzian_cdf
+from .fitting import curve_markers, fit_family
 from .kinetics import (S_BAR_BAND, collapse_rms, collapse_transform, fit_merz_nested,
                        regress_mu_fixed_tau)
 from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weight,
@@ -51,17 +51,13 @@ def _match_fit(fits, t_p):
 
 def cmd_fit(args):
     out = _out_dir(args)
-    curves = parse_sweep_csv(args.input)
-    if len(curves) == 1:
-        fits = [fit_lorentzian_cdf(curves[0])]
-    else:
-        fits = fit_family(curves, share_offsets=args.share_offsets)
-    ordered = sorted(curves, key=lambda c: c.t_p)
-    kind = ordered[0].observable_kind
-    markers = [curve_markers(c) for c in ordered]
+    curves = parse_sweep_csv(args.input)  # in t_p order, as the fits are
+    fits = fit_family(curves, share_offsets=args.share_offsets)
+    kind = curves[0].observable_kind
+    markers = [curve_markers(c) for c in curves]
     vcs = [m.vc_mech if kind == "displacement" else m.vc_elec for m in markers]
     report = emit_fit_report(out / "fit_report.csv", fits, markers=vcs, observable_kind=kind)
-    emit_plotdata("fit-overlay", list(zip(ordered, fits)), out)
+    emit_plotdata("fit-overlay", list(zip(curves, fits)), out)
     emit_plotdata("pdf", fits, out)
     print(f"wrote {report}")
     print(" ".join(fit_report_header(kind)))

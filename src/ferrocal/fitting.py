@@ -14,8 +14,9 @@ shared-offset fit one call with one group. A finished group stays in place,
 frozen, and one evaluation after the loop gives (y0, A) and the residuals.
 It builds the Jacobian's normal equations from per-curve sums and never
 forms the dense N x 2m matrix. A rank guard on those sums, and a check for
-a non-finite cost, gradient or normal matrix, turn a singular or diverging
-fit into a FitError.
+a non-finite cost, gradient or normal matrix, stop a singular or diverging
+group with a fault status. One checker, ``_group_fits``, turns each group's
+outcome, in either mode, into its LorentzianFits or a FitError.
 
 Fits are seeded, and both coercive voltages are read, from the isotonic
 (monotone least-squares) fit of the samples, which a noisy sample or an
@@ -269,10 +270,11 @@ def _varpro(xs, ys, mus, ws, joint=True):
     non-finite cost, gradient or normal matrix (the engine runs with numpy's
     floating-point warnings off and checks these instead).
 
-    Returns ((y0, a), mus, ws, residuals, converged); converged is False
-    when the group spent its budget first. With ``joint`` a failure raises
-    its FitError. Otherwise y0, a and converged hold one entry per curve,
-    and a failed curve's entry in converged is its FitError.
+    Returns ((y0, a), mus, ws, residuals, status), where y0, a and status
+    hold one entry per group in either mode; a group's status is True when
+    it converged, False when it spent its budget first, and its FitError
+    when it failed. The engine never raises: ``_group_fits`` judges each
+    group's outcome.
     """
     m = len(xs)
     k = m if joint else 1  # curves per group
@@ -408,46 +410,42 @@ def _varpro(xs, ys, mus, ws, joint=True):
 
     # every group's last accepted evaluation, repeated to the bit
     y0, a, r, _, _ = evaluate(theta)
-    status = [s == _CONVERGED if s <= 0 else FitError(_FAULTS[s]) for s in state]
-    mus, ws = theta[:, :k].ravel(), np.exp(theta[:, k:]).ravel()
-    if joint:
-        (y0, a), status = (y0[0], a[0]), status[0]
-        if isinstance(status, FitError):
-            raise status
-    return (y0, a), mus, ws, r, status
+    status = [bool(s == _CONVERGED) if s <= 0 else FitError(_FAULTS[s]) for s in state]
+    return (y0, a), theta[:, :k].ravel(), np.exp(theta[:, k:]).ravel(), r, status
 
 
-def _rms(r):
-    return float(np.sqrt(np.mean(r**2)))
-
-
-def _require_finite(y0, a, mus, ws, r):
-    """FitError when the optimizer left the float range (V50 = 10**mu included)."""
+def _group_fits(curves, y0, a, mus, ws, r, status):
+    """The LorentzianFits of one group of curves sharing (y0, a), from the
+    engine's outcome for the group (its residuals r over the curves in
+    order), or the FitError that outcome makes. Every fit a fit function
+    returns is built here. A FitError's best_fit is the group's fits (one
+    LorentzianFit for a one-curve group, a list otherwise), or the tuple
+    (y0, a, mu..., w...) where no fit can be built."""
+    if isinstance(status, FitError):
+        raise status
+    best = (y0, a, *mus, *ws)
     with np.errstate(over="ignore"):
-        values = np.concatenate([[y0, a, y0 + a], mus, ws, np.power(10.0, mus), r])
-    if not np.isfinite(values).all():
+        values = np.concatenate([best, [y0 + a], np.power(10.0, mus), r])
+    if not np.isfinite(values).all():  # V50 = 10**mu included
         raise FitError("fit diverged: a parameter, V50 or a residual is not finite")
-
-
-def _checked_fit(t_p, y0, a, mu, w, r, converged):
-    """The fit of one curve from the engine's outcome, or the error it makes."""
-    if isinstance(converged, FitError):
-        raise converged
-    _require_finite(y0, a, [mu], [w], r)
     if a < 0:
         # refit with the curve flipped is out of scope; report the failure
-        raise FitError("fit converged to a non-increasing transfer function",
-                       best_fit=(y0, a, mu, w))
-    fit = LorentzianFit.from_params(y0, a, mu, w, _rms(r), t_p)
-    if not converged:
-        raise FitError(f"optimizer did not converge within {_MAX_ITER} evaluations",
-                       best_fit=fit)
-    return fit
+        raise FitError("fit converged to a non-increasing transfer function", best_fit=best)
+    pieces = np.split(r, np.cumsum([c.n_samples for c in curves])[:-1])
+    try:
+        fits = [LorentzianFit.from_params(y0, a, mu, w, np.sqrt(np.mean(rj**2)), c.t_p)
+                for c, mu, w, rj in zip(curves, mus, ws, pieces)]
+    except ConfigError as exc:  # w underflowed to 0, or a == 0
+        raise FitError(f"fit left the model's domain: {exc}", best_fit=best) from None
+    if not status:
+        raise FitError(f"optimizer did not converge within {_MAX_ITER * len(curves)} "
+                       "evaluations", best_fit=fits[0] if len(fits) == 1 else fits)
+    return fits
 
 
 def _fit_each(curves):
-    """Fit every curve on its own, all in one engine call. Returns one
-    outcome per curve: its LorentzianFit, or the error its fit raises."""
+    """Fit every curve on its own, all in one engine call. Returns their
+    fits, or raises the error of the first failing curve in the given order."""
     outcomes, batch = [], []
     for i, curve in enumerate(curves):
         try:
@@ -464,15 +462,11 @@ def _fit_each(curves):
         index, xs, ys, mus, ws = zip(*batch)
         (y0s, amps), mus, ws, r, status = _varpro(xs, ys, mus, ws, joint=False)
         pieces = np.split(r, np.cumsum([xj.size for xj in xs])[:-1])
-        for i, y0, a, mu, w, ri, converged in zip(index, y0s, amps, mus, ws, pieces, status):
+        for i, y0, a, mu, w, ri, s in zip(index, y0s, amps, mus, ws, pieces, status):
             try:
-                outcomes[i] = _checked_fit(curves[i].t_p, y0, a, mu, w, ri, converged)
-            except (ConfigError, FitError) as exc:
+                (outcomes[i],) = _group_fits([curves[i]], y0, a, [mu], [w], ri, s)
+            except FitError as exc:
                 outcomes[i] = exc
-    return outcomes
-
-
-def _raise_first_error(outcomes):
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
@@ -480,46 +474,41 @@ def _raise_first_error(outcomes):
 
 
 def fit_lorentzian_cdf(curve):
-    """Least-squares fit of one sweep to the arctangent transfer function.
+    """Least-squares fit of one sweep to the arctangent transfer function:
+    ``fit_family([curve])[0]``.
 
     w stays positive through a log parameterization. Raises DomainError on
     fewer than 8 samples, RankError on flat data, and FitError (carrying the
     best parameters reached) if the optimizer fails to converge within the
-    budget.
+    budget or leaves the model's domain.
     """
-    return _raise_first_error(_fit_each([curve]))[0]
+    return fit_family([curve])[0]
 
 
 def fit_family(curves, share_offsets=False):
-    """Fit a pulse-width family; returns fits ordered by increasing t_p.
+    """Fit a pulse-width family of one or more curves; returns fits ordered
+    by increasing t_p.
 
     The curves are fit independently in one engine call, and a failure
     raises what ``fit_lorentzian_cdf`` raises for the first failing curve in
     t_p order. With ``share_offsets`` those fits seed a single joint
     optimization that holds one global (y0, A) across all curves with
-    per-curve (mu, w).
+    per-curve (mu, w); a single curve has no offset to share.
     """
-    if len(curves) < 2:
-        raise ConfigError("fit_family requires >= 2 curves")
+    if len(curves) == 0:
+        raise ConfigError("fit_family requires >= 1 curve")
     ordered = sorted(curves, key=lambda c: c.t_p)
     tps = [c.t_p for c in ordered]
     if len(set(tps)) != len(tps):
         raise ConfigError("fit_family requires distinct pulse widths")
 
-    seeds = _raise_first_error(_fit_each(ordered))
-    if not share_offsets:
+    seeds = _fit_each(ordered)
+    if not share_offsets or len(ordered) == 1:
         return seeds
-
-    (y0, a), mus, ws, r, converged = _varpro(
+    (y0, a), mus, ws, r, (status,) = _varpro(
         [np.log10(c.v_p) for c in ordered], [c.values for c in ordered],
         [f.mu for f in seeds], [f.w for f in seeds])
-    _require_finite(y0, a, mus, ws, r)
-    ends = np.cumsum([c.n_samples for c in ordered])
-    fits = [LorentzianFit.from_params(y0, a, mu, w, _rms(rj), c.t_p)
-            for c, mu, w, rj in zip(ordered, mus, ws, np.split(r, ends[:-1]))]
-    if not converged:
-        raise FitError("joint fit did not converge", best_fit=fits)
-    return fits
+    return _group_fits(ordered, y0[0], a[0], mus, ws, r, status)
 
 
 @np.errstate(all="ignore")

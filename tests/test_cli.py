@@ -79,6 +79,17 @@ class TestSimulateThenFit:
         assert fit.mu == pytest.approx(TABLE_ROWS[-1][3], rel=1e-6)
         assert vc is not None  # the model curve crosses zero
 
+    def test_single_curve_shared_offsets_is_the_single_fit(self, tmp_path):
+        # one width has no offset to share
+        sweep = emit_sweep_csv(tmp_path / "one.csv", [synthetic_curve(
+            TABLE_ROWS[-1], sigma=0.05, rng=np.random.default_rng(3))])
+        outputs = []
+        for flags in ([], ["--share-offsets"]):
+            out = tmp_path / ("shared" if flags else "single")
+            assert main(["--out-dir", str(out), "fit", "--input", str(sweep)] + flags) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
     def test_simulate_is_byte_deterministic(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(CONFIG_SMALL.replace("n = 50000", "n = 5000"))
@@ -370,6 +381,23 @@ class TestExitCodes:
         assert proc.returncode == (2 if command == "simulate" else 3)
         assert "line 2: byte 0xff is not UTF-8 text" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_fit_that_leaves_the_models_domain_is_exit_1(self, tmp_path, capsys):
+        # offsets 3 nm apart: the shared-offset fit drives the 10 us curve's w to 0
+        grid = np.linspace(0.5, 9.0, 300)
+        rng = np.random.default_rng(1)
+        s = 0.5 + np.arctan((np.log10(grid) - 0.5) / 0.3) / np.pi
+        slow = s + rng.normal(0.0, 0.01, grid.size)
+        fast = 3.0 + s + rng.normal(0.0, 0.01, grid.size)
+        sweep = emit_sweep_csv(tmp_path / "sweep.csv",
+                               [SwitchCurve(t_p=500e-6, v_p=grid, values=slow),
+                                SwitchCurve(t_p=10e-6, v_p=grid, values=fast)])
+        argv = ["--out-dir", str(tmp_path), "fit", "--input", str(sweep)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--share-offsets"]) == 1
+        assert capsys.readouterr().err == (
+            "ferrocal: error: fit left the model's domain: LorentzianFit requires w > 0\n")
 
     @pytest.mark.parametrize("value", ["1e308", "-1e200"])
     def test_hostile_value_is_a_fit_error_without_warnings(self, tmp_path, value):
@@ -753,8 +781,8 @@ class TestEveryPublicFunctionIsReached:
     the README as library-only. A class counts as reached when it is built,
     which runs its ``__post_init__``."""
 
-    LIBRARY_ONLY = {"count_dac_levels", "nls_switched_fraction", "NlsSpec", "tau_of_voltage",
-                    "threshold_voltage", "thresholds_at"}
+    LIBRARY_ONLY = {"count_dac_levels", "fit_lorentzian_cdf", "nls_switched_fraction", "NlsSpec",
+                    "tau_of_voltage", "threshold_voltage", "thresholds_at"}
 
     @staticmethod
     def public_units():

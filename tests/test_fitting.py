@@ -94,9 +94,9 @@ class TestFitLorentzianCdf:
         # from these seeds a plain Gauss-Newton step overshoots into overflow
         curve = synthetic_curve(ROW_500US, sigma=0.3, rng=np.random.default_rng(4))
         fit = fit_lorentzian_cdf(curve)
-        _, (mu,), (w,), _, converged = fitting._varpro(
+        _, (mu,), (w,), _, (converged,) = fitting._varpro(
             [np.log10(curve.v_p)], [curve.values], [mu_seed], [w_seed])
-        assert converged
+        assert converged is True
         assert mu == pytest.approx(fit.mu, rel=1e-9)
         assert w == pytest.approx(fit.w, rel=1e-9)
 
@@ -184,9 +184,46 @@ class TestFitFamily:
             return engine(xs, ys, mus, ws, joint)
 
         monkeypatch.setattr(fitting, "_varpro", starved)
-        with pytest.raises(FitError, match="joint fit did not converge") as err:
+        # the message of a one-curve fit, with the budget of two curves
+        with pytest.raises(FitError,
+                           match="^optimizer did not converge within 2 evaluations$") as err:
             fit_family(curves, share_offsets=True)
         assert [type(f) for f in err.value.best_fit] == [LorentzianFit] * 2
+
+    @pytest.mark.parametrize("share_offsets", [False, True])
+    @pytest.mark.parametrize("param", ["w", "a"])
+    def test_outcome_outside_the_models_domain_is_a_fit_error(self, monkeypatch, share_offsets,
+                                                              param):
+        # a converged outcome with w underflowed to 0, or with A == 0, from
+        # the single fit's engine call or from the joint fit's
+        curves = [synthetic_curve(row) for row in (TABLE_ROWS[0], ROW_500US)]
+        engine = fitting._varpro
+
+        def outside(xs, ys, mus, ws, joint=True):
+            (y0, a), mus, ws, r, status = engine(xs, ys, mus, ws, joint)
+            if joint == share_offsets:
+                if param == "w":
+                    ws = np.where(np.arange(ws.size) == ws.size - 1, 0.0, ws)
+                else:
+                    a = np.zeros_like(a)
+            return (y0, a), mus, ws, r, status
+
+        monkeypatch.setattr(fitting, "_varpro", outside)
+        with pytest.raises(FitError, match=f"^fit left the model's domain: LorentzianFit "
+                                           f"requires {param} > 0$") as err:
+            if share_offsets:
+                fit_family(curves, share_offsets=True)
+            else:
+                fit_lorentzian_cdf(curves[0])
+        # the tuple (y0, a, mu..., w...) the engine reached
+        best = err.value.best_fit
+        assert len(best) == 2 + 2 * (2 if share_offsets else 1)
+        assert best[-1 if param == "w" else 1] == 0.0
+
+    @pytest.mark.parametrize("share_offsets", [False, True])
+    def test_one_curve_is_its_single_fit(self, share_offsets):
+        curve = synthetic_curve(ROW_500US, sigma=0.3, rng=np.random.default_rng(5))
+        assert fit_family([curve], share_offsets=share_offsets) == [fit_lorentzian_cdf(curve)]
 
     @pytest.mark.parametrize("share_offsets, calls", [(False, [False]), (True, [False, True])])
     def test_one_engine_call_for_the_seeds_and_one_for_the_joint_fit(self, monkeypatch,
@@ -237,9 +274,10 @@ class TestFitFamily:
     def test_rejects_bad_families(self):
         c = synthetic_curve(ROW_500US)
         with pytest.raises(ConfigError):
-            fit_family([c])
+            fit_family([])
         with pytest.raises(ConfigError):
             fit_family([c, c])  # duplicate t_p
+        assert len(fit_family([c])) == 1  # one curve is a family
 
 
 def _trf_fit(xs, ys, y0, a, mus, ws):
@@ -360,6 +398,7 @@ class TestEngineEquivalence:
         xs, ys = [np.log10(c.v_p) for c in curves], [c.values for c in curves]
         mus, ws = zip(*(fitting._default_init(x, y) for x, y in zip(xs, ys)))
         (y0, a), mu, w, r, converged = fitting._varpro(xs, ys, mus, ws)
+        (y0, a), (converged,) = (y0[0], a[0]), converged  # one group
         (y0_ref, a_ref), mu_ref, w_ref, r_ref, converged_ref = dense_varpro(xs, ys, mus, ws)
         assert converged == converged_ref
         new = np.concatenate([[y0, a], mu, w])
@@ -416,7 +455,7 @@ class TestBatchedFits:
             model = lorentzian_displacement(y0[j], a[j], mu[j], w[j], curve.v_p)
             assert np.allclose(rj, model - y, rtol=0.0, atol=1e-9 * np.abs(y).max())
             # and each curve takes the steps it takes alone, to the bit
-            (y0_1, a_1), (mu_1,), (w_1,), r_1, converged_1 = fitting._varpro(
+            ((y0_1,), (a_1,)), (mu_1,), (w_1,), r_1, (converged_1,) = fitting._varpro(
                 [x], [y], [seeds[j][0]], [seeds[j][1]])
             assert (y0[j], a[j], mu[j], w[j], converged[j]) == (y0_1, a_1, mu_1, w_1, converged_1)
             assert np.array_equal(rj, r_1)
@@ -473,7 +512,7 @@ class TestFaultingGroup:
         assert isinstance(converged[2], FitError) and str(converged[2]) == message
         pieces = np.split(r, np.cumsum([x.size for x in xs])[:-1])
         for j in (0, 1, 3, 4):
-            (y0_1, a_1), (mu_1,), (w_1,), r_1, converged_1 = fitting._varpro(
+            ((y0_1,), (a_1,)), (mu_1,), (w_1,), r_1, (converged_1,) = fitting._varpro(
                 [xs[j]], [ys[j]], [seeds[j][0]], [seeds[j][1]])
             assert (y0[j], a[j], mu[j], w[j], converged[j]) == (y0_1, a_1, mu_1, w_1, converged_1)
             assert np.array_equal(pieces[j], r_1)
