@@ -1,36 +1,27 @@
 """Run configuration: a flat INI file with one section per subsystem.
 
 Every key is scalar and human-editable; the one list (pulse widths) is
-comma-separated. Unknown sections or keys are rejected so typos fail loudly.
-The only environment variable honored anywhere is FERROCAL_OUT_DIR, an
-output-directory default for the CLI.
+comma-separated. ``_KEYS`` maps each key to the field it sets, and a key left
+out keeps the dataclass default; unknown sections or keys fail loudly. The
+dataclasses check themselves: ``replace(RunConfig(), seed=-1)`` fails as the
+INI file would. The only environment variable honored is FERROCAL_OUT_DIR.
 """
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, first_non_utf8
 from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics, threshold_divisor
-from .simulate import TriangularPulse, WriteProtocol
-
-_KNOWN_KEYS = {
-    "run": {"seed"},
-    "device": {"delta_min_nm", "delta_max_nm", "read_noise_sigma_nm"},
-    "protocol": {"reset_peak_v", "reset_width_s", "reset_count",
-                 "write_peak_v", "write_count"},
-    "ensemble": {"n", "mu_star", "w"},
-    "kinetics": {"alpha", "tau_inf_s"},
-    "sweep": {"v_start_v", "v_stop_v", "v_step_v", "t_p_us", "observable", "p_r_uc_cm2"},
-}
+from .simulate import SwitchCurve, TriangularPulse, WriteProtocol
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Voltage grid and pulse widths for simulated sweeps."""
+    """Voltage grid, pulse widths and observable kind of simulated sweeps."""
 
     v_start: float = 0.5
     v_stop: float = 9.0
@@ -58,6 +49,8 @@ class SweepPlan:
         # would merge into one curve that no reader accepts
         if len({t * 1e6 for t in self.t_p}) < len(self.t_p):
             raise ConfigError("sweep requires distinct pulse widths (t_p_us)")
+        if self.observable_kind not in SwitchCurve._KINDS:
+            raise ConfigError(f"[sweep] observable: unknown kind {self.observable_kind!r}")
 
     def grid(self):
         n = int(round((self.v_stop - self.v_start) / self.v_step)) + 1
@@ -66,7 +59,7 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one CLI invocation needs, validated block by block."""
+    """Everything one CLI invocation needs, checked across fields however built."""
 
     seed: int = 42
     device: DeviceCalibration = field(default_factory=lambda: DeviceCalibration(
@@ -81,6 +74,34 @@ class RunConfig:
     write_peak: float = 5.0
     write_count: int = 2
     sweep: SweepPlan = field(default_factory=SweepPlan)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
+        if self.ensemble_n < 1 or self.ensemble_w <= 0:
+            raise ConfigError("[ensemble] requires n >= 1 and w > 0")
+        # the sampler clamps thresholds to mu_star +/- 10w, which must be floats
+        mu, half = self.ensemble_mu_star, TRUNCATION_HALF_WIDTHS * self.ensemble_w
+        if not (mu - half > -math.inf and mu + half < math.inf):
+            raise ConfigError(f"[ensemble] w: {self.ensemble_w!r} makes the band "
+                              f"mu_star +/- 10w overflow")
+        # a sweep divides by ln(width / tau_inf)**(1/alpha), a float at every width
+        tau = self.kinetics.tau_inf
+        if any(t <= tau for t in self.sweep.t_p):
+            raise ConfigError(f"[sweep] t_p_us: every pulse width must exceed "
+                              f"[kinetics] tau_inf_s = {tau!r} s")
+        if self.reset_width <= tau:
+            raise ConfigError(f"[protocol] reset_width_s: {self.reset_width!r} s must exceed "
+                              f"[kinetics] tau_inf_s = {tau!r} s")
+        for width in (*self.sweep.t_p, self.reset_width):
+            try:
+                threshold_divisor(self.kinetics, width)
+            except DomainError:
+                raise ConfigError(f"[kinetics] alpha: {self.kinetics.alpha!r} puts ln(width / "
+                                  f"tau_inf)**(1/alpha) past the float range at width "
+                                  f"{width!r} s") from None
+        # constructing the protocol checks the pulse signs and counts
+        self.protocol_for(self.sweep.t_p[0])
 
     @property
     def ensemble_mu_star(self):
@@ -97,7 +118,12 @@ class RunConfig:
         )
 
 
-def _cast(section, key, raw, cast=float):
+def _cast(section, key, raw, cast):
+    """``raw`` read as ``cast``; a float must be finite. A tuple is comma-separated
+    widths in us, read as seconds; None (keep the default) if ``raw`` is empty."""
+    if cast is tuple:
+        return tuple(_cast(section, key, tok, float) * 1e-6
+                     for tok in raw.split(",") if tok.strip()) if raw else None
     try:
         value = cast(raw)
     except ValueError:
@@ -107,22 +133,33 @@ def _cast(section, key, raw, cast=float):
     return value
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    return _cast(section, key, parser.get(section, key), cast)
-
-
-def _floats(parser, section, key):
-    """Comma-separated finite floats; None if the key is absent or empty."""
-    raw = parser.get(section, key, fallback="")
-    if not raw:
-        return None
-    return tuple(_cast(section, key, tok) for tok in raw.split(",") if tok.strip())
+# section -> key -> (target, field, type _cast reads); target "" is RunConfig, else its block
+_KEYS = {
+    "run": {"seed": ("", "seed", int)},
+    "device": {"delta_min_nm": ("device", "delta_min", float),
+               "delta_max_nm": ("device", "delta_max", float),
+               "read_noise_sigma_nm": ("device", "read_noise_sigma", float)},
+    "protocol": {"reset_peak_v": ("", "reset_peak", float),
+                 "reset_width_s": ("", "reset_width", float),
+                 "reset_count": ("", "reset_count", int),
+                 "write_peak_v": ("", "write_peak", float),
+                 "write_count": ("", "write_count", int)},
+    "ensemble": {"n": ("", "ensemble_n", int),
+                 "mu_star": ("kinetics", "mu_star", float),
+                 "w": ("", "ensemble_w", float)},
+    "kinetics": {"alpha": ("kinetics", "alpha", float),
+                 "tau_inf_s": ("kinetics", "tau_inf", float)},
+    "sweep": {"v_start_v": ("sweep", "v_start", float),
+              "v_stop_v": ("sweep", "v_stop", float),
+              "v_step_v": ("sweep", "v_step", float),
+              "t_p_us": ("sweep", "t_p", tuple),
+              "observable": ("sweep", "observable_kind", str),
+              "p_r_uc_cm2": ("sweep", "p_r", float)},
+}
 
 
 def load_config(path):
-    """Parse and validate an INI run configuration."""
+    """Read an INI run configuration into a RunConfig, which checks itself."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
@@ -136,76 +173,22 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
+    values = {"": {}, "device": {}, "kinetics": {}, "sweep": {}}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
+        for key, raw in parser.items(section):
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            target, name, cast = _KEYS[section][key]
+            if (value := _cast(section, key, raw, cast)) is not None:
+                values[target][name] = value
 
     defaults = RunConfig()
-    delta_min = _get(parser, "device", "delta_min_nm", float, defaults.device.delta_min)
-    delta_max = _get(parser, "device", "delta_max_nm", float, defaults.device.delta_max)
-    if not math.isfinite(delta_max - delta_min):
+    # DeviceCalibration rejects this too, in words that name no INI key
+    dev = {**vars(defaults.device), **values["device"]}
+    if not math.isfinite(dev["delta_max"] - dev["delta_min"]):
         raise ConfigError(f"[device] delta_min_nm / delta_max_nm: the span "
-                          f"{delta_max!r} - ({delta_min!r}) overflows")
-    device = DeviceCalibration(delta_min, delta_max, _get(
-        parser, "device", "read_noise_sigma_nm", float, defaults.device.read_noise_sigma))
-    kinetics = MerzKinetics(
-        alpha=_get(parser, "kinetics", "alpha", float, defaults.kinetics.alpha),
-        tau_inf=_get(parser, "kinetics", "tau_inf_s", float, defaults.kinetics.tau_inf),
-        mu_star=_get(parser, "ensemble", "mu_star", float, defaults.kinetics.mu_star),
-    )
-    tp_us = _floats(parser, "sweep", "t_p_us")
-    sweep = SweepPlan(
-        v_start=_get(parser, "sweep", "v_start_v", float, defaults.sweep.v_start),
-        v_stop=_get(parser, "sweep", "v_stop_v", float, defaults.sweep.v_stop),
-        v_step=_get(parser, "sweep", "v_step_v", float, defaults.sweep.v_step),
-        t_p=defaults.sweep.t_p if tp_us is None else tuple(t * 1e-6 for t in tp_us),
-        observable_kind=_get(parser, "sweep", "observable", str, defaults.sweep.observable_kind),
-        p_r=_get(parser, "sweep", "p_r_uc_cm2", float, defaults.sweep.p_r),
-    )
-    if sweep.observable_kind not in ("displacement", "polarization_change"):
-        raise ConfigError(f"[sweep] observable: unknown kind {sweep.observable_kind!r}")
-
-    cfg = RunConfig(
-        seed=_get(parser, "run", "seed", int, defaults.seed),
-        device=device,
-        kinetics=kinetics,
-        ensemble_n=_get(parser, "ensemble", "n", int, defaults.ensemble_n),
-        ensemble_w=_get(parser, "ensemble", "w", float, defaults.ensemble_w),
-        reset_peak=_get(parser, "protocol", "reset_peak_v", float, defaults.reset_peak),
-        reset_width=_get(parser, "protocol", "reset_width_s", float, defaults.reset_width),
-        reset_count=_get(parser, "protocol", "reset_count", int, defaults.reset_count),
-        write_peak=_get(parser, "protocol", "write_peak_v", float, defaults.write_peak),
-        write_count=_get(parser, "protocol", "write_count", int, defaults.write_count),
-        sweep=sweep,
-    )
-    if cfg.seed < 0:
-        raise ConfigError(f"[run] seed must be >= 0, got {cfg.seed}")
-    if cfg.ensemble_n < 1 or cfg.ensemble_w <= 0:
-        raise ConfigError("[ensemble] requires n >= 1 and w > 0")
-    # the sampler clamps thresholds to mu_star +/- 10w, which must be floats
-    mu, half = cfg.ensemble_mu_star, TRUNCATION_HALF_WIDTHS * cfg.ensemble_w
-    if not (mu - half > -math.inf and mu + half < math.inf):
-        raise ConfigError(f"[ensemble] w: {cfg.ensemble_w!r} makes the band "
-                          f"mu_star +/- 10w overflow")
-    # a sweep divides by ln(width / tau_inf)**(1/alpha): every width must
-    # exceed tau_inf and give a float; checked here, before sampling
-    tau = cfg.kinetics.tau_inf
-    if any(t <= tau for t in cfg.sweep.t_p):
-        raise ConfigError(f"[sweep] t_p_us: every pulse width must exceed "
-                          f"[kinetics] tau_inf_s = {tau!r} s")
-    if cfg.reset_width <= tau:
-        raise ConfigError(f"[protocol] reset_width_s: {cfg.reset_width!r} s must exceed "
-                          f"[kinetics] tau_inf_s = {tau!r} s")
-    for width in (*cfg.sweep.t_p, cfg.reset_width):
-        try:
-            threshold_divisor(cfg.kinetics, width)
-        except DomainError:
-            raise ConfigError(f"[kinetics] alpha: {cfg.kinetics.alpha!r} puts ln(width / "
-                              f"tau_inf)**(1/alpha) past the float range at width "
-                              f"{width!r} s") from None
-    # constructing the protocol validates pulse signs and counts
-    cfg.protocol_for(cfg.sweep.t_p[0])
-    return cfg
+                          f"{dev['delta_max']!r} - ({dev['delta_min']!r}) overflows")
+    return replace(defaults, **values[""], **{target: replace(getattr(defaults, target), **fields)
+                                              for target, fields in values.items() if target})

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, FitError, MarkerAbsentError, RankError
-from .model import lorentzian_displacement
+from .model import ThresholdDistribution, lorentzian_displacement
 
 # optimizer contract: relative step (and cost decrease) tolerance, and the
 # budget of model evaluations per fitted curve
@@ -48,6 +48,8 @@ class LorentzianFit:
     """Fitted transfer-function parameters for one pulse width.
 
     y0 (nm), a (nm), mu (decades), w (decades); v50 = 10**mu (V) is derived.
+    Every value a fit report writes is a finite float, so every fit that
+    constructs can be written and read back.
     """
 
     y0: float
@@ -65,6 +67,11 @@ class LorentzianFit:
         # the model's values lie between y0 and y0 + a, so they are finite too
         if not all(map(math.isfinite, (self.y0, self.a, float(self.y0) + float(self.a)))):
             raise ConfigError("LorentzianFit requires finite y0, a and y0 + a")
+        ThresholdDistribution(self.mu, self.w)  # 10**mu must be a positive float
+        if not (self.w < math.inf and 0 < self.t_p * 1e6 < math.inf
+                and 0 <= self.rms_residual < math.inf):
+            raise ConfigError("LorentzianFit requires a finite w, t_p > 0 finite in us, "
+                              "and a finite rms_residual >= 0")
 
     @property
     def v50(self):

@@ -80,8 +80,9 @@ class ThresholdDistribution:
     def __post_init__(self):
         if not self.w > 0:
             raise ConfigError("ThresholdDistribution requires w > 0")
-        if not (math.isfinite(self.mu) and self.v50 > 0):
-            raise ConfigError("ThresholdDistribution requires finite mu")
+        # a NaN fails the comparison; 10**mu overflows just past 308.25 and is 0.0 below -323.6
+        if not (self.mu < 308.25 and self.v50 > 0):
+            raise ConfigError("ThresholdDistribution requires 10**mu to be a positive float")
 
     @property
     def v50(self):

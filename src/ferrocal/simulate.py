@@ -81,6 +81,8 @@ class HysteronEnsemble:
     down                  boolean polarization state, True = down-poled; a
                           hand-built ensemble permutes it with its units
     rng_seed              seed the ensemble was drawn from
+
+    Both arrays may be given as lists; they are held as numpy arrays.
     """
 
     log_threshold_at_ref: np.ndarray
@@ -89,10 +91,12 @@ class HysteronEnsemble:
     rng_seed: int
 
     def __post_init__(self):
+        x = np.asarray(self.log_threshold_at_ref, dtype=float)
+        down = np.asarray(self.down)
+        object.__setattr__(self, "log_threshold_at_ref", x)
+        object.__setattr__(self, "down", down)
         # a short or non-boolean state would broadcast into a sweep's count
-        x, down = self.log_threshold_at_ref, self.down
-        if not (np.ndim(x) == 1 and np.shape(down) == np.shape(x)
-                and np.asarray(down).dtype == bool):
+        if not (x.ndim == 1 and down.shape == x.shape and down.dtype == bool):
             raise ConfigError("HysteronEnsemble requires 1-D thresholds and one boolean "
                               "state per unit")
         if not x.size:

@@ -265,8 +265,8 @@ def emit_fit_report(path, fits, markers=None, observable_kind="displacement"):
 def parse_fit_report(path):
     """Read a fit report of either observable; returns a list of
     (LorentzianFit, marker voltage or None). A row needs finite cells and a
-    finite y0 + A, t_p, A and w > 0, and v50_V == 10**mu > 0, or it is a
-    ParseError."""
+    finite y0 + A, t_p, A and w > 0, v50_V == 10**mu > 0 and an rms >= 0, or
+    it is a ParseError."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
@@ -298,7 +298,10 @@ def parse_fit_report(path):
                 if not (v50 > 0 and abs(v50 - ten_to_mu) <= 1e-12 * v50):
                     raise ParseError(f"v50_V = {v50!r} is not 10**mu > 0 for mu = {mu!r}",
                                      line=line_no)
-                fit = LorentzianFit(y0=y0, a=a, mu=mu, w=w, rms_residual=rms, t_p=t_p)
+                try:
+                    fit = LorentzianFit(y0=y0, a=a, mu=mu, w=w, rms_residual=rms, t_p=t_p)
+                except ConfigError as exc:  # a negative rms, say
+                    raise ParseError(str(exc), line=line_no) from None
                 out.append((fit, vc))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None

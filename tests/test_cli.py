@@ -4,7 +4,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +17,13 @@ from ferrocal import (ConfigError, LorentzianFit, SwitchCurve, emit_fit_report,
                       emit_sweep_csv, parse_fit_report, parse_sweep_csv, s0_filter,
                       s0_filter_with_margin)
 from ferrocal.cli import main
-from ferrocal.config import _KNOWN_KEYS, RunConfig, load_config
+from ferrocal.config import _KEYS, RunConfig, load_config
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF, TABLE_ROWS,
                      synthetic_curve)
+
+# every INI key, as {section: {key, ...}}
+_KNOWN_KEYS = {section: set(keys) for section, keys in _KEYS.items()}
 
 CONFIG_SMALL = """\
 [run]
@@ -764,6 +767,37 @@ class TestConfigMuStar:
         path.write_text("[ensemble]\nmu_star = 0.8046\n")
         cfg = load_config(path)
         assert cfg.kinetics.mu_star == cfg.ensemble_mu_star == 0.8046
+
+
+class TestRunConfigChecksItself:
+    """A RunConfig built in code meets the checks, and gives the messages, of
+    one read from an INI file."""
+
+    @pytest.mark.parametrize("build, ini", [
+        (lambda c: replace(c, seed=-1), "[run]\nseed = -1\n"),
+        (lambda c: replace(c, ensemble_n=0), "[ensemble]\nn = 0\n"),
+        (lambda c: replace(c, reset_width=1e-15), "[protocol]\nreset_width_s = 1e-15\n"),
+        (lambda c: replace(c, write_peak=-5.0), "[protocol]\nwrite_peak_v = -5.0\n"),
+        (lambda c: replace(c, sweep=replace(c.sweep, observable_kind="bogus")),
+         "[sweep]\nobservable = bogus\n"),
+    ], ids=["seed", "ensemble_n", "reset_width", "write_peak", "observable"])
+    def test_replace_is_checked_as_load_config(self, tmp_path, build, ini):
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        with pytest.raises(ConfigError) as from_file:
+            load_config(path)
+        with pytest.raises(ConfigError) as in_code:
+            build(RunConfig())
+        assert str(in_code.value) == str(from_file.value)
+
+    def test_every_key_sets_its_own_field(self):
+        defaults, targets = RunConfig(), []
+        for section, keys in _KEYS.items():
+            for key, (target, name, _) in keys.items():
+                owner = getattr(defaults, target) if target else defaults
+                assert name in {f.name for f in fields(owner)}, (section, key)
+                targets.append((target, name))
+        assert len(set(targets)) == len(targets)
 
 
 class TestReadmeLibrary:

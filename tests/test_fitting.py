@@ -764,3 +764,16 @@ class TestLorentzianFitType:
         # y0 and y0 + a
         with pytest.raises(ConfigError, match="finite y0, a and y0 \\+ a"):
             LorentzianFit.from_params(y0, a, 0.7, 0.04, 0.0, 1e-4)
+
+    @pytest.mark.parametrize("mu, w, rms, t_p", [
+        (math.nan, 0.04, 0.0, 1e-4), (math.inf, 0.04, 0.0, 1e-4), (-math.inf, 0.04, 0.0, 1e-4),
+        (400.0, 0.04, 0.0, 1e-4), (308.3, 0.04, 0.0, 1e-4), (-400.0, 0.04, 0.0, 1e-4),
+        (0.7, math.inf, 0.0, 1e-4), (0.7, 0.04, 0.0, 0.0), (0.7, 0.04, 0.0, -1e-4),
+        (0.7, 0.04, 0.0, 1e305), (0.7, 0.04, math.nan, 1e-4), (0.7, 0.04, math.inf, 1e-4),
+        (0.7, 0.04, -1.0, 1e-4),
+    ], ids=["mu-nan", "mu-inf", "mu--inf", "mu-400", "mu-308.3", "mu--400", "w-inf", "t_p-0",
+            "t_p-negative", "t_p-inf-in-us", "rms-nan", "rms-inf", "rms-negative"])
+    def test_every_reported_value_is_a_finite_float(self, mu, w, rms, t_p):
+        # a fit report holds each of these as a finite float, and the rms as one >= 0
+        with pytest.raises(ConfigError, match="requires"):
+            LorentzianFit.from_params(-19.0, 24.0, mu, w, rms, t_p)

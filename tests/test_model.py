@@ -153,6 +153,16 @@ class TestSwitchedFractionCdf:
         assert switched_fraction_cdf(step, [1.0, 10.0]).tolist() == [0.0, 1.0]
         assert threshold_quantile(ThresholdDistribution(0.7, 1e308), 0.75) == math.inf
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 400.0, 308.3, -400.0])
+    def test_v50_must_be_a_positive_float(self, mu):
+        # 10.0**400 raises OverflowError, and 10.0**-400 is 0.0
+        with pytest.raises(ConfigError, match=r"10\*\*mu to be a positive float"):
+            ThresholdDistribution(mu, 0.04)
+
+    @pytest.mark.parametrize("mu", [308.2, -323.0])
+    def test_v50_at_the_ends_of_the_float_range(self, mu):
+        assert 0 < ThresholdDistribution(mu, 0.04).v50 < math.inf
+
 
 class TestInverseDomains:
     """The inverse functions reject a NaN argument as they reject one out of

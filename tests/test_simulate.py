@@ -83,6 +83,21 @@ class TestSampleEnsemble:
         with pytest.raises(ConfigError):
             HysteronEnsemble(np.array([1.0, 1.1, 1.2]), KIN, np.array(down), rng_seed=0)
 
+    @pytest.mark.parametrize("x, down", [([1.0, 1.1], [False, True]),
+                                         ([1.0, 1.1], np.array([False, True])),
+                                         (np.array([1.0, 1.1]), [False, True])],
+                             ids=["both-lists", "list-thresholds", "list-state"])
+    def test_lists_are_held_as_arrays(self, x, down):
+        # the sweep calls down.any() and the check reads x.size: both need arrays
+        grid = np.linspace(1.0, 9.0, 17)
+        arrays = HysteronEnsemble(np.array([1.0, 1.1]), KIN, np.array([False, True]), 0)
+        ensemble = HysteronEnsemble(x, KIN, down, 0)
+        assert isinstance(ensemble.log_threshold_at_ref, np.ndarray)
+        assert isinstance(ensemble.down, np.ndarray)
+        got, want = (run_protocol_sweep(e, std_protocol(1e-4), grid, UNIT_CAL).values
+                     for e in (ensemble, arrays))
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("x", [[], [1.0, math.nan, 1.2], [1.0, math.inf], [-math.inf, 1.0],
                                    [math.nan] * 3],
                              ids=["empty", "nan", "inf", "-inf", "all-nan"])

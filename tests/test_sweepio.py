@@ -473,6 +473,26 @@ class TestFitReport:
             parse_fit_report(path)
         assert err.value.line == 3
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # y0 and mu any float, mu often where 10**mu is a float (subnormal too), the
+    # rest any float >= 0: a negative one never constructs
+    @given(y0=st.floats(), a=st.floats(min_value=0.0),
+           mu=st.one_of(st.floats(), st.floats(-330.0, 310.0)), w=st.floats(min_value=0.0),
+           rms=st.floats(min_value=0.0), t_p=st.floats(min_value=0.0))
+    @example(y0=0.0, a=1.0, mu=308.2, w=1e308, rms=1e308, t_p=1.7e302)
+    @example(y0=0.0, a=1.0, mu=-323.3, w=5e-324, rms=0.0, t_p=5e-324)
+    def test_every_fit_that_constructs_is_read_back(self, tmp_path, y0, a, mu, w, rms, t_p):
+        try:
+            fit = LorentzianFit.from_params(y0, a, mu, w, rms, t_p)
+        except ConfigError:
+            return
+        ((back, vc),) = parse_fit_report(emit_fit_report(tmp_path / "report.csv", [fit]))
+        assert vc is None
+        assert (back.y0, back.a, back.mu, back.w, back.rms_residual) == (y0, a, mu, w, rms)
+        # the report holds t_p in us
+        assert back.t_p == t_p * 1e6 * 1e-6
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n1,2,3\n")
