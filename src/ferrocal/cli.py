@@ -1,10 +1,12 @@
 """Command-line pipeline: fit, merz, collapse, levels, simulate, program.
 
-Exit codes: 0 success; 2 usage or configuration errors; 3 input-file parse
-errors; 1 any other processing failure (non-convergent fits, out-of-range
-programming targets, ...). All outputs are deterministic for identical
-(config, inputs, seed): no timestamps, fixed formatting, and every random
-draw descends from the single run seed.
+Exit codes: 0 success; 2 usage or configuration errors, a --dac-bits or
+--dac-range that DeviceCalibration rejects included (``program`` builds it
+before it reads the fit report); 3 input-file parse errors; 1 any other
+processing failure (non-convergent fits, out-of-range programming targets,
+...). All outputs are deterministic for identical (config, inputs, seed): no
+timestamps, fixed formatting, and every random draw descends from the single
+run seed.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from .kinetics import (S_BAR_BAND, collapse_rms, collapse_transform, fit_merz_ne
                        regress_mu_fixed_tau)
 from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weight,
                      s0_filter, s0_filter_with_margin)
-from .model import MAX_DAC_BITS, DeviceCalibration
+from .model import DeviceCalibration
 from .simulate import simulate_sweeps
 from .sweepio import (_tp_labels, emit_fit_report, emit_levels_csv, emit_merz_report,
                       emit_plotdata, emit_sweep_csv, fit_report_header, parse_fit_report,
@@ -132,11 +134,11 @@ def cmd_simulate(args):
 
 
 def cmd_program(args):
-    out = _out_dir(args)
-    rows = parse_fit_report(args.fits)
     # only the DAC fields matter for programming; the rest is placeholder
     cal = DeviceCalibration(delta_min=0.0, delta_max=1.0,
                             dac_bits=args.dac_bits, dac_range=args.dac_range)
+    out = _out_dir(args)
+    rows = parse_fit_report(args.fits)
     # every row is computed before the file is opened, so a rejected target
     # leaves no partial table behind
     lines = []
@@ -159,14 +161,6 @@ def _seed(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
-
-
-def _dac_bits(text):
-    """argparse type: a DAC width in 1..MAX_DAC_BITS."""
-    value = int(text)
-    if not 1 <= value <= MAX_DAC_BITS:
-        raise argparse.ArgumentTypeError(f"DAC width must lie in 1..{MAX_DAC_BITS}, got {value}")
     return value
 
 
@@ -242,7 +236,7 @@ def build_parser():
     p.add_argument("--fits", required=True, help="fit report CSV")
     p.add_argument("--targets", required=True, type=_finite_list,
                    help="comma-separated weights in (0,1)")
-    p.add_argument("--dac-bits", type=_dac_bits, default=18)
+    p.add_argument("--dac-bits", type=int, default=18)
     p.add_argument("--dac-range", type=_finite_pair, default=(0.5, 9.0), metavar="LO,HI")
     p.set_defaults(func=cmd_program)
     return parser

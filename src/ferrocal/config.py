@@ -2,13 +2,15 @@
 
 Every key is scalar and human-editable; the one list (pulse widths) is
 comma-separated. ``_KEYS`` maps each key to the field it sets, and a key left
-out keeps the dataclass default; unknown sections or keys fail loudly. The
-dataclasses check themselves: ``replace(RunConfig(), seed=-1)`` fails as the
-INI file would. The only environment variable honored is FERROCAL_OUT_DIR.
+out keeps the dataclass default; unknown sections ([DEFAULT] too) or keys
+fail loudly. The dataclasses check themselves: ``replace(RunConfig(),
+seed=-1)`` or ``seed=1.5`` fails as the INI file would. The only environment
+variable honored is FERROCAL_OUT_DIR.
 """
 
 import configparser
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -76,6 +78,9 @@ class RunConfig:
     sweep: SweepPlan = field(default_factory=SweepPlan)
 
     def __post_init__(self):
+        for name, value in (("[run] seed", self.seed), ("[ensemble] n", self.ensemble_n)):
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name}: {value!r} is not an integer")
         if self.seed < 0:
             raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
         if self.ensemble_n < 1 or self.ensemble_w <= 0:
@@ -163,8 +168,9 @@ def load_config(path):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
-    # values are read as written: '%' is a character, not an interpolation
-    parser = configparser.ConfigParser(interpolation=None)
+    # values are read as written ('%' is a character), and [DEFAULT] is an
+    # unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read(path, encoding="utf-8")
     except UnicodeDecodeError:

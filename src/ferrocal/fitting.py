@@ -302,8 +302,6 @@ def _varpro(xs, ys, mus, ws, joint=True):
         return np.array([v[i:j].sum() for i, j in gbounds])
 
     def gdot(u, v):
-        if groups == 1:
-            return np.array([u @ v])
         if equal:
             return _rowdots(u[None], v[None], groups)[0]
         return np.array([u[i:j] @ v[i:j] for i, j in gbounds])

@@ -7,13 +7,13 @@ order, derived from their position. A noise-margin variant requires each
 kept value to clear the last one by at least a given increment. Input must
 be finite.
 
-DAC-limited level counts evaluate the noiseless fitted model on every DAC
-code voltage and run the margin scan over the result, one fixed-size block
-of codes at a time: the scan carries its state from block to block, so a
-count takes O(2**bits) time in memory that does not grow with the bits.
-``count_dac_levels``, the paper's DAC-limited count, is library-only.
-Programming inverts the transfer function at a target normalized weight and
-snaps to the nearest code.
+Every scan is one run of ``_keep_masks``: a sweep's values as one block, or
+a DAC-limited level count's noiseless model values at every DAC code voltage,
+one fixed-size block of codes at a time. The scan carries its state from
+block to block, so a count takes O(2**bits) time in memory that does not
+grow with the bits. ``count_dac_levels``, the paper's DAC-limited count, is
+library-only. Programming inverts the transfer function at a target
+normalized weight and snaps to the nearest code.
 
 When margin > 0 the margin scan jumps between kept values by binary search
 (over the running maximum where the values decrease, as noisy sweeps do), so
@@ -77,12 +77,6 @@ def _sorted_samples(curve_or_arrays):
         raise ConfigError("level extraction requires finite V_p and values")
     order = np.argsort(v, kind="stable")
     return v[order], y[order]
-
-
-def _monotone_keep_mask(values, margin, accept_equal):
-    """Greedy scan keeping values that rise by at least ``margin``: the
-    keep mask of ``_keep_masks`` over the whole sequence as one block."""
-    return next(_keep_masks([values], margin, accept_equal))
 
 
 def _keep_masks(blocks, margin, accept_equal):
@@ -164,7 +158,7 @@ def _next_kept(values, last, k, margin, accept_equal):
 
 def _filter(curve_or_arrays, margin, accept_equal):
     v, y = _sorted_samples(curve_or_arrays)
-    keep = _monotone_keep_mask(y, float(margin), bool(accept_equal))
+    keep = next(_keep_masks([y], float(margin), bool(accept_equal)))
     return LevelSet(v_p=v[keep], values=y[keep], source_count=int(v.size))
 
 

@@ -127,7 +127,7 @@ class DeviceCalibration:
         if self.read_noise_sigma < 0:
             raise ConfigError("read_noise_sigma must be >= 0")
         if not 1 <= int(self.dac_bits) <= MAX_DAC_BITS:
-            raise ConfigError(f"dac_bits must lie in 1..{MAX_DAC_BITS}")
+            raise ConfigError(f"dac_bits must lie in 1..{MAX_DAC_BITS}, got {self.dac_bits!r}")
         lo, hi = self.dac_range
         if not hi > lo:
             raise ConfigError("dac_range must satisfy V_max > V_min")

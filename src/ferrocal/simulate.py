@@ -17,21 +17,33 @@ A read is an affine function of the down fraction: displacement plus
 optional Gaussian noise, or the polarization change. The ensemble is never
 mutated.
 
+Every random draw takes its generator from ``spawn_rng``, keyed by the run
+seed and a stream named for the draw, never by the order of the draws.
+
 ``simulate_sweeps``, the one entry point the CLI uses, draws a run
 configuration's ensemble and sweeps it at each of its pulse widths.
 """
 
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .model import TRUNCATION_HALF_WIDTHS, MerzKinetics, threshold_divisor
-from .rngutil import spawn_rng
 
 # units per block of the sortedness check: no n-sized mask is made
 _BLOCK = 1 << 16
+
+
+def spawn_rng(seed, *stream):
+    """Generator of the (seed, stream...) leaf of the seed tree. Stream parts
+    are ints or strings; a string is keyed by its CRC-32, which no process
+    hash seed moves."""
+    key = tuple(zlib.crc32(part.encode()) if isinstance(part, str) else int(part)
+                for part in stream)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=key)))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ strictly; violations are reported with their 1-based line number.
 
 Sweep files are converted a whole column at a time: the data block is read
 by one ``numpy.loadtxt`` call and checked on arrays, and only a file that
-fails those checks is scanned row by row, to name its first bad line. The
-fast path reads a narrower set of numeric literals than Python's ``float``:
-a cell holding ``_`` or non-ASCII digits, or a data block holding one of the
-control characters U+001C..U+001F, is a parse error with its line number.
+fails those checks is scanned row by row, which names its first bad line or
+reads the table itself (a line holding only ``""`` is blank to ``csv``, not
+to ``loadtxt``). The fast path reads a narrower set of numeric literals than
+Python's ``float``: a cell holding ``_`` or non-ASCII digits, or a data block
+holding one of the control characters U+001C..U+001F, is a parse error with
+its line number.
 
 Sweep, report and level values are written with Python's shortest
 round-trip float representation, so emit -> parse reproduces every stored
@@ -114,20 +116,19 @@ def _load_table(text):
 
 
 def _scan_sweep_rows(path):
-    """Raise the ParseError of the first bad row of a sweep file's data block.
+    """The table ``_load_table`` gives, read row by row as ``csv`` and
+    ``float`` read them, or the ParseError of the first bad row.
 
-    Rows are read as ``csv`` and ``float`` read them. A cell that ``float``
-    reads but the whole-column path does not (``_``, non-ASCII digits, the
-    control characters in ``_UNSUPPORTED_CHARS``) is an error of its own.
-    A file that passes every row check and still fails the table read (a
-    line holding only a quoted blank cell) gets an error without a line.
+    A line holding only a quoted blank cell is blank, as a whitespace-only
+    line is. A cell that ``float`` reads but the whole-column path does not
+    (``_``, non-ASCII digits, the control characters in
+    ``_UNSUPPORTED_CHARS``) is an error of its own.
     """
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        seen_rows = False
         last_v = {}
-        isfinite = math.isfinite
         for line_no, row in enumerate(reader, start=2):
             if any(c in cell for cell in row for c in _UNSUPPORTED_CHARS):
                 raise ParseError(f"unsupported control character in row {row!r}",
@@ -136,12 +137,7 @@ def _scan_sweep_rows(path):
                 continue
             if len(row) != 3:
                 raise ParseError(f"expected 3 columns, got {len(row)}", line=line_no)
-            try:
-                tp_us, v_p, value = map(float, row)
-            except ValueError:
-                raise ParseError(f"non-numeric row {row!r}", line=line_no) from None
-            if not (isfinite(tp_us) and isfinite(v_p) and isfinite(value)):
-                raise ParseError(f"non-finite value in row {row!r}", line=line_no)
+            tp_us, v_p, value = _finite_floats(row, row, line_no)
             if tp_us <= 0:
                 raise ParseError("t_p_us must be positive", line=line_no)
             if v_p <= 0:
@@ -155,10 +151,11 @@ def _scan_sweep_rows(path):
                 raise ParseError(f"unsupported numeric literal in row {row!r}; "
                                  f"write numbers in ASCII without '_'", line=line_no)
             last_v[tp_us] = v_p
-            seen_rows = True
-    if not seen_rows:
+            rows.append((tp_us, v_p, value))
+    if not rows:
         raise ParseError("file holds a header but no data rows")
-    raise ParseError("data rows could not be read as one numeric table")
+    table = np.array(rows)
+    return table[np.argsort(table[:, 0], kind="stable")]
 
 
 def parse_sweep_csv(path):
@@ -190,7 +187,7 @@ def parse_sweep_csv(path):
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     if table is None:
-        _scan_sweep_rows(path)
+        table = _scan_sweep_rows(path)
     tp_us = table[:, 0]
     values = table[:, 2].copy()
     starts = np.flatnonzero(np.diff(tp_us, prepend=0.0)).tolist()
@@ -264,9 +261,9 @@ def emit_fit_report(path, fits, markers=None, observable_kind="displacement"):
 
 def parse_fit_report(path):
     """Read a fit report of either observable; returns a list of
-    (LorentzianFit, marker voltage or None). A row needs finite cells and a
-    finite y0 + A, t_p, A and w > 0, v50_V == 10**mu > 0 and an rms >= 0, or
-    it is a ParseError."""
+    (LorentzianFit, marker voltage or None). A row needs finite cells,
+    v50_V == 10**mu > 0 and the values a LorentzianFit accepts, or it is a
+    ParseError with its line: the fit's own ConfigError names the rule."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
@@ -288,19 +285,14 @@ def parse_fit_report(path):
                 tp_us, y0, a, mu, w, v50, rms = _finite_floats(
                     [row[i] for i in (0, 1, 2, 3, 4, 5, 7)], row, line_no)
                 vc = None if row[6] == "" else _finite_floats(row[6:7], row, line_no)[0]
-                t_p = tp_us * 1e-6
-                if not (t_p > 0 and a > 0 and w > 0):
-                    raise ParseError("t_p_us, A and w must be positive", line=line_no)
-                if not math.isfinite(y0 + a):
-                    raise ParseError(f"y0 + A = {y0!r} + {a!r} is not finite", line=line_no)
                 with np.errstate(over="ignore"):
                     ten_to_mu = float(np.power(10.0, mu))
                 if not (v50 > 0 and abs(v50 - ten_to_mu) <= 1e-12 * v50):
                     raise ParseError(f"v50_V = {v50!r} is not 10**mu > 0 for mu = {mu!r}",
                                      line=line_no)
                 try:
-                    fit = LorentzianFit(y0=y0, a=a, mu=mu, w=w, rms_residual=rms, t_p=t_p)
-                except ConfigError as exc:  # a negative rms, say
+                    fit = LorentzianFit.from_params(y0, a, mu, w, rms, tp_us * 1e-6)
+                except ConfigError as exc:  # t_p, A or w <= 0, say
                     raise ParseError(str(exc), line=line_no) from None
                 out.append((fit, vc))
     except UnicodeDecodeError:

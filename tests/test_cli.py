@@ -420,12 +420,12 @@ class TestExitCodes:
 
     # one cell of the third data row (line 4) of the published-table report
     @pytest.mark.parametrize("column, cell, message", [
-        (0, "-10", "t_p_us, A and w must be positive"),
-        (0, "0", "t_p_us, A and w must be positive"),
-        (2, "0", "t_p_us, A and w must be positive"),
-        (2, "-1.5", "t_p_us, A and w must be positive"),
-        (4, "0", "t_p_us, A and w must be positive"),
-        (4, "-0.04", "t_p_us, A and w must be positive"),
+        (0, "-10", "LorentzianFit requires a finite w, t_p > 0 finite in us"),
+        (0, "0", "LorentzianFit requires a finite w, t_p > 0 finite in us"),
+        (2, "0", "LorentzianFit requires a > 0"),
+        (2, "-1.5", "LorentzianFit requires a > 0"),
+        (4, "0", "LorentzianFit requires w > 0"),
+        (4, "-0.04", "LorentzianFit requires w > 0"),
         (5, "6.0", "v50_V = 6.0 is not 10**mu"),
     ], ids=["t_p-negative", "t_p-zero", "A-zero", "A-negative", "w-zero", "w-negative",
             "v50-not-10**mu"])
@@ -467,8 +467,8 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("bits, message", [
-        ("2000", "argument --dac-bits: DAC width must lie in 1..53, got 2000"),
-        ("0", "argument --dac-bits: DAC width must lie in 1..53, got 0"),
+        ("2000", "config error: dac_bits must lie in 1..53, got 2000"),
+        ("0", "config error: dac_bits must lie in 1..53, got 0"),
         ("53", "53 DAC bits over [0.5, 9.0] V do not give each code its own voltage")])
     def test_dac_width_beyond_distinct_code_voltages_is_usage_error(self, tmp_path, capsys,
                                                                     bits, message):
@@ -522,6 +522,23 @@ class TestExitCodes:
         assert main(["--out-dir", str(tmp_path), "simulate",
                      "--config", str(cfg), "--out", "x.csv"]) == 2
         assert "unknown" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    # configparser would fold [DEFAULT] keys into every section, or read a
+    # file holding nothing else as the defaults
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 7\nbogus = 1\n",
+        "[DEFAULT]\nseed = 7\n\n[run]\n",
+        "[DEFAULT]\nseed = 7\n\n[device]\n",
+        "[run]\nseed = 7\n\n[DEFAULT]\nseed = 8\n",
+    ], ids=["alone", "before-run", "before-device", "after-run"])
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert main(["--out-dir", str(tmp_path), "simulate",
+                     "--config", str(cfg), "--out", "x.csv"]) == 2
+        assert capsys.readouterr().err == \
+            "ferrocal: config error: unknown config section [DEFAULT]\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("section, line, message", [
@@ -789,6 +806,23 @@ class TestRunConfigChecksItself:
         with pytest.raises(ConfigError) as in_code:
             build(RunConfig())
         assert str(in_code.value) == str(from_file.value)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"seed": 1.5}, "[run] seed: 1.5 is not an integer"),
+        ({"seed": 7.0}, "[run] seed: 7.0 is not an integer"),
+        ({"seed": "7"}, "[run] seed: '7' is not an integer"),
+        ({"ensemble_n": 2.5}, "[ensemble] n: 2.5 is not an integer"),
+        ({"ensemble_n": 2.5, "seed": 1.5}, "[run] seed: 1.5 is not an integer"),
+    ], ids=["seed", "whole-float-seed", "string-seed", "ensemble_n", "both"])
+    def test_non_integer_seed_or_ensemble_n_is_rejected(self, changes, message):
+        # the sampler would truncate either one
+        with pytest.raises(ConfigError) as err:
+            replace(RunConfig(), **changes)
+        assert str(err.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        cfg = replace(RunConfig(), seed=np.uint32(7), ensemble_n=np.int64(2000))
+        assert (cfg.seed, cfg.ensemble_n) == (7, 2000)
 
     def test_every_key_sets_its_own_field(self):
         defaults, targets = RunConfig(), []

@@ -489,6 +489,21 @@ class TestBatchedFits:
                 assert fitting._default_init(x, y) == raw_default_init(x, y)
 
 
+class TestRowDots:
+    """The engine takes a lone group's dot products from ``_rowdots`` over one
+    part, as it takes several groups' of one size; that rounds as ``u @ v``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10_000) | st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 10_000]),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e6, 1e150]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_part_rounds_as_u_at_v(self, n, scale, seed):
+        u, v = np.random.default_rng(seed).normal(0.0, scale, (2, n))
+        got = fitting._rowdots(u[None], v[None], 1)[0]
+        assert got.shape == (1,)
+        assert got.tobytes() == np.float64(u @ v).tobytes()
+
+
 class TestFaultingGroup:
     """A curve whose fit faults inside the engine stops there; the curves
     fit beside it keep iterating and reach the bits they reach alone. The

@@ -19,7 +19,7 @@ from ferrocal import (DeviceCalibration, DomainError, HysteronEnsemble, Lorentzi
                       polarization_change_of_fraction, run_protocol_sweep, sample_ensemble,
                       simulate, thresholds_at)
 from ferrocal.config import RunConfig
-from ferrocal.levels import _DAC_BLOCK, _keep_masks, _monotone_keep_mask
+from ferrocal.levels import _DAC_BLOCK, _keep_masks
 
 from anchors import (ORACLE_ALPHA, ORACLE_DAC_K, ORACLE_MU_STAR, PUB_TAU_INF, ROW_500US,
                      naive_monotone_scan, naive_protocol_sweep, one_array_protocol_count)
@@ -478,7 +478,7 @@ class TestMarginScanJumpSearch:
         values, margin = case
         values = np.asarray(values, dtype=float)
         for accept_equal in (True, False):
-            mask = _monotone_keep_mask(values, margin, accept_equal)
+            mask = next(_keep_masks([values], margin, accept_equal))
             assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, margin, accept_equal)
 
     @settings(max_examples=500, deadline=None)
@@ -487,7 +487,7 @@ class TestMarginScanJumpSearch:
         values, margin = case
         for accept_equal in (True, False):
             # the loop takes Python floats, whose overflow does not warn
-            mask = _monotone_keep_mask(np.asarray(values, dtype=float), margin, accept_equal)
+            mask = next(_keep_masks([np.asarray(values, dtype=float)], margin, accept_equal))
             assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, margin, accept_equal)
 
 
@@ -520,7 +520,7 @@ class TestBlockedMarginScan:
         values = np.asarray(values, dtype=float)
         for m in (margin, 0.0):
             for accept_equal in (True, False):
-                whole = _monotone_keep_mask(values, m, accept_equal)
+                whole = next(_keep_masks([values], m, accept_equal))
                 # at margin 0 the scan compares with the prefix max, which on
                 # finite values keeps what the loop's subtraction keeps
                 assert list(np.flatnonzero(whole)) == naive_monotone_scan(
@@ -562,20 +562,20 @@ class TestPureKernel:
         rng = np.random.default_rng(17)
         for _ in range(50):
             values = np.round(rng.normal(0, 1, int(rng.integers(1, 200))), 1)
-            mask = _monotone_keep_mask(values, 0.0, True)
+            mask = next(_keep_masks([values], 0.0, True))
             assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, 0.0, True)
-            strict = _monotone_keep_mask(values, 0.0, False)
+            strict = next(_keep_masks([values], 0.0, False))
             assert list(np.flatnonzero(strict)) == naive_monotone_scan(values, 0.0, False)
 
     def test_margin_scan_matches_naive_scan(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
             values = rng.normal(0, 1, 150).cumsum()
-            mask = _monotone_keep_mask(values, 0.4, True)
+            mask = next(_keep_masks([values], 0.4, True))
             assert list(np.flatnonzero(mask)) == naive_monotone_scan(values, 0.4, True)
             ties = np.round(values, 1)  # increments exactly equal to the margin
             for accept_equal in (True, False):
-                mask = _monotone_keep_mask(ties, 0.2, accept_equal)
+                mask = next(_keep_masks([ties], 0.2, accept_equal))
                 assert list(np.flatnonzero(mask)) == naive_monotone_scan(ties, 0.2, accept_equal)
 
     def test_state_carries_between_grid_points_without_reset(self):

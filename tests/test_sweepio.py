@@ -201,6 +201,34 @@ class TestSweepCsvParsing:
         assert [c.t_p for c in curves] == pytest.approx([10e-6, 500e-6])
         assert np.array_equal(curves[0].values, [0.0, 2.0])
 
+    # the whole-column read fails on these lines, and the row scan reads
+    # them as blank, as csv does
+    @pytest.mark.parametrize("blank", ['""', '" "', '"\t"'])
+    def test_quoted_blank_line_is_a_blank_line(self, tmp_path, blank):
+        rows = ["500,1.0,-0.0", "10,1.0,1e-300", "500,2.0,3", "10,2.0,2", "10,3.5,4"]
+        plain = self.write(tmp_path, "t_p_us,V_p_V,delta_nm\n" + "\n".join(rows) + "\n")
+        expected = outcome(parse_sweep_csv, plain)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text("t_p_us,V_p_V,delta_nm\n" + "\n".join([blank, *rows[:2], blank,
+                                                                    *rows[2:], blank]) + "\n")
+        assert outcome(parse_sweep_csv, quoted) == expected == outcome(naive_parse_sweep_csv,
+                                                                       quoted)
+        curves = parse_sweep_csv(quoted)
+        assert [c.t_p for c in curves] == pytest.approx([10e-6, 500e-6])
+        assert np.array_equal(curves[0].values, [1e-300, 2.0, 4.0])
+        assert np.signbit(curves[1].values[0])
+        # the curves are built as from the whole-column read: read-only grids
+        assert not (curves[0].v_p.flags.writeable or curves[1].v_p.flags.writeable)
+
+    def test_quoted_blank_line_keeps_the_line_of_a_later_error(self, tmp_path):
+        p = self.write(tmp_path, 't_p_us,V_p_V,delta_nm\n""\n500,2.0,0\n""\n500,1.0,1\n')
+        with pytest.raises(ParseError, match="V_p must increase strictly") as err:
+            parse_sweep_csv(p)
+        assert err.value.line == 5
+        p = self.write(tmp_path, 't_p_us,V_p_V,delta_nm\n""\n\n')
+        with pytest.raises(ParseError, match="header but no data rows"):
+            parse_sweep_csv(p)
+
 
 def outcome(parse, path):
     """Curves as (t_p, kind, v_p bytes, value bytes), or the ParseError raised."""
@@ -469,7 +497,8 @@ class TestFitReport:
         cells[1] = cells[2] = "1e308"
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=r"y0 \+ A = 1e\+308 \+ 1e\+308 is not finite") as err:
+        with pytest.raises(ParseError,
+                           match=r"LorentzianFit requires finite y0, a and y0 \+ a") as err:
             parse_fit_report(path)
         assert err.value.line == 3
 
