@@ -9,7 +9,7 @@ extraction with DAC-aware programming.
 """
 
 from .errors import (AmbiguousMarkerError, ConfigError, DomainError, FerrocalError,
-                     FitError, MarkerAbsentError, ParseError, RangeError, RankError)
+                     FitError, ParseError, RangeError, RankError)
 from .fitting import (CurveMarkers, LorentzianFit, curve_markers, fit_family,
                       fit_lorentzian_cdf)
 from .kinetics import (MerzRegression, collapse_rms, collapse_transform, fit_merz_nested,

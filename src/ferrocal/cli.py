@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import load_config
 from .errors import ConfigError, DomainError, FerrocalError, ParseError
 from .fitting import curve_markers, fit_family
 from .kinetics import (S_BAR_BAND, collapse_rms, collapse_transform, fit_merz_nested,

@@ -78,7 +78,9 @@ class RunConfig:
     sweep: SweepPlan = field(default_factory=SweepPlan)
 
     def __post_init__(self):
-        for name, value in (("[run] seed", self.seed), ("[ensemble] n", self.ensemble_n)):
+        for name, value in (("[run] seed", self.seed), ("[ensemble] n", self.ensemble_n),
+                            ("[protocol] reset_count", self.reset_count),
+                            ("[protocol] write_count", self.write_count)):
             if not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name}: {value!r} is not an integer")
         if self.seed < 0:

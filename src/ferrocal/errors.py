@@ -36,10 +36,6 @@ class FitError(FerrocalError):
         self.best_fit = best_fit
 
 
-class MarkerAbsentError(FerrocalError):
-    """The requested curve marker (e.g. a zero crossing) does not exist."""
-
-
 class AmbiguousMarkerError(FerrocalError):
     """The curve crosses the marker level more than once."""
 

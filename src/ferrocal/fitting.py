@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FitError, MarkerAbsentError, RankError
-from .model import ThresholdDistribution, lorentzian_displacement
+from .errors import ConfigError, DomainError, FitError, RankError
+from .model import ThresholdDistribution, _rowdot, lorentzian_displacement
 
 # optimizer contract: relative step (and cost decrease) tolerance, and the
 # budget of model evaluations per fitted curve
@@ -201,14 +201,6 @@ def _spread(values, counts):
     return values[0] if values.size == 1 else values.repeat(counts)
 
 
-def _rowdots(a, b, parts):
-    """Dot products of the ``parts`` equal slices of each row of a with the
-    same slices of b, each rounded as a @ b, in shape (rows, parts)."""
-    rows = len(a)
-    dots = np.matmul(a.reshape(rows, parts, 1, -1), b.reshape(rows, parts, -1, 1))
-    return dots.reshape(rows, parts)
-
-
 def _diagonal(m):
     """Writable view of the diagonals of a stack of square matrices."""
     return m.reshape(len(m), -1)[:, ::m.shape[-1] + 1]
@@ -266,10 +258,11 @@ def _varpro(xs, ys, mus, ws, joint=True):
     evaluations per curve; the step solves are one batched solve. A group
     that converges or fails stays in place, frozen by its state: its theta,
     cost, J'J, J'r and damping never change again. Per-group sums (the
-    linear solve's, the cost) are rounded as they would be for the group
-    alone, so each group takes the steps, and reaches the bits, it would
-    reach in a call of its own, and the one evaluation after the loop, which
-    gives (y0, a) and the residuals, repeats its last accepted one.
+    linear solve's, the cost; dot products through ``model._rowdot``) round
+    as they would for the group alone, so each group takes the steps, and
+    reaches the bits, it would reach in a call of its own, and the one
+    evaluation after the loop, which gives (y0, a) and the residuals,
+    repeats its last accepted one.
 
     The corrections subtract where a projection would not, so cancellation
     can hide a singular problem: a diagonal of J'J not above _RANK_RATIO of
@@ -294,7 +287,7 @@ def _varpro(xs, ys, mus, ws, joint=True):
     x, y = np.concatenate(xs), np.concatenate(ys)
 
     # Per-group sums round as a sum over the group alone would: pairwise, and
-    # dot products as BLAS takes them. On groups of one size they come from
+    # dot products as u @ v takes them. On groups of one size they come from
     # the (groups, n) sample block; otherwise one sum per group.
     def gsum(v):
         if equal:
@@ -303,7 +296,7 @@ def _varpro(xs, ys, mus, ws, joint=True):
 
     def gdot(u, v):
         if equal:
-            return _rowdots(u[None], v[None], groups)[0]
+            return _rowdot(u.reshape(groups, -1), v.reshape(groups, -1))
         return np.array([u[i:j] @ v[i:j] for i, j in gbounds])
 
     # residuals from centred data: y - mean(y) is exact wherever the samples
@@ -389,9 +382,8 @@ def _varpro(xs, ys, mus, ws, joint=True):
         step, singular = _solve(damped, -grad)
         trial = theta + step
         hess_step = np.matmul(hess, step[:, :, None])[:, :, 0]
-        step_sq, theta_sq, slope, curvature = _rowdots(
-            np.concatenate((step, theta, grad, hess_step), axis=1),
-            np.concatenate((step, theta, step, step), axis=1), 4).T
+        step_sq, theta_sq, slope, curvature = _rowdot(
+            np.stack((step, theta, grad, hess_step), 1), np.stack((step, theta, step, step), 1)).T
         small = np.sqrt(step_sq) <= _FIT_TOL * (_FIT_TOL + np.sqrt(theta_sq))
         # a cost decrease the linear model puts below _FIT_TOL of the cost is
         # lost in rounding, so the cost cannot judge the step: it is taken
@@ -450,32 +442,29 @@ def _group_fits(curves, y0, a, mus, ws, r, status):
 
 def _fit_each(curves):
     """Fit every curve on its own, all in one engine call. Returns their
-    fits, or raises the error of the first failing curve in the given order."""
-    outcomes, batch = [], []
-    for i, curve in enumerate(curves):
-        try:
+    fits, or raises the error of the first failing curve in the given order:
+    seeding stops at the first pre-engine failure, and the engine fits the
+    curves before it, each to the bits it reaches alone."""
+    batch, fits, error = [], [], None
+    try:
+        for curve in curves:
             if curve.n_samples < 8:
                 raise DomainError("fit requires >= 8 samples spanning both tails")
             x, y = np.log10(curve.v_p), curve.values
             if y.min() == y.max():  # np.ptp(y) == 0 could overflow
                 raise RankError("flat curve cannot constrain the transfer function")
-            batch.append((i, x, y, *_default_init(x, y)))
-            outcomes.append(None)
-        except (DomainError, FitError, RankError) as exc:
-            outcomes.append(exc)
+            batch.append((x, y, *_default_init(x, y)))
+    except (DomainError, FitError, RankError) as exc:
+        error = exc
     if batch:
-        index, xs, ys, mus, ws = zip(*batch)
+        xs, ys, mus, ws = zip(*batch)
         (y0s, amps), mus, ws, r, status = _varpro(xs, ys, mus, ws, joint=False)
         pieces = np.split(r, np.cumsum([xj.size for xj in xs])[:-1])
-        for i, y0, a, mu, w, ri, s in zip(index, y0s, amps, mus, ws, pieces, status):
-            try:
-                (outcomes[i],) = _group_fits([curves[i]], y0, a, [mu], [w], ri, s)
-            except FitError as exc:
-                outcomes[i] = exc
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
+        for curve, y0, a, mu, w, ri, s in zip(curves, y0s, amps, mus, ws, pieces, status):
+            fits += _group_fits([curve], y0, a, [mu], [w], ri, s)
+    if error is not None:
+        raise error
+    return fits
 
 
 def fit_lorentzian_cdf(curve):
@@ -494,11 +483,11 @@ def fit_family(curves, share_offsets=False):
     """Fit a pulse-width family of one or more curves; returns fits ordered
     by increasing t_p.
 
-    The curves are fit independently in one engine call, and a failure
-    raises what ``fit_lorentzian_cdf`` raises for the first failing curve in
-    t_p order. With ``share_offsets`` those fits seed a single joint
-    optimization that holds one global (y0, A) across all curves with
-    per-curve (mu, w); a single curve has no offset to share.
+    The curves are fit independently in one engine call (``_fit_each``),
+    and a failure raises what ``fit_lorentzian_cdf`` raises for the first
+    failing curve in t_p order. With ``share_offsets`` those fits seed a
+    single joint optimization that holds one global (y0, A) across all
+    curves with per-curve (mu, w); a single curve has no offset to share.
     """
     if len(curves) == 0:
         raise ConfigError("fit_family requires >= 1 curve")
@@ -520,10 +509,10 @@ def fit_family(curves, share_offsets=False):
 def _isotonic_crossing(v, y, level):
     """V_p where the least-squares fit to ``y`` that is monotone along the
     curve's trend (the sign of last - first) crosses ``level``: the middle
-    of a run of the fit on the level, or interpolated across a step. Where
-    the samples decrease and a block mean is zero up to rounding, the sums
-    and the fit can disagree on whether it touches zero; both readings are
-    then within rounding of the data.
+    of a run of the fit on the level, or interpolated across a step; None if
+    it never crosses. Where the samples decrease and a block mean is zero up
+    to rounding, the sums and the fit can disagree on whether it touches
+    zero; both readings are then within rounding of the data.
     """
     z = y - level
     if y[-1] < y[0]:
@@ -537,22 +526,19 @@ def _isotonic_crossing(v, y, level):
             lo, hi = left(t), right(t)
             if lo * hi < 0:  # an underflowing product is no sign change
                 return float(v[t - 1] + (-lo) * (v[t] - v[t - 1]) / (hi - lo))
-    raise MarkerAbsentError("curve never crosses the marker level")
+    return None
 
 
 def curve_markers(curve):
-    """The marker of a curve's observable kind, None if the curve never
-    crosses its level: vc_mech where the isotonic fit of a displacement
-    curve crosses zero, vc_elec where that of a polarization-change curve
-    crosses the half-saturation level (min + max)/2. Read noise makes the
-    raw samples cross a level several times near the coercive voltage; the
-    monotone fit crosses once.
+    """The marker of a curve's observable kind, ``_isotonic_crossing``'s
+    None where the curve never crosses its level: vc_mech where the isotonic
+    fit of a displacement curve crosses zero, vc_elec where that of a
+    polarization-change curve crosses the half-saturation level
+    (min + max)/2. Read noise makes the raw samples cross a level several
+    times near the coercive voltage; the monotone fit crosses once.
     """
     y = curve.values
     displacement = curve.observable_kind == "displacement"
     level = 0.0 if displacement else 0.5 * (y.min() + y.max())
-    try:
-        vc = _isotonic_crossing(curve.v_p, y, level)
-    except MarkerAbsentError:
-        vc = None
+    vc = _isotonic_crossing(curve.v_p, y, level)
     return CurveMarkers(vc_mech=vc) if displacement else CurveMarkers(vc_elec=vc)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import log_time_ratio
+from .model import _rowdot, log_time_ratio
 
 # slopes smaller than this are reported as degenerate (alpha = inf) rather
 # than dividing by near-zero
@@ -64,12 +64,6 @@ def _split_points(points):
     return tp, mu
 
 
-def _dot(a, b):
-    """Dot products of the rows of ``a`` and ``b`` along the last axis. A
-    stacked ``np.matmul`` rounds each row as the 1-D ``a @ b`` does."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def _line(x, mu):
     """Least-squares lines mu = intercept + slope * x, one for each row of
     ``x`` (a single row, or a stack of rows along the leading axes).
@@ -80,10 +74,10 @@ def _line(x, mu):
     x_mean = x.mean(axis=-1, keepdims=True)
     dx = x - x_mean
     dy = mu - mu.mean()
-    sxx = _dot(dx, dx)
+    sxx = _rowdot(dx, dx)
     if np.any(sxx == 0.0):
         raise ConfigError("degenerate regression: all X values identical")
-    slope = _dot(dx, dy) / sxx
+    slope = _rowdot(dx, dy) / sxx
     intercept = mu.mean() - slope * x_mean[..., 0]
     ss_res = np.sum((mu - (intercept[..., None] + slope[..., None] * x)) ** 2, axis=-1)
     return slope, intercept, ss_res

@@ -84,9 +84,9 @@ def _keep_masks(blocks, margin, accept_equal):
 
     ``blocks`` are consecutive pieces of one sequence; the masks
     are the whole sequence's mask cut the same way. A value is kept when
-    value - last_kept > margin, or == margin if ``accept_equal``. The first
-    value is always kept. From block to block the scan carries the last
-    kept value and the running maximum of every value before the block.
+    value - last_kept > margin, or == margin if ``accept_equal``; last_kept
+    starts at -inf, so the first value is kept. From block to block the scan
+    carries the last kept value and the running maximum before the block.
 
     Every value must be finite. At margin 0 the last kept value is the
     running maximum, so the scan vectorizes as a prefix-max comparison.
@@ -106,32 +106,27 @@ def _keep_masks(blocks, margin, accept_equal):
     sample that clears it is the first index where the running maximum does.
     """
     cmp = np.greater_equal if accept_equal else np.greater
-    last = run = None
+    last = run = -math.inf
     for block in blocks:
         keep = np.zeros(len(block), dtype=bool)
-        rest, out = block, keep
-        if run is None and keep.size:
-            keep[0] = True
-            last = run = block.item(0)
-            rest, out = block[1:], keep[1:]
-        if rest.size and margin == 0.0:
+        if block.size and margin == 0.0:
             # last kept value == running max of everything seen
-            runmax = np.maximum.accumulate(rest)
+            runmax = np.maximum.accumulate(block)
             np.maximum(runmax, run, out=runmax)
-            out[0] = cmp(rest[0], run)
-            cmp(rest[1:], runmax[:-1], out=out[1:])
+            keep[0] = cmp(block[0], run)
+            cmp(block[1:], runmax[:-1], out=keep[1:])
             run = runmax.item(-1)
-        elif rest.size:
-            if not (rest[0] >= run and np.all(rest[1:] >= rest[:-1])):
+        elif block.size:
+            if not (block[0] >= run and np.all(block[1:] >= block[:-1])):
                 # copied only here: DAC code values never decrease
-                rest = np.maximum.accumulate(rest)
-                np.maximum(rest, run, out=rest)
-            k = _next_kept(rest, last, 0, margin, accept_equal)
-            while k < rest.size:
-                out[k] = True
-                last = rest.item(k)
-                k = _next_kept(rest, last, k + 1, margin, accept_equal)
-            run = rest.item(-1)
+                block = np.maximum.accumulate(block)
+                np.maximum(block, run, out=block)
+            k = _next_kept(block, last, 0, margin, accept_equal)
+            while k < block.size:
+                keep[k] = True
+                last = block.item(k)
+                k = _next_kept(block, last, k + 1, margin, accept_equal)
+            run = block.item(-1)
         yield keep
 
 
@@ -190,7 +185,7 @@ def _code_voltages(codes, cal):
     voltages lo + (hi - lo) * k / (2**bits - 1), and return it."""
     lo, hi = cal.dac_range
     codes *= hi - lo
-    codes /= 2 ** int(cal.dac_bits) - 1
+    codes /= 2 ** cal.dac_bits - 1
     codes += lo
     return codes
 
@@ -198,7 +193,7 @@ def _code_voltages(codes, cal):
 def dac_nearest_code(cal, v_p):
     """Index of the DAC code closest to v_p."""
     lo, hi = cal.dac_range
-    ncodes = 2 ** int(cal.dac_bits)
+    ncodes = 2 ** cal.dac_bits
     code = int(round((v_p - lo) / (hi - lo) * (ncodes - 1)))
     return min(max(code, 0), ncodes - 1)
 
@@ -206,7 +201,7 @@ def dac_nearest_code(cal, v_p):
 def dac_voltage(cal, code):
     """Voltage of one DAC code k: lo + (hi - lo) * k / (2**bits - 1)."""
     lo, hi = cal.dac_range
-    ncodes = 2 ** int(cal.dac_bits)
+    ncodes = 2 ** cal.dac_bits
     return lo + (hi - lo) * code / (ncodes - 1)
 
 
@@ -214,7 +209,7 @@ def _dac_value_blocks(fit, cal):
     """The noiseless fitted model at every DAC code voltage, in code order,
     ``_DAC_BLOCK`` codes at a time in one reused buffer."""
     dist = ThresholdDistribution(fit.mu, fit.w)
-    ncodes = 2 ** int(cal.dac_bits)
+    ncodes = 2 ** cal.dac_bits
     offsets = np.arange(min(ncodes, _DAC_BLOCK), dtype=float)
     buf = np.empty_like(offsets)
     for start in range(0, ncodes, _DAC_BLOCK):

@@ -31,6 +31,8 @@ has just built in its one reused buffer.
 """
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +112,7 @@ class DeviceCalibration:
     delta_min / delta_max  displacements of the fully reset / fully poled
                            states (nm)
     read_noise_sigma       displacement read noise std (nm)
-    dac_bits               DAC resolution controlling V_p
+    dac_bits               DAC resolution controlling V_p, an integer
     dac_range              (V_min, V_max) programmable span (V)
     """
 
@@ -126,14 +128,16 @@ class DeviceCalibration:
             raise ConfigError("DeviceCalibration requires 0 < delta_max - delta_min < inf")
         if self.read_noise_sigma < 0:
             raise ConfigError("read_noise_sigma must be >= 0")
-        if not 1 <= int(self.dac_bits) <= MAX_DAC_BITS:
+        if not (isinstance(self.dac_bits, numbers.Integral) and 1 <= self.dac_bits <= MAX_DAC_BITS):
             raise ConfigError(f"dac_bits must lie in 1..{MAX_DAC_BITS}, got {self.dac_bits!r}")
+        # a numpy integer becomes an int, whose 2**bits cannot wrap round
+        object.__setattr__(self, "dac_bits", operator.index(self.dac_bits))
         lo, hi = self.dac_range
         if not hi > lo:
             raise ConfigError("dac_range must satisfy V_max > V_min")
-        step = (hi - lo) / (2.0 ** int(self.dac_bits) - 1)
+        step = (hi - lo) / (2.0 ** self.dac_bits - 1)
         if not np.spacing(max(abs(lo), abs(hi))) < step < math.inf:
-            raise ConfigError(f"{int(self.dac_bits)} DAC bits over [{lo!r}, {hi!r}] V do not "
+            raise ConfigError(f"{self.dac_bits} DAC bits over [{lo!r}, {hi!r}] V do not "
                               "give each code its own voltage")
 
     @property
@@ -164,6 +168,13 @@ class NlsSpec:
 def _as_float_or_array(out):
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
+
+
+def _rowdot(a, b):
+    """Dot products of the rows of ``a`` and ``b`` along the last axis. A
+    stacked ``np.matmul`` rounds each row as the 1-D ``a @ b`` does, so the
+    fit engine's groups and the Merz profile's lines each round as alone."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def tau_of_voltage(kinetics, v):

@@ -262,12 +262,13 @@ def emit_fit_report(path, fits, markers=None, observable_kind="displacement"):
 def parse_fit_report(path):
     """Read a fit report of either observable; returns a list of
     (LorentzianFit, marker voltage or None). A row needs finite cells,
-    v50_V == 10**mu > 0 and the values a LorentzianFit accepts, or it is a
-    ParseError with its line: the fit's own ConfigError names the rule."""
+    v50_V == 10**mu > 0, the values a LorentzianFit accepts and a t_p_us no
+    earlier row holds, or it is a ParseError with its line: the fit's own
+    ConfigError names the rule, and a repeated width names both lines."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
-    out = []
+    out, seen = [], {}  # seen: the line of each t_p_us read
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -294,6 +295,10 @@ def parse_fit_report(path):
                     fit = LorentzianFit.from_params(y0, a, mu, w, rms, tp_us * 1e-6)
                 except ConfigError as exc:  # t_p, A or w <= 0, say
                     raise ParseError(str(exc), line=line_no) from None
+                if tp_us in seen:
+                    raise ParseError(f"t_p_us = {tp_us!r} repeats line {seen[tp_us]}",
+                                     line=line_no)
+                seen[tp_us] = line_no
                 out.append((fit, vc))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None

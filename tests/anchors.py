@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ferrocal import (AmbiguousMarkerError, FitError, MarkerAbsentError, ParseError,
+from ferrocal import (AmbiguousMarkerError, FitError, ParseError,
                       RankError, SwitchCurve)
 from ferrocal.fitting import _FIT_TOL, _MAX_ITER
 from ferrocal.kinetics import regress_mu_fixed_tau
@@ -110,7 +110,8 @@ def one_array_protocol_count(vth_reset, vth_write, down, reset_peak, write_peak,
 
 
 def naive_single_crossing(v, y, level):
-    """Reference for the marker crossing: walks the samples one at a time."""
+    """Reference for the marker crossing: walks the samples one at a time;
+    None where they never cross the level."""
     d = y - level
     events = []
     i = 0
@@ -127,7 +128,7 @@ def naive_single_crossing(v, y, level):
                 events.append(v[i] + (-d[i]) * (v[i + 1] - v[i]) / (d[i + 1] - d[i]))
             i += 1
     if not events:
-        raise MarkerAbsentError("curve never crosses the marker level")
+        return None
     if len(events) > 1:
         raise AmbiguousMarkerError(f"curve crosses the marker level {len(events)} times")
     return float(events[0])

@@ -205,14 +205,6 @@ class TestMerzCommand:
         assert abs(math.log10(float(values["tau_inf_s"])) - math.log10(14e-15)) <= 1.0
 
 
-    def test_repeated_pulse_width_is_usage_error(self, tmp_path, capsys):
-        # one pulse width gives one X, so no line can be fitted through it
-        fit = LorentzianFit.from_params(*TABLE_ROWS[0][1:5], 0.0, TABLE_ROWS[0][0])
-        report = emit_fit_report(tmp_path / "fit_report.csv", [fit] * 3)
-        assert main(["--out-dir", str(tmp_path), "merz", "--fits", str(report)]) == 2
-        assert "all X values identical" in capsys.readouterr().err
-
-
 class TestCollapseCommand:
     def test_rms_reported(self, tmp_path, capsys):
         curves = [synthetic_curve(row) for row in TABLE_ROWS]
@@ -337,6 +329,23 @@ class TestProgramCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["merz", "collapse", "program"])
+    def test_repeated_pulse_width_is_parse_error_with_its_line(self, tmp_path, capsys, command):
+        # merz could fit no line through the width twice, collapse would
+        # take the first row and program would write both
+        fits = [LorentzianFit.from_params(*row[1:5], 0.0, row[0]) for row in TABLE_ROWS[:3]]
+        report = emit_fit_report(tmp_path / "fit_report.csv", fits + fits[1:2])
+        sweep = tmp_path / "sweep.csv"
+        emit_sweep_csv(sweep, [synthetic_curve(row) for row in TABLE_ROWS])
+        extra = {"merz": [], "collapse": ["--input", str(sweep)],
+                 "program": ["--targets", "0.5"]}[command]
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), command, "--fits", str(report), *extra]) == 3
+        tp_us = float(report.read_text().splitlines()[3].split(",")[0])
+        assert capsys.readouterr().err == (
+            f"ferrocal: parse error: line 4: t_p_us = {tp_us!r} repeats line 3\n")
+        assert not any(out.iterdir())
+
     def test_success_is_zero(self, tmp_path):
         report = write_table_report(tmp_path / "fit_report.csv")
         assert main(["--out-dir", str(tmp_path), "merz", "--fits", str(report),
@@ -816,6 +825,17 @@ class TestRunConfigChecksItself:
     ], ids=["seed", "whole-float-seed", "string-seed", "ensemble_n", "both"])
     def test_non_integer_seed_or_ensemble_n_is_rejected(self, changes, message):
         # the sampler would truncate either one
+        with pytest.raises(ConfigError) as err:
+            replace(RunConfig(), **changes)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"reset_count": 2.5}, "[protocol] reset_count: 2.5 is not an integer"),
+        ({"write_count": 1.5}, "[protocol] write_count: 1.5 is not an integer"),
+        ({"reset_count": 2.0, "write_count": 1.5},
+         "[protocol] reset_count: 2.0 is not an integer"),
+    ], ids=["reset_count", "write_count", "both"])
+    def test_non_integer_pulse_count_is_rejected(self, changes, message):
         with pytest.raises(ConfigError) as err:
             replace(RunConfig(), **changes)
         assert str(err.value) == message

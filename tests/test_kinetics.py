@@ -138,6 +138,11 @@ class TestFitMerzNested:
         reg = fit_merz_nested(POINTS)
         assert abs(math.log10(reg.tau_inf) - math.log10(PUB_TAU_INF)) <= 1.0
 
+    def test_one_repeated_width_is_degenerate(self):
+        # one pulse width gives one X, so no line can be fitted through it
+        with pytest.raises(ConfigError, match="^degenerate regression: all X values identical$"):
+            fit_merz_nested([(TABLE_ROWS[0][0], mu) for mu in (0.7, 0.8, 0.9)])
+
     def test_flat_medians_flagged_degenerate(self):
         pts = [(t, 0.7) for t, *_ in TABLE_ROWS]
         reg = fit_merz_nested(pts)

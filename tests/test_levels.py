@@ -6,8 +6,7 @@ import pytest
 
 from ferrocal import (ConfigError, DeviceCalibration, DomainError, LorentzianFit,
                       RangeError, SwitchCurve, achieved_weight, count_dac_levels,
-                      dac_nearest_code, dac_voltage,
-                      lorentzian_displacement, program_voltage_for_weight, s0_filter,
+                      dac_nearest_code, dac_voltage, program_voltage_for_weight, s0_filter,
                       s0_filter_with_margin, threshold_pdf,
                       ThresholdDistribution)
 from ferrocal.levels import _code_voltages

@@ -10,7 +10,7 @@ from ferrocal import (ConfigError, DomainError, MerzKinetics, NlsSpec,
                       ThresholdDistribution, lorentzian_displacement,
                       nls_switched_fraction, switched_fraction_cdf,
                       tau_of_voltage, threshold_pdf, threshold_quantile, threshold_voltage)
-from ferrocal.model import TRUNCATION_HALF_WIDTHS
+from ferrocal.model import TRUNCATION_HALF_WIDTHS, _rowdot
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_TAU_AT_4P867V,
                      PUB_TAU_INF, ROW_500US, TABLE_ROWS)
@@ -52,6 +52,23 @@ class TestDeviceCalibration:
         with pytest.raises(ConfigError):
             DeviceCalibration(**good, dac_range=(9.0, 0.5))
 
+    @pytest.mark.parametrize("bits", [2.5, 18.0, "18", None])
+    def test_non_integer_dac_bits_is_rejected(self, bits):
+        # a DAC width was truncated: 2.5 bits programmed the codes of 2
+        from ferrocal import DeviceCalibration
+
+        with pytest.raises(ConfigError) as err:
+            DeviceCalibration(delta_min=0.0, delta_max=1.0, dac_bits=bits)
+        assert str(err.value) == f"dac_bits must lie in 1..53, got {bits!r}"
+
+    def test_numpy_integer_dac_bits_is_an_int(self):
+        # 2**8 in uint8 arithmetic wraps round to 0 codes
+        from ferrocal import DeviceCalibration, dac_nearest_code, dac_voltage
+
+        cal = DeviceCalibration(delta_min=0.0, delta_max=1.0, dac_bits=np.uint8(8))
+        assert type(cal.dac_bits) is int and cal.dac_bits == 8
+        assert (dac_voltage(cal, 255), dac_nearest_code(cal, 9.0)) == (9.0, 255)
+
     def test_dac_width_gives_each_code_its_own_voltage(self):
         from ferrocal.levels import dac_voltage
         from ferrocal.model import MAX_DAC_BITS, DeviceCalibration
@@ -70,6 +87,23 @@ class TestDeviceCalibration:
                 DeviceCalibration(**good, dac_bits=bits)
         with pytest.raises(ConfigError):  # a step of 2**-49 V is below the spacing near 2**10 V
             DeviceCalibration(**{**good, "dac_range": (1024.0, 1024.0 + 2.0**-40)}, dac_bits=10)
+
+
+class TestRowDot:
+    """The fit engine's per-group sums and the Merz profile's lines take
+    their dot products from ``_rowdot``; each row rounds as ``u @ v``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 4),
+           n=st.integers(1, 10_000) | st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 10_000]),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e6, 1e150]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_row_rounds_as_u_at_v(self, rows, n, scale, seed):
+        u, v = np.random.default_rng(seed).normal(0.0, scale, (2, rows, n))
+        got = _rowdot(u, v)
+        assert got.shape == (rows,)
+        assert got.tobytes() == np.array([ui @ vi for ui, vi in zip(u, v)]).tobytes()
+        assert np.float64(_rowdot(u[0], v[0])).tobytes() == np.float64(u[0] @ v[0]).tobytes()
 
 
 class TestTauOfField:
