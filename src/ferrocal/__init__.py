@@ -1,28 +1,28 @@
 """ferrocal: calibration, fitting, and simulation for ferroelectric-MEMS
 synaptic weights.
 
-Layers: a closed-form switching model (kinetic law, Cauchy threshold
-statistics, displacement transfer function), a hysteron-ensemble protocol
-simulator, least-squares calibration of measured sweeps, kinetic-law
-regression with universal data collapse, and discrete weight-level
-extraction with DAC-aware programming.
+Layers, each importing only those before it: ``errors``; ``model``, the
+closed-form switching model and all that two other modules share; then
+``config``, ``simulate`` (protocol simulator), ``fitting`` (sweep fits),
+``kinetics`` (Merz law, collapse), ``levels`` (weight levels, DAC) and
+``sweepio`` (file formats), side by side; and ``cli``.
 """
 
 from .errors import (AmbiguousMarkerError, ConfigError, DomainError, FerrocalError,
                      FitError, ParseError, RangeError, RankError)
-from .fitting import (CurveMarkers, LorentzianFit, curve_markers, fit_family,
-                      fit_lorentzian_cdf)
+from .fitting import CurveMarkers, curve_markers, fit_family, fit_lorentzian_cdf
 from .kinetics import (MerzRegression, collapse_rms, collapse_transform, fit_merz_nested,
-                       master_curve, regress_mu_fixed_tau)
+                       regress_mu_fixed_tau)
 from .levels import (LevelSet, achieved_weight, count_dac_levels, dac_nearest_code,
                      dac_voltage, program_voltage_for_weight, s0_filter,
                      s0_filter_with_margin)
-from .model import (DeviceCalibration, MerzKinetics, NlsSpec, ThresholdDistribution,
-                    lorentzian_displacement, nls_switched_fraction, switched_fraction_cdf,
-                    tau_of_voltage, threshold_pdf, threshold_quantile, threshold_voltage)
-from .simulate import (HysteronEnsemble, SwitchCurve, TriangularPulse, WriteProtocol,
-                       polarization_change_of_fraction, run_protocol_sweep, sample_ensemble,
-                       simulate_sweeps, thresholds_at)
+from .model import (DeviceCalibration, LorentzianFit, MerzKinetics, NlsSpec, SwitchCurve,
+                    ThresholdDistribution, TriangularPulse, WriteProtocol,
+                    lorentzian_displacement, master_curve, nls_switched_fraction,
+                    switched_fraction_cdf, tau_of_voltage, threshold_pdf,
+                    threshold_quantile, threshold_voltage)
+from .simulate import (HysteronEnsemble, polarization_change_of_fraction, run_protocol_sweep,
+                       sample_ensemble, simulate_sweeps, thresholds_at)
 from .sweepio import (emit_fit_report, emit_levels_csv, emit_plotdata, emit_sweep_csv,
                       parse_fit_report, parse_sweep_csv)
 

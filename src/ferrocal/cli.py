@@ -25,7 +25,7 @@ from .kinetics import (S_BAR_BAND, collapse_rms, collapse_transform, fit_merz_ne
                        regress_mu_fixed_tau)
 from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weight,
                      s0_filter, s0_filter_with_margin)
-from .model import DeviceCalibration
+from .model import DeviceCalibration, same_width
 from .simulate import simulate_sweeps
 from .sweepio import (_tp_labels, emit_fit_report, emit_levels_csv, emit_merz_report,
                       emit_plotdata, emit_sweep_csv, fit_report_header, parse_fit_report,
@@ -46,7 +46,7 @@ def _out_dir(args):
 
 def _match_fit(fits, t_p):
     for fit, _ in fits:
-        if math.isclose(fit.t_p, t_p, rel_tol=1e-9):
+        if same_width(fit.t_p, t_p):
             return fit
     raise DomainError(f"no fit in the report for t_p = {t_p * 1e6:g} us")
 

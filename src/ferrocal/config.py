@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, first_non_utf8
-from .model import TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics, threshold_divisor
-from .simulate import SwitchCurve, TriangularPulse, WriteProtocol
+from .model import (OBSERVABLES, TRUNCATION_HALF_WIDTHS, DeviceCalibration, MerzKinetics,
+                    TriangularPulse, WriteProtocol, same_width, threshold_divisor)
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,11 @@ class SweepPlan:
             raise ConfigError(f"[sweep] p_r_uC_cm2: {self.p_r!r} makes 2 * P_r overflow")
         if not self.t_p or any(t <= 0 for t in self.t_p):
             raise ConfigError("sweep requires positive pulse widths")
-        # a sweep file keys each curve by t_p * 1e6, so widths sharing a key
-        # would merge into one curve that no reader accepts
-        if len({t * 1e6 for t in self.t_p}) < len(self.t_p):
+        # the readers reject two widths that are one (same_width)
+        ordered = sorted(self.t_p)
+        if any(map(same_width, ordered, ordered[1:])):
             raise ConfigError("sweep requires distinct pulse widths (t_p_us)")
-        if self.observable_kind not in SwitchCurve._KINDS:
+        if self.observable_kind not in OBSERVABLES:
             raise ConfigError(f"[sweep] observable: unknown kind {self.observable_kind!r}")
 
     def grid(self):

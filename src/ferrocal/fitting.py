@@ -35,57 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, FitError, RankError
-from .model import ThresholdDistribution, _rowdot, lorentzian_displacement
+from .model import LorentzianFit, _rowdot, master_curve, same_width
 
 # optimizer contract: relative step (and cost decrease) tolerance, and the
 # budget of model evaluations per fitted curve
 _FIT_TOL = 1e-14
 _MAX_ITER = 500
-
-
-@dataclass(frozen=True)
-class LorentzianFit:
-    """Fitted transfer-function parameters for one pulse width.
-
-    y0 (nm), a (nm), mu (decades), w (decades); v50 = 10**mu (V) is derived.
-    Every value a fit report writes is a finite float, so every fit that
-    constructs can be written and read back.
-    """
-
-    y0: float
-    a: float
-    mu: float
-    w: float
-    rms_residual: float
-    t_p: float
-
-    def __post_init__(self):
-        if not self.w > 0:
-            raise ConfigError("LorentzianFit requires w > 0")
-        if not self.a > 0:
-            raise ConfigError("LorentzianFit requires a > 0")
-        # the model's values lie between y0 and y0 + a, so they are finite too
-        if not all(map(math.isfinite, (self.y0, self.a, float(self.y0) + float(self.a)))):
-            raise ConfigError("LorentzianFit requires finite y0, a and y0 + a")
-        ThresholdDistribution(self.mu, self.w)  # 10**mu must be a positive float
-        if not (self.w < math.inf and 0 < self.t_p * 1e6 < math.inf
-                and 0 <= self.rms_residual < math.inf):
-            raise ConfigError("LorentzianFit requires a finite w, t_p > 0 finite in us, "
-                              "and a finite rms_residual >= 0")
-
-    @property
-    def v50(self):
-        """Half-switching voltage 10**mu (V)."""
-        return 10.0**self.mu
-
-    @classmethod
-    def from_params(cls, y0, a, mu, w, rms_residual, t_p):
-        return cls(y0=float(y0), a=float(a), mu=float(mu), w=float(w),
-                   rms_residual=float(rms_residual), t_p=float(t_p))
-
-    def displacement(self, v_p):
-        """Evaluate the fitted model at V_p."""
-        return lorentzian_displacement(self.y0, self.a, self.mu, self.w, v_p)
 
 
 @dataclass(frozen=True)
@@ -258,8 +213,9 @@ def _varpro(xs, ys, mus, ws, joint=True):
     evaluations per curve; the step solves are one batched solve. A group
     that converges or fails stays in place, frozen by its state: its theta,
     cost, J'J, J'r and damping never change again. Per-group sums (the
-    linear solve's, the cost; dot products through ``model._rowdot``) round
-    as they would for the group alone, so each group takes the steps, and
+    linear solve's, the cost) run over the group's own slice and the step
+    test's dot products through ``model._rowdot``, so each rounds as it
+    would for the group alone, and each group takes the steps, and
     reaches the bits, it would reach in a call of its own, and the one
     evaluation after the loop, which gives (y0, a) and the residuals,
     repeats its last accepted one.
@@ -283,20 +239,14 @@ def _varpro(xs, ys, mus, ws, joint=True):
     gsizes = sizes.reshape(groups, k).sum(axis=1)
     cstarts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     gbounds = list(zip(cstarts[::k], cstarts[::k] + gsizes))
-    equal = (gsizes == gsizes[0]).all()
     x, y = np.concatenate(xs), np.concatenate(ys)
 
-    # Per-group sums round as a sum over the group alone would: pairwise, and
-    # dot products as u @ v takes them. On groups of one size they come from
-    # the (groups, n) sample block; otherwise one sum per group.
+    # per-group sums and dot products over each group's slice, which round
+    # as they would over the group alone
     def gsum(v):
-        if equal:
-            return v.reshape(groups, -1).sum(1)
         return np.array([v[i:j].sum() for i, j in gbounds])
 
     def gdot(u, v):
-        if equal:
-            return _rowdot(u.reshape(groups, -1), v.reshape(groups, -1))
         return np.array([u[i:j] @ v[i:j] for i, j in gbounds])
 
     # residuals from centred data: y - mean(y) is exact wherever the samples
@@ -309,9 +259,7 @@ def _varpro(xs, ys, mus, ws, joint=True):
         w = np.exp(theta[:, k:]).ravel()
         u = x - _spread(theta[:, :k].ravel(), sizes)
         u /= _spread(w, sizes)
-        s = np.arctan(u)
-        s /= math.pi
-        s += 0.5
+        s = master_curve(u)
         s_mean = gsum(s) / gsizes
         s_c = s - _spread(s_mean, gsizes)
         ss = gdot(s_c, s_c)
@@ -492,8 +440,7 @@ def fit_family(curves, share_offsets=False):
     if len(curves) == 0:
         raise ConfigError("fit_family requires >= 1 curve")
     ordered = sorted(curves, key=lambda c: c.t_p)
-    tps = [c.t_p for c in ordered]
-    if len(set(tps)) != len(tps):
+    if any(same_width(a.t_p, b.t_p) for a, b in zip(ordered, ordered[1:])):
         raise ConfigError("fit_family requires distinct pulse widths")
 
     seeds = _fit_each(ordered)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import _rowdot, log_time_ratio
+from .model import _rowdot, log_time_ratio, master_curve, same_width
 
 # slopes smaller than this are reported as degenerate (alpha = inf) rather
 # than dividing by near-zero
@@ -147,11 +147,6 @@ def fit_merz_nested(points, tau_search=(-16.0, -10.0)):
         grid = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], 121)
 
 
-def master_curve(z):
-    """Parameter-free master transfer function 1/2 + arctan(z)/pi."""
-    return 0.5 + np.arctan(np.asarray(z, dtype=float)) / np.pi
-
-
 def collapse_transform(curve, fit):
     """Map a sweep onto reduced coordinates using its own fit.
 
@@ -159,7 +154,7 @@ def collapse_transform(curve, fit):
     s_bar = (value - y0)/A, one per sample. The fit must belong to the
     curve's pulse width, and every z and s_bar must be finite.
     """
-    if not math.isclose(curve.t_p, fit.t_p, rel_tol=1e-9):
+    if not same_width(curve.t_p, fit.t_p):
         raise DomainError(f"fit is for t_p={fit.t_p}, curve has t_p={curve.t_p}")
     with np.errstate(over="ignore"):
         points = np.column_stack(((np.log10(curve.v_p) - fit.mu) / fit.w,

@@ -27,7 +27,9 @@ The transfer function has one implementation, ``_transfer``: it evaluates S
 closed form is written, so every caller gets the closed form's bits without
 a full-size temporary per step. The public functions hand it a copy of their
 input; ``levels.count_dac_levels`` hands it each block of code voltages it
-has just built in its one reused buffer.
+has just built in its one reused buffer; its S(z) step is ``master_curve``.
+The module is also the one home of what two other modules share: the pulse
+types, ``SwitchCurve``, ``LorentzianFit``, ``OBSERVABLES`` and ``same_width``.
 """
 
 import math
@@ -165,6 +167,85 @@ class NlsSpec:
             raise ConfigError("NlsSpec requires scale > 0")
 
 
+# observable kind -> (sweep value column, unit, fit-report marker column)
+OBSERVABLES = {"displacement": ("delta_nm", "nm", "vc_mech_V"),
+               "polarization_change": ("dP_uC_cm2", "uC_cm2", "vc_elec_V")}
+
+
+def same_width(a, b):
+    """Whether pulse widths a and b are one width: equal to a relative 1e-9."""
+    return math.isclose(a, b, rel_tol=1e-9)
+
+
+@dataclass(frozen=True)
+class TriangularPulse:
+    """Programming pulse; the sign of ``peak`` encodes polarity (V), ``width`` in s."""
+
+    peak: float
+    width: float
+
+    def __post_init__(self):
+        if not self.width > 0:
+            raise ConfigError("TriangularPulse requires width > 0")
+        if self.peak == 0:
+            raise ConfigError("TriangularPulse requires a nonzero peak")
+
+
+@dataclass(frozen=True)
+class WriteProtocol:
+    """Reset-then-write pulse sequence applied before every read.
+
+    ``reset_count`` and ``write_count`` must be >= 1 but do not change the
+    simulated state: with deterministic thresholds a repeated identical
+    pulse flips nothing new.
+    """
+
+    reset_pulse: TriangularPulse
+    write_pulse: TriangularPulse
+    reset_count: int = 2
+    write_count: int = 2
+
+    def __post_init__(self):
+        if self.reset_pulse.peak * self.write_pulse.peak >= 0:
+            raise ConfigError("reset and write pulses must have opposite sign peaks")
+        if self.reset_count < 1 or self.write_count < 1:
+            raise ConfigError("pulse counts must be >= 1")
+
+
+@dataclass(frozen=True)
+class SwitchCurve:
+    """One measured or simulated sweep at fixed pulse width.
+
+    v_p strictly increasing (V); values in nm for displacement curves or
+    uC/cm^2 for polarization-change curves.
+    """
+
+    t_p: float
+    v_p: np.ndarray
+    values: np.ndarray
+    observable_kind: str = "displacement"
+
+    def __post_init__(self):
+        v = np.asarray(self.v_p, dtype=float)
+        y = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "v_p", v)
+        object.__setattr__(self, "values", y)
+        if v.ndim != 1 or y.shape != v.shape or v.size < 1:
+            raise ConfigError("SwitchCurve requires matching 1-D v_p and values")
+        # compared, not subtracted: a NaN fails every comparison, and a
+        # difference of finite values can overflow
+        if not (np.all(v[1:] > v[:-1]) and -math.inf < v[0] and v[-1] < math.inf):
+            raise ConfigError("SwitchCurve requires finite, strictly increasing V_p")
+        if self.observable_kind not in OBSERVABLES:
+            raise ConfigError(f"unknown observable_kind {self.observable_kind!r}")
+        if not self.t_p > 0:
+            raise ConfigError("SwitchCurve requires t_p > 0")
+
+    @property
+    def n_samples(self):
+        return self.v_p.size
+
+
 def _as_float_or_array(out):
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
@@ -227,6 +308,14 @@ def threshold_voltage(kinetics, t_p):
     return 10.0**kinetics.mu_star / threshold_divisor(kinetics, t_p)
 
 
+def master_curve(z, out=None):
+    """Master transfer function S(z) = 1/2 + arctan(z)/pi, in place on ``out`` if given."""
+    s = np.arctan(np.asarray(z, dtype=float), out=out)
+    s /= np.pi
+    s += 0.5
+    return s
+
+
 def _transfer(v, dist, y0=None, a=None):
     """Overwrite the float64 array ``v`` (V_p) with S(V_p), or with
     y0 + A * S(V_p) when ``a`` is given, and return it.
@@ -243,9 +332,7 @@ def _transfer(v, dist, y0=None, a=None):
         np.log10(v, out=v)
         v -= dist.mu
         v /= dist.w
-        np.arctan(v, out=v)
-        v /= np.pi
-        v += 0.5
+    master_curve(v, out=v)
     # S lies in [0, 1] by construction, so the affine map needs no range check
     if a is not None:
         v *= a
@@ -289,6 +376,51 @@ def lorentzian_displacement(y0, a, mu, w, v_p):
     """Full transfer function delta(V_p) = y0 + A * S(V_p) for given (mu, w)."""
     dist = ThresholdDistribution(mu, w)
     return _as_float_or_array(_transfer(np.array(v_p, dtype=float), dist, y0, a))
+
+
+@dataclass(frozen=True)
+class LorentzianFit:
+    """Fitted transfer-function parameters for one pulse width.
+
+    y0 (nm), a (nm), mu (decades), w (decades); v50 = 10**mu (V) is derived.
+    Every value a fit report writes is a finite float, so every fit that
+    constructs can be written and read back.
+    """
+
+    y0: float
+    a: float
+    mu: float
+    w: float
+    rms_residual: float
+    t_p: float
+
+    def __post_init__(self):
+        if not self.w > 0:
+            raise ConfigError("LorentzianFit requires w > 0")
+        if not self.a > 0:
+            raise ConfigError("LorentzianFit requires a > 0")
+        # the model's values lie between y0 and y0 + a, so they are finite too
+        if not all(map(math.isfinite, (self.y0, self.a, float(self.y0) + float(self.a)))):
+            raise ConfigError("LorentzianFit requires finite y0, a and y0 + a")
+        ThresholdDistribution(self.mu, self.w)  # 10**mu must be a positive float
+        if not (self.w < math.inf and 0 < self.t_p * 1e6 < math.inf
+                and 0 <= self.rms_residual < math.inf):
+            raise ConfigError("LorentzianFit requires a finite w, t_p > 0 finite in us, "
+                              "and a finite rms_residual >= 0")
+
+    @property
+    def v50(self):
+        """Half-switching voltage 10**mu (V)."""
+        return 10.0**self.mu
+
+    @classmethod
+    def from_params(cls, y0, a, mu, w, rms_residual, t_p):
+        return cls(y0=float(y0), a=float(a), mu=float(mu), w=float(w),
+                   rms_residual=float(rms_residual), t_p=float(t_p))
+
+    def displacement(self, v_p):
+        """Evaluate the fitted model at V_p."""
+        return lorentzian_displacement(self.y0, self.a, self.mu, self.w, v_p)
 
 
 def nls_switched_fraction(spec, t):

@@ -15,7 +15,7 @@ each grid point by one boundary search (``run_protocol_sweep``).
 
 A read is an affine function of the down fraction: displacement plus
 optional Gaussian noise, or the polarization change. The ensemble is never
-mutated.
+mutated; the pulse and curve types are ``model``'s.
 
 Every random draw takes its generator from ``spawn_rng``, keyed by the run
 seed and a stream named for the draw, never by the order of the draws.
@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import TRUNCATION_HALF_WIDTHS, MerzKinetics, threshold_divisor
+from .model import (OBSERVABLES, TRUNCATION_HALF_WIDTHS, MerzKinetics, SwitchCurve,
+                    threshold_divisor)
 
 # units per block of the sortedness check: no n-sized mask is made
 _BLOCK = 1 << 16
@@ -44,41 +45,6 @@ def spawn_rng(seed, *stream):
     key = tuple(zlib.crc32(part.encode()) if isinstance(part, str) else int(part)
                 for part in stream)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=key)))
-
-
-@dataclass(frozen=True)
-class TriangularPulse:
-    """Programming pulse; the sign of ``peak`` encodes polarity (V), ``width`` in s."""
-
-    peak: float
-    width: float
-
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ConfigError("TriangularPulse requires width > 0")
-        if self.peak == 0:
-            raise ConfigError("TriangularPulse requires a nonzero peak")
-
-
-@dataclass(frozen=True)
-class WriteProtocol:
-    """Reset-then-write pulse sequence applied before every read.
-
-    ``reset_count`` and ``write_count`` must be >= 1 but do not change the
-    simulated state: with deterministic thresholds a repeated identical
-    pulse flips nothing new.
-    """
-
-    reset_pulse: TriangularPulse
-    write_pulse: TriangularPulse
-    reset_count: int = 2
-    write_count: int = 2
-
-    def __post_init__(self):
-        if self.reset_pulse.peak * self.write_pulse.peak >= 0:
-            raise ConfigError("reset and write pulses must have opposite sign peaks")
-        if self.reset_count < 1 or self.write_count < 1:
-            raise ConfigError("pulse counts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -204,42 +170,6 @@ def polarization_change_of_fraction(p_r, s):
     return 2.0 * p_r * (np.asarray(s, dtype=float) - 0.5)
 
 
-@dataclass(frozen=True)
-class SwitchCurve:
-    """One measured or simulated sweep at fixed pulse width.
-
-    v_p strictly increasing (V); values in nm for displacement curves or
-    uC/cm^2 for polarization-change curves.
-    """
-
-    t_p: float
-    v_p: np.ndarray
-    values: np.ndarray
-    observable_kind: str = "displacement"
-
-    _KINDS = ("displacement", "polarization_change")
-
-    def __post_init__(self):
-        v = np.asarray(self.v_p, dtype=float)
-        y = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "v_p", v)
-        object.__setattr__(self, "values", y)
-        if v.ndim != 1 or y.shape != v.shape or v.size < 1:
-            raise ConfigError("SwitchCurve requires matching 1-D v_p and values")
-        # compared, not subtracted: a NaN fails every comparison, and a
-        # difference of finite values can overflow
-        if not (np.all(v[1:] > v[:-1]) and -math.inf < v[0] and v[-1] < math.inf):
-            raise ConfigError("SwitchCurve requires finite, strictly increasing V_p")
-        if self.observable_kind not in self._KINDS:
-            raise ConfigError(f"unknown observable_kind {self.observable_kind!r}")
-        if not self.t_p > 0:
-            raise ConfigError("SwitchCurve requires t_p > 0")
-
-    @property
-    def n_samples(self):
-        return self.v_p.size
-
-
 def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
                        observable_kind="displacement", p_r=None):
     """Run the full reset/write/read protocol over a voltage grid.
@@ -265,7 +195,7 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     For n units and G grid points a width costs O(G log n) time and O(G)
     scratch, plus one index per down-poled unit past r.
     """
-    if observable_kind not in SwitchCurve._KINDS:
+    if observable_kind not in OBSERVABLES:
         raise ConfigError(f"unknown observable_kind {observable_kind!r}")
     grid = np.asarray(vp_grid, dtype=float)
     # compared, not subtracted: a NaN fails every comparison, and a difference

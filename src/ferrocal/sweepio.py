@@ -3,9 +3,10 @@ plot data.
 
 One interchange format carries all sweep data: a CSV with header
 ``t_p_us,V_p_V,<value column>`` where the value column name declares the
-observable and its unit (``delta_nm`` for displacement, ``dP_uC_cm2`` for
-polarization change). Within each pulse-width group V_p must increase
-strictly; violations are reported with their 1-based line number.
+observable and its unit (``model.OBSERVABLES``: ``delta_nm`` for
+displacement, ``dP_uC_cm2`` for polarization change). Within each
+pulse-width group V_p must increase strictly; violations are reported with
+their 1-based line number. Curves and fits are ``model``'s types.
 
 Sweep files are converted a whole column at a time: the data block is read
 by one ``numpy.loadtxt`` call and checked on arrays, and only a file that
@@ -32,15 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParseError, first_non_utf8
-from .fitting import LorentzianFit
-from .kinetics import master_curve
-from .model import ThresholdDistribution, threshold_pdf
-from .simulate import SwitchCurve
+from .model import (OBSERVABLES, LorentzianFit, SwitchCurve, ThresholdDistribution,
+                    master_curve, same_width, threshold_pdf)
 
-_VALUE_COLUMNS = {"displacement": "delta_nm", "polarization_change": "dP_uC_cm2"}
-_KIND_BY_COLUMN = {v: k for k, v in _VALUE_COLUMNS.items()}
-_UNITS = {"displacement": "nm", "polarization_change": "uC_cm2"}
-_MARKER_COLUMNS = {"displacement": "vc_mech_V", "polarization_change": "vc_elec_V"}
+_KIND_BY_COLUMN = {column: kind for kind, (column, _, _) in OBSERVABLES.items()}
 
 # loadtxt skips these around a number, float() does not
 _UNSUPPORTED_CHARS = "\x1c\x1d\x1e\x1f"
@@ -49,9 +45,8 @@ _UNSUPPORTED_CHARS = "\x1c\x1d\x1e\x1f"
 def fit_report_header(observable_kind="displacement"):
     """Fit-report columns: offsets and rms carry the observable's unit, and
     the marker column holds vc_mech (displacement) or vc_elec (polarization)."""
-    unit = _UNITS[observable_kind]
-    return ["t_p_us", f"y0_{unit}", f"A_{unit}", "mu", "w", "v50_V",
-            _MARKER_COLUMNS[observable_kind], f"rms_{unit}"]
+    _, unit, marker = OBSERVABLES[observable_kind]
+    return ["t_p_us", f"y0_{unit}", f"A_{unit}", "mu", "w", "v50_V", marker, f"rms_{unit}"]
 
 
 def _fmt(x):
@@ -92,14 +87,14 @@ def _not_utf8(path):
 def _load_table(text):
     """The data block as an (n, 3) array if it passes every check, else None.
 
-    Whitespace-only lines are skipped, as the row scan skips them.
+    A whitespace-only line makes ``loadtxt`` raise, and the row scan, which
+    skips it, reads the file instead.
     """
     if not text or text.isspace() or any(map(text.__contains__, _UNSUPPORTED_CHARS)):
         return None
     try:
-        table = np.loadtxt((line for line in io.StringIO(text, newline="")
-                            if not line.isspace()),
-                           delimiter=",", comments=None, quotechar='"', ndmin=2)
+        table = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", comments=None,
+                           quotechar='"', ndmin=2)
     except ValueError:
         return None
     if table.shape[1] != 3 or not np.isfinite(table).all():
@@ -209,7 +204,7 @@ def emit_sweep_csv(path, curves):
     kinds = {c.observable_kind for c in curves}
     if len(kinds) != 1:
         raise ConfigError("all curves in one sweep file must share an observable kind")
-    column = _VALUE_COLUMNS[kinds.pop()]
+    column = OBSERVABLES[kinds.pop()][0]
     if not all(np.isfinite(curve.values).all() for curve in curves):
         raise DomainError("a sweep holds a non-finite value, which no sweep file may hold")
     # the curves of a family usually share one grid: its text is made once.
@@ -263,12 +258,13 @@ def parse_fit_report(path):
     """Read a fit report of either observable; returns a list of
     (LorentzianFit, marker voltage or None). A row needs finite cells,
     v50_V == 10**mu > 0, the values a LorentzianFit accepts and a t_p_us no
-    earlier row holds, or it is a ParseError with its line: the fit's own
-    ConfigError names the rule, and a repeated width names both lines."""
+    earlier row holds (``same_width``), or it is a ParseError with its line:
+    the fit's own ConfigError names the rule, and a repeated width names
+    both lines."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"no such file: {path}")
-    out, seen = [], {}  # seen: the line of each t_p_us read
+    out, seen = [], []  # seen: (t_p, line) of each row read
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -276,7 +272,7 @@ def parse_fit_report(path):
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise ParseError("empty fit report", line=1) from None
-            if header not in map(fit_report_header, _UNITS):
+            if header not in map(fit_report_header, OBSERVABLES):
                 raise ParseError(f"bad fit report header {header!r}", line=1)
             for line_no, row in enumerate(reader, start=2):
                 if not row:
@@ -295,10 +291,10 @@ def parse_fit_report(path):
                     fit = LorentzianFit.from_params(y0, a, mu, w, rms, tp_us * 1e-6)
                 except ConfigError as exc:  # t_p, A or w <= 0, say
                     raise ParseError(str(exc), line=line_no) from None
-                if tp_us in seen:
-                    raise ParseError(f"t_p_us = {tp_us!r} repeats line {seen[tp_us]}",
-                                     line=line_no)
-                seen[tp_us] = line_no
+                for t_p, line in seen:
+                    if same_width(t_p, fit.t_p):
+                        raise ParseError(f"t_p_us = {tp_us!r} repeats line {line}", line=line_no)
+                seen.append((fit.t_p, line_no))
                 out.append((fit, vc))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None

@@ -334,17 +334,23 @@ class TestExitCodes:
         # merz could fit no line through the width twice, collapse would
         # take the first row and program would write both
         fits = [LorentzianFit.from_params(*row[1:5], 0.0, row[0]) for row in TABLE_ROWS[:3]]
-        report = emit_fit_report(tmp_path / "fit_report.csv", fits + fits[1:2])
+        exact = emit_fit_report(tmp_path / "fit_report.csv", fits + fits[1:2])
+        # a width one ulp (in us) off line 3's is one width with it too
+        lines = exact.read_text().splitlines(keepends=True)
+        tp_us, rest = lines[3].split(",", 1)
+        near = tmp_path / "near_report.csv"
+        near.write_text("".join(lines[:3]) + f"{math.nextafter(float(tp_us), math.inf)!r},{rest}")
         sweep = tmp_path / "sweep.csv"
         emit_sweep_csv(sweep, [synthetic_curve(row) for row in TABLE_ROWS])
         extra = {"merz": [], "collapse": ["--input", str(sweep)],
                  "program": ["--targets", "0.5"]}[command]
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out), command, "--fits", str(report), *extra]) == 3
-        tp_us = float(report.read_text().splitlines()[3].split(",")[0])
-        assert capsys.readouterr().err == (
-            f"ferrocal: parse error: line 4: t_p_us = {tp_us!r} repeats line 3\n")
-        assert not any(out.iterdir())
+        for report in (exact, near):
+            out = tmp_path / report.stem
+            assert main(["--out-dir", str(out), command, "--fits", str(report), *extra]) == 3
+            tp_us = float(report.read_text().splitlines()[3].split(",")[0])
+            assert capsys.readouterr().err == (
+                f"ferrocal: parse error: line 4: t_p_us = {tp_us!r} repeats line 3\n")
+            assert not any(out.iterdir())
 
     def test_success_is_zero(self, tmp_path):
         report = write_table_report(tmp_path / "fit_report.csv")
@@ -569,6 +575,7 @@ class TestExitCodes:
     # or write a sweep file that ``fit`` rejects (exit 3)
     @pytest.mark.parametrize("section, line, message", [
         ("sweep", "t_p_us = 10,10", "distinct pulse widths (t_p_us)"),
+        ("sweep", "t_p_us = 10,10.000000000001", "distinct pulse widths (t_p_us)"),
         ("sweep", "t_p_us = 10,1e-8", "[sweep] t_p_us: every pulse width must exceed"),
         ("protocol", "reset_width_s = 1.4e-14", "[protocol] reset_width_s: 1.4e-14 s must exceed"),
         ("kinetics", "alpha = 0.001", "[kinetics] alpha: 0.001 puts ln(width / tau_inf)"
@@ -586,10 +593,11 @@ class TestExitCodes:
          "[device] delta_min_nm / delta_max_nm: the span 1e+308 - (-1e+308) overflows"),
         ("sweep", "observable = polarization_change\np_r_uC_cm2 = 1e308",
          "[sweep] p_r_uC_cm2: 1e+308 makes 2 * P_r overflow"),
-    ], ids=["duplicate-t_p_us", "t_p_us-at-tau_inf", "reset_width_s-at-tau_inf",
-            "divisor-past-the-floats", "divisor-past-the-floats-near-tau_inf",
-            "grid-under-4-points", "grid-past-the-floats", "grid-step-count-inf",
-            "grid-stop-at-1e308", "span-overflow", "polarization-overflow"])
+    ], ids=["duplicate-t_p_us", "near-duplicate-t_p_us", "t_p_us-at-tau_inf",
+            "reset_width_s-at-tau_inf", "divisor-past-the-floats",
+            "divisor-past-the-floats-near-tau_inf", "grid-under-4-points",
+            "grid-past-the-floats", "grid-step-count-inf", "grid-stop-at-1e308", "span-overflow",
+            "polarization-overflow"])
     def test_pulse_width_rejected_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                   section, line, message):
         monkeypatch.setattr("ferrocal.simulate.sample_ensemble", None)  # a call raises TypeError

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,6 +277,8 @@ class TestFitFamily:
             fit_family([])
         with pytest.raises(ConfigError):
             fit_family([c, c])  # duplicate t_p
+        with pytest.raises(ConfigError, match="distinct pulse widths"):
+            fit_family([c, replace(c, t_p=c.t_p * (1 + 1e-12))])  # one width to a relative 1e-9
         assert len(fit_family([c])) == 1  # one curve is a family
 
 

@@ -22,3 +22,21 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# the ferrocal modules each library module may import; cli, __init__ and
+# __main__ sit on top and may import any
+LAYERS = {"errors": set(), "model": {"errors"},
+          **dict.fromkeys(("config", "simulate", "fitting", "kinetics", "levels", "sweepio"),
+                          {"errors", "model"})}
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_library_modules_import_only_lower_layers(name):
+    # the package imports its own modules relatively: from .x import y, from . import x
+    tree = ast.parse((Path(ferrocal.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
+    imported = [(node.lineno, module.split(".")[0]) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for module in ([node.module] if node.module else [a.name for a in node.names])]
+    outside = sorted((line, module) for line, module in imported if module not in LAYERS[name])
+    assert not outside, f"{name}.py imports modules above its layer: {outside}"
