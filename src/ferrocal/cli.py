@@ -124,9 +124,7 @@ def cmd_simulate(args):
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     curves = simulate_sweeps(cfg)
-    dest = Path(args.out)
-    if not dest.is_absolute():
-        dest = out / dest
+    dest = out / args.out  # an absolute --out replaces the directory
     emit_sweep_csv(dest, curves)
     print(f"wrote {dest}: {len(curves)} sweep(s), {curves[0].n_samples} points each, "
           f"n = {cfg.ensemble_n} hysterons, seed = {cfg.seed}")

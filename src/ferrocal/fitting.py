@@ -10,13 +10,14 @@ Every fit runs through one numpy engine, ``_varpro``: variable projection
 steps along Kaufman's projected Jacobian move the per-curve (mu, log w). The
 engine fits groups of curves in lockstep on their concatenated samples: a
 family's independent fits are one call with one group per curve, the
-shared-offset fit one call with one group. A finished group stays in place,
-frozen, and one evaluation after the loop gives (y0, A) and the residuals.
-It builds the Jacobian's normal equations from per-curve sums and never
-forms the dense N x 2m matrix. A rank guard on those sums, and a check for
-a non-finite cost, gradient or normal matrix, stop a singular or diverging
-group with a fault status. One checker, ``_group_fits``, turns each group's
-outcome, in either mode, into its LorentzianFits or a FitError.
+shared-offset fit one call with one group from the same seeds. A finished
+group stays in place, frozen, and one evaluation after the loop gives
+(y0, A) and the residuals. It builds the Jacobian's normal equations from
+per-curve sums and never forms the dense N x 2m matrix. A rank guard on
+those sums, and a check for a non-finite cost, gradient or normal matrix,
+stop a singular or diverging group with a fault status. One checker,
+``_group_fits``, turns each group's outcome, in either mode, into its
+LorentzianFits or a FitError.
 
 Fits are seeded, and both coercive voltages are read, from the isotonic
 (monotone least-squares) fit of the samples, which a noisy sample or an
@@ -388,31 +389,14 @@ def _group_fits(curves, y0, a, mus, ws, r, status):
     return fits
 
 
-def _fit_each(curves):
-    """Fit every curve on its own, all in one engine call. Returns their
-    fits, or raises the error of the first failing curve in the given order:
-    seeding stops at the first pre-engine failure, and the engine fits the
-    curves before it, each to the bits it reaches alone."""
-    batch, fits, error = [], [], None
-    try:
-        for curve in curves:
-            if curve.n_samples < 8:
-                raise DomainError("fit requires >= 8 samples spanning both tails")
-            x, y = np.log10(curve.v_p), curve.values
-            if y.min() == y.max():  # np.ptp(y) == 0 could overflow
-                raise RankError("flat curve cannot constrain the transfer function")
-            batch.append((x, y, *_default_init(x, y)))
-    except (DomainError, FitError, RankError) as exc:
-        error = exc
-    if batch:
-        xs, ys, mus, ws = zip(*batch)
-        (y0s, amps), mus, ws, r, status = _varpro(xs, ys, mus, ws, joint=False)
-        pieces = np.split(r, np.cumsum([xj.size for xj in xs])[:-1])
-        for curve, y0, a, mu, w, ri, s in zip(curves, y0s, amps, mus, ws, pieces, status):
-            fits += _group_fits([curve], y0, a, [mu], [w], ri, s)
-    if error is not None:
-        raise error
-    return fits
+def _seed(curve):
+    """A curve's engine input (x, y, mu, w), or the error it fails with first."""
+    if curve.n_samples < 8:
+        raise DomainError("fit requires >= 8 samples spanning both tails")
+    x, y = np.log10(curve.v_p), curve.values
+    if y.min() == y.max():  # np.ptp(y) == 0 could overflow
+        raise RankError("flat curve cannot constrain the transfer function")
+    return (x, y, *_default_init(x, y))
 
 
 def fit_lorentzian_cdf(curve):
@@ -431,25 +415,38 @@ def fit_family(curves, share_offsets=False):
     """Fit a pulse-width family of one or more curves; returns fits ordered
     by increasing t_p.
 
-    The curves are fit independently in one engine call (``_fit_each``),
-    and a failure raises what ``fit_lorentzian_cdf`` raises for the first
-    failing curve in t_p order. With ``share_offsets`` those fits seed a
-    single joint optimization that holds one global (y0, A) across all
-    curves with per-curve (mu, w); a single curve has no offset to share.
+    The curves are fit independently in one engine call, and a failure
+    raises what ``fit_lorentzian_cdf`` raises for the first failing curve in
+    t_p order. With ``share_offsets`` one joint engine call from the same
+    seeds holds one global (y0, A) across all curves with per-curve (mu, w);
+    a failure before the engine raises as above, and otherwise the joint
+    fit's outcome decides. A single curve has no offset to share.
     """
     if len(curves) == 0:
         raise ConfigError("fit_family requires >= 1 curve")
     ordered = sorted(curves, key=lambda c: c.t_p)
     if any(same_width(a.t_p, b.t_p) for a, b in zip(ordered, ordered[1:])):
         raise ConfigError("fit_family requires distinct pulse widths")
+    if share_offsets and len(ordered) > 1:
+        (y0, a), mus, ws, r, (status,) = _varpro(*zip(*map(_seed, ordered)))
+        return _group_fits(ordered, y0[0], a[0], mus, ws, r, status)
 
-    seeds = _fit_each(ordered)
-    if not share_offsets or len(ordered) == 1:
-        return seeds
-    (y0, a), mus, ws, r, (status,) = _varpro(
-        [np.log10(c.v_p) for c in ordered], [c.values for c in ordered],
-        [f.mu for f in seeds], [f.w for f in seeds])
-    return _group_fits(ordered, y0[0], a[0], mus, ws, r, status)
+    # seeding stops at the first curve that fails before the engine, and the
+    # engine fits the curves before it, each to the bits it reaches alone
+    batch, fits, error = [], [], None
+    try:
+        for curve in ordered:
+            batch.append(_seed(curve))
+    except (DomainError, FitError, RankError) as exc:
+        error = exc
+    if batch:
+        (y0s, amps), mus, ws, r, status = _varpro(*zip(*batch), joint=False)
+        pieces = np.split(r, np.cumsum([x.size for x, *_ in batch])[:-1])
+        for curve, y0, a, mu, w, ri, s in zip(ordered, y0s, amps, mus, ws, pieces, status):
+            fits += _group_fits([curve], y0, a, [mu], [w], ri, s)
+    if error is not None:
+        raise error
+    return fits
 
 
 @np.errstate(all="ignore")

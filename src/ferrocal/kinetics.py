@@ -87,19 +87,18 @@ def regress_mu_fixed_tau(points, tau_inf):
     """Ordinary least squares of mu on X at a fixed attempt time.
 
     ``points`` is a sequence of (t_p seconds, mu decades) pairs, >= 3 of
-    them with distinct t_p, and tau_inf must be finite and positive with
-    every t_p/tau_inf in (1, 1e308): DomainError below, ConfigError above.
-    A near-zero slope yields a flagged degenerate result (alpha = inf)
-    instead of an exception.
+    them with distinct t_p (``same_width``), and tau_inf must be finite and
+    positive with every t_p/tau_inf in (1, 1e308): DomainError below,
+    ConfigError above. A near-zero slope yields a flagged degenerate result
+    (alpha = inf) instead of an exception.
     """
     if not 0 < tau_inf < math.inf:
         raise ConfigError("tau_inf must be finite and > 0")
     tp, mu = _split_points(points)
     if tp.size < 3:
         raise ConfigError("regression requires >= 3 (t_p, mu) points")
-    # sorted, not np.unique, which would import numpy.ma
-    ordered = np.sort(tp)
-    if np.any(ordered[1:] == ordered[:-1]):
+    ordered = sorted(tp.tolist())
+    if any(map(same_width, ordered, ordered[1:])):
         raise ConfigError("regression requires distinct t_p values")
     x = np.log10(log_time_ratio(tp, tau_inf))
     # the nested profile's rule: every t_p/tau_inf in (1, 1e308), so X is finite

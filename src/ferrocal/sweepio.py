@@ -5,8 +5,9 @@ One interchange format carries all sweep data: a CSV with header
 ``t_p_us,V_p_V,<value column>`` where the value column name declares the
 observable and its unit (``model.OBSERVABLES``: ``delta_nm`` for
 displacement, ``dP_uC_cm2`` for polarization change). Within each
-pulse-width group V_p must increase strictly; violations are reported with
-their 1-based line number. Curves and fits are ``model``'s types.
+pulse-width group V_p must increase strictly, and no two groups may be one
+width (``same_width``); violations are reported with their 1-based line
+number. Curves and fits are ``model``'s types.
 
 Sweep files are converted a whole column at a time: the data block is read
 by one ``numpy.loadtxt`` call and checked on arrays, and only a file that
@@ -105,7 +106,8 @@ def _load_table(text):
     order = np.argsort(tp, kind="stable")
     tp, v_p = tp[order], v_p[order]
     same_group = tp[1:] == tp[:-1]
-    if (same_group & (v_p[1:] <= v_p[:-1])).any():
+    widths = (tp[~np.append(same_group, False)] * 1e-6).tolist()
+    if (same_group & (v_p[1:] <= v_p[:-1])).any() or any(map(same_width, widths, widths[1:])):
         return None
     return table[order]
 
@@ -138,6 +140,9 @@ def _scan_sweep_rows(path):
             if v_p <= 0:
                 raise ParseError("V_p_V must be positive", line=line_no)
             prev = last_v.get(tp_us)
+            if prev is None and any(same_width(t * 1e-6, tp_us * 1e-6) for t in last_v):
+                raise ParseError(f"t_p_us = {tp_us!r} repeats the width of an earlier group",
+                                 line=line_no)
             if prev is not None and v_p <= prev:
                 raise ParseError(
                     f"V_p must increase strictly within the t_p={tp_us:g} us group "

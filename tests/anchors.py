@@ -17,7 +17,7 @@ import numpy as np
 
 from ferrocal import (AmbiguousMarkerError, FitError, ParseError,
                       RankError, SwitchCurve)
-from ferrocal.fitting import _FIT_TOL, _MAX_ITER
+from ferrocal.fitting import _FIT_TOL, _MAX_ITER, _group_fits, _varpro, fit_family
 from ferrocal.kinetics import regress_mu_fixed_tau
 
 _BENCH = str(Path(__file__).resolve().parent.parent / "bench")
@@ -318,6 +318,19 @@ def dense_varpro(xs, ys, mus, ws):
             converged = True
             break
     return lin, theta[:m], np.exp(theta[m:]), r, converged
+
+
+# Reference for fitting.fit_family(curves, share_offsets=True): the two-stage
+# shared-offset fit, which seeded the joint fit from the independent fits.
+def two_stage_shared_fit(curves):
+    """The curves' independent fits, then one joint fit with one (y0, A)
+    from their (mu, w), judged as the one-call shared fit is judged."""
+    ordered = sorted(curves, key=lambda c: c.t_p)
+    seeds = fit_family(ordered)
+    (y0, a), mus, ws, r, (status,) = _varpro(
+        [np.log10(c.v_p) for c in ordered], [c.values for c in ordered],
+        [f.mu for f in seeds], [f.w for f in seeds])
+    return _group_fits(ordered, y0[0], a[0], mus, ws, r, status)
 
 
 def pav_isotonic(y):

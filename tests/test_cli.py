@@ -352,6 +352,25 @@ class TestExitCodes:
                 f"ferrocal: parse error: line 4: t_p_us = {tp_us!r} repeats line 3\n")
             assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["fit", "levels", "collapse"])
+    def test_sweep_groups_of_one_width_are_parse_error_with_its_line(self, tmp_path, capsys,
+                                                                      command):
+        # the 20 us group again at 20.00000000000001 us, one width with it
+        # (model.same_width): the reader names the second group's first row
+        sweep = emit_sweep_csv(tmp_path / "sweep.csv", [synthetic_curve(r) for r in TABLE_ROWS])
+        lines = sweep.read_text().splitlines(keepends=True)
+        group = [line for line in lines if line.startswith("20.0,")]
+        twin = [line.replace("20.0,", "20.00000000000001,", 1) for line in group]
+        sweep.write_text("".join(lines + twin))
+        extra = ([] if command != "collapse"
+                 else ["--fits", str(write_table_report(tmp_path / "fit_report.csv"))])
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), command, "--input", str(sweep), *extra]) == 3
+        assert capsys.readouterr().err == (
+            f"ferrocal: parse error: line {len(lines) + 1}: t_p_us = 20.00000000000001 "
+            "repeats the width of an earlier group\n")
+        assert not any(out.iterdir())
+
     def test_success_is_zero(self, tmp_path):
         report = write_table_report(tmp_path / "fit_report.csv")
         assert main(["--out-dir", str(tmp_path), "merz", "--fits", str(report),
@@ -401,7 +420,8 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_fit_that_leaves_the_models_domain_is_exit_1(self, tmp_path, capsys):
-        # offsets 3 nm apart: the shared-offset fit drives the 10 us curve's w to 0
+        # offsets 3 nm apart: from the isotonic seeds the shared-offset fit
+        # drives both medians to about -1800 decades, where 10**mu is 0.0
         grid = np.linspace(0.5, 9.0, 300)
         rng = np.random.default_rng(1)
         s = 0.5 + np.arctan((np.log10(grid) - 0.5) / 0.3) / np.pi
@@ -415,7 +435,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv + ["--share-offsets"]) == 1
         assert capsys.readouterr().err == (
-            "ferrocal: error: fit left the model's domain: LorentzianFit requires w > 0\n")
+            "ferrocal: error: fit left the model's domain: ThresholdDistribution requires "
+            "10**mu to be a positive float\n")
 
     @pytest.mark.parametrize("value", ["1e308", "-1e200"])
     def test_hostile_value_is_a_fit_error_without_warnings(self, tmp_path, value):

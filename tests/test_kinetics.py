@@ -55,6 +55,14 @@ class TestRegressFixedTau:
         with pytest.raises(ConfigError):
             regress_mu_fixed_tau([(1e-4, 0.7), (1e-4, 0.71), (2e-4, 0.69)], PUB_TAU_INF)
 
+    def test_widths_one_apart_by_rounding_are_one_width(self):
+        # 20 us and 20*(1 + 1e-15) us are one width (model.same_width), which
+        # the regression must not count as two
+        pts = [(20e-6, 0.70), (20e-6 * (1 + 1e-15), 0.71), (100e-6, 0.69), (500e-6, 0.68)]
+        assert pts[0][0] != pts[1][0]
+        with pytest.raises(ConfigError, match="distinct t_p"):
+            regress_mu_fixed_tau(pts, 1.4e-14)
+
     @pytest.mark.parametrize("tau_inf", [5e-324, 1e-314])
     def test_tau_inf_must_keep_t_p_over_tau_inf_below_1e308(self, tau_inf):
         # t_p/tau_inf overflows, and X = log10 ln(t_p/tau_inf) with it
