@@ -23,7 +23,7 @@ from .model import (DeviceCalibration, LorentzianFit, MerzKinetics, NlsSpec, Swi
                     threshold_quantile, threshold_voltage)
 from .simulate import (HysteronEnsemble, polarization_change_of_fraction, run_protocol_sweep,
                        sample_ensemble, simulate_sweeps, thresholds_at)
-from .sweepio import (emit_fit_report, emit_levels_csv, emit_plotdata, emit_sweep_csv,
+from .sweepio import (emit_collapse, emit_fit_report, emit_levels_csv, emit_sweep_csv,
                       parse_fit_report, parse_sweep_csv)
 
 __version__ = "0.1.0"

@@ -27,9 +27,8 @@ from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weig
                      s0_filter, s0_filter_with_margin)
 from .model import DeviceCalibration, same_width
 from .simulate import simulate_sweeps
-from .sweepio import (_tp_labels, emit_fit_report, emit_levels_csv, emit_merz_report,
-                      emit_plotdata, emit_sweep_csv, fit_report_header, parse_fit_report,
-                      parse_sweep_csv)
+from .sweepio import (emit_collapse, emit_fit_report, emit_levels_csv, emit_merz_report,
+                      emit_sweep_csv, fit_report_header, parse_fit_report, parse_sweep_csv)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -42,6 +41,15 @@ def _out_dir(args):
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _tp_labels(t_ps):
+    """Labels of one family's pulse widths (s) in us, to the fewest
+    significant digits from 6 on (10us ... 500us by default) that tell
+    every two widths apart; 17 digits always do."""
+    us = [t * 1e6 for t in t_ps]
+    digits = next(d for d in range(6, 18) if len({f"{u:.{d}g}" for u in us}) == len(set(us)))
+    return [f"{u:.{digits}g}us" for u in us]
 
 
 def _match_fit(fits, t_p):
@@ -59,8 +67,6 @@ def cmd_fit(args):
     markers = [curve_markers(c) for c in curves]
     vcs = [m.vc_mech if kind == "displacement" else m.vc_elec for m in markers]
     report = emit_fit_report(out / "fit_report.csv", fits, markers=vcs, observable_kind=kind)
-    emit_plotdata("fit-overlay", list(zip(curves, fits)), out)
-    emit_plotdata("pdf", fits, out)
     print(f"wrote {report}")
     print(" ".join(fit_report_header(kind)))
     for fit, vc, label in zip(fits, vcs, _tp_labels([f.t_p for f in fits])):
@@ -98,7 +104,7 @@ def cmd_collapse(args):
     lo, hi = S_BAR_BAND
     s_bar = points[:, 1]
     out_of_band = int(np.count_nonzero(~((lo <= s_bar) & (s_bar <= hi))))
-    emit_plotdata("collapse", points, out)
+    emit_collapse(out / "collapse.dat", points)
     with open(out / "collapse_summary.txt", "w", newline="\n") as fh:
         fh.write(f"points = {len(points)}\n")
         fh.write(f"rms = {rms!r}\n")

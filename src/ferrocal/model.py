@@ -418,10 +418,6 @@ class LorentzianFit:
         return cls(y0=float(y0), a=float(a), mu=float(mu), w=float(w),
                    rms_residual=float(rms_residual), t_p=float(t_p))
 
-    def displacement(self, v_p):
-        """Evaluate the fitted model at V_p."""
-        return lorentzian_displacement(self.y0, self.a, self.mu, self.w, v_p)
-
 
 def nls_switched_fraction(spec, t):
     """Switched fraction after a pulse of duration t (s) under the NLS integral.

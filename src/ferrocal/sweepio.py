@@ -1,5 +1,5 @@
 """File formats: sweep CSVs, fit reports, level tables, regression reports,
-plot data.
+collapse points.
 
 One interchange format carries all sweep data: a CSV with header
 ``t_p_us,V_p_V,<value column>`` where the value column name declares the
@@ -22,7 +22,7 @@ Sweep, report and level values are written with Python's shortest
 round-trip float representation, so emit -> parse reproduces every stored
 value bit-exactly. Pulse widths are stored in microseconds, and the s -> us
 -> s hop can move t_p by one ulp. Parsers reject non-numeric and non-finite
-cells with the line number. Plot data files use fixed scientific notation
+cells with the line number. Collapse points use fixed scientific notation
 with 11 significant digits.
 """
 
@@ -34,8 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParseError, first_non_utf8
-from .model import (OBSERVABLES, LorentzianFit, SwitchCurve, ThresholdDistribution,
-                    master_curve, same_width, threshold_pdf)
+from .model import OBSERVABLES, LorentzianFit, SwitchCurve, same_width
 
 _KIND_BY_COLUMN = {column: kind for kind, (column, _, _) in OBSERVABLES.items()}
 
@@ -57,15 +56,6 @@ def _fmt(x):
 def _reprs(values):
     """Shortest round-trip text of each element of a 1-D array."""
     return list(map(repr, values.tolist()))
-
-
-def _tp_labels(t_ps):
-    """File labels of one family's pulse widths (s) in us, to the fewest
-    significant digits from 6 on (10us ... 500us by default) that tell
-    every two widths apart; 17 digits always do."""
-    us = [t * 1e6 for t in t_ps]
-    digits = next(d for d in range(6, 18) if len({f"{u:.{d}g}" for u in us}) == len(set(us)))
-    return [f"{u:.{digits}g}us" for u in us]
 
 
 def _finite_floats(cells, row, line_no):
@@ -328,48 +318,10 @@ def emit_merz_report(out_dir, regression, points):
     return [summary, table]
 
 
-def emit_plotdata(kind, payload, out_dir):
-    """Write columnar plot files for one payload kind; returns written paths.
-
-    Kinds: fit-overlay (list of (curve, fit); one file per t_p), pdf (list of
-    fits; one file per t_p), collapse ((N, 2) rows of z, s_bar). An index
-    file listing the outputs is written alongside. No kind repeats a table
-    another output holds, such as the Merz points or the kept levels.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def emit(name, header, columns):
-        table = np.column_stack(columns)
-        row = " ".join(["%.10e"] * table.shape[1]) + "\n"
-        p = out_dir / name
-        with open(p, "w", newline="\n") as fh:
-            fh.write("# " + " ".join(header) + "\n")
-            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
-        written.append(p)
-
-    if kind == "fit-overlay":
-        for (curve, fit), label in zip(payload, _tp_labels([c.t_p for c, _ in payload])):
-            emit(f"fit_overlay_{label}.dat",
-                 ["V_p_V", "value", "model"],
-                 [curve.v_p, curve.values, fit.displacement(curve.v_p)])
-    elif kind == "pdf":
-        for fit, label in zip(payload, _tp_labels([f.t_p for f in payload])):
-            dist = ThresholdDistribution(fit.mu, fit.w)
-            x = np.linspace(fit.mu - 10 * fit.w, fit.mu + 10 * fit.w, 1001)
-            emit(f"pdf_{label}.dat",
-                 ["log10_V", "density_per_decade"],
-                 [x, threshold_pdf(dist, x)])
-    elif kind == "collapse":
-        z, s = np.asarray(payload, dtype=float).reshape(-1, 2).T.copy()
-        emit("collapse.dat", ["z", "s_bar", "master"], [z, s, master_curve(z)])
-    else:
-        raise ConfigError(f"unknown plot-data kind {kind!r}")
-
-    index = out_dir / f"index_{kind}.txt"
-    with open(index, "w", newline="\n") as fh:
-        for p in written:
-            fh.write(p.name + "\n")
-    written.append(index)
-    return written
+def emit_collapse(path, points):
+    """Write collapse points, (N, 2) rows of z and s_bar, under a ``# z s_bar`` header."""
+    table = np.asarray(points, dtype=float).reshape(-1, 2)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# z s_bar\n")
+        fh.write(("%.10e %.10e\n" * len(table)) % tuple(table.ravel().tolist()))
+    return Path(path)

@@ -1,0 +1,116 @@
+"""Run the output matrix in process and print a digest of everything it wrote.
+
+Usage: python tests/output_matrix.py [SRC] [--keep DIR]
+
+SRC is the directory holding the ``ferrocal`` package to run (default: this
+repository's ``src``), so one copy of this script compares two trees. Each
+of eight configurations (seeds 11 and 3, both observables, read noise 0 and
+0.05 nm, the other settings at their defaults) runs 13 command forms
+through ``cli.main``: ``simulate``; ``fit`` and ``fit --share-offsets``; on
+each of the two reports ``merz`` nested and with ``--tau-inf 1.4e-14``,
+``collapse`` and ``program --targets 0.25,0.5,0.75``; ``levels`` plain and
+with ``--margin 0.09``. Each form writes into a directory of its own,
+``<configuration>/<form>``.
+
+It prints one ``run`` line per form (exit code, sha256 of stdout and
+stderr), one ``file`` line per file written (sha256), and last a
+``digest`` line over all of those. Before stdout and stderr are hashed,
+the exact output root is replaced by a placeholder. The digests hold for
+one machine and numpy version: vectorized math may round differently on
+another CPU, so none is committed; compare two trees on one machine.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (11, 3)
+OBSERVABLES = ("displacement", "polarization_change")
+READ_NOISE_NM = ("0", "0.05")
+PLACEHOLDER = "<OUT>"
+
+
+def configurations():
+    """(name, seed, INI text) of each configuration."""
+    for seed in SEEDS:
+        for kind in OBSERVABLES:
+            for noise in READ_NOISE_NM:
+                ini = (f"[device]\nread_noise_sigma_nm = {noise}\n\n"
+                       f"[sweep]\nobservable = {kind}\n")
+                yield f"seed{seed}-{kind}-noise{noise}", seed, ini
+
+
+def forms(conf_dir, seed):
+    """(name, argv) of each form of one configuration, in run order."""
+    sweep = str(conf_dir / "simulate" / "sweep.csv")
+    yield "simulate", ["--seed", str(seed), "simulate", "--config", str(conf_dir / "run.ini"),
+                       "--out", "sweep.csv"]
+    yield "fit", ["fit", "--input", sweep]
+    yield "fit-shared", ["fit", "--input", sweep, "--share-offsets"]
+    for fit in ("fit", "fit-shared"):
+        report = str(conf_dir / fit / "fit_report.csv")
+        yield f"{fit}.merz", ["merz", "--fits", report]
+        yield f"{fit}.merz-tau", ["merz", "--fits", report, "--tau-inf", "1.4e-14"]
+        yield f"{fit}.collapse", ["collapse", "--input", sweep, "--fits", report]
+        yield f"{fit}.program", ["program", "--fits", report, "--targets", "0.25,0.5,0.75"]
+    yield "levels", ["levels", "--input", sweep]
+    yield "levels-margin", ["levels", "--input", sweep, "--margin", "0.09"]
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def text_sha(text, root):
+    return sha256(text.replace(str(root), PLACEHOLDER).encode())
+
+
+def run_matrix(main, root):
+    """The ``run`` and ``file`` lines of the whole matrix, written under root."""
+    lines = []
+    for conf, seed, ini in configurations():
+        conf_dir = root / conf
+        conf_dir.mkdir()
+        (conf_dir / "run.ini").write_text(ini)
+        for form, argv in forms(conf_dir, seed):
+            out = conf_dir / form
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["--out-dir", str(out)] + argv)
+            lines.append(f"run {conf}/{form} exit {code} "
+                         f"stdout {text_sha(stdout.getvalue(), root)} "
+                         f"stderr {text_sha(stderr.getvalue(), root)}")
+            lines += [f"file {conf}/{form}/{path.name} {sha256(path.read_bytes())}"
+                      for path in sorted(out.iterdir())]
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", nargs="?", default=str(Path(__file__).parents[1] / "src"),
+                        help="directory holding the ferrocal package")
+    parser.add_argument("--keep", default=None,
+                        help="write the outputs into this new directory and keep them")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from ferrocal import cli
+
+    print(f"# ferrocal from {Path(cli.__file__).parent}")
+    with contextlib.ExitStack() as stack:
+        if args.keep is None:
+            root = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        else:
+            root = Path(args.keep)
+            root.mkdir(parents=True)
+        lines = run_matrix(cli.main, root.resolve())
+    text = "".join(line + "\n" for line in lines)
+    print(text + f"digest {sha256(text.encode())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

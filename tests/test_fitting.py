@@ -341,8 +341,9 @@ def _trf_fit(xs, ys, y0, a, mus, ws):
 
 
 def _cost(curves, fits):
-    return 0.5 * sum(float(np.sum((f.displacement(c.v_p) - c.values) ** 2))
-                     for c, f in zip(curves, fits))
+    return 0.5 * sum(
+        float(np.sum((lorentzian_displacement(f.y0, f.a, f.mu, f.w, c.v_p) - c.values) ** 2))
+        for c, f in zip(curves, fits))
 
 
 def _trf_single(curve):

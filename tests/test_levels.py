@@ -6,9 +6,9 @@ import pytest
 
 from ferrocal import (ConfigError, DeviceCalibration, DomainError, LorentzianFit,
                       RangeError, SwitchCurve, achieved_weight, count_dac_levels,
-                      dac_nearest_code, dac_voltage, program_voltage_for_weight, s0_filter,
-                      s0_filter_with_margin, threshold_pdf,
-                      ThresholdDistribution)
+                      dac_nearest_code, dac_voltage, lorentzian_displacement,
+                      program_voltage_for_weight, s0_filter, s0_filter_with_margin,
+                      threshold_pdf, ThresholdDistribution)
 from ferrocal.levels import _code_voltages
 
 from anchors import ORACLE_DAC_K, ROW_500US, naive_monotone_scan
@@ -187,7 +187,8 @@ class TestCountDacLevels:
     def test_enumeration_oracle_18bit(self):
         # independent sequential enumeration over all 2^18 codes
         def enumerate_levels(margin):
-            y = FIT_500US.displacement(dac_voltage(CAL_18BIT, np.arange(2**18)))
+            v = dac_voltage(CAL_18BIT, np.arange(2**18))
+            y = lorentzian_displacement(FIT_500US.y0, FIT_500US.a, FIT_500US.mu, FIT_500US.w, v)
             k, last = 1, y[0]
             for val in y[1:]:
                 if val - last >= margin:

@@ -4,9 +4,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ferrocal import (ConfigError, DomainError, LorentzianFit, ParseError, SwitchCurve,
-                      ThresholdDistribution, emit_fit_report, emit_levels_csv, emit_plotdata,
-                      emit_sweep_csv, master_curve, parse_fit_report, parse_sweep_csv,
-                      s0_filter, threshold_pdf)
+                      emit_collapse, emit_fit_report, emit_levels_csv, emit_sweep_csv,
+                      parse_fit_report, parse_sweep_csv, s0_filter)
 from ferrocal.cli import main
 from ferrocal.kinetics import regress_mu_fixed_tau
 from ferrocal.sweepio import emit_merz_report
@@ -405,36 +404,13 @@ class TestEmitterEquivalence:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(v_p=st.lists(POSITIVE_FLOATS, min_size=1, max_size=20, unique=True),
-           values=st.lists(EDGE_FLOATS, min_size=20, max_size=20),
-           params=st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(-2, 2),
-                            st.floats(1e-3, 1.0)))
-    def test_fit_overlay_and_pdf(self, tmp_path, v_p, values, params):
-        curve = SwitchCurve(t_p=1e-4, v_p=np.sort(v_p), values=values[:len(v_p)])
-        y0, a, mu, w = params
-        fit = LorentzianFit.from_params(y0, a, mu, w, 0.0, 1e-4)
-        with np.errstate(all="ignore"):
-            emit_plotdata("fit-overlay", [(curve, fit)], tmp_path)
-            model = fit.displacement(curve.v_p)
-        assert (tmp_path / "fit_overlay_100us.dat").read_text() == naive_plot_text(
-            ["V_p_V", "value", "model"], [curve.v_p, curve.values, model])
-        emit_plotdata("pdf", [fit], tmp_path)
-        x = np.linspace(mu - 10 * w, mu + 10 * w, 1001)
-        assert (tmp_path / "pdf_100us.dat").read_text() == naive_plot_text(
-            ["log10_V", "density_per_decade"],
-            [x, threshold_pdf(ThresholdDistribution(mu, w), x)])
-
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(cells=st.lists(EDGE_FLOATS, min_size=0, max_size=40))
     @example(cells=[-1e300, 1.7976931348623157e308])  # one row at the float range's edges
     def test_collapse(self, tmp_path, cells):
         rows = np.array(cells[:len(cells) // 2 * 2], dtype=float).reshape(-1, 2)
-        with np.errstate(all="ignore"):
-            emit_plotdata("collapse", rows, tmp_path)
-            master = master_curve(rows[:, 0])
+        emit_collapse(tmp_path / "collapse.dat", rows)
         assert (tmp_path / "collapse.dat").read_text() == naive_plot_text(
-            ["z", "s_bar", "master"], [rows[:, 0], rows[:, 1], master])
+            ["z", "s_bar"], [rows[:, 0], rows[:, 1]])
 
 
 class TestFitReport:
@@ -532,41 +508,13 @@ class TestFitReport:
 class TestPlotData:
     def test_collapse_line_count(self, tmp_path):
         pts = [(float(z), 0.5) for z in np.linspace(-3, 3, 17)]
-        written = emit_plotdata("collapse", pts, tmp_path)
-        body = (tmp_path / "collapse.dat").read_text().splitlines()
-        assert body[0].startswith("#")
+        path = emit_collapse(tmp_path / "collapse.dat", pts)
+        body = path.read_text().splitlines()
+        assert body[0] == "# z s_bar"
         assert len(body) == 1 + 17
-        assert (tmp_path / "index_collapse.txt").read_text().splitlines() == ["collapse.dat"]
-        assert all(p.exists() for p in written)
         # an (N, 2) array writes the same bytes as the list of rows
-        emit_plotdata("collapse", np.array(pts), tmp_path / "array")
-        assert (tmp_path / "array" / "collapse.dat").read_bytes() == \
-            (tmp_path / "collapse.dat").read_bytes()
-
-    def test_pdf_peak_position_row_10us(self, tmp_path):
-        fit = LorentzianFit.from_params(*TABLE_ROWS[0][1:5], 0.0, TABLE_ROWS[0][0])
-        emit_plotdata("pdf", [fit], tmp_path)
-        data = np.loadtxt(tmp_path / "pdf_10us.dat")
-        x, dens = data[:, 0], data[:, 1]
-        assert x[np.argmax(dens)] == pytest.approx(0.7073, abs=(x[1] - x[0]) + 1e-4)
-
-    def test_fit_overlay_per_pulse_width(self, tmp_path):
-        curves = [synthetic_curve(row) for row in TABLE_ROWS[:2]]
-        fits = [LorentzianFit.from_params(*row[1:5], 0.0, row[0]) for row in TABLE_ROWS[:2]]
-        emit_plotdata("fit-overlay", list(zip(curves, fits)), tmp_path)
-        assert (tmp_path / "fit_overlay_10us.dat").exists()
-        assert (tmp_path / "fit_overlay_20us.dat").exists()
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_plotdata("histogram", [], tmp_path)
-
-    @pytest.mark.parametrize("kind", ["merz-line", "staircase"])
-    def test_no_kind_repeats_a_table(self, tmp_path, kind):
-        # merz_points.csv and levels_<t_p>us.csv hold these kinds' columns
-        with pytest.raises(ConfigError):
-            emit_plotdata(kind, [], tmp_path)
-        assert not any(tmp_path.iterdir())
+        emit_collapse(tmp_path / "array.dat", np.array(pts))
+        assert (tmp_path / "array.dat").read_bytes() == path.read_bytes()
 
 
 class TestLevelsCsv:
