@@ -6,7 +6,7 @@ before it reads the fit report); 3 input-file parse errors; 1 any other
 processing failure (non-convergent fits, out-of-range programming targets,
 ...). All outputs are deterministic for identical (config, inputs, seed): no
 timestamps, fixed formatting, and every random draw descends from the single
-run seed.
+run seed. ``cli`` opens no file: ``config`` and ``sweepio`` do.
 """
 
 import argparse
@@ -28,7 +28,8 @@ from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weig
 from .model import DeviceCalibration, same_width
 from .simulate import simulate_sweeps
 from .sweepio import (emit_collapse, emit_fit_report, emit_levels_csv, emit_merz_report,
-                      emit_sweep_csv, fit_report_header, parse_fit_report, parse_sweep_csv)
+                      emit_program_table, emit_sweep_csv, fit_report_header, parse_fit_report,
+                      parse_sweep_csv)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -104,11 +105,7 @@ def cmd_collapse(args):
     lo, hi = S_BAR_BAND
     s_bar = points[:, 1]
     out_of_band = int(np.count_nonzero(~((lo <= s_bar) & (s_bar <= hi))))
-    emit_collapse(out / "collapse.dat", points)
-    with open(out / "collapse_summary.txt", "w", newline="\n") as fh:
-        fh.write(f"points = {len(points)}\n")
-        fh.write(f"rms = {rms!r}\n")
-        fh.write(f"out_of_band = {out_of_band}\n")
+    emit_collapse(out, points, rms, out_of_band)
     print(f"collapse rms over {len(points)} points: {rms:.6g}")
     return EXIT_OK
 
@@ -143,20 +140,15 @@ def cmd_program(args):
                             dac_bits=args.dac_bits, dac_range=args.dac_range)
     out = _out_dir(args)
     rows = parse_fit_report(args.fits)
-    # every row is computed before the file is opened, so a rejected target
-    # leaves no partial table behind
-    lines = []
+    # every row is computed before the table is written, so a rejected
+    # target leaves no partial table behind
+    table = []
     for fit, _ in rows:
         for target in args.targets:
             v = program_voltage_for_weight(fit, target, cal)
-            code = dac_nearest_code(cal, v)
-            got = achieved_weight(fit, v)
-            lines.append(f"{fit.t_p * 1e6!r},{target!r},{code},{v!r},{got!r}\n")
-    path = out / "program_table.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t_p_us,s_bar_target,dac_code,V_p_V,s_bar_achieved\n")
-        fh.writelines(lines)
-    print(f"wrote {path} ({len(lines)} rows)")
+            table.append((fit.t_p, target, dac_nearest_code(cal, v), v, achieved_weight(fit, v)))
+    path = emit_program_table(out, table)
+    print(f"wrote {path} ({len(table)} rows)")
     return EXIT_OK
 
 
@@ -240,8 +232,9 @@ def build_parser():
     p.add_argument("--fits", required=True, help="fit report CSV")
     p.add_argument("--targets", required=True, type=_finite_list,
                    help="comma-separated weights in (0,1)")
-    p.add_argument("--dac-bits", type=int, default=18)
-    p.add_argument("--dac-range", type=_finite_pair, default=(0.5, 9.0), metavar="LO,HI")
+    p.add_argument("--dac-bits", type=int, default=DeviceCalibration.dac_bits)
+    p.add_argument("--dac-range", type=_finite_pair, default=DeviceCalibration.dac_range,
+                   metavar="LO,HI")
     p.set_defaults(func=cmd_program)
     return parser
 

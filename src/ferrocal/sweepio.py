@@ -1,5 +1,5 @@
-"""File formats: sweep CSVs, fit reports, level tables, regression reports,
-collapse points.
+"""File formats: ``sweepio`` writes every file ferrocal writes through one
+line writer, and reads sweep CSVs and fit reports through one CSV reader.
 
 One interchange format carries all sweep data: a CSV with header
 ``t_p_us,V_p_V,<value column>`` where the value column name declares the
@@ -69,10 +69,39 @@ def _finite_floats(cells, row, line_no):
     return values
 
 
-def _not_utf8(path):
-    """The ParseError of a file that is not UTF-8 text, naming the line."""
-    line, byte = first_non_utf8(path)
-    return ParseError(f"byte 0x{byte:02x} is not UTF-8 text", line=line)
+def _read_csv(path, empty):
+    """The stripped header cells of a CSV file and the text after them. A
+    missing or non-UTF-8 file is a ParseError, and so, saying ``empty``, is
+    a file with no header."""
+    path = Path(path)
+    if not path.exists():
+        raise ParseError(f"no such file: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            text = fh.read()
+    except UnicodeDecodeError:
+        line, byte = first_non_utf8(path)
+        raise ParseError(f"byte 0x{byte:02x} is not UTF-8 text", line=line) from None
+    if header is None:
+        raise ParseError(empty, line=1)
+    return [h.strip() for h in header], text
+
+
+def _rows(text):
+    """(line number, cells) of each row of the CSV text after a header, but
+    the blank ones: no cell, or one holding only whitespace (``""``, ``" "``)
+    and none of the ``_UNSUPPORTED_CHARS`` that a sweep file rejects."""
+    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=2):
+        if len(row) > 1 or row and (row[0].strip() or set(row[0]) & set(_UNSUPPORTED_CHARS)):
+            yield line_no, row
+
+
+def _write_lines(path, lines):
+    """Write ``lines``, each without its newline, to ``path`` as LF-ended text."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return Path(path)
 
 
 def _load_table(text):
@@ -88,60 +117,49 @@ def _load_table(text):
                            quotechar='"', ndmin=2)
     except ValueError:
         return None
-    if table.shape[1] != 3 or not np.isfinite(table).all():
+    if table.shape[1] != 3 or not (np.isfinite(table).all() and (table[:, :2] > 0).all()):
         return None
+    table = table[np.argsort(table[:, 0], kind="stable")]
     tp, v_p = table[:, 0], table[:, 1]
-    if not ((tp > 0).all() and (v_p > 0).all()):
-        return None
-    order = np.argsort(tp, kind="stable")
-    tp, v_p = tp[order], v_p[order]
     same_group = tp[1:] == tp[:-1]
     widths = (tp[~np.append(same_group, False)] * 1e-6).tolist()
     if (same_group & (v_p[1:] <= v_p[:-1])).any() or any(map(same_width, widths, widths[1:])):
         return None
-    return table[order]
+    return table
 
 
-def _scan_sweep_rows(path):
+def _scan_sweep_rows(text):
     """The table ``_load_table`` gives, read row by row as ``csv`` and
-    ``float`` read them, or the ParseError of the first bad row.
-
-    A line holding only a quoted blank cell is blank, as a whitespace-only
-    line is. A cell that ``float`` reads but the whole-column path does not
-    (``_``, non-ASCII digits, the control characters in
-    ``_UNSUPPORTED_CHARS``) is an error of its own.
+    ``float`` read them, or the ParseError of the first bad row. A cell that
+    ``float`` reads but the whole-column path does not (``_``, non-ASCII
+    digits, the control characters in ``_UNSUPPORTED_CHARS``) is an error of
+    its own.
     """
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        last_v = {}
-        for line_no, row in enumerate(reader, start=2):
-            if any(c in cell for cell in row for c in _UNSUPPORTED_CHARS):
-                raise ParseError(f"unsupported control character in row {row!r}",
-                                 line=line_no)
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 columns, got {len(row)}", line=line_no)
-            tp_us, v_p, value = _finite_floats(row, row, line_no)
-            if tp_us <= 0:
-                raise ParseError("t_p_us must be positive", line=line_no)
-            if v_p <= 0:
-                raise ParseError("V_p_V must be positive", line=line_no)
-            prev = last_v.get(tp_us)
-            if prev is None and any(same_width(t * 1e-6, tp_us * 1e-6) for t in last_v):
-                raise ParseError(f"t_p_us = {tp_us!r} repeats the width of an earlier group",
-                                 line=line_no)
-            if prev is not None and v_p <= prev:
-                raise ParseError(
-                    f"V_p must increase strictly within the t_p={tp_us:g} us group "
-                    f"({v_p!r} after {prev!r})", line=line_no)
-            if not all(cell.strip().isascii() and "_" not in cell for cell in row):
-                raise ParseError(f"unsupported numeric literal in row {row!r}; "
-                                 f"write numbers in ASCII without '_'", line=line_no)
-            last_v[tp_us] = v_p
-            rows.append((tp_us, v_p, value))
+    last_v = {}
+    for line_no, row in _rows(text):
+        if any(c in cell for cell in row for c in _UNSUPPORTED_CHARS):
+            raise ParseError(f"unsupported control character in row {row!r}", line=line_no)
+        if len(row) != 3:
+            raise ParseError(f"expected 3 columns, got {len(row)}", line=line_no)
+        tp_us, v_p, value = _finite_floats(row, row, line_no)
+        if tp_us <= 0:
+            raise ParseError("t_p_us must be positive", line=line_no)
+        if v_p <= 0:
+            raise ParseError("V_p_V must be positive", line=line_no)
+        prev = last_v.get(tp_us)
+        if prev is None and any(same_width(t * 1e-6, tp_us * 1e-6) for t in last_v):
+            raise ParseError(f"t_p_us = {tp_us!r} repeats the width of an earlier group",
+                             line=line_no)
+        if prev is not None and v_p <= prev:
+            raise ParseError(
+                f"V_p must increase strictly within the t_p={tp_us:g} us group "
+                f"({v_p!r} after {prev!r})", line=line_no)
+        if not all(cell.strip().isascii() and "_" not in cell for cell in row):
+            raise ParseError(f"unsupported numeric literal in row {row!r}; "
+                             f"write numbers in ASCII without '_'", line=line_no)
+        last_v[tp_us] = v_p
+        rows.append((tp_us, v_p, value))
     if not rows:
         raise ParseError("file holds a header but no data rows")
     table = np.array(rows)
@@ -155,29 +173,16 @@ def parse_sweep_csv(path):
     has the bits of the previous width's shares that grid's array, which is
     read-only: a family swept over one grid holds it once.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise ParseError("empty file: missing header", line=1) from None
-            header = [h.strip() for h in header]
-            if len(header) != 3 or header[0] != "t_p_us" or header[1] != "V_p_V":
-                raise ParseError(f"bad header {header!r}; expected t_p_us,V_p_V,<value column>",
-                                 line=1)
-            kind = _KIND_BY_COLUMN.get(header[2])
-            if kind is None:
-                raise ParseError(
-                    f"unknown value column/unit {header[2]!r}; expected one of "
-                    f"{sorted(_KIND_BY_COLUMN)}", line=1)
-            table = _load_table(fh.read())
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    header, text = _read_csv(path, "empty file: missing header")
+    if len(header) != 3 or header[0] != "t_p_us" or header[1] != "V_p_V":
+        raise ParseError(f"bad header {header!r}; expected t_p_us,V_p_V,<value column>", line=1)
+    kind = _KIND_BY_COLUMN.get(header[2])
+    if kind is None:
+        raise ParseError(f"unknown value column/unit {header[2]!r}; expected one of "
+                         f"{sorted(_KIND_BY_COLUMN)}", line=1)
+    table = _load_table(text)
     if table is None:
-        table = _scan_sweep_rows(path)
+        table = _scan_sweep_rows(text)
     tp_us = table[:, 0]
     values = table[:, 2].copy()
     starts = np.flatnonzero(np.diff(tp_us, prepend=0.0)).tolist()
@@ -205,25 +210,21 @@ def emit_sweep_csv(path, curves):
     # the curves of a family usually share one grid: its text is made once.
     # Grids are compared by their bits, since -0.0 == 0.0 but prints apart
     bits = v_text = None
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"t_p_us,V_p_V,{column}\n")
-        for curve in sorted(curves, key=lambda c: c.t_p):
-            if bits is None or not np.array_equal(curve.v_p.view(np.uint64), bits):
-                bits, v_text = curve.v_p.view(np.uint64), _reprs(curve.v_p)
-            prefix = f"{_fmt(curve.t_p * 1e6)},"
-            rows = map(",".join, zip(v_text, _reprs(curve.values)))
-            fh.write(prefix + ("\n" + prefix).join(rows) + "\n")
-    return Path(path)
+    lines = [f"t_p_us,V_p_V,{column}"]
+    for curve in sorted(curves, key=lambda c: c.t_p):
+        if bits is None or not np.array_equal(curve.v_p.view(np.uint64), bits):
+            bits, v_text = curve.v_p.view(np.uint64), _reprs(curve.v_p)
+        prefix = f"{_fmt(curve.t_p * 1e6)},"
+        rows = map(",".join, zip(v_text, _reprs(curve.values)))
+        lines.append(prefix + ("\n" + prefix).join(rows))  # one curve's lines
+    return _write_lines(path, lines)
 
 
 def emit_levels_csv(path, levelset):
     """Write a level set as ``V_p_V,value,level_index`` rows."""
     rows = map(",".join, zip(_reprs(levelset.v_p), _reprs(levelset.values),
                              _reprs(levelset.level_index)))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("V_p_V,value,level_index\n")
-        fh.writelines(row + "\n" for row in rows)
-    return Path(path)
+    return _write_lines(path, ["V_p_V,value,level_index", *rows])
 
 
 def emit_fit_report(path, fits, markers=None, observable_kind="displacement"):
@@ -237,16 +238,12 @@ def emit_fit_report(path, fits, markers=None, observable_kind="displacement"):
     markers = markers if markers is not None else [None] * len(fits)
     if len(markers) != len(fits):
         raise ConfigError("need one marker entry (or None) per fit")
-    header = fit_report_header(observable_kind)
-    rows = sorted(zip(fits, markers), key=lambda fv: fv[0].t_p)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for fit, vc in rows:
-            cells = [_fmt(fit.t_p * 1e6), _fmt(fit.y0), _fmt(fit.a), _fmt(fit.mu),
-                     _fmt(fit.w), _fmt(fit.v50), "" if vc is None else _fmt(vc),
-                     _fmt(fit.rms_residual)]
-            fh.write(",".join(cells) + "\n")
-    return Path(path)
+    lines = [",".join(fit_report_header(observable_kind))]
+    for fit, vc in sorted(zip(fits, markers), key=lambda fv: fv[0].t_p):
+        lines.append(",".join([_fmt(fit.t_p * 1e6), _fmt(fit.y0), _fmt(fit.a), _fmt(fit.mu),
+                               _fmt(fit.w), _fmt(fit.v50), "" if vc is None else _fmt(vc),
+                               _fmt(fit.rms_residual)]))
+    return _write_lines(path, lines)
 
 
 def parse_fit_report(path):
@@ -255,44 +252,31 @@ def parse_fit_report(path):
     v50_V == 10**mu > 0, the values a LorentzianFit accepts and a t_p_us no
     earlier row holds (``same_width``), or it is a ParseError with its line:
     the fit's own ConfigError names the rule, and a repeated width names
-    both lines."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
+    both lines. Blank rows are skipped, as in a sweep file."""
+    header, text = _read_csv(path, "empty fit report")
+    if header not in map(fit_report_header, OBSERVABLES):
+        raise ParseError(f"bad fit report header {header!r}", line=1)
     out, seen = [], []  # seen: (t_p, line) of each row read
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise ParseError("empty fit report", line=1) from None
-            if header not in map(fit_report_header, OBSERVABLES):
-                raise ParseError(f"bad fit report header {header!r}", line=1)
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} columns", line=line_no)
-                tp_us, y0, a, mu, w, v50, rms = _finite_floats(
-                    [row[i] for i in (0, 1, 2, 3, 4, 5, 7)], row, line_no)
-                vc = None if row[6] == "" else _finite_floats(row[6:7], row, line_no)[0]
-                with np.errstate(over="ignore"):
-                    ten_to_mu = float(np.power(10.0, mu))
-                if not (v50 > 0 and abs(v50 - ten_to_mu) <= 1e-12 * v50):
-                    raise ParseError(f"v50_V = {v50!r} is not 10**mu > 0 for mu = {mu!r}",
-                                     line=line_no)
-                try:
-                    fit = LorentzianFit.from_params(y0, a, mu, w, rms, tp_us * 1e-6)
-                except ConfigError as exc:  # t_p, A or w <= 0, say
-                    raise ParseError(str(exc), line=line_no) from None
-                for t_p, line in seen:
-                    if same_width(t_p, fit.t_p):
-                        raise ParseError(f"t_p_us = {tp_us!r} repeats line {line}", line=line_no)
-                seen.append((fit.t_p, line_no))
-                out.append((fit, vc))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    for line_no, row in _rows(text):
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} columns", line=line_no)
+        tp_us, y0, a, mu, w, v50, rms = _finite_floats(
+            [row[i] for i in (0, 1, 2, 3, 4, 5, 7)], row, line_no)
+        vc = None if row[6] == "" else _finite_floats(row[6:7], row, line_no)[0]
+        with np.errstate(over="ignore"):
+            ten_to_mu = float(np.power(10.0, mu))
+        if not (v50 > 0 and abs(v50 - ten_to_mu) <= 1e-12 * v50):
+            raise ParseError(f"v50_V = {v50!r} is not 10**mu > 0 for mu = {mu!r}",
+                             line=line_no)
+        try:
+            fit = LorentzianFit.from_params(y0, a, mu, w, rms, tp_us * 1e-6)
+        except ConfigError as exc:  # t_p, A or w <= 0, say
+            raise ParseError(str(exc), line=line_no) from None
+        for t_p, line in seen:
+            if same_width(t_p, fit.t_p):
+                raise ParseError(f"t_p_us = {tp_us!r} repeats line {line}", line=line_no)
+        seen.append((fit.t_p, line_no))
+        out.append((fit, vc))
     if not out:
         raise ParseError("fit report holds a header but no rows")
     return out
@@ -301,27 +285,35 @@ def parse_fit_report(path):
 def emit_merz_report(out_dir, regression, points):
     """Write the regression summary and its (t_p, X, mu, fitted mu) table."""
     out_dir = Path(out_dir)
-    summary = out_dir / "merz_summary.txt"
-    table = out_dir / "merz_points.csv"
-    with open(summary, "w", newline="\n") as fh:
-        fh.write(f"alpha = {_fmt(regression.alpha)}\n")
-        fh.write(f"tau_inf_s = {_fmt(regression.tau_inf)}\n")
-        fh.write(f"mu_star = {_fmt(regression.mu_star)}\n")
-        fh.write(f"slope = {_fmt(regression.slope)}\n")
-        fh.write(f"r_squared = {_fmt(regression.r_squared)}\n")
-        fh.write(f"degenerate = {str(regression.degenerate).lower()}\n")
-    mu_fit = regression.mu_fit()
-    with open(table, "w", newline="\n") as fh:
-        fh.write("t_p_us,X,mu,mu_fit\n")
-        for (tp, mu), x, mf in zip(points, regression.x_values, mu_fit):
-            fh.write(f"{_fmt(tp * 1e6)},{_fmt(x)},{_fmt(mu)},{_fmt(mf)}\n")
+    summary = _write_lines(out_dir / "merz_summary.txt", [
+        f"alpha = {_fmt(regression.alpha)}",
+        f"tau_inf_s = {_fmt(regression.tau_inf)}",
+        f"mu_star = {_fmt(regression.mu_star)}",
+        f"slope = {_fmt(regression.slope)}",
+        f"r_squared = {_fmt(regression.r_squared)}",
+        f"degenerate = {str(regression.degenerate).lower()}"])
+    rows = zip(points, regression.x_values, regression.mu_fit())
+    table = _write_lines(out_dir / "merz_points.csv", ["t_p_us,X,mu,mu_fit", *(
+        f"{_fmt(tp * 1e6)},{_fmt(x)},{_fmt(mu)},{_fmt(mf)}" for (tp, mu), x, mf in rows)])
     return [summary, table]
 
 
-def emit_collapse(path, points):
-    """Write collapse points, (N, 2) rows of z and s_bar, under a ``# z s_bar`` header."""
+def emit_collapse(out_dir, points, rms, out_of_band):
+    """Write ``collapse.dat``, (N, 2) rows of z and s_bar under a ``# z s_bar``
+    header, and ``collapse_summary.txt``, which counts them."""
+    out_dir = Path(out_dir)
     table = np.asarray(points, dtype=float).reshape(-1, 2)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# z s_bar\n")
-        fh.write(("%.10e %.10e\n" * len(table)) % tuple(table.ravel().tolist()))
-    return Path(path)
+    rows = ("\n%.10e %.10e" * len(table)) % tuple(table.ravel().tolist())
+    dat = _write_lines(out_dir / "collapse.dat", ["# z s_bar" + rows])
+    summary = _write_lines(out_dir / "collapse_summary.txt", [
+        f"points = {len(table)}", f"rms = {_fmt(rms)}", f"out_of_band = {out_of_band}"])
+    return [dat, summary]
+
+
+def emit_program_table(out_dir, rows):
+    """Write ``program_table.csv`` from (t_p, target weight, DAC code, its
+    voltage, achieved weight) rows."""
+    return _write_lines(Path(out_dir) / "program_table.csv", [
+        "t_p_us,s_bar_target,dac_code,V_p_V,s_bar_achieved",
+        *(f"{_fmt(tp * 1e6)},{_fmt(target)},{code},{_fmt(v)},{_fmt(got)}"
+          for tp, target, code, v, got in rows)])

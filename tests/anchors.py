@@ -212,6 +212,62 @@ def naive_plot_text(header, columns):
     return "".join(lines)
 
 
+def naive_collapse_summary_text(points, rms, band):
+    """Reference collapse_summary.txt: the points, the rms and the s_bar
+    outside ``band``, counted one row at a time."""
+    lo, hi = band
+    out_of_band = sum(1 for _, s_bar in points if not lo <= s_bar <= hi)
+    return f"points = {len(points)}\nrms = {float(rms)!r}\nout_of_band = {out_of_band}\n"
+
+
+def naive_levels_text(v_p, values):
+    """Reference level-table text: one formatted row at a time."""
+    lines = ["V_p_V,value,level_index\n"]
+    for index, (v, y) in enumerate(zip(v_p, values), start=1):
+        lines.append(f"{float(v)!r},{float(y)!r},{index}\n")
+    return "".join(lines)
+
+
+_FIT_REPORT_HEADERS = {"displacement": "t_p_us,y0_nm,A_nm,mu,w,v50_V,vc_mech_V,rms_nm",
+                       "polarization_change":
+                           "t_p_us,y0_uC_cm2,A_uC_cm2,mu,w,v50_V,vc_elec_V,rms_uC_cm2"}
+
+
+def naive_fit_report_text(fits, markers, kind):
+    """Reference fit-report text: one formatted row at a time, in t_p order,
+    a None marker as a blank cell."""
+    lines = [_FIT_REPORT_HEADERS[kind] + "\n"]
+    for fit, vc in sorted(zip(fits, markers), key=lambda fv: fv[0].t_p):
+        cells = [fit.t_p * 1e6, fit.y0, fit.a, fit.mu, fit.w, fit.v50, vc, fit.rms_residual]
+        lines.append(",".join("" if c is None else repr(float(c)) for c in cells) + "\n")
+    return "".join(lines)
+
+
+def naive_merz_texts(regression, points):
+    """Reference merz_summary.txt and merz_points.csv texts, the fitted mu
+    of each point computed on its own."""
+    summary = (f"alpha = {float(regression.alpha)!r}\n"
+               f"tau_inf_s = {float(regression.tau_inf)!r}\n"
+               f"mu_star = {float(regression.mu_star)!r}\n"
+               f"slope = {float(regression.slope)!r}\n"
+               f"r_squared = {float(regression.r_squared)!r}\n"
+               f"degenerate = {'true' if regression.degenerate else 'false'}\n")
+    lines = ["t_p_us,X,mu,mu_fit\n"]
+    for (t_p, mu), x in zip(points, regression.x_values.tolist()):
+        mu_fit = regression.mu_star + regression.slope * x
+        lines.append(f"{t_p * 1e6!r},{x!r},{float(mu)!r},{mu_fit!r}\n")
+    return summary, "".join(lines)
+
+
+def naive_program_table_text(rows):
+    """Reference program_table.csv text from (t_p, target, code, V_p,
+    achieved) rows: one formatted row at a time."""
+    lines = ["t_p_us,s_bar_target,dac_code,V_p_V,s_bar_achieved\n"]
+    for t_p, target, code, v, got in rows:
+        lines.append(f"{t_p * 1e6!r},{target!r},{code:d},{v!r},{got!r}\n")
+    return "".join(lines)
+
+
 def ols_line(x, mu):
     """Bit-for-bit reference for the fixed-tau_inf Merz regression: the
     least-squares line mu = intercept + slope * x of one 1-D x, with 1-D

@@ -481,6 +481,28 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "program_table.csv").exists()
 
+    @pytest.mark.parametrize("blank", ["", "   ", '""', '" "'],
+                             ids=["empty", "spaces", "quoted-empty", "quoted-space"])
+    @pytest.mark.parametrize("command", ["merz", "collapse", "program"])
+    def test_blank_fit_report_line_is_skipped(self, tmp_path, command, blank):
+        # a fit report skips the lines a sweep file skips
+        report = write_table_report(tmp_path / "fit_report.csv")
+        lines = report.read_text().splitlines()
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n".join(lines[:3] + [blank] + lines[3:] + [blank]) + "\n")
+        sweep = emit_sweep_csv(tmp_path / "sweep.csv", [
+            synthetic_curve(row, grid=np.linspace(0.5, 9.0, 40)) for row in TABLE_ROWS])
+        argv = {"merz": ["merz", "--tau-inf", "1.4e-14", "--fits"],
+                "program": ["program", "--targets", "0.5", "--fits"],
+                "collapse": ["collapse", "--input", str(sweep), "--fits"]}[command]
+        for name, fits in (("clean", report), ("padded", padded)):
+            assert main(["--out-dir", str(tmp_path / name)] + argv + [str(fits)]) == 0
+        written = sorted(p.name for p in (tmp_path / "clean").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "padded").iterdir())
+        for name in written:
+            assert (tmp_path / "padded" / name).read_bytes() == \
+                (tmp_path / "clean" / name).read_bytes()
+
     def test_negative_config_seed_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[run]\nseed = -1\n")

@@ -40,3 +40,23 @@ def test_library_modules_import_only_lower_layers(name):
                 for module in ([node.module] if node.module else [a.name for a in node.names])]
     outside = sorted((line, module) for line, module in imported if module not in LAYERS[name])
     assert not outside, f"{name}.py imports modules above its layer: {outside}"
+
+
+def open_calls(node, func=None):
+    """(enclosing function, line) of each call of ``open`` or ``.open`` below ``node``."""
+    calls = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and "open" in (getattr(child.func, "id", None),
+                                                      getattr(child.func, "attr", None)):
+            calls.append((func, child.lineno))
+        calls += open_calls(child, child.name if isinstance(child, ast.FunctionDef) else func)
+    return calls
+
+
+def test_only_sweepio_opens_files():
+    # sweepio owns the file formats: its line writer and its CSV reader each
+    # open once, and no other module opens a file
+    opens = sorted((path.name, func, line) for path in Path(ferrocal.__file__).parent.glob("*.py")
+                   for func, line in open_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    assert [(name, func) for name, func, _ in opens] == [("sweepio.py", "_read_csv"),
+                                                         ("sweepio.py", "_write_lines")], opens

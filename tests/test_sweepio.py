@@ -1,16 +1,22 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ferrocal import (ConfigError, DomainError, LorentzianFit, ParseError, SwitchCurve,
-                      emit_collapse, emit_fit_report, emit_levels_csv, emit_sweep_csv,
-                      parse_fit_report, parse_sweep_csv, s0_filter)
+from ferrocal import (ConfigError, DomainError, LevelSet, LorentzianFit, MerzRegression,
+                      ParseError, SwitchCurve, emit_collapse, emit_fit_report, emit_levels_csv,
+                      emit_sweep_csv, parse_fit_report, parse_sweep_csv, s0_filter)
+from ferrocal import cli
 from ferrocal.cli import main
 from ferrocal.kinetics import regress_mu_fixed_tau
 from ferrocal.sweepio import emit_merz_report
 
-from anchors import (PUB_TAU_INF, TABLE_ROWS, naive_parse_sweep_csv, naive_plot_text,
+from anchors import (PUB_TAU_INF, TABLE_ROWS, naive_collapse_summary_text,
+                     naive_fit_report_text, naive_levels_text, naive_merz_texts,
+                     naive_parse_sweep_csv, naive_plot_text, naive_program_table_text,
                      naive_sweep_csv_text, synthetic_curve)
 
 # finite floats with the edge cases of shortest round-trip formatting drawn
@@ -408,9 +414,95 @@ class TestEmitterEquivalence:
     @example(cells=[-1e300, 1.7976931348623157e308])  # one row at the float range's edges
     def test_collapse(self, tmp_path, cells):
         rows = np.array(cells[:len(cells) // 2 * 2], dtype=float).reshape(-1, 2)
-        emit_collapse(tmp_path / "collapse.dat", rows)
+        emit_collapse(tmp_path, rows, 0.0, 0)
         assert (tmp_path / "collapse.dat").read_text() == naive_plot_text(
             ["z", "s_bar"], [rows[:, 0], rows[:, 1]])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(v_p=st.lists(EDGE_FLOATS, max_size=40), values=st.lists(EDGE_FLOATS, max_size=40))
+    def test_levels(self, tmp_path, v_p, values):
+        n = min(len(v_p), len(values))
+        levelset = LevelSet(np.array(v_p[:n], dtype=float),
+                            np.sort(np.array(values[:n], dtype=float)), n)
+        path = emit_levels_csv(tmp_path / "levels.csv", levelset)
+        assert path.read_text() == naive_levels_text(levelset.v_p, levelset.values)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(params=st.lists(st.tuples(*[EDGE_FLOATS] * 6), max_size=6),
+           markers=st.lists(st.one_of(st.none(), EDGE_FLOATS), min_size=6, max_size=6),
+           kind=st.sampled_from(["displacement", "polarization_change"]))
+    @example(params=[(row[1], row[2], row[3], row[4], 0.1, row[0]) for row in TABLE_ROWS],
+             markers=[5.47, None, -0.0, 5e-324, 1e300, None], kind="displacement")
+    def test_fit_report(self, tmp_path, params, markers, kind):
+        # the fits that construct from the drawn values, each with its marker
+        fits = []
+        for y0, a, mu, w, rms, t_p in params:
+            with contextlib.suppress(ConfigError):
+                fits.append(LorentzianFit.from_params(y0, abs(a), mu, abs(w), abs(rms),
+                                                      abs(t_p)))
+        markers = markers[:len(fits)]
+        path = emit_fit_report(tmp_path / "report.csv", fits, markers=markers,
+                               observable_kind=kind)
+        assert path.read_text() == naive_fit_report_text(fits, markers, kind)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scalars=st.tuples(*[EDGE_FLOATS] * 4),
+           rows=st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS), max_size=10))
+    def test_merz_report(self, tmp_path, scalars, rows):
+        points = [(t_p, mu) for t_p, mu, _ in rows]
+        regression = MerzRegression(*scalars, x_values=np.array([x for *_, x in rows],
+                                                                dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):  # mu_fit of extreme values
+            summary, table = emit_merz_report(tmp_path, regression, points)
+        assert (summary.read_text(), table.read_text()) == naive_merz_texts(regression, points)
+
+    def table_report(self, tmp_path):
+        fits = [LorentzianFit.from_params(row[1], row[2], row[3], row[4], 0.0, row[0])
+                for row in TABLE_ROWS]
+        return emit_fit_report(tmp_path / "fit_report.csv", fits)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), targets=st.lists(EDGE_FLOATS, min_size=1, max_size=3))
+    def test_program_table(self, tmp_path, data, targets):
+        # `program` writes one row of what each computation returns
+        report = self.table_report(tmp_path)
+        cells = [(fit.t_p, target) for fit, _ in parse_fit_report(report) for target in targets]
+        n = len(cells)
+        volts = data.draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n))
+        codes = data.draw(st.lists(st.integers(0, 2**53), min_size=n, max_size=n))
+        weights = data.draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n))
+        with mock.patch.object(cli, "program_voltage_for_weight", side_effect=volts), \
+                mock.patch.object(cli, "dac_nearest_code", side_effect=codes), \
+                mock.patch.object(cli, "achieved_weight", side_effect=weights):
+            assert main(["--out-dir", str(tmp_path), "program", "--fits", str(report),
+                         "--targets=" + ",".join(map(repr, targets))]) == 0
+        rows = [(t_p, target, code, v, got)
+                for (t_p, target), code, v, got in zip(cells, codes, volts, weights)]
+        assert (tmp_path / "program_table.csv").read_text() == naive_program_table_text(rows)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), rms=EDGE_FLOATS)
+    def test_collapse_summary(self, tmp_path, data, rms):
+        # `collapse` writes the points and rms it computed and counts the outliers
+        report = self.table_report(tmp_path)
+        sweep = emit_sweep_csv(tmp_path / "sweep.csv", [
+            synthetic_curve(row, grid=np.linspace(0.5, 9.0, 12)) for row in TABLE_ROWS])
+        blocks = [np.array(data.draw(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), max_size=8)),
+                           dtype=float).reshape(-1, 2) for _ in TABLE_ROWS]
+        with mock.patch.object(cli, "collapse_transform", side_effect=blocks), \
+                mock.patch.object(cli, "collapse_rms", return_value=rms):
+            assert main(["--out-dir", str(tmp_path), "collapse", "--input", str(sweep),
+                         "--fits", str(report)]) == 0
+        points = np.concatenate(blocks)
+        assert (tmp_path / "collapse_summary.txt").read_text() == naive_collapse_summary_text(
+            points.tolist(), rms, (-0.2, 1.2))
+        assert (tmp_path / "collapse.dat").read_text() == naive_plot_text(
+            ["z", "s_bar"], [points[:, 0], points[:, 1]])
 
 
 class TestFitReport:
@@ -508,13 +600,14 @@ class TestFitReport:
 class TestPlotData:
     def test_collapse_line_count(self, tmp_path):
         pts = [(float(z), 0.5) for z in np.linspace(-3, 3, 17)]
-        path = emit_collapse(tmp_path / "collapse.dat", pts)
+        path, _ = emit_collapse(tmp_path, pts, 0.0, 0)
         body = path.read_text().splitlines()
         assert body[0] == "# z s_bar"
         assert len(body) == 1 + 17
         # an (N, 2) array writes the same bytes as the list of rows
-        emit_collapse(tmp_path / "array.dat", np.array(pts))
-        assert (tmp_path / "array.dat").read_bytes() == path.read_bytes()
+        (tmp_path / "array").mkdir()
+        array_path, _ = emit_collapse(tmp_path / "array", np.array(pts), 0.0, 0)
+        assert array_path.read_bytes() == path.read_bytes()
 
 
 class TestLevelsCsv:
