@@ -25,7 +25,7 @@ from .kinetics import (S_BAR_BAND, collapse_rms, collapse_transform, fit_merz_ne
                        regress_mu_fixed_tau)
 from .levels import (achieved_weight, dac_nearest_code, program_voltage_for_weight,
                      s0_filter, s0_filter_with_margin)
-from .model import DeviceCalibration, same_width
+from .model import DeviceCalibration, rises, same_width
 from .simulate import simulate_sweeps
 from .sweepio import (emit_collapse, emit_fit_report, emit_levels_csv, emit_merz_report,
                       emit_program_table, emit_sweep_csv, fit_report_header, parse_fit_report,
@@ -111,11 +111,15 @@ def cmd_collapse(args):
 
 
 def cmd_levels(args):
+    """Scan each sweep along its trend (``model.rises``), a falling one negated."""
     out = _out_dir(args)
     curves = parse_sweep_csv(args.input)
     for curve, label in zip(curves, _tp_labels([c.t_p for c in curves])):
-        levelset = (s0_filter(curve) if args.margin is None
-                    else s0_filter_with_margin(curve, args.margin))
+        sign = 1.0 if rises(curve.values) else -1.0
+        pair = curve.v_p, sign * curve.values
+        levelset = (s0_filter(pair) if args.margin is None
+                    else s0_filter_with_margin(pair, args.margin))
+        levelset = dataclasses.replace(levelset, values=sign * levelset.values)  # exact
         emit_levels_csv(out / f"levels_{label}.csv", levelset)
         print(f"t_p = {label}: kept {levelset.count} of {levelset.source_count} samples")
     return EXIT_OK

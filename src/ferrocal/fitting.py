@@ -3,7 +3,7 @@
 Implements nonlinear least squares of delta(V_p) = y0 + A*[1/2 +
 arctan((log10 V_p - mu)/w)/pi] per curve or jointly across a pulse-width
 family with shared offsets, plus coercive-voltage markers. A fit stores
-(y0, A, mu, w); V50 = 10**mu is derived from mu, never stored.
+(y0, A, mu, w), A signed as the sweep's trend; V50 = 10**mu is derived.
 
 Every fit runs through one numpy engine, ``_varpro``: variable projection
 (Golub & Pereyra 1973) eliminates the linear (y0, A), and Levenberg-Marquardt
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, FitError, RankError
-from .model import LorentzianFit, _rowdot, master_curve, same_width
+from .model import LorentzianFit, _rowdot, master_curve, rises, same_width
 
 # optimizer contract: relative step (and cost decrease) tolerance, and the
 # budget of model evaluations per fitted curve
@@ -95,7 +95,7 @@ def _isotonic_level_set(z, level, monotone):
 @np.errstate(all="ignore")
 def _default_init(x, y):
     """(mu, w) seeds from the isotonic fit to the curve in the direction of
-    its trend (the sign of last - first): mu where the fit crosses the middle
+    its trend (``model.rises``): mu where the fit crosses the middle
     of its span, w half the distance between its quarter-span crossings,
     each interpolated between the fit's values beside the crossing. One
     outlier moves the first raw sample past a level as far as it lies off
@@ -104,7 +104,7 @@ def _default_init(x, y):
     bit for bit that of the raw samples: the first sample at or past the
     level, interpolated from its neighbour.
     """
-    rising = y[-1] >= y[0]
+    rising = rises(y)
     z = y if rising else -y
     monotone = (z[1:] >= z[:-1]).all()
     levels = _isotonic_level_set(z, 0.0, monotone)
@@ -364,9 +364,9 @@ def _group_fits(curves, y0, a, mus, ws, r, status):
     """The LorentzianFits of one group of curves sharing (y0, a), from the
     engine's outcome for the group (its residuals r over the curves in
     order), or the FitError that outcome makes. Every fit a fit function
-    returns is built here. A FitError's best_fit is the group's fits (one
-    LorentzianFit for a one-curve group, a list otherwise), or the tuple
-    (y0, a, mu..., w...) where no fit can be built."""
+    returns is built here, a of either sign. A FitError's best_fit is the
+    group's fits (one LorentzianFit for a one-curve group, a list
+    otherwise), or the tuple (y0, a, mu..., w...) where no fit can be built."""
     if isinstance(status, FitError):
         raise status
     best = (y0, a, *mus, *ws)
@@ -374,9 +374,6 @@ def _group_fits(curves, y0, a, mus, ws, r, status):
         values = np.concatenate([best, [y0 + a], np.power(10.0, mus), r])
     if not np.isfinite(values).all():  # V50 = 10**mu included
         raise FitError("fit diverged: a parameter, V50 or a residual is not finite")
-    if a < 0:
-        # refit with the curve flipped is out of scope; report the failure
-        raise FitError("fit converged to a non-increasing transfer function", best_fit=best)
     pieces = np.split(r, np.cumsum([c.n_samples for c in curves])[:-1])
     try:
         fits = [LorentzianFit.from_params(y0, a, mu, w, np.sqrt(np.mean(rj**2)), c.t_p)
@@ -403,24 +400,24 @@ def fit_lorentzian_cdf(curve):
     """Least-squares fit of one sweep to the arctangent transfer function:
     ``fit_family([curve])[0]``.
 
-    w stays positive through a log parameterization. Raises DomainError on
-    fewer than 8 samples, RankError on flat data, and FitError (carrying the
-    best parameters reached) if the optimizer fails to converge within the
-    budget or leaves the model's domain.
+    w stays positive through a log parameterization; A < 0 on a falling
+    curve. Raises DomainError on fewer than 8 samples, RankError on flat
+    data, and FitError (carrying the best parameters reached) if the
+    optimizer fails to converge within the budget or leaves the model's domain.
     """
     return fit_family([curve])[0]
 
 
 def fit_family(curves, share_offsets=False):
     """Fit a pulse-width family of one or more curves; returns fits ordered
-    by increasing t_p.
+    by increasing t_p, each A signed as its curve's trend.
 
     The curves are fit independently in one engine call, and a failure
     raises what ``fit_lorentzian_cdf`` raises for the first failing curve in
-    t_p order. With ``share_offsets`` one joint engine call from the same
-    seeds holds one global (y0, A) across all curves with per-curve (mu, w);
-    a failure before the engine raises as above, and otherwise the joint
-    fit's outcome decides. A single curve has no offset to share.
+    t_p order. With ``share_offsets`` one joint call from the same seeds
+    holds one (y0, A) across the curves with per-curve (mu, w): a failure
+    before the engine raises as above, else the joint fit decides, singular
+    on a family both rising and falling. One curve has no offset to share.
     """
     if len(curves) == 0:
         raise ConfigError("fit_family requires >= 1 curve")
@@ -452,15 +449,13 @@ def fit_family(curves, share_offsets=False):
 @np.errstate(all="ignore")
 def _isotonic_crossing(v, y, level):
     """V_p where the least-squares fit to ``y`` that is monotone along the
-    curve's trend (the sign of last - first) crosses ``level``: the middle
+    curve's trend (``model.rises``) crosses ``level``: the middle
     of a run of the fit on the level, or interpolated across a step; None if
     it never crosses. Where the samples decrease and a block mean is zero up
     to rounding, the sums and the fit can disagree on whether it touches
     zero; both readings are then within rounding of the data.
     """
-    z = y - level
-    if y[-1] < y[0]:
-        z = -z
+    z = y - level if rises(y) else level - y
     levels = _isotonic_level_set(z, 0.0, (z[1:] >= z[:-1]).all())
     if levels is not None:
         t, u, left, right = levels

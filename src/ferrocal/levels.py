@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
-from .model import (_transfer, switched_fraction_cdf, threshold_quantile,
-                    ThresholdDistribution)
+from .model import (_as_float_or_array, _transfer, switched_fraction_cdf,
+                    threshold_quantile, ThresholdDistribution)
 
 # DAC codes per block of a level count: its code offsets and values take
 # 256 KiB of float64 each, whatever the bits
@@ -46,9 +46,9 @@ class LevelSet:
     source_count: int
 
     def __post_init__(self):
-        # compared, not subtracted: a difference of finite values can overflow
-        if np.any(self.values[1:] < self.values[:-1]):
-            raise ConfigError("LevelSet values must be non-decreasing")
+        y = self.values  # compared, not subtracted: a difference can overflow
+        if (y[1:] < y[:-1]).any() and (y[1:] > y[:-1]).any():
+            raise ConfigError("LevelSet values may fall or rise, but not both")
         if self.count > self.source_count:
             raise ConfigError("cannot keep more levels than source samples")
 
@@ -199,15 +199,14 @@ def dac_nearest_code(cal, v_p):
 
 
 def dac_voltage(cal, code):
-    """Voltage of one DAC code k: lo + (hi - lo) * k / (2**bits - 1)."""
-    lo, hi = cal.dac_range
-    ncodes = 2 ** cal.dac_bits
-    return lo + (hi - lo) * code / (ncodes - 1)
+    """Voltage of one DAC code k, or of an array of codes (``_code_voltages``)."""
+    return _as_float_or_array(_code_voltages(np.array(code, dtype=float), cal))
 
 
 def _dac_value_blocks(fit, cal):
     """The noiseless fitted model at every DAC code voltage, in code order,
     ``_DAC_BLOCK`` codes at a time in one reused buffer."""
+    y0, a = (fit.y0, fit.a) if fit.a > 0 else (-fit.y0, -fit.a)  # -(y0 + A*S), exactly
     dist = ThresholdDistribution(fit.mu, fit.w)
     ncodes = 2 ** cal.dac_bits
     offsets = np.arange(min(ncodes, _DAC_BLOCK), dtype=float)
@@ -215,16 +214,16 @@ def _dac_value_blocks(fit, cal):
     for start in range(0, ncodes, _DAC_BLOCK):
         v = buf[:ncodes - start]
         np.add(offsets[:v.size], start, out=v)
-        yield _transfer(_code_voltages(v, cal), dist, fit.y0, fit.a)
+        yield _transfer(_code_voltages(v, cal), dist, y0, a)
 
 
 def count_dac_levels(fit, cal, margin):
     """Distinct levels resolvable through the DAC under the noiseless model.
 
-    Evaluates the fitted transfer function on every DAC code voltage and
-    counts the levels kept by the margin scan; ``margin`` must be finite and
-    >= 0. The codes are evaluated and scanned a block at a time, so the
-    count takes O(2**bits) time in memory that does not grow with the bits.
+    Evaluates the fitted transfer function, negated where A < 0, on every DAC
+    code voltage and counts the levels kept by the margin scan; ``margin``
+    must be finite and >= 0. Codes are evaluated and scanned a block at a time,
+    so the count takes O(2**bits) time in memory that does not grow with the bits.
     """
     if not 0 <= margin < math.inf:
         raise ConfigError("margin must be finite and >= 0")
@@ -233,7 +232,7 @@ def count_dac_levels(fit, cal, margin):
 
 
 def program_voltage_for_weight(fit, s_bar_target, cal):
-    """DAC-snapped programming voltage that hits a target normalized weight.
+    """DAC-snapped programming voltage for a target weight s_bar = (value - y0)/A.
 
     Inverts the transfer CDF, V_p = 10**(mu + w * tan(pi*(s_bar - 1/2))),
     then snaps to the nearest DAC code. Raises DomainError for targets

@@ -28,8 +28,8 @@ closed form is written, so every caller gets the closed form's bits without
 a full-size temporary per step. The public functions hand it a copy of their
 input; ``levels.count_dac_levels`` hands it each block of code voltages it
 has just built in its one reused buffer; its S(z) step is ``master_curve``.
-The module is also the one home of what two other modules share: the pulse
-types, ``SwitchCurve``, ``LorentzianFit``, ``OBSERVABLES`` and ``same_width``.
+It is also the one home of what two other modules share: the pulse types,
+``SwitchCurve``, ``LorentzianFit``, ``OBSERVABLES``, ``same_width``, ``rises``.
 """
 
 import math
@@ -175,6 +175,11 @@ OBSERVABLES = {"displacement": ("delta_nm", "nm", "vc_mech_V"),
 def same_width(a, b):
     """Whether pulse widths a and b are one width: equal to a relative 1e-9."""
     return math.isclose(a, b, rel_tol=1e-9)
+
+
+def rises(values):
+    """The one polarity rule: a sweep rises if its last value is at least its first."""
+    return values[-1] >= values[0]
 
 
 @dataclass(frozen=True)
@@ -382,9 +387,9 @@ def lorentzian_displacement(y0, a, mu, w, v_p):
 class LorentzianFit:
     """Fitted transfer-function parameters for one pulse width.
 
-    y0 (nm), a (nm), mu (decades), w (decades); v50 = 10**mu (V) is derived.
-    Every value a fit report writes is a finite float, so every fit that
-    constructs can be written and read back.
+    y0 (nm), a (nm; its sign the branch's, < 0 on a falling sweep), mu and w
+    (decades); v50 = 10**mu (V) is derived. Every value a fit report writes
+    is a finite float, so every fit that constructs can be written and read back.
     """
 
     y0: float
@@ -397,8 +402,8 @@ class LorentzianFit:
     def __post_init__(self):
         if not self.w > 0:
             raise ConfigError("LorentzianFit requires w > 0")
-        if not self.a > 0:
-            raise ConfigError("LorentzianFit requires a > 0")
+        if self.a == 0:
+            raise ConfigError("LorentzianFit requires a != 0")
         # the model's values lie between y0 and y0 + a, so they are finite too
         if not all(map(math.isfinite, (self.y0, self.a, float(self.y0) + float(self.a)))):
             raise ConfigError("LorentzianFit requires finite y0, a and y0 + a")

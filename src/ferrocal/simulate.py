@@ -109,10 +109,8 @@ def sample_ensemble(n, mu_star_dist, w, kinetics, seed):
     """
     if n < 1:
         raise ConfigError("sample_ensemble requires n >= 1")
-    # written as comparisons, which a NaN fails
-    if not -math.inf < mu_star_dist < math.inf:
-        raise ConfigError("sample_ensemble requires a finite mu_star_dist")
     half = TRUNCATION_HALF_WIDTHS * w
+    # written as comparisons, which a NaN fails; a finite band needs a finite mu_star_dist
     if not (0 < w and -math.inf < mu_star_dist - half and mu_star_dist + half < math.inf):
         raise ConfigError("sample_ensemble requires w > 0 and a finite band "
                           "mu_star_dist +/- 10w")

@@ -14,9 +14,9 @@ by one ``numpy.loadtxt`` call and checked on arrays, and only a file that
 fails those checks is scanned row by row, which names its first bad line or
 reads the table itself (a line holding only ``""`` is blank to ``csv``, not
 to ``loadtxt``). The fast path reads a narrower set of numeric literals than
-Python's ``float``: a cell holding ``_`` or non-ASCII digits, or a data block
-holding one of the control characters U+001C..U+001F, is a parse error with
-its line number.
+Python's ``float``, and so does a fit report: a cell holding ``_`` or
+non-ASCII digits, or a row holding one of the control characters
+U+001C..U+001F, is a parse error with its line number.
 
 Sweep, report and level values are written with Python's shortest
 round-trip float representation, so emit -> parse reproduces every stored
@@ -59,13 +59,17 @@ def _reprs(values):
 
 
 def _finite_floats(cells, row, line_no):
-    """CSV cells of ``row`` as finite floats; ParseError with the line otherwise."""
+    """CSV cells of ``row`` as finite floats, in ASCII without ``_`` as the
+    whole-column path reads them; ParseError with the line otherwise."""
     try:
         values = list(map(float, cells))
     except ValueError:
         raise ParseError(f"non-numeric row {row!r}", line=line_no) from None
     if not all(map(math.isfinite, values)):
         raise ParseError(f"non-finite value in row {row!r}", line=line_no)
+    if not all(cell.strip().isascii() and "_" not in cell for cell in cells):
+        raise ParseError(f"unsupported numeric literal in row {row!r}; "
+                         f"write numbers in ASCII without '_'", line=line_no)
     return values
 
 
@@ -90,10 +94,12 @@ def _read_csv(path, empty):
 
 def _rows(text):
     """(line number, cells) of each row of the CSV text after a header, but
-    the blank ones: no cell, or one holding only whitespace (``""``, ``" "``)
-    and none of the ``_UNSUPPORTED_CHARS`` that a sweep file rejects."""
+    the blank ones: no cell, or one holding only whitespace (``""``, ``" "``);
+    ParseError for a row holding one of the ``_UNSUPPORTED_CHARS``."""
     for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=2):
-        if len(row) > 1 or row and (row[0].strip() or set(row[0]) & set(_UNSUPPORTED_CHARS)):
+        if any(c in cell for cell in row for c in _UNSUPPORTED_CHARS):
+            raise ParseError(f"unsupported control character in row {row!r}", line=line_no)
+        if len(row) > 1 or row and row[0].strip():
             yield line_no, row
 
 
@@ -129,17 +135,11 @@ def _load_table(text):
 
 
 def _scan_sweep_rows(text):
-    """The table ``_load_table`` gives, read row by row as ``csv`` and
-    ``float`` read them, or the ParseError of the first bad row. A cell that
-    ``float`` reads but the whole-column path does not (``_``, non-ASCII
-    digits, the control characters in ``_UNSUPPORTED_CHARS``) is an error of
-    its own.
-    """
+    """The table ``_load_table`` gives, read row by row by ``_rows`` and
+    ``_finite_floats``, or the ParseError of the first bad row."""
     rows = []
     last_v = {}
     for line_no, row in _rows(text):
-        if any(c in cell for cell in row for c in _UNSUPPORTED_CHARS):
-            raise ParseError(f"unsupported control character in row {row!r}", line=line_no)
         if len(row) != 3:
             raise ParseError(f"expected 3 columns, got {len(row)}", line=line_no)
         tp_us, v_p, value = _finite_floats(row, row, line_no)
@@ -155,9 +155,6 @@ def _scan_sweep_rows(text):
             raise ParseError(
                 f"V_p must increase strictly within the t_p={tp_us:g} us group "
                 f"({v_p!r} after {prev!r})", line=line_no)
-        if not all(cell.strip().isascii() and "_" not in cell for cell in row):
-            raise ParseError(f"unsupported numeric literal in row {row!r}; "
-                             f"write numbers in ASCII without '_'", line=line_no)
         last_v[tp_us] = v_p
         rows.append((tp_us, v_p, value))
     if not rows:
@@ -248,11 +245,11 @@ def emit_fit_report(path, fits, markers=None, observable_kind="displacement"):
 
 def parse_fit_report(path):
     """Read a fit report of either observable; returns a list of
-    (LorentzianFit, marker voltage or None). A row needs finite cells,
-    v50_V == 10**mu > 0, the values a LorentzianFit accepts and a t_p_us no
-    earlier row holds (``same_width``), or it is a ParseError with its line:
-    the fit's own ConfigError names the rule, and a repeated width names
-    both lines. Blank rows are skipped, as in a sweep file."""
+    (LorentzianFit, marker voltage or None). A row needs numbers a sweep
+    file accepts, v50_V == 10**mu > 0, the values a LorentzianFit accepts
+    (A != 0) and a t_p_us no earlier row holds (``same_width``), or it is a
+    ParseError with its line: the fit's own ConfigError names the rule, and
+    a repeated width names both lines. Blank rows are skipped, as in a sweep file."""
     header, text = _read_csv(path, "empty fit report")
     if header not in map(fit_report_header, OBSERVABLES):
         raise ParseError(f"bad fit report header {header!r}", line=1)
@@ -270,7 +267,7 @@ def parse_fit_report(path):
                              line=line_no)
         try:
             fit = LorentzianFit.from_params(y0, a, mu, w, rms, tp_us * 1e-6)
-        except ConfigError as exc:  # t_p, A or w <= 0, say
+        except ConfigError as exc:  # t_p or w <= 0, or A == 0, say
             raise ParseError(str(exc), line=line_no) from None
         for t_p, line in seen:
             if same_width(t_p, fit.t_p):

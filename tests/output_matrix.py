@@ -4,8 +4,10 @@ Usage: python tests/output_matrix.py [SRC] [--keep DIR]
 
 SRC is the directory holding the ``ferrocal`` package to run (default: this
 repository's ``src``), so one copy of this script compares two trees. Each
-of eight configurations (seeds 11 and 3, both observables, read noise 0 and
-0.05 nm, the other settings at their defaults) runs 13 command forms
+of ten configurations (seeds 11 and 3, both observables, read noise 0 and
+0.05 nm, the other settings at their defaults; and the mirrored branch,
+``reset_peak_V = 9`` and ``write_peak_V = -5``, at seed 3 and 0.05 nm for
+both observables) runs 13 command forms
 through ``cli.main``: ``simulate``; ``fit`` and ``fit --share-offsets``; on
 each of the two reports ``merz`` nested and with ``--tau-inf 1.4e-14``,
 ``collapse`` and ``program --targets 0.25,0.5,0.75``; ``levels`` plain and
@@ -31,17 +33,20 @@ from pathlib import Path
 SEEDS = (11, 3)
 OBSERVABLES = ("displacement", "polarization_change")
 READ_NOISE_NM = ("0", "0.05")
+MIRRORED = "[protocol]\nreset_peak_V = 9.0\nwrite_peak_V = -5.0\n\n"
 PLACEHOLDER = "<OUT>"
 
 
 def configurations():
     """(name, seed, INI text) of each configuration."""
+    def ini(kind, noise):
+        return f"[device]\nread_noise_sigma_nm = {noise}\n\n[sweep]\nobservable = {kind}\n"
     for seed in SEEDS:
         for kind in OBSERVABLES:
             for noise in READ_NOISE_NM:
-                ini = (f"[device]\nread_noise_sigma_nm = {noise}\n\n"
-                       f"[sweep]\nobservable = {kind}\n")
-                yield f"seed{seed}-{kind}-noise{noise}", seed, ini
+                yield f"seed{seed}-{kind}-noise{noise}", seed, ini(kind, noise)
+    for kind in OBSERVABLES:
+        yield f"mirrored-seed3-{kind}-noise0.05", 3, MIRRORED + ini(kind, "0.05")
 
 
 def forms(conf_dir, seed):

@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ferrocal
-from ferrocal import (ConfigError, LorentzianFit, SwitchCurve, emit_fit_report,
-                      emit_sweep_csv, parse_fit_report, parse_sweep_csv, s0_filter,
-                      s0_filter_with_margin)
+from ferrocal import (ConfigError, DeviceCalibration, LorentzianFit, SwitchCurve,
+                      count_dac_levels, emit_fit_report, emit_sweep_csv, fit_family,
+                      parse_fit_report, parse_sweep_csv, s0_filter, s0_filter_with_margin)
 from ferrocal.cli import main
 from ferrocal.config import _KEYS, RunConfig, load_config
 
@@ -234,6 +234,75 @@ class TestCollapseCommand:
         assert summary[2] == "out_of_band = 1"
 
 
+# the mirrored (inhibitory) branch: units start up-poled, a positive reset
+# poles them down and a negative write switches them back, so each sweep falls
+MIRRORED = "[protocol]\nreset_peak_V = 9.0\nwrite_peak_V = -5.0\n\n"
+
+
+class TestMirroredBranch:
+    @pytest.mark.parametrize("kind", ["displacement", "polarization_change"])
+    def test_every_command_succeeds(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(MIRRORED + "[device]\nread_noise_sigma_nm = 0.05\n\n"
+                       f"[sweep]\nobservable = {kind}\n")
+        sweep = str(tmp_path / "sweep.csv")
+        assert main(["--out-dir", str(tmp_path), "--seed", "3", "simulate",
+                     "--config", str(cfg), "--out", sweep]) == 0
+        for share in ([], ["--share-offsets"]):
+            out = tmp_path / ("fit" + "".join(share))
+            report = str(out / "fit_report.csv")
+            for argv in (["fit", "--input", sweep] + share,
+                         ["merz", "--fits", report],
+                         ["merz", "--fits", report, "--tau-inf", "1.4e-14"],
+                         ["collapse", "--input", sweep, "--fits", report],
+                         ["program", "--fits", report, "--targets", "0.25,0.5,0.75"]):
+                assert main(["--out-dir", str(out)] + argv) == 0, argv
+            assert all(fit.a < 0 for fit, _ in parse_fit_report(report))
+        capsys.readouterr()
+        for margin in ([], ["--margin", "0.09"]):
+            assert main(["--out-dir", str(tmp_path), "levels", "--input", sweep] + margin) == 0
+        # the scan follows the fall: the margin keeps over a hundred levels
+        # per width, where an upward scan kept 2 or 3
+        kept = [int(line.split()[4]) for line in capsys.readouterr().out.splitlines()]
+        assert len(kept) == 10 and min(kept) > 100
+
+    @pytest.mark.parametrize("kind", ["displacement", "polarization_change"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_noiseless_pair_mirrors_the_rising_fits_and_levels(self, tmp_path, capsys, seed,
+                                                                kind):
+        # one draw swept on both branches: the mirrored fits give the rising
+        # (mu, w), A of the opposite sign, and as many DAC and sweep levels
+        cal = DeviceCalibration(delta_min=0.0, delta_max=1.0)  # 18 bits over 0.5-9 V
+        branches = []
+        for name, protocol in (("rising", ""), ("mirrored", MIRRORED)):
+            cfg, sweep = tmp_path / f"{name}.ini", str(tmp_path / f"{name}.csv")
+            cfg.write_text(protocol + f"[sweep]\nobservable = {kind}\n")
+            out = ["--out-dir", str(tmp_path / name)]
+            assert main(out + ["--seed", str(seed), "simulate", "--config", str(cfg),
+                               "--out", sweep]) == 0
+            capsys.readouterr()
+            for margin in ([], ["--margin", "0.09"]):
+                assert main(out + ["levels", "--input", sweep] + margin) == 0
+            fits = fit_family(parse_sweep_csv(sweep))
+            kept = [int(line.split()[4]) for line in capsys.readouterr().out.splitlines()]
+            branches.append((fits, [count_dac_levels(f, cal, 0.09) for f in fits], kept))
+        (rising, rising_dac, rising_kept), (mirrored, mirrored_dac, mirrored_kept) = branches
+        for up, down in zip(rising, mirrored):
+            assert down.mu == pytest.approx(up.mu, rel=1e-12, abs=0)
+            assert down.w == pytest.approx(up.w, rel=1e-12, abs=0)
+            assert up.a > 0 and down.a == pytest.approx(-up.a, rel=1e-12, abs=0)
+        assert mirrored_dac == rising_dac
+        assert mirrored_kept[:5] == rising_kept[:5]  # the plain scan
+        if kind == "displacement":
+            assert mirrored_kept[5:] == rising_kept[5:]
+        else:
+            # polarization values are multiples of 40/10**5 uC/cm^2 and the
+            # 0.09 margin is 225 of them; the mirrored values, the rising ones
+            # negated and offset by the units the reset cannot reach, round
+            # apart, so a rise equal to the margin can break either way
+            assert np.abs(np.subtract(mirrored_kept[5:], rising_kept[5:])).max() <= 1
+
+
 class TestLevelsCommand:
     def test_counts_and_files(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
@@ -449,20 +518,10 @@ class TestExitCodes:
             assert "RuntimeWarning" not in proc.stderr
             assert "Traceback" not in proc.stderr
 
-    # one cell of the third data row (line 4) of the published-table report
-    @pytest.mark.parametrize("column, cell, message", [
-        (0, "-10", "LorentzianFit requires a finite w, t_p > 0 finite in us"),
-        (0, "0", "LorentzianFit requires a finite w, t_p > 0 finite in us"),
-        (2, "0", "LorentzianFit requires a > 0"),
-        (2, "-1.5", "LorentzianFit requires a > 0"),
-        (4, "0", "LorentzianFit requires w > 0"),
-        (4, "-0.04", "LorentzianFit requires w > 0"),
-        (5, "6.0", "v50_V = 6.0 is not 10**mu"),
-    ], ids=["t_p-negative", "t_p-zero", "A-zero", "A-negative", "w-zero", "w-negative",
-            "v50-not-10**mu"])
-    @pytest.mark.parametrize("command", ["merz", "program", "collapse"])
-    def test_bad_fit_report_row_is_parse_error_with_its_line(self, tmp_path, capsys, command,
-                                                              column, cell, message):
+    @staticmethod
+    def run_on_edited_report(tmp_path, command, column, cell):
+        """Exit code of ``command`` on the published-table report with one
+        cell of its third data row (line 4) replaced, written to ``out``."""
         report = write_table_report(tmp_path / "fit_report.csv")
         lines = report.read_text().splitlines()
         cells = lines[3].split(",")
@@ -474,12 +533,35 @@ class TestExitCodes:
         argv = {"merz": ["merz", "--fits", str(report)],
                 "program": ["program", "--fits", str(report), "--targets", "0.5"],
                 "collapse": ["collapse", "--input", str(sweep), "--fits", str(report)]}
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out)] + argv[command]) == 3
+        return main(["--out-dir", str(tmp_path / "out")] + argv[command])
+
+    @pytest.mark.parametrize("column, cell, message", [
+        (0, "-10", "LorentzianFit requires a finite w, t_p > 0 finite in us"),
+        (0, "0", "LorentzianFit requires a finite w, t_p > 0 finite in us"),
+        (2, "0", "LorentzianFit requires a != 0"),
+        (4, "0", "LorentzianFit requires w > 0"),
+        (4, "-0.04", "LorentzianFit requires w > 0"),
+        (5, "6.0", "v50_V = 6.0 is not 10**mu"),
+        # a sweep file's rules for numbers; float() reads the first two cells
+        (7, "0_0", "unsupported numeric literal"),
+        (2, "\uff12\uff14.2", "unsupported numeric literal"),
+        (1, "\x1c-19.1", "unsupported control character"),
+    ], ids=["t_p-negative", "t_p-zero", "A-zero", "w-zero", "w-negative", "v50-not-10**mu",
+            "underscore-rms", "full-width-A", "separator-in-y0"])
+    @pytest.mark.parametrize("command", ["merz", "program", "collapse"])
+    def test_bad_fit_report_row_is_parse_error_with_its_line(self, tmp_path, capsys, command,
+                                                              column, cell, message):
+        assert self.run_on_edited_report(tmp_path, command, column, cell) == 3
         err = capsys.readouterr().err
         assert f"line 4: {message}" in err
         assert "Traceback" not in err
-        assert not (out / "program_table.csv").exists()
+        assert not (tmp_path / "out" / "program_table.csv").exists()
+
+    @pytest.mark.parametrize("command", ["merz", "program", "collapse"])
+    def test_fit_report_row_with_negative_a_is_read(self, tmp_path, command):
+        # A carries the branch's sign: a row with A < 0 is a mirrored fit
+        assert self.run_on_edited_report(tmp_path, command, 2, "-1.5") == 0
+        assert parse_fit_report(tmp_path / "fit_report.csv")[2][0].a == -1.5
 
     @pytest.mark.parametrize("blank", ["", "   ", '""', '" "'],
                              ids=["empty", "spaces", "quoted-empty", "quoted-space"])

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
@@ -65,25 +65,29 @@ class TestFitLorentzianCdf:
         with pytest.raises(DomainError):
             fit_lorentzian_cdf(c)
 
-    def test_decreasing_curve_raises_fit_error_with_best_params(self):
+    def test_decreasing_curve_fits_with_the_opposite_a(self):
+        # the mirrored branch: A carries the sign, (mu, w) stay
         c = synthetic_curve(ROW_500US)
-        flipped = SwitchCurve(t_p=c.t_p, v_p=c.v_p, values=-c.values)
-        with pytest.raises((FitError, RankError)) as err:
-            fit_lorentzian_cdf(flipped)
-        if isinstance(err.value, FitError):
-            assert err.value.best_fit is not None
+        rising = fit_lorentzian_cdf(c)
+        falling = fit_lorentzian_cdf(SwitchCurve(t_p=c.t_p, v_p=c.v_p, values=-c.values))
+        assert falling.a == pytest.approx(-rising.a, rel=1e-9)
+        assert falling.y0 == pytest.approx(-rising.y0, rel=1e-9)
+        assert falling.mu == pytest.approx(rising.mu, rel=1e-9)
+        assert falling.w == pytest.approx(rising.w, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
-    @given(gain=st.floats(0.01, 100.0), offset=st.floats(-1000.0, 1000.0),
-           seed=st.integers(0, 2**32 - 1))
+    @given(gain=st.one_of(st.floats(0.01, 100.0), st.floats(-100.0, -0.01)),
+           offset=st.floats(-1000.0, 1000.0), seed=st.integers(0, 2**32 - 1))
+    @example(gain=-1.0, offset=0.0, seed=0)
     def test_affine_equivariance(self, gain, offset, seed):
-        # y -> gain * y + offset maps (y0, A) affinely and leaves (mu, w)
+        # y -> gain * y + offset maps (y0, A) affinely and leaves (mu, w); a
+        # negative gain mirrors the curve, and A takes its sign
         base_curve = synthetic_curve(ROW_500US, sigma=0.3, rng=np.random.default_rng(seed))
         mapped_curve = SwitchCurve(t_p=base_curve.t_p, v_p=base_curve.v_p,
                                    values=gain * base_curve.values + offset)
         base = fit_lorentzian_cdf(base_curve)
         mapped = fit_lorentzian_cdf(mapped_curve)
-        scale = gain * base.a + abs(offset)
+        scale = abs(gain) * base.a + abs(offset)
         assert mapped.y0 == pytest.approx(gain * base.y0 + offset, abs=1e-9 * scale)
         assert mapped.a == pytest.approx(gain * base.a, rel=1e-9)
         assert mapped.mu == pytest.approx(base.mu, rel=1e-9)
@@ -209,8 +213,9 @@ class TestFitFamily:
             return (y0, a), mus, ws, r, status
 
         monkeypatch.setattr(fitting, "_varpro", outside)
+        rule = {"w": "w > 0", "a": "a != 0"}[param]
         with pytest.raises(FitError, match=f"^fit left the model's domain: LorentzianFit "
-                                           f"requires {param} > 0$") as err:
+                                           f"requires {rule}$") as err:
             if share_offsets:
                 fit_family(curves, share_offsets=True)
             else:
@@ -276,8 +281,13 @@ class TestFitFamily:
             for curve in family:
                 fit_lorentzian_cdf(curve)
 
-        # the independent fits raise the first failing curve's own error
-        assert outcome(fit_family, curves[::-1]) == outcome(first_failure, curves)
+        # the independent fits raise the first failing curve's own error. A
+        # decreasing curve is no failure: it fits with the opposite A
+        if kind == "decreasing":
+            assert (fit_family(one_bad[::-1])[position].a
+                    == pytest.approx(-fit_lorentzian_cdf(bad).a, rel=1e-9))
+        if kind != "decreasing" or pre_engine < len(curves):
+            assert outcome(fit_family, curves[::-1]) == outcome(first_failure, curves)
         # the shared fit runs no independent fit: the first curve that fails
         # before the engine raises its own error, and otherwise the joint
         # fit's outcome decides, singular with a decreasing curve in the
@@ -810,8 +820,10 @@ class TestLorentzianFitType:
     def test_positive_width_and_span_enforced(self):
         with pytest.raises(ConfigError):
             LorentzianFit.from_params(0.0, 1.0, 0.7, -0.04, 0.0, 1e-4)
-        with pytest.raises(ConfigError):
-            LorentzianFit.from_params(0.0, -1.0, 0.7, 0.04, 0.0, 1e-4)
+        with pytest.raises(ConfigError, match="requires a != 0"):
+            LorentzianFit.from_params(0.0, 0.0, 0.7, 0.04, 0.0, 1e-4)
+        # a span of either sign: A < 0 is the mirrored branch
+        assert LorentzianFit.from_params(0.0, -1.0, 0.7, 0.04, 0.0, 1e-4).a == -1.0
 
     @pytest.mark.parametrize("y0, a", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf),
                                        (1e308, 1e308)], ids=["y0-nan", "y0-inf", "a-inf",

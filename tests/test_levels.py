@@ -155,15 +155,19 @@ class TestDacHelpers:
         # one formula: the in-place code voltages of a DAC count are
         # dac_voltage of every code, bit for bit, checked a block at a time
         cal = replace(CAL_18BIT, dac_bits=bits)
+        lo, hi = cal.dac_range
         ncodes = 2**bits
         block = 1 << 20
         for start in range(0, ncodes, block):
             k = np.arange(start, min(start + block, ncodes))
             assert np.array_equal(_code_voltages(k.astype(float), cal), dac_voltage(cal, k))
+            # the formula as the README writes it, in its order
+            assert np.array_equal(dac_voltage(cal, k), lo + (hi - lo) * k / (ncodes - 1))
         # the scalar calls that program makes, on up to 4097 codes per width
         codes = [*range(0, ncodes, max(1, ncodes >> 12)), ncodes - 1]
         v = _code_voltages(np.array(codes, dtype=float), cal)
         assert [dac_voltage(cal, code) for code in codes] == v.tolist()
+        assert v.tolist() == [lo + (hi - lo) * code / (ncodes - 1) for code in codes]
 
     def test_nearest_code_round_trip(self):
         cal = CAL_18BIT

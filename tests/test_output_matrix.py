@@ -49,7 +49,7 @@ def test_two_hash_seeds_give_one_digest(matrix):
 def test_each_command_writes_exactly_its_files(matrix):
     (lines, _), _ = matrix
     runs = [line.split()[1] for line in lines if line.startswith("run ")]
-    assert len(runs) == 8 * 13
+    assert len(runs) == 10 * 13
     assert all(" exit 0 " in line for line in lines if line.startswith("run "))
     written = {run: set() for run in runs}
     for line in lines:
