@@ -17,10 +17,8 @@ from .levels import (LevelSet, achieved_weight, count_dac_levels, dac_nearest_co
                      dac_voltage, program_voltage_for_weight, s0_filter,
                      s0_filter_with_margin)
 from .model import (DeviceCalibration, LorentzianFit, MerzKinetics, NlsSpec, SwitchCurve,
-                    ThresholdDistribution, TriangularPulse, WriteProtocol,
-                    lorentzian_displacement, master_curve, nls_switched_fraction,
-                    switched_fraction_cdf, tau_of_voltage, threshold_pdf,
-                    threshold_quantile, threshold_voltage)
+                    ThresholdDistribution, TriangularPulse, WriteProtocol, master_curve,
+                    nls_switched_fraction, switched_fraction_cdf, threshold_quantile)
 from .simulate import (HysteronEnsemble, polarization_change_of_fraction, run_protocol_sweep,
                        sample_ensemble, simulate_sweeps, thresholds_at)
 from .sweepio import (emit_collapse, emit_fit_report, emit_levels_csv, emit_sweep_csv,

@@ -5,8 +5,8 @@ The model has three layers:
 * a field-time kinetic law ``tau(E) = tau_inf * exp((E_a/E)**alpha)``, held
   for one film as ``tau(V) = tau_inf * exp((10**mu_star / V)**alpha)``, and
   its inversion to a pulse-width-dependent half-switching voltage; the
-  simulator, ``threshold_voltage`` and the Merz regression all take
-  ln(t_p/tau_inf) from ``log_time_ratio``,
+  simulator and the Merz regression both take ln(t_p/tau_inf) from
+  ``log_time_ratio``,
 * a Cauchy (Lorentzian) distribution of switching thresholds on the log10
   voltage axis, giving an arctangent transfer function for the switched
   fraction,
@@ -17,7 +17,7 @@ A general nucleation-limited switching integral over a distribution of
 logarithmic switching times is also provided, as a fixed 512-node trapezoid
 over location +/- TRUNCATION_HALF_WIDTHS scales; in the narrow-distribution
 limit it reduces to the classical stretched-exponential switching law.
-It, ``tau_of_voltage`` and ``threshold_voltage`` are library-only physics.
+It is library-only physics.
 
 All distribution parameters exposed here are in decades (log10); the
 switching-time integral works on the natural-log axis internally.
@@ -25,9 +25,9 @@ switching-time integral works on the natural-log axis internally.
 The transfer function has one implementation, ``_transfer``: it evaluates S
 (and delta) step by step in place on a float64 buffer, in the order the
 closed form is written, so every caller gets the closed form's bits without
-a full-size temporary per step. The public functions hand it a copy of their
-input; ``levels.count_dac_levels`` hands it each block of code voltages it
-has just built in its one reused buffer; its S(z) step is ``master_curve``.
+a full-size temporary per step. ``switched_fraction_cdf`` hands it a copy of
+its input; ``levels.count_dac_levels`` hands it each block of code voltages
+it has just built in its one reused buffer; its S(z) step is ``master_curve``.
 It is also the one home of what two other modules share: the pulse types,
 ``SwitchCurve``, ``LorentzianFit``, ``OBSERVABLES``, ``same_width``, ``rises``.
 """
@@ -263,22 +263,6 @@ def _rowdot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def tau_of_voltage(kinetics, v):
-    """Switching time tau(V) = tau_inf * exp((10**mu_star / V)**alpha), V in volts.
-
-    The field law tau_inf * exp((E_a/E)**alpha) for a film of thickness d at
-    E = V/d. Strictly decreasing in V; tends to tau_inf as V -> infinity.
-    """
-    v = np.asarray(v, dtype=float)
-    if not np.all(v > 0):  # a NaN fails the comparison
-        raise DomainError("tau_of_voltage requires V > 0")
-    # far below the activation voltage the time overflows to inf, which is
-    # the honest limit of the law
-    with np.errstate(over="ignore"):
-        tau = kinetics.tau_inf * np.exp((10.0**kinetics.mu_star / v) ** kinetics.alpha)
-    return _as_float_or_array(tau)
-
-
 def log_time_ratio(t_p, tau_inf):
     """ln(t_p / tau_inf) for scalar or array t_p and tau_inf, the one place
     the Merz law takes it. DomainError unless every t_p > tau_inf; a ratio
@@ -301,16 +285,6 @@ def threshold_divisor(kinetics, t_p):
     if not np.all((-708 < exponent) & (exponent < 709)):
         raise DomainError("ln(width / tau_inf)**(1/alpha) leaves the float range")
     return ln ** (1.0 / kinetics.alpha)
-
-
-def threshold_voltage(kinetics, t_p):
-    """Half-switching voltage for a pulse of width t_p (s).
-
-    Inverts the kinetic law at tau = t_p:
-    V50(t_p) = 10**mu_star / ln(t_p / tau_inf)**(1/alpha).
-    Strictly decreasing in t_p; requires t_p > tau_inf.
-    """
-    return 10.0**kinetics.mu_star / threshold_divisor(kinetics, t_p)
 
 
 def master_curve(z, out=None):
@@ -365,22 +339,6 @@ def threshold_quantile(dist, s):
     with np.errstate(over="ignore"):
         v = 10.0 ** (dist.mu + dist.w * np.tan(np.pi * (ss - 0.5)))
     return _as_float_or_array(v)
-
-
-def threshold_pdf(dist, x):
-    """Cauchy density of thresholds at x = log10 V_p, per decade.
-
-    f(x) = (1/pi) * w / ((x - mu)^2 + w^2); peak 1/(pi*w) at x = mu.
-    """
-    xx = np.asarray(x, dtype=float)
-    f = dist.w / (np.pi * ((xx - dist.mu) ** 2 + dist.w**2))
-    return _as_float_or_array(f)
-
-
-def lorentzian_displacement(y0, a, mu, w, v_p):
-    """Full transfer function delta(V_p) = y0 + A * S(V_p) for given (mu, w)."""
-    dist = ThresholdDistribution(mu, w)
-    return _as_float_or_array(_transfer(np.array(v_p, dtype=float), dist, y0, a))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ The published parameter table and the oracle results frozen from
 independent pre-build computations (plain-loop least squares, direct
 enumeration). Tests recompute the oracles where cheap and compare both ways.
 References the benchmark also checks against (the greedy level scan, the
-closed-form displacement, the attempt time and the frozen DAC level counts)
-come from ``bench/oracles.py``, which does not import ferrocal.
+closed-form displacement and its slope, the attempt time and the frozen DAC
+level counts) come from ``bench/oracles.py``, which does not import ferrocal.
 """
 
 import csv
@@ -57,6 +57,17 @@ ORACLE_MODEL_ZERO_CROSSING = 5.448564
 # tau(V) at V = 4.867 V with alpha=3.62, tau_inf=14 fs, mu_star = 1.069
 # (an activation voltage of 10^1.069 V)
 ORACLE_TAU_AT_4P867V = 4.070600e-4
+
+
+def merz_tau(kin, v):
+    """The paper's field-time law at voltage v: tau_inf * exp((10**mu_star / v)**alpha)."""
+    return kin.tau_inf * math.exp((10.0**kin.mu_star / v) ** kin.alpha)
+
+
+def merz_v50(kin, t_p):
+    """The law inverted at tau = t_p: V50 = 10**mu_star / ln(t_p / tau_inf)**(1/alpha)."""
+    return 10.0**kin.mu_star / math.log(t_p / kin.tau_inf) ** (1.0 / kin.alpha)
+
 
 DENSE_GRID = 0.5 + 0.005 * np.arange(1701)  # 0.5..9 V in 5 mV steps
 

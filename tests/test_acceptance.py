@@ -16,11 +16,11 @@ from ferrocal import (DeviceCalibration, LorentzianFit, MerzKinetics, RangeError
                       fit_lorentzian_cdf, fit_merz_nested, NlsSpec,
                       nls_switched_fraction, polarization_change_of_fraction,
                       program_voltage_for_weight, run_protocol_sweep, s0_filter,
-                      sample_ensemble, switched_fraction_cdf, threshold_pdf)
+                      sample_ensemble, switched_fraction_cdf)
 from ferrocal.cli import main
 
 from anchors import (DENSE_GRID, ORACLE_ALPHA, ORACLE_MU_STAR, PUB_TAU_INF,
-                     TABLE_ROWS, naive_monotone_scan, synthetic_curve)
+                     TABLE_ROWS, naive_monotone_scan, oracles, synthetic_curve)
 
 V50_TOL = 0.001            # criterion 1, volts
 SLOPE_TOL = 0.001          # criterion 2, around -0.276
@@ -223,11 +223,10 @@ def test_criterion_09_programming_round_trip():
     # a device whose threshold distribution sits centered in the DAC span, so
     # every target inverts in range
     centered = LorentzianFit.from_params(-10.0, 20.0, 0.5, 0.02, 0.0, 500e-6)
-    dist = ThresholdDistribution(centered.mu, centered.w)
     worst_err = worst_bound = 0.0
     for target in targets:
         v = program_voltage_for_weight(centered, target, cal)
-        slope = threshold_pdf(dist, math.log10(v)) / (v * math.log(10))
+        slope = oracles.model_slope_at((None, 0, 1, centered.mu, centered.w), v)
         bound = slope * halfstep
         err = abs(achieved_weight(centered, v) - target)
         assert err <= bound * (1 + 1e-6) + 1e-15
@@ -238,12 +237,11 @@ def test_criterion_09_programming_round_trip():
     # with the published 500 us parameters the top two targets invert above
     # the 9 V DAC limit and must raise the documented range error
     table_fit = LorentzianFit.from_params(*TABLE_ROWS[-1][1:5], 0.0, 500e-6)
-    table_dist = ThresholdDistribution(table_fit.mu, table_fit.w)
     for target in targets:
         exact = 10 ** (table_fit.mu + table_fit.w * math.tan(math.pi * (target - 0.5)))
         if 0.5 <= exact <= 9.0:
             v = program_voltage_for_weight(table_fit, target, cal)
-            slope = threshold_pdf(table_dist, math.log10(v)) / (v * math.log(10))
+            slope = oracles.model_slope_at((None, 0, 1, table_fit.mu, table_fit.w), v)
             assert abs(achieved_weight(table_fit, v) - target) <= slope * halfstep * (1 + 1e-6) + 1e-15
         else:
             assert target in (62 / 64, 63 / 64)

@@ -10,15 +10,15 @@ from scipy.optimize import least_squares
 from ferrocal import fitting
 from ferrocal import (AmbiguousMarkerError, ConfigError, DomainError, FerrocalError, FitError,
                       LorentzianFit, RankError, SwitchCurve,
-                      curve_markers, fit_family, fit_lorentzian_cdf, lorentzian_displacement,
+                      curve_markers, fit_family, fit_lorentzian_cdf,
                       polarization_change_of_fraction, switched_fraction_cdf,
                       ThresholdDistribution)
 from ferrocal.config import RunConfig
 from ferrocal.simulate import run_protocol_sweep, sample_ensemble, simulate_sweeps
 
 from anchors import (DENSE_GRID, ORACLE_MODEL_ZERO_CROSSING, ROW_500US, TABLE_ROWS,
-                     dense_varpro, naive_single_crossing, pav_default_init, pav_isotonic,
-                     raw_default_init, synthetic_curve, two_stage_shared_fit)
+                     dense_varpro, naive_single_crossing, oracles, pav_default_init,
+                     pav_isotonic, raw_default_init, synthetic_curve, two_stage_shared_fit)
 
 
 def _asymptotic_se(curve, fit):
@@ -169,7 +169,7 @@ class TestFitFamily:
         curves = []
         for row in TABLE_ROWS:
             t_p, _, _, mu, w = row[:5]
-            vals = lorentzian_displacement(y0, a, mu, w, DENSE_GRID)
+            vals = oracles.lorentzian((None, y0, a, mu, w), DENSE_GRID)
             curves.append(SwitchCurve(t_p=t_p, v_p=DENSE_GRID, values=vals))
         joint = fit_family(curves, share_offsets=True)
         indep = fit_family(curves, share_offsets=False)
@@ -352,7 +352,7 @@ def _trf_fit(xs, ys, y0, a, mus, ws):
 
 def _cost(curves, fits):
     return 0.5 * sum(
-        float(np.sum((lorentzian_displacement(f.y0, f.a, f.mu, f.w, c.v_p) - c.values) ** 2))
+        float(np.sum((oracles.lorentzian((None, f.y0, f.a, f.mu, f.w), c.v_p) - c.values) ** 2))
         for c, f in zip(curves, fits))
 
 
@@ -511,7 +511,7 @@ class TestBatchedFits:
             assert np.all(np.abs(new - ref) <= 1e-10 * np.abs(ref))
             assert rj @ rj <= (r_ref @ r_ref) * (1 + 1e-12) + 1e-22
             # the residuals returned are those of the parameters returned
-            model = lorentzian_displacement(y0[j], a[j], mu[j], w[j], 10.0**xs[j])
+            model = oracles.lorentzian((None, y0[j], a[j], mu[j], w[j]), 10.0**xs[j])
             assert np.allclose(rj, model - ys[j], rtol=0.0, atol=1e-9 * np.abs(ys[j]).max())
 
     @pytest.mark.parametrize("budget", range(1, 9))
@@ -528,7 +528,7 @@ class TestBatchedFits:
                                             [y[::k] for k in range(1, 5)])):
             (y0, a), mu, w, r, converged = fitting._varpro(xs, ys, *zip(*seeds), joint=False)
             for j, rj in enumerate(np.split(r, np.cumsum([xj.size for xj in xs])[:-1])):
-                model = lorentzian_displacement(y0[j], a[j], mu[j], w[j], 10.0**xs[j])
+                model = oracles.lorentzian((None, y0[j], a[j], mu[j], w[j]), 10.0**xs[j])
                 assert np.allclose(rj, model - ys[j], rtol=0.0, atol=1e-9 * np.abs(y).max())
                 # and each curve takes the steps it takes alone, to the bit
                 ((y0_1,), (a_1,)), (mu_1,), (w_1,), r_1, (converged_1,) = fitting._varpro(
@@ -662,7 +662,7 @@ class TestMarkers:
 
     def test_symmetric_offsets_put_crossing_at_v50(self):
         t_p, _, a, mu, w = ROW_500US[:5]
-        vals = lorentzian_displacement(-a / 2, a, mu, w, DENSE_GRID)
+        vals = oracles.lorentzian((None, -a / 2, a, mu, w), DENSE_GRID)
         c = SwitchCurve(t_p=t_p, v_p=DENSE_GRID, values=vals)
         assert vc_mech(c) == pytest.approx(10**mu, abs=0.005)
 

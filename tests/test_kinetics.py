@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from ferrocal import kinetics
 from ferrocal import (ConfigError, DomainError, MerzKinetics, SwitchCurve, collapse_rms,
                       collapse_transform, fit_family, fit_lorentzian_cdf, fit_merz_nested,
-                      master_curve, regress_mu_fixed_tau, simulate_sweeps, threshold_voltage)
+                      master_curve, regress_mu_fixed_tau, simulate_sweeps)
 from ferrocal.config import RunConfig
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_R2, ORACLE_SLOPE, ORACLE_X,
-                     PUB_ALPHA, PUB_TAU_INF, ROW_500US, TABLE_ROWS, naive_fit_merz_nested,
-                     naive_rss_at, ols_line, synthetic_curve)
+                     PUB_ALPHA, PUB_TAU_INF, ROW_500US, TABLE_ROWS, merz_v50,
+                     naive_fit_merz_nested, naive_rss_at, ols_line, synthetic_curve)
 
 POINTS = [(row[0], row[3]) for row in TABLE_ROWS]
 
@@ -96,12 +96,12 @@ class TestRegressFixedTau:
         assert reg.r_squared == (1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
         assert reg.x_values.tobytes() == x.tobytes()
 
-    def test_round_trip_against_threshold_voltage(self):
+    def test_fitted_law_reproduces_each_median_within_its_residual(self):
         reg = regress_mu_fixed_tau(POINTS, PUB_TAU_INF)
         kin = MerzKinetics(reg.alpha, reg.tau_inf, reg.mu_star)
         resid = np.abs(np.array([mu for _, mu in POINTS]) - reg.mu_fit())
         for (t_p, mu), r in zip(POINTS, resid):
-            v50 = threshold_voltage(kin, t_p)
+            v50 = merz_v50(kin, t_p)
             assert abs(math.log10(v50) - mu) <= r + 1e-12
 
 

@@ -6,12 +6,11 @@ import pytest
 
 from ferrocal import (ConfigError, DeviceCalibration, DomainError, LorentzianFit,
                       RangeError, SwitchCurve, achieved_weight, count_dac_levels,
-                      dac_nearest_code, dac_voltage, lorentzian_displacement,
-                      program_voltage_for_weight, s0_filter, s0_filter_with_margin,
-                      threshold_pdf, ThresholdDistribution)
+                      dac_nearest_code, dac_voltage, program_voltage_for_weight, s0_filter,
+                      s0_filter_with_margin, ThresholdDistribution)
 from ferrocal.levels import _code_voltages
 
-from anchors import ORACLE_DAC_K, ROW_500US, naive_monotone_scan
+from anchors import ORACLE_DAC_K, ROW_500US, naive_monotone_scan, oracles
 
 CAL_18BIT = DeviceCalibration(delta_min=ROW_500US[1], delta_max=ROW_500US[1] + ROW_500US[2],
                               dac_bits=18, dac_range=(0.5, 9.0))
@@ -192,7 +191,7 @@ class TestCountDacLevels:
         # independent sequential enumeration over all 2^18 codes
         def enumerate_levels(margin):
             v = dac_voltage(CAL_18BIT, np.arange(2**18))
-            y = lorentzian_displacement(FIT_500US.y0, FIT_500US.a, FIT_500US.mu, FIT_500US.w, v)
+            y = oracles.lorentzian(ROW_500US[:5], v)
             k, last = 1, y[0]
             for val in y[1:]:
                 if val - last >= margin:
@@ -229,12 +228,11 @@ class TestProgramming:
 
     def test_round_trip_within_quantization_bound(self):
         halfstep = 0.5 * 8.5 / (2**18 - 1)
-        dist = ThresholdDistribution(FIT_500US.mu, FIT_500US.w)
         codes = dac_voltage(CAL_18BIT, np.arange(2**18))
         for target in (0.1, 0.3, 0.5, 0.7, 0.9):
             v = program_voltage_for_weight(FIT_500US, target, CAL_18BIT)
             assert v == codes[dac_nearest_code(CAL_18BIT, v)]
-            slope = threshold_pdf(dist, math.log10(v)) / (v * math.log(10))
+            slope = oracles.model_slope_at((None, 0, 1, FIT_500US.mu, FIT_500US.w), v)
             assert abs(achieved_weight(FIT_500US, v) - target) <= slope * halfstep * (1 + 1e-6)
 
     def test_inversion_exact_before_snapping(self):

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from ferrocal import (ConfigError, DomainError, MerzKinetics, NlsSpec,
-                      ThresholdDistribution, lorentzian_displacement,
-                      nls_switched_fraction, switched_fraction_cdf,
-                      tau_of_voltage, threshold_pdf, threshold_quantile, threshold_voltage)
-from ferrocal.model import TRUNCATION_HALF_WIDTHS, _rowdot
+                      ThresholdDistribution, nls_switched_fraction, switched_fraction_cdf,
+                      threshold_quantile)
+from ferrocal.model import TRUNCATION_HALF_WIDTHS, _rowdot, _transfer, threshold_divisor
 
 from anchors import (ORACLE_ALPHA, ORACLE_MU_STAR, ORACLE_TAU_AT_4P867V,
-                     PUB_TAU_INF, ROW_500US, TABLE_ROWS)
+                     PUB_TAU_INF, ROW_500US, merz_tau, merz_v50, oracles)
 
 FITTED_KINETICS = MerzKinetics(ORACLE_ALPHA, PUB_TAU_INF, ORACLE_MU_STAR)
 
@@ -106,57 +104,48 @@ class TestRowDot:
         assert np.float64(_rowdot(u[0], v[0])).tobytes() == np.float64(u[0] @ v[0]).tobytes()
 
 
-class TestTauOfField:
-    """The field-time law tau(E), evaluated for one film by tau_of_voltage."""
+class TestMerzLawReference:
+    """The plain-math tau(V) and V50(t_p) the Merz regression is checked
+    against, pinned to the law's limits and to the published table."""
 
-    def test_infinite_field_limit(self):
+    def test_tau_infinite_field_limit(self):
         k = FITTED_KINETICS
-        assert tau_of_voltage(k, 1e12 * 10**k.mu_star) == pytest.approx(k.tau_inf, rel=1e-9)
+        assert merz_tau(k, 1e12 * 10**k.mu_star) == pytest.approx(k.tau_inf, rel=1e-9)
 
-    def test_activation_field_gives_e_fold(self):
+    def test_tau_activation_field_gives_e_fold(self):
         k = FITTED_KINETICS
-        assert tau_of_voltage(k, 10**k.mu_star) == pytest.approx(k.tau_inf * math.e, rel=1e-12)
+        assert merz_tau(k, 10**k.mu_star) == pytest.approx(k.tau_inf * math.e, rel=1e-12)
 
-    def test_strictly_decreasing(self):
+    def test_tau_strictly_decreasing(self):
         k = FITTED_KINETICS
-        taus = tau_of_voltage(k, np.logspace(0.7, 2.2, 40))
+        taus = [merz_tau(k, v) for v in np.logspace(0.7, 2.2, 40)]
         assert np.all(np.diff(taus) < 0)
 
-    def test_round_trip_through_regression_medians(self):
+    def test_tau_at_the_500us_v50_is_near_500us(self):
         # alpha=3.62, tau_inf=14 fs, mu_star = 1.069, evaluated at the 500 us
         # half-switching voltage
         k = MerzKinetics(3.62, PUB_TAU_INF, 1.069)
-        tau = tau_of_voltage(k, 4.867)
+        tau = merz_tau(k, 4.867)
         assert tau == pytest.approx(ORACLE_TAU_AT_4P867V, rel=1e-6)
         assert max(tau, 500e-6) / min(tau, 500e-6) < 1.3
 
-    def test_nonpositive_field_rejected(self):
-        with pytest.raises(DomainError):
-            tau_of_voltage(FITTED_KINETICS, 0.0)
-
-
-class TestThresholdVoltage:
-    def test_huge_alpha_pins_threshold_to_activation_voltage(self):
+    def test_v50_huge_alpha_pins_threshold_to_activation_voltage(self):
         k = MerzKinetics(1e9, 1e-14, 1.0)
         for t_p in (1e-6, 1e-3, 1.0):
-            assert threshold_voltage(k, t_p) == pytest.approx(10.0, rel=1e-6)
+            assert merz_v50(k, t_p) == pytest.approx(10.0, rel=1e-6)
 
     @pytest.mark.parametrize("t_p,v50_pub", [(500e-6, 4.87), (10e-6, 5.10)])
-    def test_table_anchors(self, t_p, v50_pub):
-        assert threshold_voltage(FITTED_KINETICS, t_p) == pytest.approx(v50_pub, abs=0.01)
+    def test_v50_table_anchors(self, t_p, v50_pub):
+        assert merz_v50(FITTED_KINETICS, t_p) == pytest.approx(v50_pub, abs=0.01)
 
-    def test_strictly_decreasing(self):
-        v = threshold_voltage(FITTED_KINETICS, np.logspace(-6, 0, 30))
+    def test_v50_strictly_decreasing(self):
+        v = [merz_v50(FITTED_KINETICS, t_p) for t_p in np.logspace(-6, 0, 30)]
         assert np.all(np.diff(v) < 0)
 
-    def test_width_below_attempt_time_rejected(self):
-        with pytest.raises(DomainError):
-            threshold_voltage(FITTED_KINETICS, PUB_TAU_INF)
-
-    def test_mutual_inverse_with_tau_of_field(self):
+    def test_tau_and_v50_mutual_inverse(self):
         k = FITTED_KINETICS
         for t in np.logspace(-6, 0, 50):
-            assert tau_of_voltage(k, threshold_voltage(k, t)) == pytest.approx(t, rel=1e-9)
+            assert merz_tau(k, merz_v50(k, t)) == pytest.approx(t, rel=1e-9)
 
 
 class TestSwitchedFractionCdf:
@@ -197,28 +186,42 @@ class TestSwitchedFractionCdf:
     def test_v50_at_the_ends_of_the_float_range(self, mu):
         assert 0 < ThresholdDistribution(mu, 0.04).v50 < math.inf
 
+    def test_derivative_is_the_cauchy_density(self):
+        # finite difference of the CDF matches the density at random points
+        d = ThresholdDistribution(0.7, 0.04)
+        rng = np.random.default_rng(41)
+        x = d.mu + d.w * rng.uniform(-5, 5, 100)
+        h = 1e-5
+        num = (switched_fraction_cdf(d, 10 ** (x + h)) - switched_fraction_cdf(d, 10 ** (x - h))) / (2 * h)
+        # per decade: dS/dV times dV/dlog10(V)
+        pdf = [oracles.model_slope_at((None, 0, 1, d.mu, d.w), 10**xi) * 10**xi * math.log(10)
+               for xi in x]
+        assert np.max(np.abs(num / pdf - 1)) < 1e-6
+
 
 class TestInverseDomains:
-    """The inverse functions reject a NaN argument as they reject one out of
-    range; an empty input has nothing to reject."""
+    """The inverse functions, and the divisor the threshold voltage is
+    inverted through, reject a NaN argument as they reject one out of range;
+    an empty input has nothing to reject."""
 
     DIST = ThresholdDistribution(1.0, 0.05)
 
     @pytest.mark.parametrize("call", [
-        lambda: tau_of_voltage(FITTED_KINETICS, math.nan),
-        lambda: tau_of_voltage(FITTED_KINETICS, [5.0, math.nan]),
-        lambda: threshold_voltage(FITTED_KINETICS, math.nan),
-        lambda: threshold_voltage(FITTED_KINETICS, [1e-4, math.nan]),
+        lambda: threshold_divisor(FITTED_KINETICS, math.nan),
+        lambda: threshold_divisor(FITTED_KINETICS, [1e-4, math.nan]),
         lambda: threshold_quantile(TestInverseDomains.DIST, math.nan),
         lambda: threshold_quantile(TestInverseDomains.DIST, [0.5, math.nan]),
-    ], ids=["tau", "tau-array", "v50", "v50-array", "quantile", "quantile-array"])
+    ], ids=["v50", "v50-array", "quantile", "quantile-array"])
     def test_nan_rejected(self, call):
         with pytest.raises(DomainError):
             call()
 
+    def test_width_below_attempt_time_rejected(self):
+        with pytest.raises(DomainError):
+            threshold_divisor(FITTED_KINETICS, PUB_TAU_INF)
+
     def test_empty_input_passes(self):
-        assert tau_of_voltage(FITTED_KINETICS, []).size == 0
-        assert threshold_voltage(FITTED_KINETICS, []).size == 0
+        assert threshold_divisor(FITTED_KINETICS, []).size == 0
         assert threshold_quantile(self.DIST, []).size == 0
 
     def test_cdf_passes_nan_through(self):
@@ -259,48 +262,19 @@ class TestTransferClosedForm:
         v = np.asarray(v_p, dtype=float)
         with np.errstate(over="ignore"):
             s = 0.5 + np.arctan((np.log10(v) - mu) / w) / np.pi
-        delta = y0 + a * s
-        got_s = switched_fraction_cdf(ThresholdDistribution(mu, w), v_p)
-        got_delta = lorentzian_displacement(y0, a, mu, w, v_p)
-        for got, ref in ((got_s, s), (got_delta, delta)):
-            ref = np.asarray(ref)
-            if ref.ndim == 0:
-                assert type(got) is float
-            else:
-                assert isinstance(got, np.ndarray) and got.shape == ref.shape
-            assert np.asarray(got).tobytes() == ref.tobytes()
+        delta = np.asarray(y0 + a * s)
+        dist = ThresholdDistribution(mu, w)
+        got = switched_fraction_cdf(dist, v_p)
+        ref = np.asarray(s)
+        if ref.ndim == 0:
+            assert type(got) is float
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == ref.shape
+        assert np.asarray(got).tobytes() == ref.tobytes()
         assert np.asarray(v_p, dtype=float).tobytes() == before.tobytes()
-
-
-class TestThresholdPdf:
-    def test_peak_value(self):
-        d = ThresholdDistribution(0.707319, 0.042982)
-        assert threshold_pdf(d, d.mu) == pytest.approx(1 / (math.pi * d.w), rel=1e-12)
-
-    def test_half_maximum_at_one_width(self):
-        d = ThresholdDistribution(0.7, 0.04)
-        assert threshold_pdf(d, d.mu + d.w) == pytest.approx(1 / (2 * math.pi * d.w), rel=1e-12)
-        assert threshold_pdf(d, d.mu - d.w) == pytest.approx(1 / (2 * math.pi * d.w), rel=1e-12)
-
-    def test_peak_location_row_10us(self):
-        _, _, _, mu, w = TABLE_ROWS[0][:5]
-        d = ThresholdDistribution(mu, w)
-        x = np.linspace(mu - 5 * w, mu + 5 * w, 2001)
-        assert x[np.argmax(threshold_pdf(d, x))] == pytest.approx(0.707319, abs=5 * w * 2 / 2000)
-
-    def test_unit_mass(self):
-        d = ThresholdDistribution(0.7, 0.04)
-        total, _ = quad(lambda x: threshold_pdf(d, x), -np.inf, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_derivative_of_cdf(self):
-        # finite difference of the CDF matches the density at random points
-        d = ThresholdDistribution(0.7, 0.04)
-        rng = np.random.default_rng(41)
-        x = d.mu + d.w * rng.uniform(-5, 5, 100)
-        h = 1e-5
-        num = (switched_fraction_cdf(d, 10 ** (x + h)) - switched_fraction_cdf(d, 10 ** (x - h))) / (2 * h)
-        assert np.max(np.abs(num / threshold_pdf(d, x) - 1)) < 1e-6
+        # the (y0, A) path, which count_dac_levels runs on each block of codes
+        got_delta = _transfer(np.array(v_p, dtype=float), dist, y0, a)
+        assert got_delta.shape == delta.shape and got_delta.tobytes() == delta.tobytes()
 
 
 class TestNlsSwitchedFraction:
