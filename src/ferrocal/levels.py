@@ -191,11 +191,19 @@ def _code_voltages(codes, cal):
 
 
 def dac_nearest_code(cal, v_p):
-    """Index of the DAC code closest to v_p."""
+    """Index of the DAC code whose voltage is closest to v_p (the lower on a
+    tie). The inverted formula can miss by a code at 52 bits, so its guess
+    walks to the codes bracketing v_p; no code's voltage is below its predecessor's."""
     lo, hi = cal.dac_range
-    ncodes = 2 ** cal.dac_bits
-    code = int(round((v_p - lo) / (hi - lo) * (ncodes - 1)))
-    return min(max(code, 0), ncodes - 1)
+    top = 2 ** cal.dac_bits - 1
+    code = min(max(int(round((v_p - lo) / (hi - lo) * top)), 0), top)
+    while code > 0 and dac_voltage(cal, code) > v_p:
+        code -= 1
+    while code < top and dac_voltage(cal, code + 1) <= v_p:
+        code += 1
+    if code < top and dac_voltage(cal, code + 1) - v_p < v_p - dac_voltage(cal, code):
+        code += 1
+    return code
 
 
 def dac_voltage(cal, code):

@@ -200,9 +200,10 @@ class TriangularPulse:
 class WriteProtocol:
     """Reset-then-write pulse sequence applied before every read.
 
-    ``reset_count`` and ``write_count`` must be >= 1 but do not change the
-    simulated state: with deterministic thresholds a repeated identical
-    pulse flips nothing new.
+    The reset is full, so only its peak's sign and its width's bound (above
+    tau_inf) matter. ``reset_count`` and ``write_count`` must be >= 1 but do
+    not change the simulated state: with deterministic thresholds a repeated
+    identical pulse flips nothing new.
     """
 
     reset_pulse: TriangularPulse

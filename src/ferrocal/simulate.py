@@ -10,8 +10,8 @@ amplitude V flips every opposing hysteron whose width-dependent threshold
 is at or below |V|. The width only divides every threshold by one scalar,
 so the median log-threshold shifts with width while the spread stays
 constant, and the units, kept sorted by x_i, are in threshold order at every
-width: a pulse reaches a prefix of them. A protocol sweep therefore counts
-each grid point by one boundary search (``run_protocol_sweep``).
+width: a pulse reaches a prefix of them. Every read follows a full reset, so
+a protocol sweep counts each grid point by one boundary search.
 
 A read is an affine function of the down fraction: displacement plus
 optional Gaussian noise, or the polarization change. The ensemble is never
@@ -56,8 +56,9 @@ class HysteronEnsemble:
                           ``sample_ensemble`` clamps them into the +/- 10w
                           band, a hand-built ensemble need not
     kinetics              shared (alpha, tau_inf) field-time law
-    down                  boolean polarization state, True = down-poled; a
-                          hand-built ensemble permutes it with its units
+    down                  boolean state, True = down-poled; no sweep reads
+                          it, as every read follows a full reset. It goes
+                          when sweeps draw their counts without an ensemble
     rng_seed              seed the ensemble was drawn from
 
     Both arrays may be given as lists; they are held as numpy arrays.
@@ -172,26 +173,19 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
                        observable_kind="displacement", p_r=None):
     """Run the full reset/write/read protocol over a voltage grid.
 
-    For each V_p in the (strictly increasing, positive, finite) grid: apply
-    ``proto.reset_count`` reset pulses, ``proto.write_count`` write pulses of
-    amplitude V_p at the template's write width, then read once. Returns the
-    assembled curve at the write pulse width; the input ensemble is left
-    unchanged. ``seed`` defaults to the ensemble seed and only affects read
-    noise.
+    For each V_p in the (strictly increasing, positive, finite) grid: a full
+    reset, write pulses of amplitude V_p at the template's write width, then
+    one read. Returns the curve at the write width; the ensemble is left
+    unchanged. ``seed`` defaults to the ensemble seed and only keys read noise.
 
-    The pulse train is not replayed. Thresholds are deterministic, so
-    repeating an identical pulse changes nothing and the pulse counts do not
-    matter. The state of rate-independent hysterons depends only on the
-    running extrema of the input (the wiping-out property; Mayergoyz,
-    *Mathematical Models of Hysteresis*, 1991), and on a strictly increasing
-    grid the running maximum of the writes is the current V_p. The reset
-    reaches the sorted units [0, r) and the write at V_p the units [0, k),
-    each found by one boundary search (``_reach``) that equals the one-array
-    count of ``thresholds_at`` bit for bit. The count is k plus the units
-    poled in the write direction at the start among [max(k, r), n). r is
-    searched only when some unit starts so; both widths are checked anyway.
-    For n units and G grid points a width costs O(G log n) time and O(G)
-    scratch, plus one index per down-poled unit past r.
+    The pulse train is not replayed. The full reset poles every unit against
+    the write, whatever the ensemble's state or the reset amplitude (its width
+    is only checked), and a repeated identical pulse flips nothing new. The
+    write at V_p then switches the sorted units [0, k), found by one boundary
+    search (``_reach``) equal to the one-array count of ``thresholds_at`` bit
+    for bit, so S_down is k/n, or 1 - k/n for a negative write: the mirrored
+    sweep is the exact reflection of the rising one. A width costs
+    O(G log n) time and O(G) scratch for n units and G grid points.
     """
     if observable_kind not in OBSERVABLES:
         raise ConfigError(f"unknown observable_kind {observable_kind!r}")
@@ -207,23 +201,10 @@ def run_protocol_sweep(ensemble, proto, vp_grid, cal, seed=None,
     if observable_kind == "polarization_change" and p_r is None:
         raise ConfigError("polarization sweeps require p_r")
 
-    # count the units poled in the write direction; for the standard
-    # protocol (negative reset, positive write) that is the down flag
-    write_is_down = proto.write_pulse.peak > 0
-    kin, x, down, n = ensemble.kinetics, ensemble.log_threshold_at_ref, ensemble.down, ensemble.n
-    d_reset = threshold_divisor(kin, proto.reset_pulse.width)
-    counts = _reach(x, threshold_divisor(kin, proto.write_pulse.width), grid)
-    # without a unit poled in the write direction no unit is held, and the
-    # reset cannot change the sweep
-    if down.any() if write_is_down else not down.all():
-        r = _reach(x, d_reset, np.array([abs(proto.reset_pulse.peak)]))[0]
-        # down-poled units at or past r, as offsets from r
-        downs = np.flatnonzero(down[r:])
-        m = np.maximum(counts, r) - r
-        past = downs.size - np.searchsorted(downs, m)
-        counts += past if write_is_down else (n - r - m) - past
-    frac = counts / n
-    s_down = frac if write_is_down else 1.0 - frac
+    threshold_divisor(ensemble.kinetics, proto.reset_pulse.width)  # checked, else unread
+    d = threshold_divisor(ensemble.kinetics, proto.write_pulse.width)
+    frac = _reach(ensemble.log_threshold_at_ref, d, grid) / ensemble.n
+    s_down = frac if proto.write_pulse.peak > 0 else 1.0 - frac
 
     if observable_kind == "displacement":
         values = cal.delta_min + cal.span * s_down

@@ -107,17 +107,11 @@ def naive_protocol_sweep(vth_reset, vth_write, down, reset_peak, write_peak,
     return counts
 
 
-def one_array_protocol_count(vth_reset, vth_write, down, reset_peak, write_peak, grid):
-    """Reference for the protocol sweep's count: one sorted array of all units.
-
-    Counts, after each grid point, the units poled in the write direction:
-    the held ones (poled so from the start, out of the reset's reach) plus
-    ``searchsorted`` in the sorted write thresholds of every other unit.
-    """
-    written = down if write_peak > 0 else ~down
-    unheld = (vth_reset <= abs(reset_peak)) | ~written
-    vth = np.sort(vth_write[unheld])
-    return (down.size - vth.size) + np.searchsorted(vth, grid, side="right")
+def one_array_protocol_count(vth_write, grid):
+    """Reference for the protocol sweep's count after a full reset: the
+    write thresholds at or below each grid amplitude, by ``searchsorted``
+    in one sorted array of all units."""
+    return np.searchsorted(np.sort(vth_write), grid, side="right")
 
 
 def naive_single_crossing(v, y, level):

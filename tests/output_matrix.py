@@ -1,13 +1,14 @@
 """Run the output matrix in process and print a digest of everything it wrote.
 
 Usage: python tests/output_matrix.py [SRC] [--keep DIR]
+       python tests/output_matrix.py PARENT_SRC CHANGE_SRC
 
 SRC is the directory holding the ``ferrocal`` package to run (default: this
-repository's ``src``), so one copy of this script compares two trees. Each
-of ten configurations (seeds 11 and 3, both observables, read noise 0 and
-0.05 nm, the other settings at their defaults; and the mirrored branch,
-``reset_peak_V = 9`` and ``write_peak_V = -5``, at seed 3 and 0.05 nm for
-both observables) runs 13 command forms
+repository's ``src``). Each of ten configurations (seeds 11 and 3, both
+observables, read noise 0 and 0.05 nm, the other settings at their
+defaults; and the mirrored branch, ``reset_peak_V = 9`` and
+``write_peak_V = -5``, at seed 3 and 0.05 nm for both observables) runs 13
+command forms
 through ``cli.main``: ``simulate``; ``fit`` and ``fit --share-offsets``; on
 each of the two reports ``merz`` nested and with ``--tau-inf 1.4e-14``,
 ``collapse`` and ``program --targets 0.25,0.5,0.75``; ``levels`` plain and
@@ -20,12 +21,22 @@ stderr), one ``file`` line per file written (sha256), and last a
 the exact output root is replaced by a placeholder. The digests hold for
 one machine and numpy version: vectorized math may round differently on
 another CPU, so none is committed; compare two trees on one machine.
+
+Read noise applies to displacement sweeps only, so each
+``polarization_change-noise0.05`` configuration writes the same files as its
+``-noise0`` twin, and the mirrored polarization configuration is noiseless.
+
+Given two trees, the script runs each in a process of its own and prints
+both digests, then each ``run`` and ``file`` line that differs, under a
+``## <configuration>`` heading: ``-`` for the first tree, ``+`` for the
+second. A line only one tree wrote is printed with its sign alone.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -94,14 +105,38 @@ def run_matrix(main, root):
     return lines
 
 
+def compare(parent_src, change_src):
+    """Both digests, then the lines that differ, grouped by configuration."""
+    outputs = [subprocess.run([sys.executable, __file__, src], capture_output=True, text=True,
+                              check=True).stdout.splitlines() for src in (parent_src, change_src)]
+    # each line keyed by its run or file name; the last line is the digest
+    tables = [{line.split()[1]: line for line in out[1:-1]} for out in outputs]
+    print(f"# parent {parent_src} {outputs[0][-1]}")
+    print(f"# change {change_src} {outputs[1][-1]}")
+    conf = None
+    for name in dict.fromkeys([*tables[0], *tables[1]]):
+        old, new = (table.get(name) for table in tables)
+        if old == new:
+            continue
+        if name.split("/")[0] != conf:
+            conf = name.split("/")[0]
+            print(f"## {conf}")
+        print("\n".join(f"{sign} {line}" for sign, line in (("-", old), ("+", new)) if line))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("src", nargs="?", default=str(Path(__file__).parents[1] / "src"),
-                        help="directory holding the ferrocal package")
+    parser.add_argument("src", nargs="*", default=[str(Path(__file__).parents[1] / "src")],
+                        help="directory holding the ferrocal package; two compare two trees")
     parser.add_argument("--keep", default=None,
                         help="write the outputs into this new directory and keep them")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    if len(args.src) == 2 and args.keep is None:
+        compare(*args.src)
+        return 0
+    if len(args.src) != 1:
+        parser.error("give one SRC, or two without --keep")
+    sys.path.insert(0, str(Path(args.src[0]).resolve()))
     from ferrocal import cli
 
     print(f"# ferrocal from {Path(cli.__file__).parent}")

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import ferrocal
 from ferrocal import (ConfigError, DeviceCalibration, LorentzianFit, SwitchCurve,
-                      count_dac_levels, emit_fit_report, emit_sweep_csv, fit_family,
-                      parse_fit_report, parse_sweep_csv, s0_filter, s0_filter_with_margin)
+                      count_dac_levels, dac_voltage, emit_fit_report, emit_sweep_csv,
+                      fit_family, parse_fit_report, parse_sweep_csv, s0_filter,
+                      s0_filter_with_margin)
 from ferrocal.cli import main
 from ferrocal.config import _KEYS, RunConfig, load_config
 
@@ -235,8 +236,8 @@ class TestCollapseCommand:
         assert summary[2] == "out_of_band = 1"
 
 
-# the mirrored (inhibitory) branch: units start up-poled, a positive reset
-# poles them down and a negative write switches them back, so each sweep falls
+# the mirrored (inhibitory) branch: a positive reset poles every unit down
+# and a negative write switches units back, so each sweep falls
 MIRRORED = "[protocol]\nreset_peak_V = 9.0\nwrite_peak_V = -5.0\n\n"
 
 
@@ -299,9 +300,49 @@ class TestMirroredBranch:
         else:
             # polarization values are multiples of 40/10**5 uC/cm^2 and the
             # 0.09 margin is 225 of them; the mirrored values, the rising ones
-            # negated and offset by the units the reset cannot reach, round
-            # apart, so a rise equal to the margin can break either way
+            # negated, round apart, so a rise equal to the margin can break
+            # either way
             assert np.abs(np.subtract(mirrored_kept[5:], rising_kept[5:])).max() <= 1
+
+    # |mirrored - reflected rising| / span peaked at 2.9e-16 (displacement,
+    # 7.1e-15 nm) and 8.9e-17 (polarization, span 2 * P_r) at seeds 3 and 11
+    MIRROR_ULPS = 4 * np.finfo(float).eps
+    # fitted mu, w and |A| of the two branches, relative; peaked at 4.4e-16
+    MIRROR_FIT_REL = 5.2e-16
+    # |mirrored y0 - reflected rising y0| / |A| peaked at 1.8e-16
+    MIRROR_Y0_REL = 2e-16
+
+    @pytest.mark.parametrize("kind", ["displacement", "polarization_change"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_noiseless_mirror_is_the_exact_reflection(self, tmp_path, capsys, seed, kind):
+        # every read follows a full reset, so the mirrored sweep reads the
+        # rising counts as 1 - S: the rising values reflected about the
+        # span's centre, and fits with the rising mu, w and |A| and the
+        # reflected y0
+        cfg = RunConfig()
+        centre = cfg.device.delta_min + cfg.device.delta_max if kind == "displacement" else 0.0
+        span = cfg.device.span if kind == "displacement" else 2.0 * cfg.sweep.p_r
+        branches = []
+        for name, protocol in (("rising", ""), ("mirrored", MIRRORED)):
+            ini, out = tmp_path / f"{name}.ini", tmp_path / name
+            ini.write_text(protocol + f"[sweep]\nobservable = {kind}\n")
+            sweep = str(out / "sweep.csv")
+            assert main(["--out-dir", str(out), "--seed", str(seed), "simulate",
+                         "--config", str(ini), "--out", sweep]) == 0
+            assert main(["--out-dir", str(out), "fit", "--input", sweep]) == 0
+            branches.append((parse_sweep_csv(sweep),
+                             [fit for fit, _ in parse_fit_report(out / "fit_report.csv")]))
+        capsys.readouterr()
+        (rising, rising_fits), (mirrored, mirrored_fits) = branches
+        for up, down in zip(rising, mirrored):
+            assert np.array_equal(down.v_p, up.v_p)
+            assert np.abs(down.values - (centre - up.values)).max() <= self.MIRROR_ULPS * span
+        assert len(mirrored_fits) == len(rising_fits) == len(cfg.sweep.t_p)
+        for up, down in zip(rising_fits, mirrored_fits):
+            assert down.mu == pytest.approx(up.mu, rel=self.MIRROR_FIT_REL, abs=0)
+            assert down.w == pytest.approx(up.w, rel=self.MIRROR_FIT_REL, abs=0)
+            assert up.a > 0 and -down.a == pytest.approx(up.a, rel=self.MIRROR_FIT_REL, abs=0)
+            assert abs(down.y0 - (centre - up.y0)) <= self.MIRROR_Y0_REL * up.a
 
 
 class TestLevelsCommand:
@@ -385,6 +426,22 @@ class TestProgramCommand:
                      "--targets", targets]) == code
         assert "Traceback" not in capsys.readouterr().err
         assert not (out / "program_table.csv").exists()
+
+    @pytest.mark.parametrize("bits", [18, 50, 51, 52])
+    def test_each_code_programs_its_voltage(self, tmp_path, bits):
+        # on the published 500 us row, every target from 0.050 to 0.954 (the
+        # last inside the 0.5-9 V span) in steps of 0.001
+        report = tmp_path / "fit_report.csv"
+        emit_fit_report(report, [LorentzianFit.from_params(*TABLE_ROWS[-1][1:5], 0.0,
+                                                           TABLE_ROWS[-1][0])])
+        targets = ",".join(f"{k / 1000:.3f}" for k in range(50, 955))
+        assert main(["--out-dir", str(tmp_path), "program", "--fits", str(report),
+                     "--targets", targets, "--dac-bits", str(bits)]) == 0
+        cal = DeviceCalibration(delta_min=0.0, delta_max=1.0, dac_bits=bits)
+        rows = [line.split(",") for line in
+                (tmp_path / "program_table.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 905
+        assert all(dac_voltage(cal, int(row[2])) == float(row[3]) for row in rows)
 
     def test_out_of_range_target_fails_with_runtime_code(self, tmp_path):
         report = write_table_report(tmp_path / "fit_report.csv")
@@ -869,9 +926,6 @@ class TestEveryConfigKeyIsRead:
     """A key that no valid value lets change the sweep file is dead weight."""
 
     BASE = {("ensemble", "n"): "2000", ("sweep", "v_step_v"): "0.05"}
-    # units start up-poled, so the reset changes the sweep only when it is
-    # the down-poling pulse: a positive reset and a negative write
-    WRITE_UP = {("protocol", "reset_peak_v"): "9.0", ("protocol", "write_peak_v"): "-5.0"}
     POLARIZATION = {("sweep", "observable"): "polarization_change"}
     # (context set in both runs, the value that changes the file)
     CHANGES = {
@@ -879,8 +933,6 @@ class TestEveryConfigKeyIsRead:
         ("device", "delta_min_nm"): ({}, "-20"),
         ("device", "delta_max_nm"): ({}, "6"),
         ("device", "read_noise_sigma_nm"): ({}, "0.05"),
-        ("protocol", "reset_peak_v"): (WRITE_UP, "6.0"),
-        ("protocol", "reset_width_s"): (WRITE_UP, "10e-6"),
         ("ensemble", "n"): ({}, "3000"),
         ("ensemble", "mu_star"): ({}, "1.0"),
         ("ensemble", "w"): ({}, "0.05"),
@@ -900,6 +952,9 @@ class TestEveryConfigKeyIsRead:
         # its magnitude is unread (each write's amplitude is the grid V_p),
         # and its sign must oppose reset_peak_v's
         ("protocol", "write_peak_v"): "its value follows from reset_peak_v",
+        # every read follows a full reset, which poles every unit
+        ("protocol", "reset_peak_v"): "only its sign is read, and it must oppose write_peak_v's",
+        ("protocol", "reset_width_s"): "it is only checked against tau_inf_s",
     }
     KEYS = {(section, key) for section, keys in _KNOWN_KEYS.items() for key in keys}
 

@@ -41,12 +41,14 @@ def ensemble_with_thresholds(vth, width, down):
 
 
 def oracle_values(ensemble, proto, grid, kind="displacement"):
-    """Curve values the plain pulse-by-pulse loop predicts."""
+    """Curve values the plain pulse-by-pulse loop predicts: from the
+    ensemble's state, a reset of the protocol's sign that reaches every unit
+    before each write."""
     counts = np.array(naive_protocol_sweep(
         thresholds_at(ensemble, proto.reset_pulse.width).tolist(),
         thresholds_at(ensemble, proto.write_pulse.width).tolist(),
-        ensemble.down.tolist(), proto.reset_pulse.peak, proto.write_pulse.peak,
-        proto.reset_count, proto.write_count, list(grid)))
+        ensemble.down.tolist(), math.copysign(math.inf, proto.reset_pulse.peak),
+        proto.write_pulse.peak, proto.reset_count, proto.write_count, list(grid)))
     n = ensemble.n
     # the sweep counts units poled in the write direction, so a negative
     # write gives S_down as 1 - (up count) / n
@@ -64,8 +66,9 @@ def assert_matches_oracle(ensemble, proto, grid, kind="displacement"):
 
 
 def random_case(seed, quantized=False, down_share=0.0, write_is_down=True, n=300):
-    """Random sorted ensemble, protocol and grid; the reset reaches a random
-    share of the units and the grid hits some write thresholds exactly."""
+    """Random sorted ensemble, start state, protocol and grid; the reset's
+    amplitude is a random quantile of the reset thresholds, and the grid hits
+    some write thresholds exactly."""
     rng = np.random.default_rng(seed)
     x = ORACLE_MU_STAR + 0.04 * rng.standard_cauchy(n)
     np.clip(x, ORACLE_MU_STAR - 0.4, ORACLE_MU_STAR + 0.4, out=x)
@@ -100,16 +103,6 @@ class TestProtocolSweepOracle:
         assert np.unique(ensemble.log_threshold_at_ref).size < ensemble.n // 2
         assert_matches_oracle(ensemble, proto, grid)
 
-    def test_reset_reaches_only_some_units(self):
-        ensemble, proto, grid = random_case(7, down_share=1.0)
-        reached = thresholds_at(ensemble, proto.reset_pulse.width) <= abs(proto.reset_pulse.peak)
-        assert 0 < np.count_nonzero(reached) < ensemble.n
-        assert_matches_oracle(ensemble, proto, grid)
-
-    @pytest.mark.parametrize("down_share", [0.3, 1.0])
-    def test_nonzero_initial_state(self, down_share):
-        assert_matches_oracle(*random_case(8, down_share=down_share))
-
     @pytest.mark.parametrize("down_share", [0.0, 0.5, 1.0])
     def test_negative_write(self, down_share):
         assert_matches_oracle(*random_case(9, down_share=down_share, write_is_down=False))
@@ -139,24 +132,28 @@ class TestProtocolSweepOracle:
     def test_property_matches_oracle(self, x, down_bits, widths, reset_amp, counts,
                                      write_is_down, grid):
         x = sorted(x)
-        down = [bool(down_bits >> i & 1) for i in range(len(x))]
-        ensemble = HysteronEnsemble(np.array(x), KIN, np.array(down), rng_seed=0)
+        down = np.array([bool(down_bits >> i & 1) for i in range(len(x))])
+        ensemble = HysteronEnsemble(np.array(x), KIN, down, rng_seed=0)
         sign = 1.0 if write_is_down else -1.0
         proto = WriteProtocol(TriangularPulse(-sign * reset_amp, widths[0]),
                               TriangularPulse(sign * 5.0, widths[1]),
                               reset_count=counts[0], write_count=counts[1])
-        assert_matches_oracle(ensemble, proto, np.sort(grid))
+        grid = np.sort(grid)
+        assert_matches_oracle(ensemble, proto, grid)
+        # the full reset before each write leaves no trace of the start state
+        flipped = HysteronEnsemble(ensemble.log_threshold_at_ref, KIN, ~down, rng_seed=0)
+        assert np.array_equal(run_protocol_sweep(flipped, proto, grid, UNIT_CAL).values,
+                              run_protocol_sweep(ensemble, proto, grid, UNIT_CAL).values)
 
 
 class TestThresholdPasses:
-    """A sweep searches for the reset's reach only when some unit starts
-    poled in the write direction; otherwise the reset cannot change it.
-    ``passes`` counts the write search and any reset search."""
+    """A sweep checks the reset width and makes one boundary search, over the
+    grid at the write width, whatever the start state and the polarity."""
 
-    @pytest.mark.parametrize("down_share, write_is_down, passes",
-                             [(0.0, True, 1), (0.4, True, 2), (1.0, False, 1), (0.0, False, 2)])
-    def test_reset_pass_only_when_a_unit_starts_written(self, monkeypatch, down_share,
-                                                        write_is_down, passes):
+    @pytest.mark.parametrize("down_share", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("write_is_down", [True, False])
+    def test_one_write_search_whatever_the_start_state(self, monkeypatch, down_share,
+                                                       write_is_down):
         ensemble, proto, grid = random_case(12, down_share=down_share,
                                             write_is_down=write_is_down)
         widths, searches = [], []
@@ -175,8 +172,7 @@ class TestThresholdPasses:
         curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
         monkeypatch.undo()
         assert widths == [proto.reset_pulse.width, proto.write_pulse.width]
-        assert searches[0] == grid.tolist()
-        assert searches[1:] == [[abs(proto.reset_pulse.peak)]] * (passes - 1)
+        assert searches == [grid.tolist()]
         assert np.array_equal(curve.values, oracle_values(ensemble, proto, grid))
 
     @pytest.mark.parametrize("factor", [1.0, 0.5])
@@ -191,9 +187,9 @@ class TestThresholdPasses:
 
 def tied_blocks_case(block, n, write_is_down):
     """Sorted ensemble of tied blocks: ``block`` units share each
-    log-threshold (the last block may be short). The reset amplitude and
-    most grid points sit exactly on a block's write or reset threshold or
-    one ulp beside it, so every boundary has ties on both sides."""
+    log-threshold (the last block may be short), in a random start state.
+    Most grid points sit exactly on a block's write threshold or one ulp
+    beside it, so every boundary has ties on both sides."""
     rng = np.random.default_rng(20 + n)
     levels = np.sort(ORACLE_MU_STAR + 0.04 * rng.standard_cauchy(-(-n // block)))
     x = np.repeat(np.clip(levels, ORACLE_MU_STAR - 0.4, ORACLE_MU_STAR + 0.4), block)[:n]
@@ -210,9 +206,9 @@ def tied_blocks_case(block, n, write_is_down):
 
 
 class TestBlockedCount:
-    """The write and reset boundaries fall between or inside blocks of tied
-    units; the boundary search must jump whole blocks and still equal the
-    plain pulse loop and the one-array count bit for bit."""
+    """The write boundaries fall between or inside blocks of tied units; the
+    boundary search must jump whole blocks and still equal the plain pulse
+    loop and the one-array count bit for bit."""
 
     @pytest.mark.parametrize("block, n", [(7, 28), (7, 29), (64, 256), (64, 257)])
     @pytest.mark.parametrize("write_is_down", [True, False])
@@ -222,10 +218,6 @@ class TestBlockedCount:
         truth = np.searchsorted(np.sort(thresholds_at(ensemble, 10e-6)), grid, side="right")
         guess = np.searchsorted(x, np.log10(grid) + math.log10(d), side="right")
         assert np.any(guess != truth)  # the log10-space guess misses, and is corrected
-        reached = (thresholds_at(ensemble, proto.reset_pulse.width)
-                   <= abs(proto.reset_pulse.peak))
-        r = np.count_nonzero(reached)
-        assert 0 < r < n and x[r - 1] == x[r - 2] and x[r] == x[r + 1]  # ties both sides
         assert_matches_oracle(ensemble, proto, grid)
 
     @pytest.mark.parametrize("write_is_down", [True, False])
@@ -242,10 +234,7 @@ class TestBlockedCount:
                               TriangularPulse(sign * 5.0, 10e-6))
         grid = np.unique(np.concatenate([np.arange(0.5, 9.0, 0.005),
                                          rng.choice(vth_write, 50)]))
-        counts = one_array_protocol_count(vth_reset, vth_write, ensemble.down,
-                                          proto.reset_pulse.peak, proto.write_pulse.peak, grid)
-        assert counts[0] > n // 5  # about a quarter of the units are held
-        frac = counts / n
+        frac = one_array_protocol_count(vth_write, grid) / n
         curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
         assert np.array_equal(curve.values, frac if write_is_down else 1.0 - frac)
 
@@ -297,10 +286,7 @@ class TestDefaultConfigSweep:
                                        seed)
             for t_p in cfg.sweep.t_p:
                 proto = cfg.protocol_for(t_p)
-                counts = one_array_protocol_count(
-                    thresholds_at(ensemble, proto.reset_pulse.width),
-                    thresholds_at(ensemble, t_p), ensemble.down, proto.reset_pulse.peak,
-                    proto.write_pulse.peak, grid)
+                counts = one_array_protocol_count(thresholds_at(ensemble, t_p), grid)
                 curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
                 assert np.array_equal(curve.values, counts / n)
 
@@ -374,14 +360,10 @@ class TestBoundarySearch:
     @given(case=boundary_cases())
     def test_count_matches_one_array_count(self, case):
         ensemble, proto, grid = case
-        write_is_down = proto.write_pulse.peak > 0
-        counts = one_array_protocol_count(
-            thresholds_at(ensemble, proto.reset_pulse.width),
-            thresholds_at(ensemble, proto.write_pulse.width), ensemble.down,
-            proto.reset_pulse.peak, proto.write_pulse.peak, grid)
-        frac = counts / ensemble.n
+        frac = one_array_protocol_count(thresholds_at(ensemble, proto.write_pulse.width),
+                                        grid) / ensemble.n
         curve = run_protocol_sweep(ensemble, proto, grid, UNIT_CAL)
-        assert np.array_equal(curve.values, frac if write_is_down else 1.0 - frac)
+        assert np.array_equal(curve.values, frac if proto.write_pulse.peak > 0 else 1.0 - frac)
 
 
 class TestDacCountOracle:
@@ -578,19 +560,13 @@ class TestPureKernel:
                 mask = next(_keep_masks([ties], 0.2, accept_equal))
                 assert list(np.flatnonzero(mask)) == naive_monotone_scan(ties, 0.2, accept_equal)
 
-    def test_state_carries_between_grid_points_without_reset(self):
-        # the reset reaches no unit: written units accumulate, and the unit
-        # that starts down above every write amplitude stays down throughout
-        ensemble = ensemble_with_thresholds([1.0, 2.0, 3.0, 12.0], 500e-6,
-                                            [False, False, False, True])
-        proto = WriteProtocol(TriangularPulse(-0.5, 500e-6), TriangularPulse(5.0, 500e-6))
-        curve = run_protocol_sweep(ensemble, proto, [1.5, 2.5, 3.5, 4.5], UNIT_CAL)
-        assert list(curve.values) == [2 / 4, 3 / 4, 1.0, 1.0]
-
-    def test_reset_clears_reachable_only(self):
-        # both units start down; the reset reaches only the 3 V unit, which
-        # comes back once the write amplitude clears its threshold
+    def test_every_read_follows_a_full_reset(self):
+        # both units start down and the 12 V unit lies past the 9 V reset:
+        # the reset still clears both, and on either branch only the 3 V
+        # unit is written, once the write amplitude clears its threshold
         ensemble = ensemble_with_thresholds([3.0, 12.0], 500e-6, [True, True])
-        proto = WriteProtocol(TriangularPulse(-9.0, 500e-6), TriangularPulse(5.0, 500e-6))
-        curve = run_protocol_sweep(ensemble, proto, [1.0, 2.0, 3.5, 4.0], UNIT_CAL)
-        assert list(curve.values) == [0.5, 0.5, 1.0, 1.0]
+        grid = [1.0, 2.0, 3.5, 4.0]
+        for reset, write, values in ((-9.0, 5.0, [0.0, 0.0, 0.5, 0.5]),
+                                     (9.0, -5.0, [1.0, 1.0, 0.5, 0.5])):
+            proto = WriteProtocol(TriangularPulse(reset, 500e-6), TriangularPulse(write, 500e-6))
+            assert list(run_protocol_sweep(ensemble, proto, grid, UNIT_CAL).values) == values

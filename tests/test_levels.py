@@ -169,9 +169,19 @@ class TestDacHelpers:
         assert v.tolist() == [lo + (hi - lo) * code / (ncodes - 1) for code in codes]
 
     def test_nearest_code_round_trip(self):
-        cal = CAL_18BIT
-        for code in (0, 1, 77, 2**18 - 1):
-            assert dac_nearest_code(cal, dac_voltage(cal, code)) == code
+        # at every width: every code below 2**12, else the ends and 4,000
+        # random codes. At 52 bits about 1 % of codes share their voltage
+        # with a neighbour, and either code of the pair is the nearest
+        for bits in range(1, 53):
+            cal = replace(CAL_18BIT, dac_bits=bits)
+            top = 2**bits - 1
+            rng = np.random.default_rng(bits)
+            codes = range(top + 1) if bits <= 12 else [
+                0, 1, 2, 77, top - 2, top - 1, top, *map(int, rng.integers(0, top, 4000))]
+            for code in codes:
+                v = dac_voltage(cal, code)
+                got = dac_nearest_code(cal, v)
+                assert got == code or (abs(got - code) == 1 and dac_voltage(cal, got) == v)
 
 
 class TestCountDacLevels:

@@ -1,5 +1,6 @@
 """The output matrix of ``output_matrix.py``: one digest whatever the hash
-seed, the bytes ``python -m ferrocal`` writes, and each command's file set."""
+seed, the bytes ``python -m ferrocal`` writes, each command's file set, and
+the comparison of two trees."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import output_matrix
 from output_matrix import sha256, text_sha
 
 TESTS = Path(__file__).parent
@@ -75,3 +77,17 @@ def test_python_m_ferrocal_writes_the_in_process_bytes(matrix, tmp_path):
     report = f"file {conf}/fit/fit_report.csv {sha256((out / 'fit_report.csv').read_bytes())}"
     assert run in lines
     assert report in lines
+
+
+def test_two_trees_print_both_digests_and_the_lines_that_differ(monkeypatch, capsys):
+    runs = {"old": ["# ferrocal from old", "run a/simulate exit 0", "file a/simulate/s.csv 1",
+                    "run b/fit exit 0", "file b/fit/r.csv 2", "digest 11"],
+            "new": ["# ferrocal from new", "run a/simulate exit 0", "file a/simulate/s.csv 1",
+                    "run b/fit exit 1", "file b/fit/extra.csv 3", "digest 22"]}
+    monkeypatch.setattr(output_matrix.subprocess, "run", lambda argv, **kwargs: (
+        subprocess.CompletedProcess(argv, 0, "\n".join(runs[argv[-1]]) + "\n", "")))
+    assert output_matrix.main(["old", "new"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "# parent old digest 11", "# change new digest 22", "## b",
+        "- run b/fit exit 0", "+ run b/fit exit 1", "- file b/fit/r.csv 2",
+        "+ file b/fit/extra.csv 3"]

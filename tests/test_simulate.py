@@ -88,7 +88,7 @@ class TestSampleEnsemble:
                                          (np.array([1.0, 1.1]), [False, True])],
                              ids=["both-lists", "list-thresholds", "list-state"])
     def test_lists_are_held_as_arrays(self, x, down):
-        # the sweep calls down.any() and the check reads x.size: both need arrays
+        # the checks read down.shape, down.dtype and x.size: all need arrays
         grid = np.linspace(1.0, 9.0, 17)
         arrays = HysteronEnsemble(np.array([1.0, 1.1]), KIN, np.array([False, True]), 0)
         ensemble = HysteronEnsemble(x, KIN, down, 0)
@@ -233,15 +233,16 @@ class TestApplyPulse:
                                    UNIT_CAL)
         assert abs(curve.values[0] - 0.5) <= 3 * math.sqrt(0.25 / 100_000)
 
-    def test_negative_pulse_flips_back(self, ensemble):
-        # a down-poled start: the -9 V reset flips units back up, a reset
-        # below every threshold flips none
+    def test_reset_below_every_threshold_still_resets_fully(self, ensemble):
+        # a down-poled start and a reset below every threshold: each read
+        # still follows a full reset, as from the up-poled start at -9 V
         poled = replace(ensemble, down=np.ones(ensemble.n, dtype=bool))
         grid = first_points(0.5 * thresholds_at(ensemble, 500e-6).min())
-        reset = run_protocol_sweep(poled, std_protocol(500e-6), grid, UNIT_CAL)
         weak = WriteProtocol(TriangularPulse(-grid[0], 500e-6), TriangularPulse(5.0, 500e-6))
-        assert reset.values[0] < 1.0
-        assert np.all(run_protocol_sweep(poled, weak, grid, UNIT_CAL).values == 1.0)
+        curve = run_protocol_sweep(poled, weak, grid, UNIT_CAL)
+        assert curve.values[0] == 0.0
+        assert np.array_equal(curve.values, run_protocol_sweep(
+            ensemble, std_protocol(500e-6), grid, UNIT_CAL).values)
 
     def test_reset_completeness(self, ensemble):
         t_pr = 500e-6
